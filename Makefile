@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: all verify build lint vet test race cover fuzz soak bench bench-json bench-quick examples paper smoke-serve serve-demo compare-demo clean
+.PHONY: all verify build lint vet test race cover fuzz soak bench bench-json bench-quick bench-smoke examples paper smoke-serve serve-demo compare-demo clean
 
 all: build vet test
 
@@ -81,6 +81,12 @@ bench-json: bench
 # benchmark body without timing them (part of verify).
 bench-quick:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x ./internal/...
+
+# The repository benchmark's own tests at smoke scale (a few seconds).
+# bench/ is a nested module outside the root `go test ./...`, so this is
+# what catches a core API change that breaks the benchmark.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # End-to-end serve-mode smoke: boot cmd/eotorad, stream 200 slots of
 # state diffs through cmd/loadgen in lockstep, scrape /metrics, and gate

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"eotora/internal/game"
 	"eotora/internal/par"
@@ -21,8 +22,10 @@ var ErrSlotDeadline = errors.New("core: slot deadline expired before a decision 
 // BDMAConfig parameterizes Algorithm 2.
 type BDMAConfig struct {
 	// Iterations is z, the number of alternating rounds (paper: z = 5 for
-	// the DPP experiments). Zero selects 1, the value used by the
-	// Theorem 3 proof.
+	// the DPP experiments): at most z rounds run; the alternation stops
+	// after a round that provably replays, with the decision bit-identical
+	// to running all z. Zero selects 1, the value used by the Theorem 3
+	// proof.
 	Iterations int
 	// Solver solves P2-A each round; nil selects CGBA(0).
 	Solver P2ASolver
@@ -54,9 +57,12 @@ type BDMAResult struct {
 }
 
 // BDMA runs Algorithm 2, the Benders'-decomposition-motivated alternation:
-// starting from Ω = Ω^L it repeats z times — solve P2-A for (x, y) under
-// the current Ω, then solve P2-B for Ω under the new (x, y) — and returns
-// the best iterate under the P2 objective f = V·T_t + Q·Θ.
+// starting from Ω = Ω^L it repeats at most z times — solve P2-A for (x, y)
+// under the current Ω, then solve P2-B for Ω under the new (x, y) — and
+// returns the best iterate under the P2 objective f = V·T_t + Q·Θ. It
+// stops after a round that provably replays (a warm-started round that
+// moved no player and reproduced its Ω): the remaining rounds would
+// repeat it bit for bit, so the decision equals the full z-round one.
 //
 // Theorem 3: the returned decision satisfies
 // V·T(ᾱ) + Q·Θ(Ω̄) ≤ R·V·T(α) + Q·Θ(Ω) for any feasible α, with
@@ -95,10 +101,10 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // reusable P2A; round 0 rebuilds it for the slot state and later rounds
 // only reweight the N compute resources (the sole Ω-dependent part of the
 // game), skipping the structural rebuild entirely. in records the
-// alternation's round statistics (zero value records nothing); pool is
-// the intra-slot worker pool handed down to the P2-A engine (sharded
-// best-response scoring) — P2-B and the objective closures captured it
-// already.
+// alternation's round statistics, executed and skipped (zero value
+// records nothing); pool is the intra-slot worker pool handed down to the
+// P2-A engine (sharded best-response scoring) — P2-B and the objective
+// closures captured it already.
 //
 // dl, when non-nil, is the slot deadline. Checkpoints sit at round
 // boundaries, inside the P2-A engine's iteration loop, and at P2-B entry.
@@ -107,7 +113,9 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // priced by a deadline-free P2-B pass — a bounded grace completion — so
 // its iterate becomes a full (x, y, Ω) decision rather than being thrown
 // away. ErrSlotDeadline is returned only when expiry precedes the first
-// complete round, i.e. there is no decision to degrade to.
+// complete round, i.e. there is no decision to degrade to. A replay exit
+// precedes the next round's checkpoint, so a budget that would have run
+// out only inside skipped rounds leaves the decision undegraded.
 func (s *System) bdmaLoop(
 	st *trace.State,
 	cfg BDMAConfig,
@@ -139,7 +147,7 @@ func (s *System) bdmaLoop(
 	freq := s.LowestFrequencies()
 	best := BDMAResult{Objective: math.Inf(1)}
 	bestRound := 0
-	rounds := 0
+	rounds, skipped := 0, 0
 	var warm game.Profile
 	for iter := 0; iter < iters; iter++ {
 		// Round-boundary checkpoint: one poll per round, so counted
@@ -168,8 +176,10 @@ func (s *System) bdmaLoop(
 		// instances run the same rounds on the same inputs.
 		var res game.Result
 		var err2 error
+		replay := false
 		if ws, ok := p2aSolver.(warmStartSolver); ok && warm != nil {
 			res, err2 = ws.SolveFrom(scratch, warm, src)
+			replay = res.Iterations == 0 && slices.Equal(res.Profile, warm)
 		} else {
 			res, err2 = p2aSolver.Solve(scratch, src)
 		}
@@ -188,6 +198,7 @@ func (s *System) bdmaLoop(
 			best.Degraded = true
 			sdl = nil
 		}
+		built := freq
 		freq, err = solveP2B(sel, sdl)
 		if err != nil {
 			if errors.Is(err, ErrSlotDeadline) {
@@ -207,6 +218,15 @@ func (s *System) bdmaLoop(
 		if res.Truncated {
 			break
 		}
+		// Exit on replay: a warm-started round that moved no player and
+		// re-derived the Ω its game was built with leaves the next round
+		// an identical game and initial profile. A solve that makes no
+		// move draws no RNG, so every later round replays this one bit
+		// for bit and its objective cannot beat best.
+		if replay && slices.Equal(freq, built) {
+			skipped = iters - iter - 1
+			break
+		}
 	}
 	if best.Selection.Station == nil {
 		if best.Degraded {
@@ -215,6 +235,7 @@ func (s *System) bdmaLoop(
 		return BDMAResult{}, errors.New("core: BDMA produced no decision")
 	}
 	in.bdmaRounds.Add(int64(rounds))
+	in.bdmaSkipped.Add(int64(skipped))
 	in.bdmaBestRound.Observe(float64(bestRound))
 	best.Latency = s.reducedLatency(best.Selection, best.Freq, st, pool).Value()
 	return best, nil

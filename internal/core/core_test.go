@@ -27,8 +27,14 @@ func smallSpec(devices int) topology.Spec {
 // frequency cost at the trend-average price, so it is feasible but binding.
 func buildSystem(t testing.TB, devices int, seed int64) (*System, *trace.Generator) {
 	t.Helper()
+	return buildSpecSystem(t, smallSpec(devices), seed)
+}
+
+// buildSpecSystem is buildSystem over an arbitrary topology spec.
+func buildSpecSystem(t testing.TB, spec topology.Spec, seed int64) (*System, *trace.Generator) {
+	t.Helper()
 	src := rng.New(seed)
-	net, err := topology.Generate(smallSpec(devices), src.Derive("net"))
+	net, err := topology.Generate(spec, src.Derive("net"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ const (
 	MetricFallbackRung   = "controller.fallback_rung"        // histogram: ladder rung (1–3) of degraded slots
 
 	// BDMA alternation (Algorithm 2).
-	MetricBDMARounds    = "bdma.rounds"     // counter: alternation rounds executed
-	MetricBDMABestRound = "bdma.best_round" // histogram: 1-based round yielding the kept decision
+	MetricBDMARounds        = "bdma.rounds"         // counter: alternation rounds executed
+	MetricBDMARoundsSkipped = "bdma.rounds_skipped" // counter: replay rounds skipped by the fixed-point exit
+	MetricBDMABestRound     = "bdma.best_round"     // histogram: 1-based round yielding the kept decision
 
 	// P2-B per-server convex solves.
 	MetricP2BSolves     = "p2b.solves"     // counter: per-server 1-D solves
@@ -49,6 +50,7 @@ const (
 // nothing and is always safe to pass — obs instruments are nil-safe.
 type solveInstr struct {
 	bdmaRounds    *obs.Counter
+	bdmaSkipped   *obs.Counter
 	bdmaBestRound *obs.Histogram
 	p2bSolves     *obs.Counter
 	p2bIters      *obs.Histogram
@@ -95,6 +97,7 @@ func (c *Controller) SetObs(reg *obs.Registry) {
 		shardGapG:   reg.Gauge(MetricShardGapNow),
 		solve: solveInstr{
 			bdmaRounds:    reg.Counter(MetricBDMARounds),
+			bdmaSkipped:   reg.Counter(MetricBDMARoundsSkipped),
 			bdmaBestRound: reg.Histogram(MetricBDMABestRound),
 			p2bSolves:     reg.Counter(MetricP2BSolves),
 			p2bIters:      reg.Histogram(MetricP2BIterations),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"eotora/internal/obs"
@@ -8,10 +9,17 @@ import (
 )
 
 // TestControllerObsRecording checks that an instrumented controller fills
-// every instrument with the expected volumes.
+// every instrument with the expected volumes, at z = 2 and at z = 5 where
+// the replay exit skips rounds.
 func TestControllerObsRecording(t *testing.T) {
+	for _, z := range []int{2, 5} {
+		t.Run(fmt.Sprintf("z=%d", z), func(t *testing.T) { testControllerObsRecording(t, z) })
+	}
+}
+
+func testControllerObsRecording(t *testing.T, z int) {
 	sys, gen := buildSystem(t, 25, 3)
-	const z, slots = 2, 5
+	const slots = 5
 	ctrl, err := NewBDMAController(sys, 100, z, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -32,19 +40,25 @@ func TestControllerObsRecording(t *testing.T) {
 	if got := snap.Counters[MetricSlots]; got != slots {
 		t.Errorf("%s = %d, want %d", MetricSlots, got, slots)
 	}
-	if got := snap.Counters[MetricBDMARounds]; got != slots*z {
-		t.Errorf("%s = %d, want %d", MetricBDMARounds, got, slots*z)
+	// Every one of the z rounds is either executed or skipped by the
+	// replay exit, which must fire somewhere once rounds remain after it.
+	rounds, skipped := snap.Counters[MetricBDMARounds], snap.Counters[MetricBDMARoundsSkipped]
+	if rounds+skipped != int64(slots*z) {
+		t.Errorf("%s %d + %s %d, want %d", MetricBDMARounds, rounds, MetricBDMARoundsSkipped, skipped, slots*z)
 	}
-	// Every BDMA round runs up to one P2-B solve per server (unloaded
-	// servers with Q = 0 take the F^L shortcut without a 1-D solve) and
-	// exactly one CGBA solve.
+	if z > 2 && skipped == 0 {
+		t.Errorf("%s = 0: no slot reached its fixed point within z = %d", MetricBDMARoundsSkipped, z)
+	}
+	// Every executed BDMA round runs up to one P2-B solve per server
+	// (unloaded servers with Q = 0 take the F^L shortcut without a 1-D
+	// solve) and exactly one CGBA solve.
 	servers := len(sys.Net.Servers)
 	p2bSolves := snap.Counters[MetricP2BSolves]
-	if p2bSolves == 0 || p2bSolves > int64(slots*z*servers) {
-		t.Errorf("%s = %d, want in (0, %d]", MetricP2BSolves, p2bSolves, slots*z*servers)
+	if p2bSolves == 0 || p2bSolves > rounds*int64(servers) {
+		t.Errorf("%s = %d, want in (0, %d]", MetricP2BSolves, p2bSolves, rounds*int64(servers))
 	}
-	if got := snap.Counters[MetricCGBASolves]; got != slots*z {
-		t.Errorf("%s = %d, want %d", MetricCGBASolves, got, slots*z)
+	if got := snap.Counters[MetricCGBASolves]; got != rounds {
+		t.Errorf("%s = %d, want %d", MetricCGBASolves, got, rounds)
 	}
 	for _, name := range []string{
 		MetricDecisionSeconds, MetricLatencySeconds, MetricTheta, MetricBacklog,
@@ -53,11 +67,11 @@ func TestControllerObsRecording(t *testing.T) {
 			t.Errorf("histogram %s count = %d, want %d", name, h.Count, slots)
 		}
 	}
-	if h := snap.Histograms[MetricBDMABestRound]; h.Count != slots || h.Min < 1 || h.Max > z {
+	if h := snap.Histograms[MetricBDMABestRound]; h.Count != slots || h.Min < 1 || h.Max > float64(z) {
 		t.Errorf("%s = %+v, want %d observations in [1, %d]", MetricBDMABestRound, h, slots, z)
 	}
-	if h := snap.Histograms[MetricCGBAIterations]; h.Count != slots*z {
-		t.Errorf("%s count = %d, want %d", MetricCGBAIterations, h.Count, slots*z)
+	if h := snap.Histograms[MetricCGBAIterations]; h.Count != rounds {
+		t.Errorf("%s count = %d, want %d", MetricCGBAIterations, h.Count, rounds)
 	}
 	if h := snap.Histograms[MetricP2BIterations]; h.Count != p2bSolves {
 		t.Errorf("%s count = %d, want one observation per solve (%d)", MetricP2BIterations, h.Count, p2bSolves)

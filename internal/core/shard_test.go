@@ -12,7 +12,6 @@ import (
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
-	"eotora/internal/units"
 )
 
 // buildMetroSystem constructs a system over the metro preset — a wide
@@ -21,25 +20,7 @@ import (
 // budget is set the same way buildSystem does.
 func buildMetroSystem(t testing.TB, devices int, seed int64) (*System, *trace.Generator) {
 	t.Helper()
-	src := rng.New(seed)
-	net, err := topology.Generate(topology.MetroSpec(devices), src.Derive("net"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := DefaultEnergyModels(len(net.Servers), src.Derive("energy"))
-	sys, err := NewSystem(net, models, 3600, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanPrice := units.Price(50)
-	low := sys.EnergyCost(sys.LowestFrequencies(), meanPrice)
-	high := sys.EnergyCost(sys.HighestFrequencies(), meanPrice)
-	sys.Budget = (low + high) / 2
-	gen, err := trace.NewGenerator(net, trace.DefaultGeneratorConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, gen
+	return buildSpecSystem(t, topology.MetroSpec(devices), seed)
 }
 
 func TestShardPlanFor(t *testing.T) {

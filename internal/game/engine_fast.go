@@ -23,10 +23,10 @@
 //     fast servers) and keeps the k best in a flat arena. Best-response
 //     scans stream only those k candidates. Shortlists are rebuilt
 //     lazily, keyed on the game's weight generation: Builder.Build,
-//     Mutation.Commit, and Game.SetResourceWeight all advance it, so
-//     channel/σ changes and population churn invalidate exactly once,
-//     and a game reached via mutations yields bit-identical shortlists
-//     to a fresh build of the same content.
+//     Mutation.Commit, and a Game.SetResourceWeight that changes a
+//     weight all advance it, so channel/σ changes and population churn
+//     invalidate exactly once, and a game reached via mutations yields
+//     bit-identical shortlists to a fresh build of the same content.
 //
 //   - Sweep dynamics with exact certification. The pruned loop runs
 //     Gauss–Seidel sweeps (players in index order, each dissatisfied

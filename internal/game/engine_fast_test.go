@@ -281,6 +281,56 @@ func TestCGBAPrunedReweightInvalidatesShortlists(t *testing.T) {
 	}
 }
 
+// TestUnchangedReweightKeepsShortlists: setting a resource to its current
+// weight is a no-op — the weight generation stays put and the next pruned
+// solve reuses the shortlist tables instead of rebuilding them. A changed
+// weight still invalidates them.
+func TestUnchangedReweightKeepsShortlists(t *testing.T) {
+	src := rng.New(651)
+	weights := []float64{1.0, 1.1, 0.9, 1.2, 1.05, 0.95}
+	g, err := New(weights, randomStrategies(src, 15, 24, len(weights)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(g)
+	cfg := CGBAConfig{Shortlist: 4}
+	if _, err := e.CGBA(cfg, rng.New(652)); err != nil {
+		t.Fatal(err)
+	}
+	// topScore is rebuildShortlists' selection scratch: nothing else
+	// writes it, so a poisoned entry surviving a solve proves no rebuild.
+	const poison = -1.0
+	e.fast.topScore[0] = poison
+	gen := g.weightGen
+	for r, w := range weights {
+		if err := g.SetResourceWeight(r, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.weightGen != gen {
+		t.Fatalf("unchanged weights advanced weightGen %d → %d", gen, g.weightGen)
+	}
+	if _, err := e.CGBA(cfg, rng.New(653)); err != nil {
+		t.Fatal(err)
+	}
+	if e.fast.topScore[0] != poison {
+		t.Fatal("pruned CGBA rebuilt its shortlists after a no-op reweight")
+	}
+
+	if err := g.SetResourceWeight(2, 4.5); err != nil {
+		t.Fatal(err)
+	}
+	if g.weightGen == gen {
+		t.Fatal("a changed weight did not advance weightGen")
+	}
+	if _, err := e.CGBA(cfg, rng.New(654)); err != nil {
+		t.Fatal(err)
+	}
+	if e.fast.topScore[0] == poison {
+		t.Fatal("pruned CGBA kept stale shortlists after a changed weight")
+	}
+}
+
 // TestResizeShrinkGrowZeroesTail pins the make-parity semantics of the
 // recycled-slice helpers: a shrink-then-grow cycle (population churn)
 // must hand back zeroed tail slots, never stale strategy indices or

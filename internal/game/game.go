@@ -350,12 +350,17 @@ func (g *Game) ResourceWeight(r int) float64 { return g.weights[r] }
 // rounds. Any Engine bound to the game holds stale caches afterwards and
 // must be reset before further incremental queries (Engine.CGBA and
 // Engine.MCBA reset unconditionally, so the solver entry points are safe).
+// Setting the current weight is a no-op: the weight generation does not
+// advance, so the Engine keeps its derived shortlist tables.
 func (g *Game) SetResourceWeight(r int, m float64) error {
 	if r < 0 || r >= len(g.weights) {
 		return fmt.Errorf("game: resource %d of %d", r, len(g.weights))
 	}
 	if !(m > 0) || math.IsInf(m, 0) {
 		return fmt.Errorf("game: resource %d has invalid weight %v", r, m)
+	}
+	if m == g.weights[r] {
+		return nil
 	}
 	g.weights[r] = m
 	// Re-derive the premultiplied factors of every use of r through the
