@@ -552,45 +552,74 @@ func FuzzChurnEquivalence(f *testing.F) {
 	})
 }
 
-// BenchmarkChurnSlot measures the slot-update cost on a large population
-// in the slow-inputs regime (pinned base state, default churn): the
-// incremental ApplyChurn merge against the full BuildP2A rebuild it is
-// bit-identical to.
+// BenchmarkChurnSlot measures the slot-update cost on a large population:
+// the incremental ApplyChurn merge in the slow-inputs regime (pinned base
+// state, default churn) against the full BuildP2A rebuild it is
+// bit-identical to, and ApplyChurn with channels redrawn every slot
+// (restream), where every active device is restreamed — the regime of
+// the repository benchmark's workloads.
 func BenchmarkChurnSlot(b *testing.B) {
 	sys, gen := buildSystem(b, 300, 61)
 	sched, err := trace.NewChurnSchedule(trace.DefaultChurnConfig(13), sys.Net, &pinnedSource{base: gen.Next()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	states := trace.Record(sched, 64)
+	pinned := trace.Record(sched, 64)
 	freq := sys.LowestFrequencies()
+	run := func(states []*trace.State, step func(p *P2A, st *trace.State) error) func(b *testing.B) {
+		return func(b *testing.B) {
+			p := new(P2A)
+			if err := sys.BuildP2A(p, states[0], freq); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := step(p, states[1+i%(len(states)-1)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	churn := func(p *P2A, st *trace.State) error { return sys.ApplyChurn(p, st, freq) }
+	b.Run("incremental", run(pinned, churn))
+	b.Run("rebuild", run(pinned, func(p *P2A, st *trace.State) error { return sys.BuildP2A(p, st, freq) }))
+	b.Run("restream", run(redrawnStates(b, sys, gen, 64), churn))
+}
 
-	b.Run("incremental", func(b *testing.B) {
-		p := new(P2A)
-		if err := sys.BuildP2A(p, states[0], freq); err != nil {
-			b.Fatal(err)
+// redrawnStates records n default-churn states over the live generator,
+// so channels are redrawn every slot.
+func redrawnStates(t testing.TB, sys *System, gen *trace.Generator, n int) []*trace.State {
+	t.Helper()
+	sched, err := trace.NewChurnSchedule(trace.DefaultChurnConfig(17), sys.Net, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.Record(sched, n)
+}
+
+// TestApplyChurnSteadyStateAllocs: once its buffers have grown, ApplyChurn
+// on an engineless P2A (the profile-based baselines' path) allocates
+// nothing per slot, even with every active device restreamed.
+func TestApplyChurnSteadyStateAllocs(t *testing.T) {
+	sys, gen := buildSystem(t, 1000, 62)
+	states := redrawnStates(t, sys, gen, 16)
+	freq := sys.LowestFrequencies()
+	p := new(P2A)
+	if err := sys.BuildP2A(p, states[0], freq); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	step := func() {
+		next++
+		if err := sys.ApplyChurn(p, states[next%len(states)], freq); err != nil {
+			t.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st := states[1+i%(len(states)-1)]
-			if err := sys.ApplyChurn(p, st, freq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		p := new(P2A)
-		if err := sys.BuildP2A(p, states[0], freq); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st := states[1+i%(len(states)-1)]
-			if err := sys.BuildP2A(p, st, freq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	for range 2 * len(states) {
+		step() // grow every buffer to the trace's peak
+	}
+	if allocs := testing.AllocsPerRun(2*len(states), step); allocs != 0 {
+		t.Fatalf("steady-state ApplyChurn allocates %.1f per slot, want 0", allocs)
+	}
 }

@@ -266,6 +266,7 @@ func (e *Engine) Move(i, s int) error {
 	if i < 0 || i >= e.g.Players() || s < 0 || s >= e.g.StrategyCount(i) {
 		return fmt.Errorf("game: move (%d, %d) out of range", i, s)
 	}
+	e.g.playerIndex()
 	e.move(i, s)
 	return nil
 }
@@ -274,7 +275,8 @@ func (e *Engine) Move(i, s int) error {
 // Game.applyMove's order (all old uses removed, then all new uses added),
 // keeping the load bits identical to the one-shot path's. Every player
 // incident to a touched resource is dirtied; players sharing no touched
-// resource keep bit-unchanged inputs, so their caches stay valid.
+// resource keep bit-unchanged inputs, so their caches stay valid. The
+// caller must have built the player index (Game.playerIndex).
 func (e *Engine) move(i, s int) {
 	e.tally.moves++
 	g := e.g
@@ -357,6 +359,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	} else {
 		e.ResetRandom(src)
 	}
+	g.playerIndex()
 
 	var objTrace []float64
 	if cfg.TrackObjective {

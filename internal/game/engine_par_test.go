@@ -127,6 +127,7 @@ func TestRefreshSharedMatchesRefresh(t *testing.T) {
 	src := rng.New(31)
 	g := randomGame(t, src, 40, 6, 13)
 	a, b := NewEngine(g), NewEngine(g)
+	g.playerIndex() // move's precondition
 	a.ResetRandom(rng.New(8))
 	b.ResetRandom(rng.New(8))
 	moves := rng.New(9)

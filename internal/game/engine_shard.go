@@ -360,6 +360,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 	if err := plan.check(g); err != nil {
 		return Result{}, err
 	}
+	g.playerIndex() // phase 3's moves walk it
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {

@@ -16,9 +16,9 @@
 //
 // Internally a Game stores its strategies in a flat CSR-style arena (one
 // backing []Use plus per-player/per-strategy offsets) instead of a
-// [][][]Use pointer forest, and carries a resource→player incidence index.
-// The structure is immutable; mutable solve state (profile, loads, cached
-// best responses) lives in Engine.
+// [][][]Use pointer forest, and derives resource incidence indexes from it
+// on first use. The structure is immutable; mutable solve state (profile,
+// loads, cached best responses) lives in Engine.
 package game
 
 import (
@@ -45,7 +45,9 @@ type use struct {
 // Game is a weighted congestion game instance. Its strategy structure is
 // immutable after construction; resource weights may be swapped through
 // SetResourceWeight (the P2-A Reweight fast path), which invalidates any
-// Engine caches until the next Engine reset.
+// Engine caches until the next Engine reset. Solver entry points build
+// the incidence indexes on first use, so Engines bound to one Game must
+// not run in different goroutines at once.
 type Game struct {
 	weights []float64 // m_r
 
@@ -72,6 +74,14 @@ type Game struct {
 	// path for re-deriving premultiplied factors without an arena sweep.
 	useIncOff []int32
 	useIncPos []int32
+
+	// Both indexes are built on first use (playerIndex, useIndex), not by
+	// Build or Commit: most slots read neither. incGen and useIncGen are
+	// the structGen each was last built for; incScratch is the per-resource
+	// last-seen marker and fill cursor the builds share.
+	incGen     uint64
+	useIncGen  uint64
+	incScratch []int32
 
 	// maxUses is the largest use count of any single strategy (Engine
 	// scratch sizing).
@@ -108,12 +118,8 @@ type Builder struct {
 	g Game
 
 	// seenStrategy[r] holds the global strategy serial that last used r,
-	// for duplicate detection without a per-strategy map; seenPlayer[r]
-	// likewise dedups players while building the incidence index.
+	// for duplicate detection without a per-strategy map.
 	seenStrategy []int32
-	seenPlayer   []int32
-	// incCursor is the fill cursor per resource while building incidence.
-	incCursor []int32
 
 	// Spare arena: the double buffer mutations stream into. Commit swaps
 	// it with the live arena, so the displaced arrays become the free
@@ -196,7 +202,8 @@ func (b *Builder) Build() (*Game, error) {
 			if hi-lo > g.maxUses {
 				g.maxUses = hi - lo
 			}
-			for _, u := range g.uses[lo:hi] {
+			for k := lo; k < hi; k++ {
+				u := &g.uses[k]
 				if u.res < 0 || u.res >= len(g.weights) {
 					return nil, fmt.Errorf("game: player %d strategy %d references resource %d of %d", i, int(su-first), u.res, len(g.weights))
 				}
@@ -207,13 +214,9 @@ func (b *Builder) Build() (*Game, error) {
 					return nil, fmt.Errorf("game: player %d strategy %d uses resource %d twice", i, int(su-first), u.res)
 				}
 				b.seenStrategy[u.res] = su
+				u.wm = g.weights[u.res] * u.w
 			}
 		}
-	}
-	b.buildIncidence()
-	for k := range g.uses {
-		u := &g.uses[k]
-		u.wm = g.weights[u.res] * u.w
 	}
 	g.structGen++
 	g.weightGen++
@@ -226,18 +229,62 @@ func (g *Game) playerStrategies(i int) (first, last int32) {
 	return g.strOff[i], g.strOff[i+1]
 }
 
-// buildIncidence fills the two resource incidence indexes by counting
-// sort over the arena: deduplicated players per resource (Engine
-// invalidation) and use positions per resource (SetResourceWeight).
-func (b *Builder) buildIncidence() {
-	g := &b.g
-	resources := len(g.weights)
-	players := len(g.strOff) - 1
-
-	g.useIncOff = resizeInt32(g.useIncOff, resources+1)
-	for r := range g.useIncOff {
-		g.useIncOff[r] = 0
+// playerIndex builds the player incidence index if the structure changed
+// since it was last built. It writes the Game, so it runs only at serial
+// entry points, never inside a par.Pool region.
+func (g *Game) playerIndex() {
+	if g.incGen == g.structGen {
+		return
 	}
+	g.incGen = g.structGen
+	resources, players := len(g.weights), g.Players()
+	g.incOff = resizeInt32(g.incOff, resources+1)
+	clear(g.incOff)
+	// Count distinct players per resource with a last-seen marker.
+	seen := resizeInt32(g.incScratch, resources)
+	g.incScratch = seen
+	for r := range seen {
+		seen[r] = -1
+	}
+	for i := 0; i < players; i++ {
+		first, last := g.playerStrategies(i)
+		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
+			if seen[u.res] != int32(i) {
+				seen[u.res] = int32(i)
+				g.incOff[u.res+1]++
+			}
+		}
+	}
+	for r := 0; r < resources; r++ {
+		g.incOff[r+1] += g.incOff[r]
+	}
+	// Fill in player order; the last entry written for a resource is the
+	// dedup marker, so the scratch now serves as the fill cursor.
+	g.incPlayer = resizeInt32(g.incPlayer, int(g.incOff[resources]))
+	cursor := seen
+	copy(cursor, g.incOff[:resources])
+	for i := 0; i < players; i++ {
+		first, last := g.playerStrategies(i)
+		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
+			if at := cursor[u.res]; at == g.incOff[u.res] || g.incPlayer[at-1] != int32(i) {
+				g.incPlayer[at] = int32(i)
+				cursor[u.res] = at + 1
+			}
+		}
+	}
+}
+
+// useIndex builds the use incidence index (counting sort of arena
+// positions by resource) if the structure changed since it was last
+// built. Like playerIndex it runs only at serial entry points.
+func (g *Game) useIndex() {
+	if g.useIncGen == g.structGen {
+		return
+	}
+	g.useIncGen = g.structGen
+	resources := len(g.weights)
+	g.useIncOff = resizeInt32(g.useIncOff, resources+1)
+	clear(g.useIncOff)
 	for _, u := range g.uses {
 		g.useIncOff[u.res+1]++
 	}
@@ -245,52 +292,13 @@ func (b *Builder) buildIncidence() {
 		g.useIncOff[r+1] += g.useIncOff[r]
 	}
 	g.useIncPos = resizeInt32(g.useIncPos, len(g.uses))
-	b.incCursor = resizeInt32(b.incCursor, resources)
-	copy(b.incCursor, g.useIncOff[:resources])
+	cursor := resizeInt32(g.incScratch, resources)
+	g.incScratch = cursor
+	copy(cursor, g.useIncOff[:resources])
 	for k, u := range g.uses {
-		at := b.incCursor[u.res]
+		at := cursor[u.res]
 		g.useIncPos[at] = int32(k)
-		b.incCursor[u.res] = at + 1
-	}
-
-	// Distinct players per resource, deduplicated with a last-seen marker.
-	g.incOff = resizeInt32(g.incOff, resources+1)
-	for r := range g.incOff {
-		g.incOff[r] = 0
-	}
-	b.seenPlayer = resizeInt32(b.seenPlayer, resources)
-	for r := range b.seenPlayer {
-		b.seenPlayer[r] = -1
-	}
-	for i := 0; i < players; i++ {
-		first, last := g.playerStrategies(i)
-		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
-			if b.seenPlayer[u.res] != int32(i) {
-				b.seenPlayer[u.res] = int32(i)
-				g.incOff[u.res+1]++
-			}
-		}
-	}
-	total := int32(0)
-	for r := 0; r < resources; r++ {
-		g.incOff[r+1] += g.incOff[r]
-	}
-	total = g.incOff[resources]
-	g.incPlayer = resizeInt32(g.incPlayer, int(total))
-	copy(b.incCursor, g.incOff[:resources])
-	for r := range b.seenPlayer {
-		b.seenPlayer[r] = -1
-	}
-	for i := 0; i < players; i++ {
-		first, last := g.playerStrategies(i)
-		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
-			if b.seenPlayer[u.res] != int32(i) {
-				b.seenPlayer[u.res] = int32(i)
-				at := b.incCursor[u.res]
-				g.incPlayer[at] = int32(i)
-				b.incCursor[u.res] = at + 1
-			}
-		}
+		cursor[u.res] = at + 1
 	}
 }
 
@@ -365,6 +373,7 @@ func (g *Game) SetResourceWeight(r int, m float64) error {
 	g.weights[r] = m
 	// Re-derive the premultiplied factors of every use of r through the
 	// use incidence index.
+	g.useIndex()
 	for _, k := range g.useIncPos[g.useIncOff[r]:g.useIncOff[r+1]] {
 		g.uses[k].wm = m * g.uses[k].w
 	}

@@ -6,13 +6,13 @@
 // a spare double buffer. Commit validates the streamed players with
 // Build's exact rules, swaps the spare arena into the stable *Game the
 // Builder owns (the old arena becomes the next mutation's free buffer —
-// a two-buffer free list with compaction on every commit), rebuilds the
-// incidence indexes, and re-derives the stale premultiplied factors
-// (every one of them, unless SetReweighted narrows the recompute to
-// streamed players and declared resources). The
-// committed game is bit-identical to a fresh Build of the same content,
-// so solvers that reset on entry cannot observe whether a game was built
-// or mutated.
+// a two-buffer free list with compaction on every commit), and re-derives
+// the stale premultiplied factors: streamed players' in the validation
+// pass, then every one of them unless SetReweighted narrows the recompute
+// to the declared resources. The incidence indexes are rebuilt by their
+// first reader. The committed game is bit-identical to a fresh Build of
+// the same content, so solvers that reset on entry cannot observe whether
+// a game was built or mutated.
 //
 // Engine.PrepareMutation / Engine.ApplyMutation carry the engine's
 // per-player caches across a commit: kept players keep their cached
@@ -217,7 +217,8 @@ func (m *Mutation) Commit() (*Game, error) {
 			if hi-lo > maxUses {
 				maxUses = hi - lo
 			}
-			for _, u := range b.spareUses[lo:hi] {
+			for k := lo; k < hi; k++ {
+				u := &b.spareUses[k]
 				if u.res < 0 || u.res >= len(g.weights) {
 					return nil, fmt.Errorf("game: player %d strategy %d references resource %d of %d", i, int(su-first), u.res, len(g.weights))
 				}
@@ -228,6 +229,7 @@ func (m *Mutation) Commit() (*Game, error) {
 					return nil, fmt.Errorf("game: player %d strategy %d uses resource %d twice", i, int(su-first), u.res)
 				}
 				b.seenStrategy[u.res] = su
+				u.wm = g.weights[u.res] * u.w
 			}
 		}
 	}
@@ -237,7 +239,6 @@ func (m *Mutation) Commit() (*Game, error) {
 	g.maxUses = maxUses
 	g.structGen++
 	g.weightGen++
-	b.buildIncidence()
 	if !m.hasReweighted {
 		for k := range g.uses {
 			u := &g.uses[k]
@@ -245,18 +246,13 @@ func (m *Mutation) Commit() (*Game, error) {
 		}
 		return g, nil
 	}
-	// Kept players carried their premultiplied factors bit-for-bit; only
-	// streamed players and the declared reweighted resources are stale.
-	for i := 0; i < players; i++ {
-		if m.remap[i] >= 0 {
-			continue
-		}
-		first, last := g.playerStrategies(i)
-		for k := g.useOff[first]; k < g.useOff[last]; k++ {
-			u := &g.uses[k]
-			u.wm = g.weights[u.res] * u.w
-		}
+	// Streamed players were premultiplied during validation and kept
+	// players carried their factors bit-for-bit; only the declared
+	// reweighted resources are stale.
+	if len(m.reweighted) == 0 {
+		return g, nil
 	}
+	g.useIndex()
 	for _, r := range m.reweighted {
 		for _, pos := range g.useIncPos[g.useIncOff[r]:g.useIncOff[r+1]] {
 			u := &g.uses[pos]
@@ -371,8 +367,10 @@ func (e *Engine) ApplyMutation(g *Game, remap []int32, extraTouched []int32) {
 	newBr := resizeFloat(e.mutBr, n)
 	newStrat := resizeInt32(e.mutStrat, n)
 	e.g = g
+	kept := false
 	for newi, old := range remap {
 		if old >= 0 {
+			kept = true
 			newProf[newi] = e.profile[old]
 			newDirty[newi] = e.dirty[old]
 			newCur[newi] = e.curCost[old]
@@ -398,11 +396,16 @@ func (e *Engine) ApplyMutation(g *Game, remap []int32, extraTouched []int32) {
 	e.brStrat, e.mutStrat = newStrat, e.brStrat
 	e.saveLoad = resizeFloat(e.saveLoad, g.maxUses)
 	e.saveRes = resizeInt32(e.saveRes, g.maxUses)
-	for _, r := range e.mutTouched {
-		e.markTouched(int(r))
-	}
-	for _, r := range extraTouched {
-		e.markTouched(int(r))
+	// Streamed players are already dirty, so with nothing kept the
+	// touched-resource walk could not change a bit.
+	if kept {
+		g.playerIndex()
+		for _, r := range e.mutTouched {
+			e.markTouched(int(r))
+		}
+		for _, r := range extraTouched {
+			e.markTouched(int(r))
+		}
 	}
 	e.mutOK = false
 }

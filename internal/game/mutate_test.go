@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,39 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	}
 	if math.Float64bits(got.Potential(profile)) != math.Float64bits(want.Potential(profile)) {
 		t.Fatalf("potential: got %v, want %v", got.Potential(profile), want.Potential(profile))
+	}
+	// Both incidence indexes, built on demand, must match the fresh
+	// build's bit for bit.
+	for _, g := range []*Game{got, want} {
+		g.playerIndex()
+		g.useIndex()
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"incOff", got.incOff, want.incOff},
+		{"incPlayer", got.incPlayer, want.incPlayer},
+		{"useIncOff", got.useIncOff, want.useIncOff},
+		{"useIncPos", got.useIncPos, want.useIncPos},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// indexesBuilt reports whether the player and use incidence indexes are
+// current for the game's structure.
+func indexesBuilt(g *Game) (player, use bool) {
+	return g.incGen == g.structGen, g.useIncGen == g.structGen
+}
+
+// requireIndexes fails unless exactly the wanted indexes are current.
+func requireIndexes(t *testing.T, label string, g *Game, player, use bool) {
+	t.Helper()
+	if p, u := indexesBuilt(g); p != player || u != use {
+		t.Fatalf("%s: player index built=%v (want %v), use index built=%v (want %v)", label, p, player, u, use)
 	}
 }
 
@@ -435,5 +469,226 @@ func TestApplyMutationFallsBackToBind(t *testing.T) {
 	e.ResetRandom(src)
 	if _, err := e.CGBA(CGBAConfig{}, src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildAndCommitLeaveIndexesUnbuilt: neither Build nor Commit pays
+// for the incidence indexes; only their readers build them.
+func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
+	src := rng.New(47)
+	weights := []float64{1.3, 0.6, 2.2, 1.1, 0.8}
+	strats := randomStrategies(src, 6, 3, len(weights))
+	b := NewBuilder()
+	g := streamInto(t, b, weights, strats)
+	requireIndexes(t, "Build", g, false, false)
+
+	// Build the indexes, then mutate: the commit must leave them stale.
+	g.playerIndex()
+	g.useIndex()
+	// The streamed player's factors come from the validation pass alone:
+	// the declared-empty reweight set skips every other recompute.
+	m := b.BeginMutation()
+	m.KeepPlayer(1)
+	m.KeepPlayer(4)
+	m.NextPlayer()
+	for _, strat := range strats[0] {
+		m.NextStrategy()
+		for _, u := range strat {
+			m.AddUse(u.Resource, u.Weight)
+		}
+	}
+	m.SetReweighted(nil)
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	requireIndexes(t, "Commit", g, false, false)
+	content := [][][]Use{strats[1], strats[4], strats[0]}
+	requireGamesEqual(t, g, streamInto(t, NewBuilder(), weights, content))
+	if _, err := b.AddPlayer(strats[2]); err != nil {
+		t.Fatal(err)
+	}
+	requireIndexes(t, "AddPlayer", g, false, false)
+}
+
+// TestIndexReadersBuildFirst: every reader of an incidence index builds
+// it for the current structure before reading, and only the index it
+// reads. Each case first builds both indexes for a stale structure, so a
+// reader that trusted them would diverge from the fresh build the result
+// is compared against (requireGamesEqual also compares the indexes).
+func TestIndexReadersBuildFirst(t *testing.T) {
+	weights := []float64{1.4, 0.7, 2.0, 1.2, 0.9, 1.6}
+	// setup builds a game, warms both indexes, and restructures it with
+	// an unweighted commit (keep odd players, restream two).
+	setup := func(t *testing.T, seed int64) (*Builder, *Game, [][][]Use) {
+		t.Helper()
+		src := rng.New(seed)
+		strats := randomStrategies(src, 8, 3, len(weights))
+		b := NewBuilder()
+		g := streamInto(t, b, weights, strats)
+		g.playerIndex()
+		g.useIndex()
+		news := randomStrategies(src, 2, 2, len(weights))
+		m := b.BeginMutation()
+		var content [][][]Use
+		for i := 1; i < len(strats); i += 2 {
+			m.KeepPlayer(i)
+			content = append(content, strats[i])
+		}
+		for _, p := range news {
+			m.NextPlayer()
+			for _, strat := range p {
+				m.NextStrategy()
+				for _, u := range strat {
+					m.AddUse(u.Resource, u.Weight)
+				}
+			}
+			content = append(content, p)
+		}
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "setup", g, false, false)
+		return b, g, content
+	}
+	fresh := func(t *testing.T, w []float64, content [][][]Use) *Game {
+		return streamInto(t, NewBuilder(), w, content)
+	}
+
+	t.Run("Bind+Move", func(t *testing.T) {
+		_, g, content := setup(t, 1)
+		e := NewEngine(g)
+		requireIndexes(t, "Bind", g, false, false)
+		e.ResetRandom(rng.New(2))
+		if err := e.Move(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "Move", g, true, false)
+		requireGamesEqual(t, g, fresh(t, weights, content))
+	})
+	t.Run("SetResourceWeight", func(t *testing.T) {
+		_, g, content := setup(t, 3)
+		if err := g.SetResourceWeight(2, 3.5); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "SetResourceWeight", g, false, true)
+		w := append([]float64(nil), weights...)
+		w[2] = 3.5
+		requireGamesEqual(t, g, fresh(t, w, content))
+	})
+	t.Run("SetReweighted", func(t *testing.T) {
+		b, g, content := setup(t, 4)
+		m := b.BeginMutation()
+		for i := range content {
+			m.KeepPlayer(i)
+		}
+		b.Weights()[4] = 0.25
+		m.SetReweighted([]int32{4})
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "SetReweighted commit", g, false, true)
+		w := append([]float64(nil), weights...)
+		w[4] = 0.25
+		requireGamesEqual(t, g, fresh(t, w, content))
+	})
+	t.Run("ApplyMutation", func(t *testing.T) {
+		b, g, content := setup(t, 5)
+		e := NewEngine(g)
+		e.ResetRandom(rng.New(6))
+		for i := range content {
+			e.PlayerCost(i) // fill every cache so kept players carry clean ones
+		}
+		m := b.BeginMutation()
+		for i := 1; i < len(content); i++ {
+			m.KeepPlayer(i)
+		}
+		e.PrepareMutation(m.Removed())
+		if _, err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		e.ApplyMutation(g, m.Remap(), nil)
+		requireIndexes(t, "ApplyMutation", g, true, false)
+		// A clean cache the walk missed would disagree with the engine's
+		// own loads.
+		checkEngineAgainstShadow(t, e, g, e.Profile().Clone(), slices.Clone(e.Loads()))
+		requireGamesEqual(t, g, fresh(t, weights, content[1:]))
+	})
+	t.Run("CGBA", func(t *testing.T) {
+		_, g, content := setup(t, 7)
+		want, err := NewEngine(fresh(t, weights, content)).CGBA(CGBAConfig{Shortlist: ShortlistFull}, rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewEngine(g).CGBA(CGBAConfig{Shortlist: ShortlistFull}, rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "CGBA", g, true, false)
+		requireSameResult(t, "CGBA", got, want)
+	})
+	t.Run("CGBASharded", func(t *testing.T) {
+		g, assign := clusteredGame(t, rng.New(9), 3, 10, 4, 6, 5)
+		plan, err := NewShardPlan(3, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "New", g, false, false)
+		runCGBASharded(t, g, CGBAConfig{Lambda: 0.01}, plan, 1, 2)
+		requireIndexes(t, "CGBASharded", g, true, false)
+	})
+}
+
+// TestApplyMutationNoKeptSkipsWalk: with every player streamed fresh,
+// ApplyMutation skips the touched-resource walk without building the
+// player index, and running the walk afterwards changes no dirty flag and
+// no load bit.
+func TestApplyMutationNoKeptSkipsWalk(t *testing.T) {
+	src := rng.New(48)
+	weights := []float64{1.1, 0.9, 1.7, 0.6, 1.3}
+	b := NewBuilder()
+	g := streamInto(t, b, weights, randomStrategies(src, 6, 3, len(weights)))
+	e := NewEngine(g)
+	if _, err := e.CGBA(CGBAConfig{Shortlist: ShortlistFull}, src); err != nil {
+		t.Fatal(err)
+	}
+	m := b.BeginMutation()
+	for _, p := range randomStrategies(src, 7, 2, len(weights)) {
+		m.NextPlayer()
+		for _, strat := range p {
+			m.NextStrategy()
+			for _, u := range strat {
+				m.AddUse(u.Resource, u.Weight)
+			}
+		}
+	}
+	e.PrepareMutation(m.Removed())
+	if _, err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	extra := []int32{0, 3}
+	e.ApplyMutation(g, m.Remap(), extra)
+	requireIndexes(t, "ApplyMutation", g, false, false)
+
+	dirty := slices.Clone(e.dirty)
+	loads := make([]uint64, len(e.loads))
+	for r, l := range e.loads {
+		loads[r] = math.Float64bits(l)
+	}
+	g.playerIndex()
+	for _, r := range append(slices.Clone(e.mutTouched), extra...) {
+		e.markTouched(int(r))
+	}
+	if !slices.Equal(e.dirty, dirty) {
+		t.Fatalf("full walk changed dirty flags: %v -> %v", dirty, e.dirty)
+	}
+	for r, l := range e.loads {
+		if math.Float64bits(l) != loads[r] {
+			t.Fatalf("resource %d load bits changed", r)
+		}
+	}
+	for i, d := range e.dirty {
+		if !d {
+			t.Fatalf("streamed player %d is clean", i)
+		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 	"eotora/internal/trace"
 )
 
-// pickFunc chooses a slot's selection. src is the slot's derived RNG
-// source; deterministic policies ignore it.
-type pickFunc func(b *baseline, st *trace.State, src *rng.Source) (core.Selection, error)
+// pickFunc chooses a slot's selection.
+type pickFunc func(b *baseline, st *trace.State) (core.Selection, error)
 
 // baseline is the shared frame of the comparison policies: a fixed
 // frequency operating point (Ω^L or Ω^U), a per-policy selection rule,
@@ -128,8 +127,7 @@ func (b *baseline) Decide(slot int, st *trace.State) (*core.SlotResult, error) {
 	if err := b.sys.CheckState(st); err != nil {
 		return nil, fmt.Errorf("policy: %s slot %d: %w", b.name, b.slot, err)
 	}
-	src := rng.New(b.seed).Derive(fmt.Sprintf("policy-%s-slot-%d", b.name, b.slot))
-	sel, err := b.pick(b, st, src)
+	sel, err := b.pick(b, st)
 	if err != nil {
 		return nil, fmt.Errorf("policy: %s slot %d: %w", b.name, b.slot, err)
 	}
@@ -249,7 +247,7 @@ func (b *baseline) SetObs(reg *obs.Registry) {
 // ladder rung into a standalone policy (energy cost depends only on the
 // frequencies of active servers, so the frequency point alone separates
 // the energy-first and deadline-first variants).
-func pickGreedy(b *baseline, st *trace.State, _ *rng.Source) (core.Selection, error) {
+func pickGreedy(b *baseline, st *trace.State) (core.Selection, error) {
 	if err := b.sys.ApplyChurn(&b.p2a, st, b.freq); err != nil {
 		return core.Selection{}, err
 	}
@@ -258,19 +256,21 @@ func pickGreedy(b *baseline, st *trace.State, _ *rng.Source) (core.Selection, er
 }
 
 // pickRandom assigns every active device a uniformly random feasible
-// (station, server) pair. The draw sequence comes from the slot's
-// (seed, slot)-derived source, so runs replay bit-identically.
-func pickRandom(b *baseline, st *trace.State, src *rng.Source) (core.Selection, error) {
+// (station, server) pair. The draw sequence comes from a source derived
+// from (seed, slot), so runs replay bit-identically; only this policy
+// derives one.
+func pickRandom(b *baseline, st *trace.State) (core.Selection, error) {
 	if err := b.sys.ApplyChurn(&b.p2a, st, b.freq); err != nil {
 		return core.Selection{}, err
 	}
+	src := rng.New(b.seed).Derive(fmt.Sprintf("policy-%s-slot-%d", b.name, b.slot))
 	res := game.RandomProfile(b.p2a.Game(), src)
 	return b.p2a.Selection(res.Profile), nil
 }
 
 // pickLocalOnly pins every active device to its lowest-indexed feasible
 // pair — the "stay on your home cell" floor with no load awareness.
-func pickLocalOnly(b *baseline, st *trace.State, _ *rng.Source) (core.Selection, error) {
+func pickLocalOnly(b *baseline, st *trace.State) (core.Selection, error) {
 	_, _, _, devices := b.sys.Net.Counts()
 	sel := emptySelection(devices)
 	for i := 0; i < devices; i++ {
@@ -293,7 +293,7 @@ func pickLocalOnly(b *baseline, st *trace.State, _ *rng.Source) (core.Selection,
 // down-but-present servers only when a station would otherwise strand
 // its devices; a device whose best station has no usable server at all
 // falls back to its first feasible pair anywhere.
-func pickEdgeOnly(b *baseline, st *trace.State, _ *rng.Source) (core.Selection, error) {
+func pickEdgeOnly(b *baseline, st *trace.State) (core.Selection, error) {
 	_, _, servers, devices := b.sys.Net.Counts()
 	sel := emptySelection(devices)
 	load := make([]int, servers)
