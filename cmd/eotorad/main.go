@@ -3,7 +3,7 @@
 // state-update events over HTTP (device churn, channel reports, demand
 // moves, price ticks, server lifecycle), batches them into slot ticks on
 // a configurable cadence, drives the incremental slot solve — churn-
-// mutation path, shortlists, sharding, and the degradation ladder all
+// mutation path, sweep loop, sharding, and the degradation ladder all
 // apply — and publishes per-slot decisions to poll/long-poll consumers.
 // See OPERATIONS.md §11 for the runbook and DESIGN.md §14 for the
 // architecture.
@@ -75,7 +75,7 @@ func run(args []string) error {
 		slotDL     = fs.Duration("slot-deadline", 0, "steady-state wall-clock slot budget (0 = none; see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "steady-state counted slot budget (0 = none)")
 		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial)")
-		shortlist  = fs.Int("shortlist", 0, "CGBA shortlist width k (0 = library default, -1 = exact)")
+		exact      = fs.Bool("exact", false, "CGBA exact max-improvement loop instead of sweeps (slower; see OPERATIONS.md)")
 		shards     = fs.Int("shards", 0, "shard the slot solve (0/1 = off, -1 = one per cluster, ≥2 = at most that many)")
 		snapshotTo = fs.String("snapshot", "", "snapshot file written every -snapshot-every and on shutdown")
 		snapEvery  = fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot cadence (with -snapshot)")
@@ -119,8 +119,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *shortlist != 0 {
-			if err := ctrl.SetShortlist(*shortlist); err != nil {
+		if *exact {
+			if err := ctrl.SetExact(true); err != nil {
 				return err
 			}
 		}
@@ -132,9 +132,9 @@ func run(args []string) error {
 		pol = ctrl
 	} else {
 		// The controller-only knobs stay with -policy bdma: the tuner owns
-		// its own shortlist schedule, and the baselines run no solver.
-		if *shortlist != 0 || *shards != 0 {
-			return fmt.Errorf("-shortlist/-shards apply only to -policy bdma (got -policy %s)", *polName)
+		// its own λ schedule, and the baselines run no solver.
+		if *exact || *shards != 0 {
+			return fmt.Errorf("-exact/-shards apply only to -policy bdma (got -policy %s)", *polName)
 		}
 		pol, err = policy.New(*polName, sc.Sys, policy.Config{
 			V: *v, Rounds: *z, Lambda: *lambda, Seed: *seed,

@@ -160,8 +160,8 @@ func (s *System) bdmaLoop(
 		if iter == 0 {
 			// ApplyChurn re-solves only the population delta against the
 			// previous slot's structure; a fresh scratch falls back to the
-			// full BuildP2A automatically.
-			err = s.ApplyChurn(scratch, st, freq)
+			// full BuildP2A automatically. The state was checked above.
+			err = s.applyChurn(scratch, st, freq)
 		} else {
 			err = scratch.Reweight(freq)
 		}

@@ -267,17 +267,17 @@ func (c *Controller) SetPool(p *par.Pool) {
 // Pool returns the pool attached with SetPool, or nil.
 func (c *Controller) Pool() *par.Pool { return c.pool }
 
-// SetShortlist overrides the CGBA best-response shortlist width for this
-// controller's slot solves (see game.CGBAConfig.Shortlist: 0 keeps the
-// game package's default, game.ShortlistFull forces the exact path).
-// It errors when the controller's P2-A solver is not CGBA — the knob has
-// no meaning for the MCBA/ROPT baselines.
-func (c *Controller) SetShortlist(k int) error {
-	s, err := c.cgbaSolver("shortlist width")
+// SetExact pins this controller's unsharded slot solves to CGBA's exact
+// max-improvement loop (see game.CGBAConfig.Exact); false restores the
+// default sweep loop for wide games. It errors when the controller's
+// P2-A solver is not CGBA — the knob has no meaning for the MCBA/ROPT
+// baselines.
+func (c *Controller) SetExact(exact bool) error {
+	s, err := c.cgbaSolver("exact loop")
 	if err != nil {
 		return err
 	}
-	s.Shortlist = k
+	s.Exact = exact
 	c.cfg.BDMA.Solver = s
 	return nil
 }
@@ -493,7 +493,7 @@ func (c *Controller) auditShardGap(out *SlotResult) {
 		Lambda:        s.Lambda,
 		MaxIterations: s.MaxIterations,
 		Pivot:         s.Pivot,
-		Shortlist:     s.Shortlist,
+		Exact:         s.Exact,
 	}, rng.New(c.cfg.Seed).Derive(fmt.Sprintf("shard-audit-%d", c.slot)))
 	if err != nil {
 		return

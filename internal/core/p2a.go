@@ -149,6 +149,11 @@ func (s *System) BuildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 	if err := s.CheckState(st); err != nil {
 		return err
 	}
+	return s.buildP2A(p, st, freq)
+}
+
+// buildP2A is BuildP2A for a state that already passed CheckState.
+func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 	if err := s.ValidateFrequencies(freq); err != nil {
 		return err
 	}
@@ -302,11 +307,17 @@ func (p *P2A) snapshot(st *trace.State) {
 // different system, or after a failed mutation) falls back to BuildP2A
 // automatically.
 func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
-	if !p.haveSnap || p.sys != s {
-		return s.BuildP2A(p, st, freq)
-	}
 	if err := s.CheckState(st); err != nil {
 		return err
+	}
+	return s.applyChurn(p, st, freq)
+}
+
+// applyChurn is ApplyChurn for a state that already passed CheckState —
+// bdmaLoop's round 0, which validates the slot state once up front.
+func (s *System) applyChurn(p *P2A, st *trace.State, freq Frequencies) error {
+	if !p.haveSnap || p.sys != s {
+		return s.buildP2A(p, st, freq)
 	}
 	if err := s.ValidateFrequencies(freq); err != nil {
 		return err
@@ -733,11 +744,11 @@ type CGBASolver struct {
 	// Pivot selects the mover rule; the zero value is the paper's
 	// max-improvement rule.
 	Pivot game.PivotRule
-	// Shortlist is the top-k best-response pruning width, forwarded to
-	// game.CGBAConfig.Shortlist: 0 = the game package's default,
-	// game.ShortlistFull = the exact (unpruned, bit-identical-to-seed)
-	// path, positive = that width. See OPERATIONS.md for tuning.
-	Shortlist int
+	// Exact forwards to game.CGBAConfig.Exact: it keeps unsharded solves
+	// on the exact max-improvement loop (bit-identical to the seed path)
+	// instead of the sweep loop wide games take by default. See
+	// OPERATIONS.md.
+	Exact bool
 	// Shards splits the slot game into resource-disjoint topology
 	// clusters solved concurrently and reconciled at the boundary until
 	// the global λ-equilibrium certifies (DESIGN.md §13): 0 or 1 =
@@ -781,7 +792,7 @@ func (c CGBASolver) config(initial game.Profile) game.CGBAConfig {
 		Lambda:        c.Lambda,
 		MaxIterations: c.MaxIterations,
 		Pivot:         c.Pivot,
-		Shortlist:     c.Shortlist,
+		Exact:         c.Exact,
 		Initial:       initial,
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -120,8 +122,8 @@ func TestSetShardsValidation(t *testing.T) {
 	if err := def.SetShards(2); err != nil {
 		t.Errorf("SetShards on the default solver: %v", err)
 	}
-	if err := def.SetShortlist(8); err != nil {
-		t.Errorf("SetShortlist on the default solver: %v", err)
+	if err := def.SetExact(true); err != nil {
+		t.Errorf("SetExact on the default solver: %v", err)
 	}
 	if def.SolverName() != "CGBA" {
 		t.Errorf("default solver is %s", def.SolverName())
@@ -346,5 +348,60 @@ func TestShardChurnPooled(t *testing.T) {
 		if _, err := ctrl.Step(sched.Next()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardedMetroDigestPinned pins the decisions of sharded metro
+// slots (auto shards, λ = 0.05, churned populations) to a digest
+// captured before the CGBA sweeps lost their best-response shortlists.
+// Every metro player has at most 16 strategies, so the old k = 16 tables
+// were a full copy of the arena and the full-width scan must reproduce
+// them bit for bit.
+func TestShardedMetroDigestPinned(t *testing.T) {
+	const want = uint64(0x884cda78f9b46d18)
+	sys, gen := buildMetroSystem(t, 600, 41)
+	sched, err := trace.NewChurnSchedule(trace.ChurnConfig{
+		Seed:                  43,
+		DeviceJoinProb:        0.05,
+		DeviceLeaveProb:       0.05,
+		HandoverProb:          0.10,
+		MinActiveDevices:      1,
+		InitialActiveFraction: 0.8,
+	}, sys.Net, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewBDMAController(sys, 110, 3, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.SetShards(ShardsAuto); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for slot := 0; slot < 6; slot++ {
+		r, err := ctrl.Step(sched.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := stepTraceOf(r)
+		for i := range tr.Stations {
+			word(uint64(tr.Stations[i]))
+			word(uint64(tr.Servers[i]))
+		}
+		for _, f := range tr.FreqBits {
+			word(f)
+		}
+		for _, v := range []uint64{tr.LatencyBits, tr.CostBits, tr.ThetaBits, tr.BacklogBits, tr.ObjectiveBits, uint64(tr.SolverIterations)} {
+			word(v)
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("sharded metro digest %#x, want %#x", got, want)
 	}
 }

@@ -264,7 +264,9 @@ func AblationPivot(cfg AblationConfig) (*Figure, error) {
 			initial[i] = initSrc.Intn(g.StrategyCount(i))
 		}
 		for ri, rule := range rules {
-			res, err := game.CGBA(g, game.CGBAConfig{Initial: initial, Pivot: rule}, rng.New(cfg.Seed))
+			// Exact: the default sweep loop would replace the
+			// max-improvement rule this ablation compares.
+			res, err := game.CGBA(g, game.CGBAConfig{Initial: initial, Pivot: rule, Exact: true}, rng.New(cfg.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: pivot %v: %w", rule, err)
 			}
@@ -627,10 +629,13 @@ func AblationConvergence(cfg AblationConfig, lambdas []float64) (*Figure, error)
 		YLabel: "P2-A objective [s]",
 	}
 	for _, lambda := range lambdas {
+		// Exact: the trajectory plotted is Algorithm 3's, not the
+		// default sweep loop's.
 		res, err := game.CGBA(g, game.CGBAConfig{
 			Lambda:         lambda,
 			Initial:        initial,
 			TrackObjective: true,
+			Exact:          true,
 		}, rng.New(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: convergence λ=%v: %w", lambda, err)

@@ -100,9 +100,9 @@ func P2ASweep(cfg P2ASweepConfig) ([]P2APoint, error) {
 
 		// CGBA(0). The figures characterize Algorithm 3 itself (objective
 		// and step count against the baselines), so they pin the
-		// paper-faithful exact path rather than the shortlist fast path.
+		// paper-faithful exact loop rather than the default sweep loop.
 		start := time.Now()
-		cgbaRes, err := game.CGBA(p2a.Game(), game.CGBAConfig{Shortlist: game.ShortlistFull}, src.Derive("cgba"))
+		cgbaRes, err := game.CGBA(p2a.Game(), game.CGBAConfig{Exact: true}, src.Derive("cgba"))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: CGBA at I=%d: %w", devices, err)
 		}
@@ -282,8 +282,8 @@ func Fig6(cfg Fig6Config) (*Figure, error) {
 	for li, lambda := range cfg.Lambdas {
 		// The figure characterizes Algorithm 3's λ tradeoff (its iteration
 		// count in particular), so it pins the paper-faithful exact path —
-		// shortlist pruning changes the step dynamics it is plotting.
-		res, err := game.CGBA(g, game.CGBAConfig{Lambda: lambda, Initial: initial, Shortlist: game.ShortlistFull}, rng.New(cfg.Seed))
+		// the sweep loop has different step dynamics from the one it plots.
+		res, err := game.CGBA(g, game.CGBAConfig{Lambda: lambda, Initial: initial, Exact: true}, rng.New(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: CGBA(λ=%v): %w", lambda, err)
 		}

@@ -76,16 +76,14 @@ type CGBAConfig struct {
 	// potential decreases under any improving move); they differ in step
 	// count and occasionally in the equilibrium reached.
 	Pivot PivotRule
-	// Shortlist is the top-k best-response pruning width (see
-	// engine_fast.go): 0 selects DefaultShortlist, ShortlistFull (or any
-	// negative value) forces the exact path, and a positive value is used
-	// as-is. Pruning engages only when k is below some player's strategy
-	// count and Pivot is PivotMaxImprovement; the result is then a
-	// certified λ-equilibrium of the unpruned game (same approximation
-	// guarantee) reached by sweep dynamics, generally not bit-identical
-	// to the exact path's equilibrium. All other configurations take the
-	// exact path and stay bit-identical to it.
-	Shortlist int
+	// Exact keeps the exact max-improvement loop for every game. By
+	// default, a game whose widest strategy set exceeds 16 strategies
+	// (with the max-improvement pivot) is solved by Gauss–Seidel sweeps
+	// instead (see engine_fast.go): a certified λ-equilibrium with the
+	// same approximation guarantee, generally not bit-identical to the
+	// exact loop's. Exact is the escape hatch and what the paper-figure
+	// experiments pin. Sharded solves sweep either way.
+	Exact bool
 	// TrackObjective records the social cost after every improvement step
 	// into Result.ObjectiveTrace (index 0 is the initial profile's cost).
 	// Costs O(|R|) extra per step; off by default.

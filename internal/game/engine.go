@@ -69,9 +69,8 @@ type Engine struct {
 	// so the undeadlined path is unchanged (see SetDeadline).
 	deadline *solver.Deadline
 
-	// Shortlist fast path (see engine_fast.go): lazily derived top-k
-	// tables keyed on the game's weight generation.
-	fast fastState
+	// Sharded interior sweeps' drift-bound skip (see engine_shard.go).
+	drift driftState
 
 	// Sharded solve (see engine_shard.go): per-shard private solve state
 	// and the persistent parallel-region task.
@@ -176,60 +175,17 @@ func (e *Engine) invalidateAll() {
 
 // refresh brings player i's cached costs up to date by full per-player
 // recomputation (no partial deltas — only bit-identical full evaluation
-// is allowed to reuse). The arithmetic mirrors Game.PlayerCost and
-// Game.bestResponse exactly: the current strategy's contribution is
-// removed from the loads in place (original bits saved and restored —
-// (a−b)+b is not a floating-point identity), so each candidate cost is
-// m_r·p_{i,r}·((loads[r]−w_cur)+w), the same expression the one-shot path
-// evaluates through its without() closure. The candidate scan streams the
-// player's contiguous arena slice once, fusing the strict-less argmin of
-// Game.bestResponse into the same pass.
+// is allowed to reuse). sweepScore's arithmetic mirrors Game.PlayerCost
+// and Game.bestResponse exactly, fusing the strict-less argmin into one
+// pass over the player's contiguous arena slice.
 func (e *Engine) refresh(i int) {
 	if !e.dirty[i] {
 		e.tally.hits++
 		return
 	}
 	e.tally.misses++
-	g := e.g
-	first, last := g.playerStrategies(i)
-	cs := first + int32(e.profile[i])
-
-	cost := 0.0
-	for _, u := range g.uses[g.useOff[cs]:g.useOff[cs+1]] {
-		cost += u.wm * e.loads[u.res]
-	}
-	e.curCost[i] = cost
-
-	saved := 0
-	for _, u := range g.uses[g.useOff[cs]:g.useOff[cs+1]] {
-		e.saveRes[saved] = int32(u.res)
-		e.saveLoad[saved] = e.loads[u.res]
-		saved++
-		e.loads[u.res] -= u.w
-	}
-	// One flat pass over the player's contiguous arena span; strategy
-	// boundaries come from the offset slice, so no per-strategy slice
-	// headers are materialized.
-	base := g.useOff[first]
-	uses := g.uses[base:g.useOff[last]]
-	offs := g.useOff[first : last+1]
-	best, bestCost := -1, math.Inf(1)
-	k := 0
-	for s := 0; s < len(offs)-1; s++ {
-		end := int(offs[s+1] - base)
-		c := 0.0
-		for ; k < end; k++ {
-			u := &uses[k]
-			c += u.wm * (e.loads[u.res] + u.w)
-		}
-		if c < bestCost {
-			best, bestCost = s, c
-		}
-	}
-	for k := 0; k < saved; k++ {
-		e.loads[e.saveRes[k]] = e.saveLoad[k]
-	}
-	e.brStrat[i], e.brCost[i] = int32(best), bestCost
+	cur, br, brCost := e.sweepScore(i, e.saveRes, e.saveLoad)
+	e.curCost[i], e.brStrat[i], e.brCost[i] = cur, br, brCost
 	e.dirty[i] = false
 }
 
@@ -338,13 +294,11 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	g := e.g
 	n := g.Players()
 
-	// Shortlist dispatch (see engine_fast.go): when the effective top-k
-	// width actually prunes someone and the paper's max-improvement rule
-	// is selected, the pruned sweep path runs instead. A width covering
-	// every player's strategy set falls through to the exact path below —
-	// bit-identical to the seed, pools and all.
-	if k := effectiveShortlist(cfg.Shortlist); k > 0 && cfg.Pivot == PivotMaxImprovement && k < g.maxStrategyCount() {
-		return e.cgbaPruned(cfg, src, k)
+	// Wide games under the paper's max-improvement rule take the sweep
+	// loop (see engine_fast.go); everything else runs the exact loop
+	// below — bit-identical to the seed, pools and all.
+	if !cfg.Exact && cfg.Pivot == PivotMaxImprovement && g.maxStrategyCount() > exactWidth {
+		return e.cgbaSweep(cfg)
 	}
 
 	maxIter := cfg.MaxIterations
@@ -387,7 +341,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			e.recordCGBA(iterations)
 			return Result{
 				Profile:        e.profile.Clone(),
-				Objective:      g.SocialCost(e.profile),
+				Objective:      e.SocialCost(),
 				Iterations:     iterations,
 				ObjectiveTrace: objTrace,
 				Truncated:      true,
@@ -448,7 +402,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			e.recordCGBA(iterations)
 			return Result{
 				Profile:        e.profile.Clone(),
-				Objective:      g.SocialCost(e.profile),
+				Objective:      e.SocialCost(),
 				Iterations:     iterations,
 				ObjectiveTrace: objTrace,
 			}, nil
@@ -461,7 +415,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	e.recordCGBA(iterations)
 	return Result{
 		Profile:        e.profile.Clone(),
-		Objective:      g.SocialCost(e.profile),
+		Objective:      e.SocialCost(),
 		Iterations:     iterations,
 		ObjectiveTrace: objTrace,
 	}, ErrNoConverge

@@ -41,27 +41,121 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestCGBAShortlistFullWidthBitIdentical is the first half of the
-// equivalence contract: whenever the effective shortlist width covers
-// every player's strategy set — small games under the default width, an
-// explicit width ≥ the max strategy count, or ShortlistFull — CGBA must
-// take the exact path and return bit-identical results at every pool
-// size (the ISSUE's 0/1/4 matrix).
-func TestCGBAShortlistFullWidthBitIdentical(t *testing.T) {
+// referenceSweep is the specification of the sweep loop, written from
+// the Game's one-shot methods: the greedy fill (players placed in index
+// order, each on its cheapest strategy against those already placed) or
+// cfg.Initial, then plain full-width Gauss–Seidel passes in index order
+// until one moves nobody. It ignores MaxIterations and deadlines.
+func referenceSweep(g *Game, cfg CGBAConfig) Result {
+	p := make(Profile, g.Players())
+	loads := make([]float64, g.Resources())
+	if cfg.Initial != nil {
+		copy(p, cfg.Initial)
+		g.loadsInto(loads, p)
+	} else {
+		for i := range p {
+			best, bestCost := 0, math.Inf(1)
+			for s := 0; s < g.StrategyCount(i); s++ {
+				c := 0.0
+				for _, u := range g.strategyUses(i, s) {
+					c += u.wm * (loads[u.res] + u.w)
+				}
+				if c < bestCost {
+					best, bestCost = s, c
+				}
+			}
+			p[i] = best
+			for _, u := range g.strategyUses(i, best) {
+				loads[u.res] += u.w
+			}
+		}
+	}
+	var trace []float64
+	if cfg.TrackObjective {
+		trace = append(trace, g.SocialCost(p))
+	}
+	moves := 0
+	for moved := true; moved; {
+		moved = false
+		for i := range p {
+			cur := g.PlayerCost(p, loads, i)
+			if s, c := g.bestResponse(p, loads, i); (1-cfg.Lambda)*cur > c+relEps*(cur+1) {
+				g.applyMove(p, loads, i, s)
+				moves++
+				moved = true
+				if cfg.TrackObjective {
+					trace = append(trace, g.SocialCost(p))
+				}
+			}
+		}
+	}
+	return Result{Profile: p, Objective: g.SocialCost(p), Iterations: moves, ObjectiveTrace: trace}
+}
+
+// requireSweepMatchesReference solves g with fresh engines at pool sizes
+// 0/1/4 and with one reused engine, and requires each result to equal
+// referenceSweep bit for bit and to certify as a λ-equilibrium of g.
+func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConfig) {
+	t.Helper()
+	g := build()
+	if g.maxStrategyCount() <= exactWidth {
+		t.Fatalf("game is %d strategies wide: CGBA would take the exact loop", g.maxStrategyCount())
+	}
+	want := referenceSweep(g, cfg)
+	if !g.IsEquilibrium(want.Profile, cfg.Lambda) {
+		t.Fatalf("reference result is not a λ=%v equilibrium", cfg.Lambda)
+	}
+	for _, size := range []int{0, 1, 4} {
+		requireSameResult(t, fmt.Sprintf("pool %d", size), runCGBAPooled(t, build(), cfg, 1, size), want)
+	}
+	// Engine reuse (the BDMA-round pattern) must match fresh.
+	e := NewEngine(build())
+	for rep := 0; rep < 2; rep++ {
+		got, err := e.CGBA(cfg, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("reuse %d", rep), got, want)
+	}
+}
+
+// TestCGBASweepMatchesReference pins the sweep loop's dynamics: on games
+// wider than exactWidth, the default CGBA must reproduce referenceSweep
+// — profile, iterations and objective bits — at every λ, from the greedy
+// fill and from an Initial profile, at pool sizes 0/1/4.
+func TestCGBASweepMatchesReference(t *testing.T) {
+	for _, lambda := range []float64{0, 0.05, 0.1} {
+		for _, start := range []string{"cold", "initial"} {
+			t.Run(fmt.Sprintf("lambda=%v/%s", lambda, start), func(t *testing.T) {
+				build := func() *Game { return randomGame(t, rng.New(601), 40, 24, 10) }
+				cfg := CGBAConfig{Lambda: lambda}
+				if start == "initial" {
+					src := rng.New(603)
+					cfg.Initial = make(Profile, 40)
+					for i := range cfg.Initial {
+						cfg.Initial[i] = src.Intn(24)
+					}
+				}
+				requireSweepMatchesReference(t, build, cfg)
+			})
+		}
+	}
+}
+
+// TestCGBAExactRoutingBitIdentical: games at most exactWidth strategies
+// wide, non-default pivots, and CGBAConfig.Exact all take the exact
+// loop, bit-identical to an Exact solve at every pool size.
+func TestCGBAExactRoutingBitIdentical(t *testing.T) {
 	cases := []struct {
 		name       string
 		strategies int
 		cfg        CGBAConfig
 	}{
-		// DefaultShortlist (16) covers a 6-strategy set: zero-valued
-		// configs stay on the exact path (the goldens' regime).
 		{"default-covers-small", 6, CGBAConfig{}},
-		{"explicit-width-at-max", 20, CGBAConfig{Shortlist: 20}},
-		{"explicit-width-above-max", 20, CGBAConfig{Shortlist: 64}},
-		{"shortlist-full", 20, CGBAConfig{Shortlist: ShortlistFull}},
-		// Non-max-improvement pivots never prune, however small k is.
-		{"round-robin-ignores-k", 20, CGBAConfig{Shortlist: 4, Pivot: PivotRoundRobin}},
-		{"random-ignores-k", 20, CGBAConfig{Shortlist: 4, Pivot: PivotRandom}},
+		{"default-at-width", exactWidth, CGBAConfig{}},
+		{"exact-flag", 20, CGBAConfig{Exact: true}},
+		{"round-robin", 20, CGBAConfig{Pivot: PivotRoundRobin}},
+		{"random", 20, CGBAConfig{Pivot: PivotRandom}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,7 +163,7 @@ func TestCGBAShortlistFullWidthBitIdentical(t *testing.T) {
 				return randomGame(t, rng.New(501), 30, tc.strategies, 12)
 			}
 			exactCfg := tc.cfg
-			exactCfg.Shortlist = ShortlistFull
+			exactCfg.Exact = true
 			want := runCGBAPooled(t, build(), exactCfg, 502, 0)
 			for _, size := range []int{0, 1, 4} {
 				got := runCGBAPooled(t, build(), tc.cfg, 502, size)
@@ -77,59 +171,28 @@ func TestCGBAShortlistFullWidthBitIdentical(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCGBAPrunedCertifiedEquilibrium is the second half of the contract:
-// with k below the strategy count the pruned sweep path runs, and its
-// result must be a certified λ-equilibrium of the unpruned game,
-// deterministic, and identical at every pool size (the path is serial by
-// construction).
-func TestCGBAPrunedCertifiedEquilibrium(t *testing.T) {
-	for _, lambda := range []float64{0, 0.05, 0.1} {
-		for _, k := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("lambda=%v/k=%d", lambda, k), func(t *testing.T) {
-				build := func() *Game {
-					return randomGame(t, rng.New(601), 40, 24, 10)
-				}
-				cfg := CGBAConfig{Lambda: lambda, Shortlist: k}
-				g := build()
-				want := runCGBAPooled(t, g, cfg, 602, 0)
-				if !g.IsEquilibrium(want.Profile, lambda) {
-					t.Fatalf("pruned k=%d result is not a λ=%v equilibrium of the unpruned game", k, lambda)
-				}
-				// Pool invariance and determinism: fresh engines, every
-				// pool size, bit-identical.
-				for _, size := range []int{0, 1, 4} {
-					got := runCGBAPooled(t, build(), cfg, 602, size)
-					requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
-				}
-				// Engine reuse (the BDMA-round pattern) must match fresh.
-				e := NewEngine(build())
-				for rep := 0; rep < 3; rep++ {
-					got, err := e.CGBA(cfg, rng.New(602))
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, fmt.Sprintf("reuse %d", rep), got, want)
-				}
-			})
-		}
+	// The default solve of a wider game does not take the exact loop:
+	// the sweep seeds from the greedy fill, so its first objective-trace
+	// entry is the filled profile's, never the random start's.
+	g := randomGame(t, rng.New(503), 30, exactWidth+1, 12)
+	exact := runCGBAPooled(t, g, CGBAConfig{Exact: true, TrackObjective: true}, 504, 0)
+	sweep := runCGBAPooled(t, g, CGBAConfig{TrackObjective: true}, 504, 0)
+	if exact.ObjectiveTrace[0] == sweep.ObjectiveTrace[0] {
+		t.Fatal("a game wider than exactWidth started from the exact loop's random profile")
 	}
 }
 
-// TestCGBAPrunedInitialProfile checks the warm-start entry: a supplied
-// Initial seeds the pruned dynamics (instead of the greedy fill) and the
+// TestCGBASweepInitialProfile checks the warm-start entry: a supplied
+// Initial seeds the sweep dynamics (instead of the greedy fill) and the
 // result is still a certified equilibrium; an already-certified profile
 // terminates with zero moves.
-func TestCGBAPrunedInitialProfile(t *testing.T) {
+func TestCGBASweepInitialProfile(t *testing.T) {
 	g := randomGame(t, rng.New(611), 25, 24, 9)
-	cfg := CGBAConfig{Shortlist: 5}
-	first, err := CGBA(g, cfg, rng.New(612))
+	first, err := CGBA(g, CGBAConfig{}, rng.New(612))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmCfg := cfg
-	warmCfg.Initial = first.Profile
+	warmCfg := CGBAConfig{Initial: first.Profile}
 	warm, err := CGBA(g, warmCfg, rng.New(613))
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +212,15 @@ func TestCGBAPrunedInitialProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !g.IsEquilibrium(res.Profile, 0) {
-		t.Fatal("pruned solve from arbitrary initial profile is not an equilibrium")
+		t.Fatal("sweep from arbitrary initial profile is not an equilibrium")
 	}
 }
 
-// TestCGBAPrunedTrackObjective: the pruned path's objective trace is one
-// entry per move plus the initial profile, strictly decreasing under the
-// improving-move dynamics.
-func TestCGBAPrunedTrackObjective(t *testing.T) {
+// TestCGBASweepTrackObjective: the sweep loop's objective trace is one
+// entry per move plus the initial profile, ending at the final objective.
+func TestCGBASweepTrackObjective(t *testing.T) {
 	g := randomGame(t, rng.New(621), 20, 24, 8)
-	res, err := CGBA(g, CGBAConfig{Shortlist: 4, TrackObjective: true}, rng.New(622))
+	res, err := CGBA(g, CGBAConfig{TrackObjective: true}, rng.New(622))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +230,15 @@ func TestCGBAPrunedTrackObjective(t *testing.T) {
 	if math.Float64bits(res.ObjectiveTrace[len(res.ObjectiveTrace)-1]) != math.Float64bits(res.Objective) {
 		t.Error("trace tail differs from the final objective")
 	}
+	if want := referenceSweep(g, CGBAConfig{TrackObjective: true}); !reflect.DeepEqual(res.ObjectiveTrace, want.ObjectiveTrace) {
+		t.Error("objective trace differs from the reference loop's")
+	}
 }
 
-// TestCGBAPrunedMutationMatchesFreshBuild: shortlists are keyed on the
-// game's weight generation, so a churned game must solve exactly like a
-// fresh build of the same content — through the same reused engine that
-// solved (and cached shortlists for) the pre-churn game.
-func TestCGBAPrunedMutationMatchesFreshBuild(t *testing.T) {
+// TestCGBASweepMutationMatchesFreshBuild: a churned game must solve
+// exactly like a fresh build of the same content — through the same
+// reused engine that solved the pre-churn game.
+func TestCGBASweepMutationMatchesFreshBuild(t *testing.T) {
 	src := rng.New(631)
 	weights := make([]float64, 8)
 	for r := range weights {
@@ -186,7 +250,7 @@ func TestCGBAPrunedMutationMatchesFreshBuild(t *testing.T) {
 	b := NewBuilder()
 	g := streamInto(t, b, weights, strats)
 	e := NewEngine(g)
-	cfg := CGBAConfig{Shortlist: 6}
+	var cfg CGBAConfig
 	if _, err := e.CGBA(cfg, rng.New(632)); err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +293,14 @@ func TestCGBAPrunedMutationMatchesFreshBuild(t *testing.T) {
 	}
 	requireSameResult(t, "churned vs fresh", got, wantRes)
 	if !g2.IsEquilibrium(got.Profile, 0) {
-		t.Fatal("post-churn pruned result is not an equilibrium")
+		t.Fatal("post-churn sweep result is not an equilibrium")
 	}
 }
 
-// TestCGBAPrunedReweightInvalidatesShortlists: SetResourceWeight advances
-// the weight generation, so a reused engine must rebuild its shortlist
-// ranking and solve exactly like a fresh build with the new weights —
-// even when the reweight inverts the ranking the stale tables encoded.
-func TestCGBAPrunedReweightInvalidatesShortlists(t *testing.T) {
+// TestCGBASweepReweightMatchesFreshBuild: after SetResourceWeight a
+// reused engine must solve exactly like a fresh build with the new
+// weights — even when the reweight inverts which resources are cheap.
+func TestCGBASweepReweightMatchesFreshBuild(t *testing.T) {
 	src := rng.New(641)
 	weights := []float64{1.0, 1.1, 0.9, 1.2, 1.05, 0.95}
 	strats := randomStrategies(src, 15, 24, len(weights))
@@ -246,14 +309,15 @@ func TestCGBAPrunedReweightInvalidatesShortlists(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(g)
-	cfg := CGBAConfig{Shortlist: 4}
+	var cfg CGBAConfig
 	before, err := e.CGBA(cfg, rng.New(642))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Invert the weight landscape: formerly cheap resources become 50x
-	// more expensive, so stale shortlists would steer into congestion.
+	// more expensive, so stale premultiplied factors would steer into
+	// congestion.
 	newWeights := []float64{50, 1.1, 45, 1.2, 55, 0.95}
 	for r, w := range newWeights {
 		if err := g.SetResourceWeight(r, w); err != nil {
@@ -277,57 +341,7 @@ func TestCGBAPrunedReweightInvalidatesShortlists(t *testing.T) {
 		t.Log("note: reweight left the equilibrium unchanged (legal but suspicious)")
 	}
 	if !freshG.IsEquilibrium(got.Profile, 0) {
-		t.Fatal("post-reweight pruned result is not an equilibrium of the reweighted game")
-	}
-}
-
-// TestUnchangedReweightKeepsShortlists: setting a resource to its current
-// weight is a no-op — the weight generation stays put and the next pruned
-// solve reuses the shortlist tables instead of rebuilding them. A changed
-// weight still invalidates them.
-func TestUnchangedReweightKeepsShortlists(t *testing.T) {
-	src := rng.New(651)
-	weights := []float64{1.0, 1.1, 0.9, 1.2, 1.05, 0.95}
-	g, err := New(weights, randomStrategies(src, 15, 24, len(weights)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(g)
-	cfg := CGBAConfig{Shortlist: 4}
-	if _, err := e.CGBA(cfg, rng.New(652)); err != nil {
-		t.Fatal(err)
-	}
-	// topScore is rebuildShortlists' selection scratch: nothing else
-	// writes it, so a poisoned entry surviving a solve proves no rebuild.
-	const poison = -1.0
-	e.fast.topScore[0] = poison
-	gen := g.weightGen
-	for r, w := range weights {
-		if err := g.SetResourceWeight(r, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.weightGen != gen {
-		t.Fatalf("unchanged weights advanced weightGen %d → %d", gen, g.weightGen)
-	}
-	if _, err := e.CGBA(cfg, rng.New(653)); err != nil {
-		t.Fatal(err)
-	}
-	if e.fast.topScore[0] != poison {
-		t.Fatal("pruned CGBA rebuilt its shortlists after a no-op reweight")
-	}
-
-	if err := g.SetResourceWeight(2, 4.5); err != nil {
-		t.Fatal(err)
-	}
-	if g.weightGen == gen {
-		t.Fatal("a changed weight did not advance weightGen")
-	}
-	if _, err := e.CGBA(cfg, rng.New(654)); err != nil {
-		t.Fatal(err)
-	}
-	if e.fast.topScore[0] == poison {
-		t.Fatal("pruned CGBA kept stale shortlists after a changed weight")
+		t.Fatal("post-reweight sweep result is not an equilibrium of the reweighted game")
 	}
 }
 
@@ -402,7 +416,7 @@ func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 	b := NewBuilder()
 	g := streamInto(t, b, weights, strats)
 	e := NewEngine(g)
-	for _, cfg := range []CGBAConfig{{}, {Shortlist: 2}} {
+	for _, cfg := range []CGBAConfig{{}, {Lambda: 0.05}} {
 		if _, err := e.CGBA(cfg, rng.New(662)); err != nil {
 			t.Fatal(err)
 		}
@@ -466,49 +480,49 @@ func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalBestResponseEquivalence fuzzes the fast path's whole
-// equivalence contract: for arbitrary games, widths, and tolerances the
-// pruned solve must return a certified λ-equilibrium of the unpruned
-// game, deterministically; and whenever the width covers every strategy
-// set it must be bit-identical to the exact path.
+// FuzzIncrementalBestResponseEquivalence fuzzes the sweep loop's whole
+// contract: for arbitrary games, tolerances and starts, CGBA must return
+// a certified λ-equilibrium of the game, deterministically; on games
+// wider than exactWidth it must equal referenceSweep bit for bit, and on
+// narrower ones the exact loop.
 func FuzzIncrementalBestResponseEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(4), uint8(0))
 	f.Add(int64(42), int64(43), uint8(1), uint8(5))
 	f.Add(int64(-7), int64(99), uint8(200), uint8(11))
-	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, kRaw, lamRaw uint8) {
+	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, startRaw, lamRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		players := 2 + gsrc.Intn(12)
-		strategies := 2 + gsrc.Intn(22)
+		strategies := 2 + gsrc.Intn(30)
 		resources := 3 + gsrc.Intn(8)
 		g := randomGame(t, gsrc, players, strategies, resources)
-		k := 1 + int(kRaw)%(strategies+4) // sometimes covering, mostly pruning
-		lambda := float64(lamRaw%12) / 100
-		cfg := CGBAConfig{Lambda: lambda, Shortlist: k}
+		cfg := CGBAConfig{Lambda: float64(lamRaw%12) / 100}
+		if startRaw%2 == 1 {
+			cfg.Initial = make(Profile, players)
+			for i := range cfg.Initial {
+				cfg.Initial[i] = int(startRaw/2) % strategies
+			}
+		}
 
 		res, err := CGBA(g, cfg, rng.New(solveSeed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.IsEquilibrium(res.Profile, lambda) {
-			t.Fatalf("k=%d λ=%v: result is not a certified equilibrium of the unpruned game", k, lambda)
+		if !g.IsEquilibrium(res.Profile, cfg.Lambda) {
+			t.Fatalf("S=%d λ=%v: result is not a certified equilibrium", strategies, cfg.Lambda)
 		}
 		again, err := CGBA(g, cfg, rng.New(solveSeed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(again.Objective) != math.Float64bits(res.Objective) ||
-			again.Iterations != res.Iterations || !reflect.DeepEqual(again.Profile, res.Profile) {
-			t.Fatalf("k=%d λ=%v: non-deterministic result", k, lambda)
-		}
-		if k >= g.maxStrategyCount() {
-			exact, err := CGBA(g, CGBAConfig{Lambda: lambda, Shortlist: ShortlistFull}, rng.New(solveSeed))
-			if err != nil {
+		requireSameResult(t, "repeat", again, res)
+		want := referenceSweep(g, cfg)
+		if strategies <= exactWidth {
+			exactCfg := cfg
+			exactCfg.Exact = true
+			if want, err = CGBA(g, exactCfg, rng.New(solveSeed)); err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(exact.Objective) != math.Float64bits(res.Objective) ||
-				exact.Iterations != res.Iterations || !reflect.DeepEqual(exact.Profile, res.Profile) {
-				t.Fatalf("k=%d covers every strategy set but diverged from the exact path", k)
-			}
 		}
+		requireSameResult(t, fmt.Sprintf("S=%d λ=%v", strategies, cfg.Lambda), res, want)
 	})
 }

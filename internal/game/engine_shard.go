@@ -10,17 +10,17 @@
 // it with an outer reconciliation loop:
 //
 //	round:
-//	 1. parallel  — each shard runs pruned Gauss–Seidel sweeps (the PR 6
-//	    fast path, per-shard drift accounting) over its interior players
-//	    to a locally certified full-width quiescence, with boundary
-//	    players' load contributions frozen;
+//	 1. parallel  — each shard runs Gauss–Seidel sweeps (engine_fast.go's
+//	    sweepScore, with a per-shard drift-bound skip) over its interior
+//	    players to a locally certified quiescence, with boundary players'
+//	    load contributions frozen;
 //	 2. serial    — full-width Gauss–Seidel sweeps over the boundary
 //	    players against the shards' congestion sums, until quiet;
 //	 3. serial    — a full-width certification sweep over every player
 //	    with the exact path's arithmetic (refresh); only a quiet sweep
 //	    terminates the solve, so the result is a certified λ-equilibrium
-//	    of the *global, unpruned* game — sharding, like the shortlist, is
-//	    a heuristic for speed, never for correctness.
+//	    of the *global* game — sharding is a heuristic for speed, never
+//	    for correctness.
 //
 // Determinism and pool-invariance: shards touch disjoint state (their
 // players' profile entries and slack slots, their clusters' loads), draw
@@ -35,7 +35,6 @@ package game
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"eotora/internal/rng"
@@ -172,6 +171,20 @@ func (p *ShardPlan) check(g *Game) error {
 	return nil
 }
 
+// driftState is the interior sweeps' drift-bound skip, indexed by
+// player. rho[i] bounds how fast player i's costs can drift: the largest
+// premultiplied factor m_r·p_{i,r} over all of i's uses, so a total
+// absolute load drift of ΔD since i was last scored moves its current
+// cost and its best-response cost by at most rho[i]·ΔD each. slack[i]
+// is how far i was from dissatisfaction when last scored (−1 = not
+// scored this region) and lastD[i] its shard's drift at that moment.
+// Shards write only their own players' entries.
+type driftState struct {
+	rho   []float64
+	slack []float64
+	lastD []float64
+}
+
 // shardSolve is one shard's private solve state for a parallel region:
 // scratch the sweeps need (sweepScore's in-place removal save slots),
 // the shard's drift accumulator, and its tallies, merged in shard order
@@ -199,14 +212,26 @@ type shardSweepTask struct {
 }
 
 // Run solves shard sIdx's interior game to a locally certified
-// quiescence: pruned sweeps with per-shard drift-bound skipping, then a
-// full-width sweep; only a quiet full-width sweep ends the shard's
-// region (mirroring cgbaPruned, restricted to the shard's players).
+// quiescence: sweeps with per-shard drift-bound skipping, then a pass
+// that skips nobody; only a quiet such pass ends the shard's region
+// (cgbaSweep restricted to the shard's players, plus the skip).
 func (t *shardSweepTask) Run(sIdx int) {
 	e := t.e
-	f := &e.fast
+	g := e.g
+	f := &e.drift
 	ss := &e.shardSlv[sIdx]
 	players := t.plan.order[t.plan.off[sIdx]:t.plan.off[sIdx+1]]
+	// Derive the players' drift bounds and restart their slack.
+	for _, pi := range players {
+		first, last := g.playerStrategies(int(pi))
+		rho := 0.0
+		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
+			if u.wm > rho {
+				rho = u.wm
+			}
+		}
+		f.rho[pi], f.slack[pi] = rho, -1
+	}
 
 	full := false
 	for {
@@ -228,10 +253,13 @@ func (t *shardSweepTask) Run(sIdx int) {
 				ss.hits++
 				continue
 			}
-			cur, br, brCost := e.shardSweepScore(i, full, ss)
+			cur, br, brCost := e.sweepScore(i, ss.saveRes, ss.saveLoad)
 			ss.misses++
 			if (1-t.lambda)*cur > brCost+relEps*(cur+1) {
-				e.shardMove(i, int(br), ss)
+				ss.drift += e.fastMove(i, int(br))
+				ss.moves++
+				// The mover now sits on its best response: zero slack, so
+				// any further drift triggers a rescore.
 				f.slack[i], f.lastD[i] = 0, ss.drift
 				moved = true
 				if ss.moves >= t.budget {
@@ -254,97 +282,16 @@ func (t *shardSweepTask) Run(sIdx int) {
 	}
 }
 
-// shardSweepScore is sweepScore with the save scratch taken from the
-// shard's private state instead of the engine's shared buffers — the
-// only change; the arithmetic is identical. The in-place load removal
-// touches only the shard's own resources (guaranteed by ShardPlan.check)
-// and is restored before returning.
-func (e *Engine) shardSweepScore(i int, full bool, ss *shardSolve) (cur float64, best int32, bestCost float64) {
-	g := e.g
-	first, last := g.playerStrategies(i)
-	cs := first + int32(e.profile[i])
-
-	cur = 0.0
-	for _, u := range g.uses[g.useOff[cs]:g.useOff[cs+1]] {
-		cur += u.wm * e.loads[u.res]
-	}
-
-	saved := 0
-	for _, u := range g.uses[g.useOff[cs]:g.useOff[cs+1]] {
-		ss.saveRes[saved] = int32(u.res)
-		ss.saveLoad[saved] = e.loads[u.res]
-		saved++
-		e.loads[u.res] -= u.w
-	}
-
-	best, bestCost = -1, math.Inf(1)
-	if full {
-		base := g.useOff[first]
-		uses := g.uses[base:g.useOff[last]]
-		offs := g.useOff[first : last+1]
-		k := 0
-		for s := 0; s < len(offs)-1; s++ {
-			end := int(offs[s+1] - base)
-			c := 0.0
-			for ; k < end; k++ {
-				u := &uses[k]
-				c += u.wm * (e.loads[u.res] + u.w)
-			}
-			if c < bestCost {
-				best, bestCost = int32(s), c
-			}
-		}
-	} else {
-		f := &e.fast
-		lo, hi := f.slOff[i], f.slOff[i+1]
-		k := f.slUseOff[lo]
-		for en := lo; en < hi; en++ {
-			end := f.slUseOff[en+1]
-			c := 0.0
-			for ; k < end; k++ {
-				u := &f.slUses[k]
-				c += u.wm * (e.loads[u.res] + u.w)
-			}
-			if c < bestCost {
-				best, bestCost = f.slStrat[en], c
-			}
-		}
-	}
-
-	for k := 0; k < saved; k++ {
-		e.loads[ss.saveRes[k]] = ss.saveLoad[k]
-	}
-	return cur, best, bestCost
-}
-
-// shardMove is fastMove with the move count and drift accumulated into
-// the shard's private state.
-func (e *Engine) shardMove(i, s int, ss *shardSolve) {
-	ss.moves++
-	g := e.g
-	drift := 0.0
-	for _, u := range g.strategyUses(i, e.profile[i]) {
-		e.loads[u.res] -= u.w
-		drift += u.w
-	}
-	e.profile[i] = s
-	for _, u := range g.strategyUses(i, s) {
-		e.loads[u.res] += u.w
-		drift += u.w
-	}
-	ss.drift += drift
-}
-
 // CGBASharded runs CGBA factorized by the plan: parallel per-shard
 // interior solves, serial boundary reconciliation, and a serial global
 // certification sweep that alone may terminate the solve. The returned
-// profile is a certified λ-equilibrium of the global unpruned game —
-// the same guarantee Engine.CGBA provides — and the result is identical
-// at every pool size. A nil or single-shard plan delegates to CGBA
-// outright (bit-identical to the unsharded path by construction), as do
-// configurations the sharded loop does not model: non-default pivots
-// (its dynamics are Gauss–Seidel, the shortlist path's rule) and
-// per-move objective tracking.
+// profile is a certified λ-equilibrium of the global game — the same
+// guarantee Engine.CGBA provides — and the result is identical at every
+// pool size. The sweeps scan every strategy whatever cfg.Exact says. A
+// nil or single-shard plan delegates to CGBA outright (bit-identical to
+// the unsharded path by construction), as do configurations the sharded
+// loop does not model: non-default pivots (its dynamics are
+// Gauss–Seidel, cgbaSweep's rule) and per-move objective tracking.
 func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (Result, error) {
 	if plan == nil || plan.Shards() <= 1 {
 		return e.CGBA(cfg, src)
@@ -367,27 +314,17 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		maxIter = 200*n + 10000
 	}
 
-	// Shortlists drive the pruned shard sweeps; an exact-width request
-	// (ShortlistFull) widens them to cover every strategy set, which makes
-	// the pruned scan the exact argmin in index order.
-	k := effectiveShortlist(cfg.Shortlist)
-	if k == 0 || k > g.maxStrategyCount() {
-		k = g.maxStrategyCount()
-	}
-	f := &e.fast
-	if f.game != g || f.wgen != g.weightGen || f.k != k {
-		e.rebuildShortlists(k)
-	}
-
 	if cfg.Initial != nil {
 		if err := e.Reset(cfg.Initial); err != nil {
 			return Result{}, err
 		}
 	} else {
-		// Same deterministic, RNG-free seed as the pruned path.
+		// Same deterministic, RNG-free seed as the sweep loop.
 		e.greedyFill()
 	}
 
+	f := &e.drift
+	f.rho = resizeFloat(f.rho, n)
 	f.slack = resizeFloat(f.slack, n)
 	f.lastD = resizeFloat(f.lastD, n)
 
@@ -402,7 +339,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 	result := func(truncated bool) Result {
 		return Result{
 			Profile:    e.profile.Clone(),
-			Objective:  g.SocialCost(e.profile),
+			Objective:  e.SocialCost(),
 			Iterations: moves,
 			Truncated:  truncated,
 		}
@@ -417,13 +354,10 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 			return result(true), nil
 		}
 
-		// Phase 1 — parallel interior solves. Slack state restarts each
-		// round: boundary and certification moves since the last region
-		// are not in any shard's drift accumulator, so stale bounds could
-		// wrongly skip; a reset is cheap and safe.
-		for i := range f.slack {
-			f.slack[i] = -1
-		}
+		// Phase 1 — parallel interior solves. Each shard restarts its
+		// players' slack state: boundary and certification moves since the
+		// last region are not in any shard's drift accumulator, so stale
+		// bounds could wrongly skip; a reset is cheap and safe.
 		expire, timed := e.deadline.ExpireTime()
 		for s := range e.shardSlv {
 			e.shardSlv[s] = shardSolve{
@@ -467,10 +401,11 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 					e.recordCGBA(moves)
 					return result(true), nil
 				}
-				cur, br, brCost := e.sweepScore(i, true)
+				cur, br, brCost := e.sweepScore(i, e.saveRes, e.saveLoad)
 				e.tally.misses++
 				if (1-cfg.Lambda)*cur > brCost+relEps*(cur+1) {
 					e.fastMove(i, int(br))
+					e.tally.moves++
 					moves++
 					moved = true
 					if moves >= maxIter {

@@ -150,13 +150,13 @@ func TestCGBAShardedRejectsNonDisjointPlan(t *testing.T) {
 func TestCGBAShardedCertifiedEquilibrium(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
-		shortlist          int
+		exact              bool
 		clusters, boundary int
 	}{
-		{"pruned", 0, 4, 6},
-		{"exact-width", ShortlistFull, 4, 6},
-		{"narrow", 4, 3, 5},
-		{"no-boundary", 0, 4, 0},
+		{"pruned", false, 4, 6}, // interior sweeps skip by the drift bound
+		{"exact-width", true, 4, 6},
+		{"narrow", false, 3, 5}, // three shards
+		{"no-boundary", false, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, assign := clusteredGame(t, rng.New(711), tc.clusters, 12, tc.boundary, 8, 6)
@@ -164,10 +164,10 @@ func TestCGBAShardedCertifiedEquilibrium(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := CGBAConfig{Lambda: 0.01, Shortlist: tc.shortlist}
+			cfg := CGBAConfig{Lambda: 0.01, Exact: tc.exact}
 			base := runCGBASharded(t, g, cfg, plan, 1, 0)
 
-			// Certified: the profile is a λ-equilibrium of the unpruned game.
+			// Certified: the profile is a λ-equilibrium of the global game.
 			e := NewEngine(g)
 			if err := e.Reset(base.Profile); err != nil {
 				t.Fatal(err)
@@ -192,8 +192,8 @@ func TestCGBAShardedCertifiedEquilibrium(t *testing.T) {
 // bit-for-bit — the shards=1 half of the equivalence contract.
 func TestCGBAShardedSingleShardBitIdentical(t *testing.T) {
 	g, assign := clusteredGame(t, rng.New(721), 3, 10, 4, 8, 6)
-	for _, shortlist := range []int{0, ShortlistFull} {
-		cfg := CGBAConfig{Lambda: 0.01, Shortlist: shortlist}
+	for _, exact := range []bool{false, true} {
+		cfg := CGBAConfig{Lambda: 0.01, Exact: exact}
 		want := runCGBAPooled(t, g, cfg, 7, 0)
 		one := make([]int32, len(assign))
 		plan, err := NewShardPlan(1, one)
@@ -261,15 +261,15 @@ func TestCGBAShardedDeadline(t *testing.T) {
 }
 
 // FuzzShardedEquivalence fuzzes the sharded solve's whole contract: for
-// arbitrary clustered games, widths, tolerances, and pool sizes the
+// arbitrary clustered games, tolerances, and pool sizes the
 // sharded result must be a certified λ-equilibrium of the global
-// unpruned game, deterministic, pool-invariant, and — with a one-shard
+// game, deterministic, pool-invariant, and — with a one-shard
 // plan — bit-identical to the unsharded path.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(2))
 	f.Add(int64(42), int64(43), uint8(2), uint8(0), uint8(4), uint8(5), uint8(1))
 	f.Add(int64(-7), int64(99), uint8(5), uint8(6), uint8(19), uint8(11), uint8(4))
-	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, clustersRaw, boundaryRaw, kRaw, lamRaw, poolRaw uint8) {
+	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, clustersRaw, boundaryRaw, exactRaw, lamRaw, poolRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		clusters := 2 + int(clustersRaw)%4
 		perCluster := 2 + gsrc.Intn(8)
@@ -277,11 +277,8 @@ func FuzzShardedEquivalence(f *testing.F) {
 		strategies := 2 + gsrc.Intn(6)
 		g, assign := clusteredGame(t, gsrc, clusters, perCluster, boundary, strategies, 3+gsrc.Intn(4))
 		lambda := float64(lamRaw%12) / 100
-		shortlist := int(kRaw) % 20 // 0 = default width
-		if shortlist == 19 {
-			shortlist = ShortlistFull // sometimes the exact path
-		}
-		cfg := CGBAConfig{Lambda: lambda, Shortlist: shortlist}
+		exact := exactRaw%20 == 19 // sometimes the exact loop's delegation
+		cfg := CGBAConfig{Lambda: lambda, Exact: exact}
 		plan, err := NewShardPlan(clusters, assign)
 		if err != nil {
 			t.Fatal(err)
@@ -289,8 +286,8 @@ func FuzzShardedEquivalence(f *testing.F) {
 
 		res := runCGBASharded(t, g, cfg, plan, solveSeed, 0)
 		if !g.IsEquilibrium(res.Profile, lambda) {
-			t.Fatalf("clusters=%d boundary=%d k=%d λ=%v: not a certified global equilibrium",
-				clusters, boundary, shortlist, lambda)
+			t.Fatalf("clusters=%d boundary=%d exact=%v λ=%v: not a certified global equilibrium",
+				clusters, boundary, exact, lambda)
 		}
 		size := 1 + int(poolRaw)%4
 		requireSameResult(t, "pooled repeat", runCGBASharded(t, g, cfg, plan, solveSeed, size), res)

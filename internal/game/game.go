@@ -87,14 +87,11 @@ type Game struct {
 	// scratch sizing).
 	maxUses int
 
-	// Generation counters for derived-table invalidation (the Engine's
-	// shortlist and drift-bound tables, see engine_fast.go). structGen
-	// advances whenever the strategy arena changes (Build, Commit);
-	// weightGen advances whenever any premultiplied wm factor may have
-	// changed (Build, Commit, SetResourceWeight). Both start at 1 so a
-	// zero-valued cache marker is always stale.
+	// structGen advances whenever the strategy arena changes (Build,
+	// Commit), invalidating the incidence indexes above and memoized
+	// shard-plan checks. It starts at 1 so a zero-valued marker is
+	// always stale.
 	structGen uint64
-	weightGen uint64
 }
 
 // strategyUses returns the uses of player i's strategy s.
@@ -219,7 +216,6 @@ func (b *Builder) Build() (*Game, error) {
 		}
 	}
 	g.structGen++
-	g.weightGen++
 	return g, nil
 }
 
@@ -358,8 +354,7 @@ func (g *Game) ResourceWeight(r int) float64 { return g.weights[r] }
 // rounds. Any Engine bound to the game holds stale caches afterwards and
 // must be reset before further incremental queries (Engine.CGBA and
 // Engine.MCBA reset unconditionally, so the solver entry points are safe).
-// Setting the current weight is a no-op: the weight generation does not
-// advance, so the Engine keeps its derived shortlist tables.
+// Setting the current weight is a no-op.
 func (g *Game) SetResourceWeight(r int, m float64) error {
 	if r < 0 || r >= len(g.weights) {
 		return fmt.Errorf("game: resource %d of %d", r, len(g.weights))
@@ -377,7 +372,6 @@ func (g *Game) SetResourceWeight(r int, m float64) error {
 	for _, k := range g.useIncPos[g.useIncOff[r]:g.useIncOff[r+1]] {
 		g.uses[k].wm = m * g.uses[k].w
 	}
-	g.weightGen++
 	return nil
 }
 

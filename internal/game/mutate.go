@@ -238,7 +238,6 @@ func (m *Mutation) Commit() (*Game, error) {
 	g.strOff, b.spareStrOff = b.spareStrOff, g.strOff
 	g.maxUses = maxUses
 	g.structGen++
-	g.weightGen++
 	if !m.hasReweighted {
 		for k := range g.uses {
 			u := &g.uses[k]

@@ -615,11 +615,11 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 	})
 	t.Run("CGBA", func(t *testing.T) {
 		_, g, content := setup(t, 7)
-		want, err := NewEngine(fresh(t, weights, content)).CGBA(CGBAConfig{Shortlist: ShortlistFull}, rng.New(8))
+		want, err := NewEngine(fresh(t, weights, content)).CGBA(CGBAConfig{Exact: true}, rng.New(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewEngine(g).CGBA(CGBAConfig{Shortlist: ShortlistFull}, rng.New(8))
+		got, err := NewEngine(g).CGBA(CGBAConfig{Exact: true}, rng.New(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -648,7 +648,7 @@ func TestApplyMutationNoKeptSkipsWalk(t *testing.T) {
 	b := NewBuilder()
 	g := streamInto(t, b, weights, randomStrategies(src, 6, 3, len(weights)))
 	e := NewEngine(g)
-	if _, err := e.CGBA(CGBAConfig{Shortlist: ShortlistFull}, src); err != nil {
+	if _, err := e.CGBA(CGBAConfig{Exact: true}, src); err != nil {
 		t.Fatal(err)
 	}
 	m := b.BeginMutation()

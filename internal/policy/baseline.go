@@ -13,7 +13,10 @@ import (
 	"eotora/internal/trace"
 )
 
-// pickFunc chooses a slot's selection.
+// pickFunc chooses a slot's selection. It owns validating the slot state
+// (System.CheckState) before reading it: the P2-A pickers validate
+// through ApplyChurn, the others call CheckState, so each state is
+// checked once per Decide.
 type pickFunc func(b *baseline, st *trace.State) (core.Selection, error)
 
 // baseline is the shared frame of the comparison policies: a fixed
@@ -124,9 +127,6 @@ func (b *baseline) Decide(slot int, st *trace.State) (*core.SlotResult, error) {
 		return nil, fmt.Errorf("policy: Decide slot %d, %s expects %d", slot, b.name, b.slot+1)
 	}
 	b.slot++
-	if err := b.sys.CheckState(st); err != nil {
-		return nil, fmt.Errorf("policy: %s slot %d: %w", b.name, b.slot, err)
-	}
 	sel, err := b.pick(b, st)
 	if err != nil {
 		return nil, fmt.Errorf("policy: %s slot %d: %w", b.name, b.slot, err)
@@ -271,6 +271,9 @@ func pickRandom(b *baseline, st *trace.State) (core.Selection, error) {
 // pickLocalOnly pins every active device to its lowest-indexed feasible
 // pair — the "stay on your home cell" floor with no load awareness.
 func pickLocalOnly(b *baseline, st *trace.State) (core.Selection, error) {
+	if err := b.sys.CheckState(st); err != nil {
+		return core.Selection{}, err
+	}
 	_, _, _, devices := b.sys.Net.Counts()
 	sel := emptySelection(devices)
 	for i := 0; i < devices; i++ {
@@ -294,6 +297,9 @@ func pickLocalOnly(b *baseline, st *trace.State) (core.Selection, error) {
 // its devices; a device whose best station has no usable server at all
 // falls back to its first feasible pair anywhere.
 func pickEdgeOnly(b *baseline, st *trace.State) (core.Selection, error) {
+	if err := b.sys.CheckState(st); err != nil {
+		return core.Selection{}, err
+	}
 	_, _, servers, devices := b.sys.Net.Counts()
 	sel := emptySelection(devices)
 	load := make([]int, servers)

@@ -6,7 +6,7 @@
 // flagship implementation; this package adds the deterministic
 // comparison baselines every related evaluation ships (greedy-energy,
 // greedy-deadline, random, local-only, edge-only) and an online
-// auto-tuner that adapts the DPP knob V and the CGBA λ/shortlist
+// auto-tuner that adapts the DPP knob V and the CGBA λ
 // schedule across slots (DESIGN.md §15).
 //
 // Every policy is deterministic from (seed, slot): two policies built

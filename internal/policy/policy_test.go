@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -285,5 +286,40 @@ func TestEdgeOnlyCoverage(t *testing.T) {
 	}
 	if _, err := p.Decide(1, st); err == nil {
 		t.Error("edge-only decided a device with no coverage")
+	}
+}
+
+// TestDecideRejectsInvalidState: a state with a NaN channel fails Decide
+// on every policy with the System.CheckState error — on a fresh policy
+// (the P2-A build path) and after a valid slot (the churn refill path).
+func TestDecideRejectsInvalidState(t *testing.T) {
+	for _, name := range Names() {
+		for _, warm := range []bool{false, true} {
+			sys, gen := buildSystem(t, testSpec(8), 4)
+			p, err := New(name, sys, Config{V: 100, Rounds: 2, Lambda: 0.05, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot := 1
+			if warm {
+				if _, err := p.Decide(slot, gen.Next()); err != nil {
+					t.Fatal(err)
+				}
+				slot++
+			}
+			bad := gen.Next()
+			bad.Channels[3][0] = units.SpectralEfficiency(math.NaN())
+			want := sys.CheckState(bad)
+			if want == nil {
+				t.Fatal("CheckState accepted a NaN channel")
+			}
+			prefix := fmt.Sprintf("policy: %s slot %d: ", name, slot)
+			if name == BDMA || name == BDMATuned {
+				prefix = fmt.Sprintf("core: slot %d: ", slot)
+			}
+			if _, err = p.Decide(slot, bad); err == nil || err.Error() != prefix+want.Error() {
+				t.Errorf("%s (warm=%v): Decide error %v, want %q", name, warm, err, prefix+want.Error())
+			}
+		}
 	}
 }

@@ -56,13 +56,6 @@ type TunerConfig struct {
 	// iteration EMA stabilizes (typically the run's configured λ; 0 is a
 	// valid target and the default).
 	LambdaTarget float64
-	// ShortlistStart, when positive, narrows the CGBA best-response
-	// shortlist to this width for the coarse windows; refinement
-	// restores the library default. 0 leaves the shortlist untouched —
-	// the default, because a narrow shortlist shrinks per-iteration work
-	// but lengthens the sweep dynamics, so it only pays on games whose
-	// strategy sets dwarf the width.
-	ShortlistStart int
 	// StableFrac is the relative iteration-EMA change below which the
 	// solve counts as stabilized and λ refines one step. 0 = 0.1.
 	StableFrac float64
@@ -107,13 +100,12 @@ func (c TunerConfig) withDefaults(v0 float64) TunerConfig {
 // it raises V to spend the slack on latency. Steps are multiplicative
 // and clamped to [VMin, VMax].
 //
-// λ/shortlist (the CGBA work dial): windows start coarse — LambdaStart
-// slack (and, when ShortlistStart is set, a narrow shortlist), fewer
-// best-response iterations while the virtual queue is in its transient —
-// and refine once the per-window iteration EMA stabilizes, halving the
-// gap to LambdaTarget per stable window until the target (and the
-// default shortlist) is restored. The equilibrium quality the run
-// settles at is the target's; only the transient is solved loosely.
+// λ (the CGBA work dial): windows start coarse — LambdaStart slack,
+// fewer best-response iterations while the virtual queue is in its
+// transient — and refine once the per-window iteration EMA stabilizes,
+// halving the gap to LambdaTarget per stable window until the target is
+// reached. The equilibrium quality the run settles at is the target's;
+// only the transient is solved loosely.
 //
 // The trajectory is exported through the tuner.* obs series.
 type Tuner struct {
@@ -142,7 +134,7 @@ type tunerInstr struct {
 }
 
 // NewTuner wraps a CGBA-driven controller in the auto-tuner and arms the
-// coarse schedule (LambdaStart, ShortlistStart) for the first window.
+// coarse λ (LambdaStart) for the first window.
 // The controller must be exclusively owned by the tuner from here on.
 func NewTuner(ctrl *core.Controller, cfg TunerConfig) (*Tuner, error) {
 	if ctrl == nil {
@@ -159,11 +151,6 @@ func NewTuner(ctrl *core.Controller, cfg TunerConfig) (*Tuner, error) {
 	t := &Tuner{ctrl: ctrl, cfg: cfg, lambda: cfg.LambdaStart}
 	if err := ctrl.SetLambda(t.lambda); err != nil {
 		return nil, err
-	}
-	if cfg.ShortlistStart > 0 {
-		if err := ctrl.SetShortlist(cfg.ShortlistStart); err != nil {
-			return nil, err
-		}
 	}
 	return t, nil
 }
@@ -251,13 +238,9 @@ func (t *Tuner) adapt() {
 			next = t.cfg.LambdaTarget
 			t.refined = true
 		}
-		// The wrapped solver is CGBA by construction, λ stays in range by
-		// the schedule invariant, and the shortlist reset is the library
-		// default — none of these can fail.
+		// The wrapped solver is CGBA by construction and λ stays in range
+		// by the schedule invariant, so this cannot fail.
 		_ = t.ctrl.SetLambda(next)
-		if t.refined && t.cfg.ShortlistStart > 0 {
-			_ = t.ctrl.SetShortlist(0)
-		}
 		t.lambda = next
 		t.instr.refin.Inc()
 	}
@@ -304,7 +287,7 @@ func (t *Tuner) Checkpoint() core.Checkpoint {
 	return cp
 }
 
-// Restore rewinds the tuner: the adapted knobs (V, λ, shortlist) are
+// Restore rewinds the tuner: the adapted knobs (V, λ) are
 // re-applied to the controller before its own restore so the V guard
 // compares adapted-to-adapted, then the window state resumes from Extra.
 func (t *Tuner) Restore(cp core.Checkpoint) error {
@@ -323,15 +306,6 @@ func (t *Tuner) Restore(cp core.Checkpoint) error {
 	}
 	t.lambda = lambda
 	t.refined = cp.Extra["tuner_refined"] != 0
-	if t.cfg.ShortlistStart > 0 {
-		shortlist := t.cfg.ShortlistStart
-		if t.refined {
-			shortlist = 0
-		}
-		if err := t.ctrl.SetShortlist(shortlist); err != nil {
-			return err
-		}
-	}
 	inner := cp
 	inner.Extra = nil
 	if err := t.ctrl.Restore(inner); err != nil {

@@ -206,11 +206,10 @@ func TestTunerCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestTunerShortlistUntouchedByDefault: with ShortlistStart zero the
-// tuner must never touch the controller's shortlist — narrowing it
-// lengthens CGBA's sweep dynamics, which is exactly the work the tuner
-// exists to save.
-func TestTunerShortlistUntouchedByDefault(t *testing.T) {
+// TestTunerCoarseWindowMatchesPlainController: until its first window
+// closes the tuner changes nothing but λ, so it decides exactly like a
+// plain controller at the coarse λ.
+func TestTunerCoarseWindowMatchesPlainController(t *testing.T) {
 	sys, gen := buildSystem(t, testSpec(8), 11)
 	ctrl, err := core.NewBDMAController(sys, 100, 2, 0.05, 11)
 	if err != nil {
@@ -228,8 +227,8 @@ func TestTunerShortlistUntouchedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With an unreachable window boundary the tuner holds the coarse λ, so
-	// its slots must be bit-identical to a plain controller at λ = 0.1 —
-	// any shortlist narrowing would change the iteration counts.
+	// its slots must be bit-identical to a plain controller at λ = 0.1,
+	// iteration counts included.
 	states := trace.Record(gen, 6)
 	var want []decisionKey
 	for _, st := range states {

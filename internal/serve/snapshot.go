@@ -21,7 +21,7 @@ const SnapshotVersion = 1
 // copy of β_t including churn masks and fault overlays, the events
 // queued but not yet applied, and the ingest/shed accounting. Restoring
 // it into a fresh daemon with identical configuration resumes the
-// decision sequence bit-identically — caches and shortlists are rebuilt
+// decision sequence bit-identically — solver caches are rebuilt
 // lazily on the first restored slot and never change a decision bit
 // (DESIGN.md §11–§12).
 type Snapshot struct {
