@@ -43,9 +43,8 @@ import (
 
 // exactWidth is the widest strategy set the zero-valued CGBAConfig still
 // solves with the exact max-improvement loop. Small games (the package's
-// goldens, the paper's figure instances at quick scale) keep the
-// seed-exact dynamics; wider games take the sweep loop. Sharded solves
-// sweep at any width.
+// goldens and the reduced test topologies) keep the seed-exact dynamics;
+// wider games take the sweep loop. Sharded solves sweep at any width.
 const exactWidth = 16
 
 // fastSweepCheckMask throttles deadline polls inside a sweep: one poll
