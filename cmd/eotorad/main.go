@@ -2,9 +2,9 @@
 // serve mode of the paper's per-slot Lyapunov controller. It ingests
 // state-update events over HTTP (device churn, channel reports, demand
 // moves, price ticks, server lifecycle), batches them into slot ticks on
-// a configurable cadence, drives the incremental slot solve — churn-
-// mutation path, sweep loop, sharding, and the degradation ladder all
-// apply — and publishes per-slot decisions to poll/long-poll consumers.
+// a configurable cadence, drives the slot solve — per-slot P2-A
+// rebuild, sweep loop, sharding, and the degradation ladder all apply —
+// and publishes per-slot decisions to poll/long-poll consumers.
 // See OPERATIONS.md §11 for the runbook and DESIGN.md §14 for the
 // architecture.
 //

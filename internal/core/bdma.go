@@ -158,10 +158,9 @@ func (s *System) bdmaLoop(
 		}
 		var err error
 		if iter == 0 {
-			// ApplyChurn re-solves only the population delta against the
-			// previous slot's structure; a fresh scratch falls back to the
-			// full BuildP2A automatically. The state was checked above.
-			err = s.applyChurn(scratch, st, freq)
+			// Every slot rebuilds into the recycled arena; the state was
+			// checked above.
+			err = s.buildP2A(scratch, st, freq)
 		} else {
 			err = scratch.Reweight(freq)
 		}
@@ -172,8 +171,7 @@ func (s *System) bdmaLoop(
 		// profile when the solver supports it: only the compute weights
 		// changed since, so the old equilibrium is a near-equilibrium of
 		// the new game and the best-response transient collapses. The warm
-		// profile never crosses a slot boundary — churned and rebuilt
-		// instances run the same rounds on the same inputs.
+		// profile never crosses a slot boundary.
 		var res game.Result
 		var err2 error
 		replay := false

@@ -27,8 +27,9 @@ func aggressiveChurn(seed int64) trace.ChurnConfig {
 }
 
 // pinnedSource replays one base state through fresh shallow copies, so the
-// only slot-to-slot differences are the churn deltas layered on top — the
-// slow-inputs regime the incremental ApplyChurn path is built for.
+// only slot-to-slot differences are the churn deltas layered on top — a
+// slow-inputs regime with pinned channels, unlike the paper's state model,
+// which redraws them every slot.
 type pinnedSource struct {
 	base *trace.State
 	slot int
@@ -63,9 +64,9 @@ func midFrequencies(sys *System) Frequencies {
 // solver or the controller can see: dimensions, per-player strategy
 // structure and uses, resource weights, or the strategy → (station,
 // server) mapping.
-func requireSameGame(t testing.TB, slot int, inc, fresh *P2A) {
+func requireSameGame(t testing.TB, slot int, recycled, fresh *P2A) {
 	t.Helper()
-	a, b := inc.Game(), fresh.Game()
+	a, b := recycled.Game(), fresh.Game()
 	if a.Players() != b.Players() || a.Resources() != b.Resources() {
 		t.Fatalf("slot %d: dims (%d players, %d resources), fresh (%d, %d)",
 			slot, a.Players(), a.Resources(), b.Players(), b.Resources())
@@ -99,16 +100,16 @@ func requireSameGame(t testing.TB, slot int, inc, fresh *P2A) {
 	// The pair mapping must agree: every profile decodes to the same
 	// universe-sized selection and round-trips through Profile.
 	profile := make(game.Profile, a.Players())
-	selA, selB := inc.Selection(profile), fresh.Selection(profile)
+	selA, selB := recycled.Selection(profile), fresh.Selection(profile)
 	for i := range selA.Station {
 		if selA.Station[i] != selB.Station[i] || selA.Server[i] != selB.Server[i] {
 			t.Fatalf("slot %d: device %d decodes to (%d, %d), fresh (%d, %d)",
 				slot, i, selA.Station[i], selA.Server[i], selB.Station[i], selB.Server[i])
 		}
 	}
-	back, err := inc.Profile(selA)
+	back, err := recycled.Profile(selA)
 	if err != nil {
-		t.Fatalf("slot %d: incremental Profile round trip: %v", slot, err)
+		t.Fatalf("slot %d: recycled Profile round trip: %v", slot, err)
 	}
 	for i := range profile {
 		if back[i] != profile[i] {
@@ -118,21 +119,21 @@ func requireSameGame(t testing.TB, slot int, inc, fresh *P2A) {
 }
 
 // requireSameSolve runs CGBA on both instances with identical seeds and
-// requires bit-identical results — the incremental engine carries caches
-// across mutations, the fresh one starts cold, and neither may influence
-// the outcome.
-func requireSameSolve(t testing.TB, slot int, inc, fresh *P2A, seed int64) {
+// requires bit-identical results — the recycled engine was bound to every
+// earlier slot's game, the fresh one starts cold, and neither may
+// influence the outcome.
+func requireSameSolve(t testing.TB, slot int, recycled, fresh *P2A, seed int64) {
 	t.Helper()
-	ra, err := (CGBASolver{}).Solve(inc, rng.New(seed))
+	ra, err := (CGBASolver{}).Solve(recycled, rng.New(seed))
 	if err != nil {
-		t.Fatalf("slot %d: incremental CGBA: %v", slot, err)
+		t.Fatalf("slot %d: recycled CGBA: %v", slot, err)
 	}
 	rb, err := (CGBASolver{}).Solve(fresh, rng.New(seed))
 	if err != nil {
 		t.Fatalf("slot %d: fresh CGBA: %v", slot, err)
 	}
 	if math.Float64bits(ra.Objective) != math.Float64bits(rb.Objective) || ra.Iterations != rb.Iterations {
-		t.Fatalf("slot %d: incremental CGBA (%v, %d), fresh (%v, %d)",
+		t.Fatalf("slot %d: recycled CGBA (%v, %d), fresh (%v, %d)",
 			slot, ra.Objective, ra.Iterations, rb.Objective, rb.Iterations)
 	}
 	for i := range ra.Profile {
@@ -201,10 +202,10 @@ func TestZeroChurnBitIdentity(t *testing.T) {
 }
 
 // TestApplyChurnMatchesRebuild is acceptance criterion (b) in the
-// fast-varying regime: every slot redraws tasks, data, and channels, so
-// ApplyChurn's keep test fails for most devices and the mutation merge
-// restreams them. The committed game, pair mapping, and solver results
-// must still be bit-identical to a from-scratch build.
+// fast-varying regime: every slot redraws tasks, data, and channels (the
+// paper's state model), and one recycled P2A is rebuilt across the
+// churned slots. Its game, pair mapping, and solver results must be
+// bit-identical to a fresh NewP2A at every slot.
 func TestApplyChurnMatchesRebuild(t *testing.T) {
 	sys, gen := buildSystem(t, 24, 52)
 	sched, err := trace.NewChurnSchedule(aggressiveChurn(19), sys.Net, gen)
@@ -214,22 +215,22 @@ func TestApplyChurnMatchesRebuild(t *testing.T) {
 	states := trace.Record(sched, 24)
 	low, mid := sys.LowestFrequencies(), midFrequencies(sys)
 
-	inc := new(P2A)
+	recycled := new(P2A)
 	churnSlots := 0
 	for slot, st := range states {
 		freq := low
 		if slot%3 == 1 {
 			freq = mid
 		}
-		if err := sys.ApplyChurn(inc, st, freq); err != nil {
-			t.Fatalf("slot %d: ApplyChurn: %v", slot, err)
+		if err := sys.BuildP2A(recycled, st, freq); err != nil {
+			t.Fatalf("slot %d: BuildP2A: %v", slot, err)
 		}
 		fresh, err := sys.NewP2A(st, freq)
 		if err != nil {
 			t.Fatalf("slot %d: NewP2A: %v", slot, err)
 		}
-		requireSameGame(t, slot, inc, fresh)
-		requireSameSolve(t, slot, inc, fresh, int64(900+slot))
+		requireSameGame(t, slot, recycled, fresh)
+		requireSameSolve(t, slot, recycled, fresh, int64(900+slot))
 		if len(st.Churn) > 0 {
 			churnSlots++
 		}
@@ -239,17 +240,16 @@ func TestApplyChurnMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestApplyChurnKeepPathMatchesRebuild is criterion (b) in the
+// TestApplyChurnPinnedMatchesRebuild is criterion (b) in the
 // slow-varying regime: the base state is pinned, so churn deltas are the
-// only slot-to-slot difference and ApplyChurn keeps untouched players
-// verbatim (including whole fullKeep slots that reduce to a Reweight).
-// The kept spans, caches, and mappings must be indistinguishable from a
-// fresh build.
-func TestApplyChurnKeepPathMatchesRebuild(t *testing.T) {
+// only slot-to-slot difference, and some slots carry no event at all. A
+// recycled P2A rebuilt across them must be indistinguishable from a fresh
+// NewP2A at every slot.
+func TestApplyChurnPinnedMatchesRebuild(t *testing.T) {
 	sys, gen := buildSystem(t, 24, 57)
 	base := gen.Next()
-	// Mild enough that some slots stay event-free (fullKeep → Reweight),
-	// hot enough that keeps, drops, joins, and server events all occur.
+	// Mild enough that some slots stay event-free, hot enough that drops,
+	// joins, and server events all occur.
 	mild := trace.ChurnConfig{
 		Seed:                  23,
 		DeviceJoinProb:        0.03,
@@ -267,22 +267,22 @@ func TestApplyChurnKeepPathMatchesRebuild(t *testing.T) {
 	states := trace.Record(sched, 40)
 	low, mid := sys.LowestFrequencies(), midFrequencies(sys)
 
-	inc := new(P2A)
+	recycled := new(P2A)
 	churnSlots, quietSlots := 0, 0
 	for slot, st := range states {
 		freq := low
 		if slot%2 == 1 {
 			freq = mid
 		}
-		if err := sys.ApplyChurn(inc, st, freq); err != nil {
-			t.Fatalf("slot %d: ApplyChurn: %v", slot, err)
+		if err := sys.BuildP2A(recycled, st, freq); err != nil {
+			t.Fatalf("slot %d: BuildP2A: %v", slot, err)
 		}
 		fresh, err := sys.NewP2A(st, freq)
 		if err != nil {
 			t.Fatalf("slot %d: NewP2A: %v", slot, err)
 		}
-		requireSameGame(t, slot, inc, fresh)
-		requireSameSolve(t, slot, inc, fresh, int64(700+slot))
+		requireSameGame(t, slot, recycled, fresh)
+		requireSameSolve(t, slot, recycled, fresh, int64(700+slot))
 		if len(st.Churn) > 0 {
 			churnSlots++
 		} else {
@@ -294,24 +294,18 @@ func TestApplyChurnKeepPathMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestApplyChurnFallback checks the automatic degradation to BuildP2A: a
-// fresh P2A has no snapshot, and a P2A built under another system must not
-// trust its snapshot. The method form additionally rejects a P2A that was
-// never built.
+// TestApplyChurnFallback checks that ApplyChurn is a full BuildP2A: on a
+// fresh P2A, and on a P2A last built under another system, it must leave
+// exactly what a fresh NewP2A of the same state builds.
 func TestApplyChurnFallback(t *testing.T) {
 	sysA, genA := buildSystem(t, 10, 58)
 	sysB, _ := buildSystem(t, 10, 59)
 	st := genA.Next()
 	freq := sysA.LowestFrequencies()
 
-	var unbuilt P2A
-	if err := unbuilt.ApplyChurn(st, freq); err == nil {
-		t.Error("ApplyChurn on an unbuilt P2A succeeded")
-	}
-
 	fresh := new(P2A)
 	if err := sysA.ApplyChurn(fresh, st, freq); err != nil {
-		t.Fatalf("ApplyChurn on a snapshot-free P2A: %v", err)
+		t.Fatalf("ApplyChurn on a fresh P2A: %v", err)
 	}
 	want, err := sysA.NewP2A(st, freq)
 	if err != nil {
@@ -319,7 +313,7 @@ func TestApplyChurnFallback(t *testing.T) {
 	}
 	requireSameGame(t, 0, fresh, want)
 
-	// Built under sysA, applied under sysB: must rebuild, not merge.
+	// Built under sysA, applied under sysB: must rebuild under sysB.
 	if err := sysB.ApplyChurn(fresh, st, freq); err != nil {
 		t.Fatalf("ApplyChurn across systems: %v", err)
 	}
@@ -391,10 +385,9 @@ func TestSelectionProfileChurnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResizeHelpersShrinkGrow exercises the slice helpers that carry the
+// TestResizeHelpersShrinkGrow exercises the slice helper that carries the
 // churn traffic: resizeNegInt32 must return all −1 entries at every
-// length, including regrowth over a dirty backing array, and
-// resizeBoolSlice must honor the requested length.
+// length, including regrowth over a dirty backing array.
 func TestResizeHelpersShrinkGrow(t *testing.T) {
 	s := resizeNegInt32(nil, 4)
 	if len(s) != 4 {
@@ -427,23 +420,6 @@ func TestResizeHelpersShrinkGrow(t *testing.T) {
 	}
 	if s = resizeNegInt32(s, 0); len(s) != 0 {
 		t.Fatalf("len %d, want 0", len(s))
-	}
-
-	b := resizeBoolSlice(nil, 3)
-	if len(b) != 3 {
-		t.Fatalf("bool len %d, want 3", len(b))
-	}
-	prev := &b[0]
-	b = resizeBoolSlice(b, 2)
-	if len(b) != 2 || &b[0] != prev {
-		t.Fatalf("bool shrink reallocated (len %d)", len(b))
-	}
-	b = resizeBoolSlice(b, 3)
-	if len(b) != 3 || &b[0] != prev {
-		t.Fatalf("bool regrow within capacity reallocated (len %d)", len(b))
-	}
-	if b = resizeBoolSlice(b, 64); len(b) != 64 {
-		t.Fatalf("bool len %d, want 64", len(b))
 	}
 }
 
@@ -509,8 +485,8 @@ func TestRepriceRemovedServer(t *testing.T) {
 }
 
 // FuzzChurnEquivalence fuzzes acceptance criterion (b): for arbitrary
-// churn probabilities and sequence lengths, incremental ApplyChurn must
-// commit a game bit-identical to a from-scratch rebuild at every slot.
+// churn probabilities and sequence lengths, a recycled P2A rebuilt every
+// slot must hold a game bit-identical to a fresh NewP2A at every slot.
 func FuzzChurnEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(30), uint8(30), uint8(20), uint8(25), uint8(25), uint8(80))
 	f.Add(int64(7), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(100))
@@ -536,28 +512,29 @@ func FuzzChurnEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		freq := sys.LowestFrequencies()
-		inc := new(P2A)
+		recycled := new(P2A)
 		n := 2 + int(slots%8)
 		for slot := 0; slot < n; slot++ {
 			st := sched.Next()
-			if err := sys.ApplyChurn(inc, st, freq); err != nil {
-				t.Fatalf("slot %d: ApplyChurn: %v", slot, err)
+			if err := sys.BuildP2A(recycled, st, freq); err != nil {
+				t.Fatalf("slot %d: BuildP2A: %v", slot, err)
 			}
 			fresh, err := sys.NewP2A(st, freq)
 			if err != nil {
 				t.Fatalf("slot %d: NewP2A: %v", slot, err)
 			}
-			requireSameGame(t, slot, inc, fresh)
+			requireSameGame(t, slot, recycled, fresh)
 		}
 	})
 }
 
 // BenchmarkChurnSlot measures the slot-update cost on a large population:
-// the incremental ApplyChurn merge in the slow-inputs regime (pinned base
-// state, default churn) against the full BuildP2A rebuild it is
-// bit-identical to, and ApplyChurn with channels redrawn every slot
-// (restream), where every active device is restreamed — the regime of
-// the repository benchmark's workloads.
+// every case rebuilds a recycled P2A with BuildP2A. incremental and
+// rebuild both run the pinned-channel trace (pinned base state, default
+// churn); both names stay because the committed BENCH_<rev>.json
+// baselines gate on them. restream runs states whose channels are redrawn
+// every slot — the paper's state model and the regime of the repository
+// benchmark's workloads.
 func BenchmarkChurnSlot(b *testing.B) {
 	sys, gen := buildSystem(b, 300, 61)
 	sched, err := trace.NewChurnSchedule(trace.DefaultChurnConfig(13), sys.Net, &pinnedSource{base: gen.Next()})
@@ -566,7 +543,7 @@ func BenchmarkChurnSlot(b *testing.B) {
 	}
 	pinned := trace.Record(sched, 64)
 	freq := sys.LowestFrequencies()
-	run := func(states []*trace.State, step func(p *P2A, st *trace.State) error) func(b *testing.B) {
+	run := func(states []*trace.State) func(b *testing.B) {
 		return func(b *testing.B) {
 			p := new(P2A)
 			if err := sys.BuildP2A(p, states[0], freq); err != nil {
@@ -575,16 +552,15 @@ func BenchmarkChurnSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := step(p, states[1+i%(len(states)-1)]); err != nil {
+				if err := sys.BuildP2A(p, states[1+i%(len(states)-1)], freq); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	churn := func(p *P2A, st *trace.State) error { return sys.ApplyChurn(p, st, freq) }
-	b.Run("incremental", run(pinned, churn))
-	b.Run("rebuild", run(pinned, func(p *P2A, st *trace.State) error { return sys.BuildP2A(p, st, freq) }))
-	b.Run("restream", run(redrawnStates(b, sys, gen, 64), churn))
+	b.Run("incremental", run(pinned))
+	b.Run("rebuild", run(pinned))
+	b.Run("restream", run(redrawnStates(b, sys, gen, 64)))
 }
 
 // redrawnStates records n default-churn states over the live generator,
@@ -598,9 +574,9 @@ func redrawnStates(t testing.TB, sys *System, gen *trace.Generator, n int) []*tr
 	return trace.Record(sched, n)
 }
 
-// TestApplyChurnSteadyStateAllocs: once its buffers have grown, ApplyChurn
-// on an engineless P2A (the profile-based baselines' path) allocates
-// nothing per slot, even with every active device restreamed.
+// TestApplyChurnSteadyStateAllocs: once its buffers have grown, BuildP2A
+// into a recycled engineless P2A (the profile-based baselines' path)
+// allocates nothing per slot on churned, redrawn states.
 func TestApplyChurnSteadyStateAllocs(t *testing.T) {
 	sys, gen := buildSystem(t, 1000, 62)
 	states := redrawnStates(t, sys, gen, 16)
@@ -612,7 +588,7 @@ func TestApplyChurnSteadyStateAllocs(t *testing.T) {
 	next := 0
 	step := func() {
 		next++
-		if err := sys.ApplyChurn(p, states[next%len(states)], freq); err != nil {
+		if err := sys.BuildP2A(p, states[next%len(states)], freq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -620,6 +596,6 @@ func TestApplyChurnSteadyStateAllocs(t *testing.T) {
 		step() // grow every buffer to the trace's peak
 	}
 	if allocs := testing.AllocsPerRun(2*len(states), step); allocs != 0 {
-		t.Fatalf("steady-state ApplyChurn allocates %.1f per slot, want 0", allocs)
+		t.Fatalf("steady-state BuildP2A allocates %.1f per slot, want 0", allocs)
 	}
 }

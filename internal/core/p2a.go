@@ -11,7 +11,6 @@ import (
 	"eotora/internal/solver"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
-	"eotora/internal/units"
 )
 
 // P2A is the per-slot binary subproblem (P2-A) posed as a weighted
@@ -37,7 +36,6 @@ type P2A struct {
 	engine    *game.Engine
 	pairArena []topology.Pair
 	pairOff   []int32
-	stations  int
 	servers   int
 
 	// instr holds the engine's observability hooks, applied when the lazy
@@ -60,34 +58,10 @@ type P2A struct {
 	playerDev []int32
 	devPlayer []int32
 
-	// Spare pair arenas ApplyChurn merges into; swapped with the live ones
-	// on success, mirroring the game arena's double-buffer discipline.
-	sparePairArena []topology.Pair
-	sparePairOff   []int32
-	sparePlayerDev []int32
-
-	// Previous-slot snapshot ApplyChurn diffs the new state against to
-	// decide which players can be kept verbatim. Masks are stored
-	// normalized (never nil) through the State accessors.
-	prevTasks     []units.Cycles
-	prevData      []units.DataSize
-	prevChannels  []units.SpectralEfficiency // [device*stations + station]
-	prevFronthaul []units.SpectralEfficiency
-	prevDown      []bool
-	prevDevActive []bool
-	prevSrvActive []bool
-	haveSnap      bool
-
-	// ApplyChurn scratch (reused across slots).
-	serverChanged   []bool
-	stationAffected []bool
-	oldWeights      []float64
-	weightTouched   []int32
-
 	// Shard-plan memo (see shardPlanFor). shardPlan is the compiled
 	// player → shard assignment for planTarget, rebuilt lazily because
-	// BuildP2A and ApplyChurn can change the active population (and thus
-	// the player indexing); planAssign is its reused scratch row.
+	// BuildP2A can change the active population (and thus the player
+	// indexing); planAssign is its reused scratch row.
 	shardPlan  *game.ShardPlan
 	planAssign []int32
 	planTarget int
@@ -169,9 +143,8 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 	s.fillResourceWeights(b.Weights(), freq, st.CapScale)
 
 	p.sys = s
-	p.stations, p.servers = stations, servers
+	p.servers = servers
 	p.capScale = st.CapScale
-	p.haveSnap = false
 	p.planValid = false
 	p.pairArena = p.pairArena[:0]
 	p.pairOff = append(p.pairOff[:0], 0)
@@ -259,263 +232,14 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 	if p.engine != nil {
 		p.engine.Bind(g)
 	}
-	p.snapshot(st)
 	return nil
 }
 
-// snapshot captures the per-slot inputs the game structure depends on so
-// ApplyChurn can diff the next slot against them. Masks and flags are
-// normalized through the State accessors (never nil).
-func (p *P2A) snapshot(st *trace.State) {
-	devices := len(p.devPlayer)
-	p.prevTasks = append(p.prevTasks[:0], st.TaskSizes...)
-	p.prevData = append(p.prevData[:0], st.DataLengths...)
-	if cap(p.prevChannels) < devices*p.stations {
-		p.prevChannels = make([]units.SpectralEfficiency, devices*p.stations)
-	} else {
-		p.prevChannels = p.prevChannels[:devices*p.stations]
-	}
-	for i := 0; i < devices; i++ {
-		copy(p.prevChannels[i*p.stations:(i+1)*p.stations], st.Channels[i])
-	}
-	p.prevFronthaul = append(p.prevFronthaul[:0], st.FronthaulSE...)
-	p.prevDown = resizeBoolSlice(p.prevDown, p.servers)
-	p.prevSrvActive = resizeBoolSlice(p.prevSrvActive, p.servers)
-	for n := 0; n < p.servers; n++ {
-		p.prevDown[n] = st.Down(n)
-		p.prevSrvActive[n] = st.ActiveServer(n)
-	}
-	p.prevDevActive = resizeBoolSlice(p.prevDevActive, devices)
-	for i := 0; i < devices; i++ {
-		p.prevDevActive[i] = st.ActiveDevice(i)
-	}
-	p.haveSnap = true
-}
-
-// ApplyChurn refills p for the slot by re-solving only the population
-// delta against the previous slot's structure: players whose inputs are
-// bit-unchanged (same activity, task, data, channel row, and no change on
-// any covered station's fronthaul or reachable servers) are kept verbatim
-// through a game mutation; departed devices are dropped, and joined or
-// structurally affected devices are restreamed with BuildP2A's exact
-// rules. The bound engine's per-player caches survive for kept players
-// with only the delta's resource neighborhood invalidated.
-//
-// The committed game — and every downstream decision — is bit-identical
-// to a full BuildP2A of the same state, so callers may treat ApplyChurn
-// as a drop-in fast path. A P2A with no usable snapshot (fresh, from a
-// different system, or after a failed mutation) falls back to BuildP2A
-// automatically.
+// ApplyChurn is BuildP2A under the name the slot-update probes call:
+// every slot, churned or not, rebuilds into p's recycled arena
+// (DESIGN.md §11).
 func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
-	if err := s.CheckState(st); err != nil {
-		return err
-	}
-	return s.applyChurn(p, st, freq)
-}
-
-// applyChurn is ApplyChurn for a state that already passed CheckState —
-// bdmaLoop's round 0, which validates the slot state once up front.
-func (s *System) applyChurn(p *P2A, st *trace.State, freq Frequencies) error {
-	if !p.haveSnap || p.sys != s {
-		return s.buildP2A(p, st, freq)
-	}
-	if err := s.ValidateFrequencies(freq); err != nil {
-		return err
-	}
-	stations, servers := p.stations, p.servers
-	devices := len(p.devPlayer)
-
-	// Which servers changed availability (structural or advisory), and
-	// which stations see a changed fronthaul or reachable-server set?
-	p.serverChanged = resizeBoolSlice(p.serverChanged, servers)
-	anyServerChanged := false
-	for n := 0; n < servers; n++ {
-		p.serverChanged[n] = st.ActiveServer(n) != p.prevSrvActive[n] || st.Down(n) != p.prevDown[n]
-		anyServerChanged = anyServerChanged || p.serverChanged[n]
-	}
-	p.stationAffected = resizeBoolSlice(p.stationAffected, stations)
-	anyStationAffected := false
-	for k := 0; k < stations; k++ {
-		affected := st.FronthaulSE[k] != p.prevFronthaul[k]
-		if !affected && anyServerChanged {
-			for _, n := range s.Net.ReachableServers(k) {
-				if p.serverChanged[n] {
-					affected = true
-					break
-				}
-			}
-		}
-		p.stationAffected[k] = affected
-		anyStationAffected = anyStationAffected || affected
-	}
-
-	// keepEligible reports whether device i's strategies are bit-identical
-	// to last slot's: active both slots, same task/data, same channel row,
-	// and no covered station affected by a fronthaul or server change.
-	keepEligible := func(i int) bool {
-		if !p.prevDevActive[i] || !st.ActiveDevice(i) {
-			return false
-		}
-		if st.TaskSizes[i] != p.prevTasks[i] || st.DataLengths[i] != p.prevData[i] {
-			return false
-		}
-		row, prevRow := st.Channels[i], p.prevChannels[i*stations:(i+1)*stations]
-		for k := 0; k < stations; k++ {
-			if row[k] != prevRow[k] {
-				return false
-			}
-			if row[k] > 0 && p.stationAffected[k] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Fast path: nothing structural changed anywhere — only the resource
-	// weights (frequencies, capacity scales) can differ, and Reweight's
-	// update is bit-identical to a fresh fillResourceWeights.
-	fullKeep := !anyServerChanged && !anyStationAffected
-	for i := 0; fullKeep && i < devices; i++ {
-		if st.ActiveDevice(i) != p.prevDevActive[i] {
-			fullKeep = false
-		} else if st.ActiveDevice(i) && !keepEligible(i) {
-			fullKeep = false
-		}
-	}
-	if fullKeep {
-		p.capScale = st.CapScale
-		if err := p.Reweight(freq); err != nil {
-			return err
-		}
-		p.snapshot(st)
-		return nil
-	}
-
-	// Mutation merge. Refill the resource weights first (Weights aliases
-	// the live game; Commit re-derives every premultiplied factor), and
-	// record which resources changed so the engine can invalidate exactly
-	// the affected caches.
-	b := p.builder
-	w := b.Weights()
-	p.oldWeights = append(p.oldWeights[:0], w...)
-	s.fillResourceWeights(w, freq, st.CapScale)
-	p.weightTouched = p.weightTouched[:0]
-	for r := range w {
-		if w[r] != p.oldWeights[r] {
-			p.weightTouched = append(p.weightTouched, int32(r))
-		}
-	}
-
-	m := b.BeginMutation()
-	p.sparePairArena = p.sparePairArena[:0]
-	p.sparePairOff = append(p.sparePairOff[:0], 0)
-	p.sparePlayerDev = p.sparePlayerDev[:0]
-	for i := 0; i < devices; i++ {
-		if !st.ActiveDevice(i) {
-			p.devPlayer[i] = -1
-			p.sparePairOff = append(p.sparePairOff, int32(len(p.sparePairArena)))
-			continue
-		}
-		if keepEligible(i) {
-			// Kept verbatim: the old player's strategy spans are copied
-			// bit-for-bit, pair row included.
-			m.KeepPlayer(int(p.devPlayer[i]))
-			p.devPlayer[i] = int32(len(p.sparePlayerDev))
-			p.sparePlayerDev = append(p.sparePlayerDev, int32(i))
-			p.sparePairArena = append(p.sparePairArena, p.pairArena[p.pairOff[i]:p.pairOff[i+1]]...)
-			p.sparePairOff = append(p.sparePairOff, int32(len(p.sparePairArena)))
-			continue
-		}
-		// Restream with BuildP2A's exact expressions and order.
-		p.devPlayer[i] = int32(len(p.sparePlayerDev))
-		p.sparePlayerDev = append(p.sparePlayerDev, int32(i))
-		m.NextPlayer()
-		count := 0
-		for pass := 0; pass < 2 && count == 0; pass++ {
-			honorDown := pass == 0
-			for k := 0; k < stations; k++ {
-				if !st.Covered(i, k) {
-					continue
-				}
-				accessW := math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
-				fronthaulW := math.Sqrt(st.DataLengths[i].Bits() / st.FronthaulSE[k].BpsPerHz())
-				for _, n := range s.Net.ReachableServers(k) {
-					if !st.ActiveServer(n) || (honorDown && st.Down(n)) {
-						continue
-					}
-					computeW := math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
-					m.NextStrategy()
-					used := false
-					if computeW > 0 {
-						m.AddUse(n, computeW)
-						used = true
-					}
-					if accessW > 0 {
-						m.AddUse(servers+k, accessW)
-						used = true
-					}
-					if fronthaulW > 0 {
-						m.AddUse(servers+stations+k, fronthaulW)
-						used = true
-					}
-					if !used {
-						m.AddUse(servers+k, math.SmallestNonzeroFloat64)
-					}
-					p.sparePairArena = append(p.sparePairArena, topology.Pair{Station: k, Server: n})
-					count++
-				}
-			}
-		}
-		if count == 0 {
-			// Abandon the mutation before touching the engine: the old
-			// arena is intact but the weights were overwritten, so the
-			// next call must rebuild from scratch.
-			p.haveSnap = false
-			return fmt.Errorf("core: device %d has no feasible (station, server) pair this slot", i)
-		}
-		p.sparePairOff = append(p.sparePairOff, int32(len(p.sparePairArena)))
-	}
-
-	if p.engine != nil {
-		p.engine.PrepareMutation(m.Removed())
-	}
-	// Kept players' premultiplied factors are exact for every resource
-	// whose weight did not change; declare the diff so Commit skips the
-	// full recompute.
-	m.SetReweighted(p.weightTouched)
-	g, err := m.Commit()
-	if err != nil {
-		p.haveSnap = false
-		return fmt.Errorf("core: mutating P2-A game: %w", err)
-	}
-	p.game = g
-	if p.engine != nil {
-		p.engine.ApplyMutation(g, m.Remap(), p.weightTouched)
-	}
-	p.pairArena, p.sparePairArena = p.sparePairArena, p.pairArena
-	p.pairOff, p.sparePairOff = p.sparePairOff, p.pairOff
-	p.playerDev, p.sparePlayerDev = p.sparePlayerDev, p.playerDev
-	if cap(p.pairs) < devices {
-		p.pairs = make([][]topology.Pair, devices)
-	} else {
-		p.pairs = p.pairs[:devices]
-	}
-	for i := 0; i < devices; i++ {
-		p.pairs[i] = p.pairArena[p.pairOff[i]:p.pairOff[i+1]]
-	}
-	p.capScale = st.CapScale
-	p.planValid = false
-	p.snapshot(st)
-	return nil
-}
-
-// ApplyChurn is the method form of System.ApplyChurn for a P2A that has
-// been built at least once (NewP2A or BuildP2A set its system).
-func (p *P2A) ApplyChurn(st *trace.State, freq Frequencies) error {
-	if p.sys == nil {
-		return fmt.Errorf("core: ApplyChurn on an unbuilt P2A")
-	}
-	return p.sys.ApplyChurn(p, st, freq)
+	return s.BuildP2A(p, st, freq)
 }
 
 // Reweight updates the game in place for new frequencies: only the N
@@ -644,8 +368,8 @@ const ShardsAuto = -1
 // error) means sharding is off or degenerate (target ≤ 1, or the whole
 // topology is one cluster) and the caller should run the unsharded
 // path. The compiled plan is memoized per target and invalidated by
-// BuildP2A/ApplyChurn, so steady-state slots pay one O(players) scan
-// only when the population actually changed.
+// BuildP2A, so each slot pays one O(players) scan and the BDMA rounds
+// after the first reuse it.
 func (p *P2A) shardPlanFor(target int) (*game.ShardPlan, error) {
 	if target == 0 || target == 1 {
 		return nil, nil
@@ -693,15 +417,6 @@ func (p *P2A) shardPlanFor(target int) (*game.ShardPlan, error) {
 	return p.shardPlan, nil
 }
 
-// resizeBoolSlice returns s with length n (contents unspecified until the
-// caller fills them).
-func resizeBoolSlice(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
 // resizeNegInt32 returns s with length n and every entry −1.
 func resizeNegInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
@@ -729,8 +444,7 @@ type P2ASolver interface {
 // after the first: round r−1's equilibrium usually sits near round r's
 // (only the compute weights moved), so re-solving from it instead of a
 // fresh random profile collapses the best-response transient. The warm
-// profile comes from the same bdmaLoop call, never from a previous slot,
-// so churned and freshly built instances see identical inputs.
+// profile comes from the same bdmaLoop call, never from a previous slot.
 type warmStartSolver interface {
 	SolveFrom(p *P2A, initial game.Profile, src *rng.Source) (game.Result, error)
 }

@@ -281,7 +281,7 @@ func TestShardChurnHandover(t *testing.T) {
 	crossed := false
 	for slot := 0; slot < slots; slot++ {
 		st := sched.Next()
-		if err := sys.ApplyChurn(p, st, freq); err != nil {
+		if err := sys.BuildP2A(p, st, freq); err != nil {
 			t.Fatal(err)
 		}
 		plan, err := p.shardPlanFor(ShardsAuto)

@@ -6,6 +6,7 @@ import (
 
 	"eotora/internal/core"
 	"eotora/internal/game"
+	"eotora/internal/obs"
 	"eotora/internal/rng"
 	"eotora/internal/sim"
 	"eotora/internal/solver"
@@ -32,7 +33,10 @@ func QuickAblationConfig() AblationConfig {
 }
 
 // AblationBDMAZ sweeps BDMA's alternation count z (the paper fixes z = 5):
-// average latency and decision time per z.
+// average latency, decision time, and BDMA rounds executed per slot for
+// each z. The rounds series is a deterministic count: the fixed-point exit
+// stops a slot early once a round replays its predecessor, so it shows
+// how much of the z budget the slots actually use.
 func AblationBDMAZ(cfg AblationConfig, zs []int) (*Figure, error) {
 	if len(zs) == 0 {
 		zs = []int{1, 2, 5, 10}
@@ -44,6 +48,7 @@ func AblationBDMAZ(cfg AblationConfig, zs []int) (*Figure, error) {
 	xs := make([]float64, len(zs))
 	latency := make([]float64, len(zs))
 	decisionMS := make([]float64, len(zs))
+	rounds := make([]float64, len(zs))
 	for i, z := range zs {
 		gen, err := sc.DefaultGenerator()
 		if err != nil {
@@ -53,6 +58,8 @@ func AblationBDMAZ(cfg AblationConfig, zs []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		reg := obs.New()
+		ctrl.SetObs(reg)
 		m, err := sim.Run(ctrl, gen, sim.Config{Slots: cfg.Slots, Warmup: cfg.Warmup})
 		if err != nil {
 			return nil, err
@@ -60,15 +67,17 @@ func AblationBDMAZ(cfg AblationConfig, zs []int) (*Figure, error) {
 		xs[i] = float64(z)
 		latency[i] = m.AvgLatency()
 		decisionMS[i] = float64(m.AvgDecisionTime().Microseconds()) / 1e3
+		rounds[i] = float64(reg.Counter(core.MetricBDMARounds).Value()) / float64(cfg.Slots)
 	}
 	fig := &Figure{
 		ID:     "ablation-bdma-z",
 		Title:  "BDMA alternation count z: latency vs decision time",
 		XLabel: "z",
-		YLabel: "latency [s] / decision time [ms]",
+		YLabel: "latency [s] / decision time [ms] / rounds",
 	}
 	fig.AddSeries("avg latency", xs, latency)
 	fig.AddSeries("decision time", xs, decisionMS)
+	fig.AddSeries("bdma rounds per slot", xs, rounds)
 	fig.AddNote("paper fixes z = 5 for Figures 7–9; diminishing returns expected past small z")
 	return fig, nil
 }

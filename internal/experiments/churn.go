@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"eotora/internal/core"
 	"eotora/internal/sim"
@@ -32,9 +31,7 @@ func scaledChurnConfig(intensity float64, seed int64) trace.ChurnConfig {
 // FigChurn runs the dynamic-population study: it sweeps the churn
 // intensity (a multiplier on the default join/leave/handover/server-event
 // probabilities) and reports how average latency, energy cost, and the
-// realized population respond, plus a head-to-head timing of the
-// incremental ApplyChurn slot path against a from-scratch BuildP2A
-// rebuild over the same churned trace.
+// realized population respond.
 func FigChurn(cfg AblationConfig, intensities []float64) (*Figure, error) {
 	if len(intensities) == 0 {
 		intensities = []float64{0, 0.5, 1, 2, 4}
@@ -90,39 +87,6 @@ func FigChurn(cfg AblationConfig, intensities []float64) (*Figure, error) {
 	fig.AddSeries("avg energy cost", xs, cost)
 	fig.AddSeries("avg active devices", xs, population)
 
-	// Incremental-vs-rebuild timing over one recorded churned trace: the
-	// same states drive a persistent P2A through ApplyChurn (delta merge)
-	// and a second one through full BuildP2A rebuilds.
-	gen, err := sc.DefaultGenerator()
-	if err != nil {
-		return nil, err
-	}
-	churned, err := trace.NewChurnSchedule(scaledChurnConfig(1, cfg.Seed), sc.Net, gen)
-	if err != nil {
-		return nil, err
-	}
-	states := trace.Record(churned, cfg.Slots)
-	freq := sc.Sys.LowestFrequencies()
-	incremental := new(core.P2A)
-	start := time.Now()
-	for _, st := range states {
-		if err := sc.Sys.ApplyChurn(incremental, st, freq); err != nil {
-			return nil, fmt.Errorf("experiments: churn timing (incremental): %w", err)
-		}
-	}
-	incTime := time.Since(start)
-	rebuild := new(core.P2A)
-	start = time.Now()
-	for _, st := range states {
-		if err := sc.Sys.BuildP2A(rebuild, st, freq); err != nil {
-			return nil, fmt.Errorf("experiments: churn timing (rebuild): %w", err)
-		}
-	}
-	fullTime := time.Since(start)
-	speedup := float64(fullTime) / float64(incTime)
-	fig.AddNote(fmt.Sprintf(
-		"incremental ApplyChurn vs full BuildP2A over %d churned slots: %v vs %v (%.2fx)",
-		len(states), incTime, fullTime, speedup))
 	fig.AddNote("zero intensity is a bit-exact passthrough: identical decisions to the fixed-population build")
 	return fig, nil
 }

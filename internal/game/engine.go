@@ -76,19 +76,6 @@ type Engine struct {
 	// and the persistent parallel-region task.
 	shardSlv []shardSolve
 	shardT   shardSweepTask
-
-	// Mutation scratch (see mutate.go): double buffers for the per-player
-	// state permutation of ApplyMutation, the touched-resource set of
-	// PrepareMutation, and whether the prepare step found a usable
-	// profile to maintain loads through.
-	mutProfile Profile
-	mutDirty   []bool
-	mutCur     []float64
-	mutBr      []float64
-	mutStrat   []int32
-	mutTouched []int32
-	mutSeen    []bool
-	mutOK      bool
 }
 
 // NewEngine returns an Engine bound to g with all caches invalid.
@@ -102,9 +89,8 @@ func NewEngine(g *Game) *Engine {
 // reallocating when capacities suffice — the cross-slot reuse path where
 // a Builder rebuilt the arena in place. All caches become invalid; call
 // Reset or ResetRandom before querying. The profile is poisoned (every
-// entry -1, never a valid strategy) so downstream consumers that use
-// Game.Valid as a "has been solved" proxy — PrepareMutation's load-carry
-// check — reliably fall back instead of trusting recycled slots.
+// entry -1, never a valid strategy) so a recycled profile from an earlier
+// binding can never pass Game.Valid as a solved one.
 func (e *Engine) Bind(g *Game) {
 	e.g = g
 	n, r := g.Players(), g.Resources()

@@ -235,68 +235,6 @@ func TestCGBASweepTrackObjective(t *testing.T) {
 	}
 }
 
-// TestCGBASweepMutationMatchesFreshBuild: a churned game must solve
-// exactly like a fresh build of the same content — through the same
-// reused engine that solved the pre-churn game.
-func TestCGBASweepMutationMatchesFreshBuild(t *testing.T) {
-	src := rng.New(631)
-	weights := make([]float64, 8)
-	for r := range weights {
-		weights[r] = src.Uniform(0.5, 2)
-	}
-	strats := randomStrategies(src, 12, 24, len(weights))
-	news := randomStrategies(src, 3, 24, len(weights))
-
-	b := NewBuilder()
-	g := streamInto(t, b, weights, strats)
-	e := NewEngine(g)
-	var cfg CGBAConfig
-	if _, err := e.CGBA(cfg, rng.New(632)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Churn: drop players 2 and 7, append three new ones.
-	m := b.BeginMutation()
-	var want [][][]Use
-	for i := range strats {
-		if i == 2 || i == 7 {
-			continue
-		}
-		m.KeepPlayer(i)
-		want = append(want, strats[i])
-	}
-	for _, p := range news {
-		m.NextPlayer()
-		for _, strat := range p {
-			m.NextStrategy()
-			for _, u := range strat {
-				m.AddUse(u.Resource, u.Weight)
-			}
-		}
-		want = append(want, p)
-	}
-	e.PrepareMutation(m.Removed())
-	g2, err := m.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ApplyMutation(g2, m.Remap(), nil)
-
-	got, err := e.CGBA(cfg, rng.New(633))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := streamInto(t, NewBuilder(), weights, want)
-	wantRes, err := CGBA(fresh, cfg, rng.New(633))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "churned vs fresh", got, wantRes)
-	if !g2.IsEquilibrium(got.Profile, 0) {
-		t.Fatal("post-churn sweep result is not an equilibrium")
-	}
-}
-
 // TestCGBASweepReweightMatchesFreshBuild: after SetResourceWeight a
 // reused engine must solve exactly like a fresh build with the new
 // weights — even when the reweight inverts which resources are cheap.
@@ -378,8 +316,8 @@ func TestResizeShrinkGrowZeroesTail(t *testing.T) {
 }
 
 // TestBindPoisonsProfile: Bind must leave a profile that Game.Valid
-// rejects, so PrepareMutation's "has been solved" proxy cannot be fooled
-// by a recycled profile that happens to be valid for the new game.
+// rejects, so a recycled profile that happens to be valid for the new
+// game can never pass as a solved one.
 func TestBindPoisonsProfile(t *testing.T) {
 	gA := randomGame(t, rng.New(651), 6, 4, 5)
 	e := NewEngine(gA)
@@ -388,22 +326,19 @@ func TestBindPoisonsProfile(t *testing.T) {
 		t.Fatal("solved profile should be valid")
 	}
 	// Same shape: without poisoning, the recycled profile would be valid
-	// for gB too and PrepareMutation would carry garbage loads.
+	// for gB too.
 	gB := randomGame(t, rng.New(653), 6, 4, 5)
 	e.Bind(gB)
 	if gB.Valid(e.Profile()) {
 		t.Fatal("recycled profile still valid after Bind")
 	}
-	e.PrepareMutation(nil)
-	if e.mutOK {
-		t.Fatal("PrepareMutation trusted an unsolved engine after Bind")
-	}
 }
 
 // TestChurnShrinkGrowMatchesFreshBuild drives the full shrink-then-grow
-// churn cycle through one reused engine — the buffer-recycling pattern
-// the resize zeroing protects — and requires every post-churn solve to
-// match a fresh build of the same content bit-for-bit.
+// churn cycle through one Builder arena and one reused engine, rebound
+// after each rebuild — the buffer-recycling pattern the resize zeroing
+// protects — and requires every post-churn solve to match a fresh build
+// of the same content bit-for-bit.
 func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 	src := rng.New(661)
 	weights := make([]float64, 6)
@@ -412,71 +347,31 @@ func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 	}
 	strats := randomStrategies(src, 10, 3, len(weights))
 	extra := randomStrategies(src, 5, 3, len(weights))
+	// Shrink to players 0..2, then grow back to 8 players (within the
+	// recycled buffers' capacity), so the resize path reuses tails written
+	// by the 10-player binding.
+	shrunk := strats[:3]
+	grown := append(append([][][]Use(nil), strats[:3]...), extra...)
 
 	b := NewBuilder()
-	g := streamInto(t, b, weights, strats)
-	e := NewEngine(g)
+	e := NewEngine(streamInto(t, b, weights, strats))
 	for _, cfg := range []CGBAConfig{{}, {Lambda: 0.05}} {
 		if _, err := e.CGBA(cfg, rng.New(662)); err != nil {
 			t.Fatal(err)
 		}
-
-		// Shrink: keep only players 0..2.
-		m := b.BeginMutation()
-		for i := 0; i < 3; i++ {
-			m.KeepPlayer(i)
-		}
-		e.PrepareMutation(m.Removed())
-		g2, err := m.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ApplyMutation(g2, m.Remap(), nil)
-		small, err := e.CGBA(cfg, rng.New(663))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSmall, err := CGBA(streamInto(t, NewBuilder(), weights, strats[:3]), cfg, rng.New(663))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "shrunk vs fresh", small, wantSmall)
-
-		// Grow back to 8 players (within the recycled buffers' capacity),
-		// so the resize path reuses tails written by the 10-player binding.
-		m = b.BeginMutation()
-		for i := 0; i < 3; i++ {
-			m.KeepPlayer(i)
-		}
-		grown := append(append([][][]Use(nil), strats[:3]...), extra...)
-		for _, p := range extra {
-			m.NextPlayer()
-			for _, strat := range p {
-				m.NextStrategy()
-				for _, u := range strat {
-					m.AddUse(u.Resource, u.Weight)
-				}
+		for k, content := range [][][][]Use{shrunk, grown, strats} {
+			seed := int64(663 + k)
+			e.Bind(streamInto(t, b, weights, content))
+			got, err := e.CGBA(cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := CGBA(streamInto(t, NewBuilder(), weights, content), cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%d players vs fresh", len(content)), got, want)
 		}
-		e.PrepareMutation(m.Removed())
-		g3, err := m.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ApplyMutation(g3, m.Remap(), nil)
-		big, err := e.CGBA(cfg, rng.New(664))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBig, err := CGBA(streamInto(t, NewBuilder(), weights, grown), cfg, rng.New(664))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "regrown vs fresh", big, wantBig)
-
-		// Restore the 10-player arena for the next config's round.
-		g = streamInto(t, b, weights, strats)
-		e.Bind(g)
 	}
 }
 

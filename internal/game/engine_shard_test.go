@@ -302,7 +302,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 	})
 }
 
-// Churn: after a structural mutation the plan is re-verified (the memo
+// Churn: after a structural rebuild the plan is re-verified (the memo
 // keys on the structure generation), and a stale plan that no longer
 // matches the new player count is rejected.
 func TestCGBAShardedAfterMutation(t *testing.T) {

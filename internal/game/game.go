@@ -76,7 +76,7 @@ type Game struct {
 	useIncPos []int32
 
 	// Both indexes are built on first use (playerIndex, useIndex), not by
-	// Build or Commit: most slots read neither. incGen and useIncGen are
+	// Build: most slots read neither. incGen and useIncGen are
 	// the structGen each was last built for; incScratch is the per-resource
 	// last-seen marker and fill cursor the builds share.
 	incGen     uint64
@@ -87,8 +87,8 @@ type Game struct {
 	// scratch sizing).
 	maxUses int
 
-	// structGen advances whenever the strategy arena changes (Build,
-	// Commit), invalidating the incidence indexes above and memoized
+	// structGen advances whenever the strategy arena changes (Build),
+	// invalidating the incidence indexes above and memoized
 	// shard-plan checks. It starts at 1 so a zero-valued marker is
 	// always stale.
 	structGen uint64
@@ -98,6 +98,17 @@ type Game struct {
 func (g *Game) strategyUses(i, s int) []use {
 	su := g.strOff[i] + int32(s)
 	return g.uses[g.useOff[su]:g.useOff[su+1]]
+}
+
+// StrategyUses returns a copy of player i's strategy s as exported Use
+// values — the structural view equivalence tests compare across builds.
+func (g *Game) StrategyUses(i, s int) []Use {
+	uses := g.strategyUses(i, s)
+	out := make([]Use, len(uses))
+	for k, u := range uses {
+		out[k] = Use{Resource: u.res, Weight: u.w}
+	}
+	return out
 }
 
 // totalStrategies returns the number of strategies across all players.
@@ -117,17 +128,6 @@ type Builder struct {
 	// seenStrategy[r] holds the global strategy serial that last used r,
 	// for duplicate detection without a per-strategy map.
 	seenStrategy []int32
-
-	// Spare arena: the double buffer mutations stream into. Commit swaps
-	// it with the live arena, so the displaced arrays become the free
-	// buffer for the next mutation (see mutate.go).
-	spareUses   []use
-	spareUseOff []int32
-	spareStrOff []int32
-
-	// mut is the Builder-owned Mutation BeginMutation recycles, so the
-	// churn hot path allocates nothing per slot.
-	mut Mutation
 }
 
 // NewBuilder returns an empty Builder.

@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -550,4 +551,219 @@ func TestCGBAObjectiveTrace(t *testing.T) {
 	if res2.ObjectiveTrace != nil {
 		t.Error("trace recorded without TrackObjective")
 	}
+}
+
+// randomStrategies draws P2-A-shaped strategy sets (three uses per
+// strategy, distinct resources) as raw Use lists, so the same content can
+// be streamed through a Builder or New.
+func randomStrategies(src *rng.Source, players, strategies, resources int) [][][]Use {
+	strats := make([][][]Use, players)
+	for i := range strats {
+		strats[i] = make([][]Use, strategies)
+		for s := range strats[i] {
+			perm := src.Perm(resources)
+			strats[i][s] = []Use{
+				{Resource: perm[0], Weight: src.Uniform(0.2, 3)},
+				{Resource: perm[1], Weight: src.Uniform(0.2, 3)},
+				{Resource: perm[2], Weight: src.Uniform(0.2, 3)},
+			}
+		}
+	}
+	return strats
+}
+
+// streamInto streams weights and strategies into the builder and builds.
+func streamInto(t *testing.T, b *Builder, weights []float64, strats [][][]Use) *Game {
+	t.Helper()
+	b.Reset(len(weights))
+	copy(b.Weights(), weights)
+	for _, player := range strats {
+		b.NextPlayer()
+		for _, strat := range player {
+			b.NextStrategy()
+			for _, u := range strat {
+				b.AddUse(u.Resource, u.Weight)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// requireGamesEqual compares two games structurally — weights, strategy
+// sets, and the derived costs on a shared profile must be bit-identical,
+// the recycled-arena rebuild's build-equivalence contract.
+func requireGamesEqual(t *testing.T, got, want *Game) {
+	t.Helper()
+	if got.Players() != want.Players() || got.Resources() != want.Resources() {
+		t.Fatalf("shape: got %d players x %d resources, want %d x %d",
+			got.Players(), got.Resources(), want.Players(), want.Resources())
+	}
+	for r := 0; r < want.Resources(); r++ {
+		if math.Float64bits(got.ResourceWeight(r)) != math.Float64bits(want.ResourceWeight(r)) {
+			t.Fatalf("resource %d weight: got %v, want %v", r, got.ResourceWeight(r), want.ResourceWeight(r))
+		}
+	}
+	profile := make(Profile, want.Players())
+	for i := 0; i < want.Players(); i++ {
+		if got.StrategyCount(i) != want.StrategyCount(i) {
+			t.Fatalf("player %d: got %d strategies, want %d", i, got.StrategyCount(i), want.StrategyCount(i))
+		}
+		for s := 0; s < want.StrategyCount(i); s++ {
+			gu, wu := got.StrategyUses(i, s), want.StrategyUses(i, s)
+			if len(gu) != len(wu) {
+				t.Fatalf("player %d strategy %d: got %d uses, want %d", i, s, len(gu), len(wu))
+			}
+			for k := range wu {
+				if gu[k].Resource != wu[k].Resource ||
+					math.Float64bits(gu[k].Weight) != math.Float64bits(wu[k].Weight) {
+					t.Fatalf("player %d strategy %d use %d: got %+v, want %+v", i, s, k, gu[k], wu[k])
+				}
+			}
+		}
+	}
+	// The premultiplied factors must match too: identical social cost and
+	// potential on a shared profile, bit for bit.
+	if math.Float64bits(got.SocialCost(profile)) != math.Float64bits(want.SocialCost(profile)) {
+		t.Fatalf("social cost: got %v, want %v", got.SocialCost(profile), want.SocialCost(profile))
+	}
+	if math.Float64bits(got.Potential(profile)) != math.Float64bits(want.Potential(profile)) {
+		t.Fatalf("potential: got %v, want %v", got.Potential(profile), want.Potential(profile))
+	}
+	// Both incidence indexes, built on demand, must match the fresh
+	// build's bit for bit.
+	for _, g := range []*Game{got, want} {
+		g.playerIndex()
+		g.useIndex()
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"incOff", got.incOff, want.incOff},
+		{"incPlayer", got.incPlayer, want.incPlayer},
+		{"useIncOff", got.useIncOff, want.useIncOff},
+		{"useIncPos", got.useIncPos, want.useIncPos},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// indexesBuilt reports whether the player and use incidence indexes are
+// current for the game's structure.
+func indexesBuilt(g *Game) (player, use bool) {
+	return g.incGen == g.structGen, g.useIncGen == g.structGen
+}
+
+// requireIndexes fails unless exactly the wanted indexes are current.
+func requireIndexes(t *testing.T, label string, g *Game, player, use bool) {
+	t.Helper()
+	if p, u := indexesBuilt(g); p != player || u != use {
+		t.Fatalf("%s: player index built=%v (want %v), use index built=%v (want %v)", label, p, player, u, use)
+	}
+}
+
+// TestBuildAndCommitLeaveIndexesUnbuilt: Build does not pay for the incidence
+// indexes, on a fresh Builder or on a rebuild into a recycled arena whose
+// indexes were current for the previous structure; only their readers
+// build them.
+func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
+	src := rng.New(47)
+	weights := []float64{1.3, 0.6, 2.2, 1.1, 0.8}
+	strats := randomStrategies(src, 6, 3, len(weights))
+	b := NewBuilder()
+	g := streamInto(t, b, weights, strats)
+	requireIndexes(t, "Build", g, false, false)
+
+	// Build the indexes, then rebuild different content into the same
+	// arena: the rebuilt game must leave them stale.
+	g.playerIndex()
+	g.useIndex()
+	content := [][][]Use{strats[1], strats[4], strats[0]}
+	if g2 := streamInto(t, b, weights, content); g2 != g {
+		t.Fatal("rebuild did not reuse the Builder's stable game")
+	}
+	requireIndexes(t, "rebuild", g, false, false)
+	requireGamesEqual(t, g, streamInto(t, NewBuilder(), weights, content))
+}
+
+// TestIndexReadersBuildFirst: every reader of an incidence index builds
+// it for the current structure before reading, and only the index it
+// reads. Each case first builds both indexes for a stale structure, so a
+// reader that trusted them would diverge from the fresh build the result
+// is compared against (requireGamesEqual also compares the indexes).
+func TestIndexReadersBuildFirst(t *testing.T) {
+	weights := []float64{1.4, 0.7, 2.0, 1.2, 0.9, 1.6}
+	// setup builds a game, warms both indexes, and rebuilds different
+	// content (odd players plus two new ones) into the same arena.
+	setup := func(t *testing.T, seed int64) (*Game, [][][]Use) {
+		t.Helper()
+		src := rng.New(seed)
+		strats := randomStrategies(src, 8, 3, len(weights))
+		b := NewBuilder()
+		g := streamInto(t, b, weights, strats)
+		g.playerIndex()
+		g.useIndex()
+		var content [][][]Use
+		for i := 1; i < len(strats); i += 2 {
+			content = append(content, strats[i])
+		}
+		content = append(content, randomStrategies(src, 2, 2, len(weights))...)
+		streamInto(t, b, weights, content)
+		requireIndexes(t, "setup", g, false, false)
+		return g, content
+	}
+	fresh := func(t *testing.T, w []float64, content [][][]Use) *Game {
+		return streamInto(t, NewBuilder(), w, content)
+	}
+
+	t.Run("Bind+Move", func(t *testing.T) {
+		g, content := setup(t, 1)
+		e := NewEngine(g)
+		requireIndexes(t, "Bind", g, false, false)
+		e.ResetRandom(rng.New(2))
+		if err := e.Move(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "Move", g, true, false)
+		requireGamesEqual(t, g, fresh(t, weights, content))
+	})
+	t.Run("SetResourceWeight", func(t *testing.T) {
+		g, content := setup(t, 3)
+		if err := g.SetResourceWeight(2, 3.5); err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "SetResourceWeight", g, false, true)
+		w := append([]float64(nil), weights...)
+		w[2] = 3.5
+		requireGamesEqual(t, g, fresh(t, w, content))
+	})
+	t.Run("CGBA", func(t *testing.T) {
+		g, content := setup(t, 7)
+		want, err := NewEngine(fresh(t, weights, content)).CGBA(CGBAConfig{Exact: true}, rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewEngine(g).CGBA(CGBAConfig{Exact: true}, rng.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "CGBA", g, true, false)
+		requireSameResult(t, "CGBA", got, want)
+	})
+	t.Run("CGBASharded", func(t *testing.T) {
+		g, assign := clusteredGame(t, rng.New(9), 3, 10, 4, 6, 5)
+		plan, err := NewShardPlan(3, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndexes(t, "New", g, false, false)
+		runCGBASharded(t, g, CGBAConfig{Lambda: 0.01}, plan, 1, 2)
+		requireIndexes(t, "CGBASharded", g, true, false)
+	})
 }

@@ -15,7 +15,7 @@ import (
 
 // pickFunc chooses a slot's selection. It owns validating the slot state
 // (System.CheckState) before reading it: the P2-A pickers validate
-// through ApplyChurn, the others call CheckState, so each state is
+// through BuildP2A, the others call CheckState, so each state is
 // checked once per Decide.
 type pickFunc func(b *baseline, st *trace.State) (core.Selection, error)
 
@@ -35,8 +35,8 @@ type baseline struct {
 	pick  pickFunc
 
 	// p2a is the reusable game arena of the profile-based baselines
-	// (greedy-*/random); the churn-mutation fast path applies between
-	// slots exactly as it does for the controller.
+	// (greedy-*/random), rebuilt in place every slot exactly as the
+	// controller's is.
 	p2a core.P2A
 
 	obs   *obs.Registry
@@ -248,7 +248,7 @@ func (b *baseline) SetObs(reg *obs.Registry) {
 // frequencies of active servers, so the frequency point alone separates
 // the energy-first and deadline-first variants).
 func pickGreedy(b *baseline, st *trace.State) (core.Selection, error) {
-	if err := b.sys.ApplyChurn(&b.p2a, st, b.freq); err != nil {
+	if err := b.sys.BuildP2A(&b.p2a, st, b.freq); err != nil {
 		return core.Selection{}, err
 	}
 	res := game.GreedyProfile(b.p2a.Game())
@@ -260,7 +260,7 @@ func pickGreedy(b *baseline, st *trace.State) (core.Selection, error) {
 // from (seed, slot), so runs replay bit-identically; only this policy
 // derives one.
 func pickRandom(b *baseline, st *trace.State) (core.Selection, error) {
-	if err := b.sys.ApplyChurn(&b.p2a, st, b.freq); err != nil {
+	if err := b.sys.BuildP2A(&b.p2a, st, b.freq); err != nil {
 		return core.Selection{}, err
 	}
 	src := rng.New(b.seed).Derive(fmt.Sprintf("policy-%s-slot-%d", b.name, b.slot))
