@@ -22,6 +22,9 @@
 // than 15% in ns/op, or allocated more per op at all (allocs/op is
 // machine-independent, so its budget is zero). CI's bench-gate job runs
 // this against the newest committed BENCH_<rev>.json baseline.
+// Benchmarks match on name and GOMAXPROCS suffix, so both files must be
+// recorded at the same -cpu; a gate that finds no gated benchmark in
+// both files fails (exit 1) instead of passing on an empty compare.
 //
 // Usage:
 //
@@ -176,7 +179,8 @@ func parse(r io.Reader, rev string) (*Report, error) {
 // are budgeted — more than maxRegress fractional ns/op growth, or any
 // allocs/op growth (allocation counts are machine-independent), fails.
 // Benchmarks present on only one side are listed but never regress the
-// result.
+// result; in the gating mode, finding no gated benchmark on both sides is
+// an error.
 func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE *regexp.Regexp) (regressed bool, err error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
@@ -201,7 +205,7 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 		fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), threshold %.2fx\n",
 			parts[0], oldRep.Rev, parts[1], newRep.Rev, threshold)
 	}
-	common := 0
+	common, gated := 0, 0
 	for _, b := range newRep.Benchmarks {
 		key := fmt.Sprintf("%s-%d", b.Name, b.Procs)
 		prev, ok := oldBy[key]
@@ -219,6 +223,7 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 				mark = "  (ungated)"
 				break
 			}
+			gated++
 			if ratio > 1+maxRegress {
 				mark = "  REGRESSED (ns/op)"
 				regressed = true
@@ -238,6 +243,9 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 	}
 	if common == 0 {
 		fmt.Fprintln(w, "  no common benchmarks")
+	}
+	if maxRegress > 0 && gated == 0 {
+		return regressed, fmt.Errorf("no benchmark matching -gate %q is in both reports (names include the -cpu suffix)", gateRE)
 	}
 	return regressed, nil
 }

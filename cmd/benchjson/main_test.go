@@ -125,6 +125,47 @@ func TestCompareMaxRegress(t *testing.T) {
 	}
 }
 
+// TestCompareGateNeedsCommonBenchmarks: a gate that compares nothing
+// fails rather than passing. Names match with their -procs suffix, so a
+// run at another core count shares no gated benchmark with the baseline.
+func TestCompareGateNeedsCommonBenchmarks(t *testing.T) {
+	gate := regexp.MustCompile("ControllerStep|CGBA")
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", Report{Rev: "old", Benchmarks: []Benchmark{
+		{Name: "BenchmarkControllerStep/devices=300", Procs: 2, NsPerOp: 1000},
+		{Name: "BenchmarkSolveP2B", Procs: 4, NsPerOp: 100},
+	}})
+	for _, tc := range []struct {
+		name  string
+		bench []Benchmark
+		fail  bool
+	}{
+		{"other core count", []Benchmark{
+			{Name: "BenchmarkControllerStep/devices=300", Procs: 4, NsPerOp: 1000},
+			{Name: "BenchmarkSolveP2B", Procs: 4, NsPerOp: 100},
+		}, true},
+		{"only ungated in common", []Benchmark{
+			{Name: "BenchmarkSolveP2B", Procs: 4, NsPerOp: 100},
+		}, true},
+		{"same core count", []Benchmark{
+			{Name: "BenchmarkControllerStep/devices=300", Procs: 2, NsPerOp: 1000},
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := writeReport(t, dir, "new.json", Report{Rev: "new", Benchmarks: tc.bench})
+			var out strings.Builder
+			_, err := runCompare(&out, oldPath+","+newPath, 1.25, 0.15, gate)
+			if (err != nil) != tc.fail {
+				t.Errorf("gate error = %v, want failure %v\n%s", err, tc.fail, out.String())
+			}
+			// The advisory mode never fails on an empty compare.
+			if _, err := runCompare(&out, oldPath+","+newPath, 1.25, 0, gate); err != nil {
+				t.Errorf("advisory mode: %v", err)
+			}
+		})
+	}
+}
+
 func TestParseBenchLineMalformed(t *testing.T) {
 	for _, line := range []string{
 		"BenchmarkX-8",                     // too few fields

@@ -61,10 +61,9 @@ func benchMetroSystem(b *testing.B, devices int) (*System, *trace.Generator) {
 // BenchmarkControllerStepSharded is the metro-scale headline pair: full
 // slots on the metro topology with the per-cluster sharded solve
 // (shards=auto) against the unsharded path on the identical system and
-// trace. z=2 and λ=0.05 are the metro operating point (OPERATIONS.md):
-// the λ slack is what arms the drift-bound sweep pruning, and the
-// unsharded 100k solve is far too slow to time, so the off mode stops at
-// 10k. The name matches the bench-gate regexp (ControllerStep).
+// trace. z=2 and λ=0.05 are the metro operating point (OPERATIONS.md).
+// The unsharded 100k solve is far too slow to time, so the off mode
+// stops at 10k. The name matches the bench-gate regexp (ControllerStep).
 func BenchmarkControllerStepSharded(b *testing.B) {
 	for _, devices := range []int{1000, 10000, 100000} {
 		for _, mode := range []struct {

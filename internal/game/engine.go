@@ -69,13 +69,20 @@ type Engine struct {
 	// so the undeadlined path is unchanged (see SetDeadline).
 	deadline *solver.Deadline
 
-	// Sharded interior sweeps' drift-bound skip (see engine_shard.go).
-	drift driftState
+	// Sharded solve's change stamps (see engine_shard.go): resStamp[r] is
+	// the clock value of resource r's last load change, scoreStamp[i] the
+	// clock value of player i's last score, and clock the serial clock.
+	resStamp   []uint64
+	scoreStamp []uint64
+	clock      uint64
 
-	// Sharded solve (see engine_shard.go): per-shard private solve state
-	// and the persistent parallel-region task.
-	shardSlv []shardSolve
+	// Sharded solve (see engine_shard.go): per-shard sweepers, the serial
+	// phases' sweeper, the persistent parallel-region task, and the
+	// identity order 0, 1, … the certification sweep walks.
+	shardSw  []sweeper
+	serialSw sweeper
 	shardT   shardSweepTask
+	everyone []int32
 }
 
 // NewEngine returns an Engine bound to g with all caches invalid.

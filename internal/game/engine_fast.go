@@ -65,23 +65,19 @@ func (g *Game) maxStrategyCount() int {
 }
 
 // fastMove switches player i to strategy s, updating only the loads —
-// O(resources-touched), no incidence-walk invalidation — and returns the
-// total absolute load change (the drift the sharded sweeps account). The
-// load updates follow Game.applyMove's order (all old uses removed, then
-// all new added) so the load bits match the exact path's. Callers own
-// cache consistency and count the move.
-func (e *Engine) fastMove(i, s int) (drift float64) {
+// O(resources-touched), no incidence-walk invalidation. The load updates
+// follow Game.applyMove's order (all old uses removed, then all new
+// added) so the load bits match the exact path's. Callers own cache
+// consistency and count the move.
+func (e *Engine) fastMove(i, s int) {
 	g := e.g
 	for _, u := range g.strategyUses(i, e.profile[i]) {
 		e.loads[u.res] -= u.w
-		drift += u.w
 	}
 	e.profile[i] = s
 	for _, u := range g.strategyUses(i, s) {
 		e.loads[u.res] += u.w
-		drift += u.w
 	}
-	return drift
 }
 
 // sweepScore evaluates player i against the current loads: its current

@@ -47,29 +47,7 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 // cfg.Initial, then plain full-width Gauss–Seidel passes in index order
 // until one moves nobody. It ignores MaxIterations and deadlines.
 func referenceSweep(g *Game, cfg CGBAConfig) Result {
-	p := make(Profile, g.Players())
-	loads := make([]float64, g.Resources())
-	if cfg.Initial != nil {
-		copy(p, cfg.Initial)
-		g.loadsInto(loads, p)
-	} else {
-		for i := range p {
-			best, bestCost := 0, math.Inf(1)
-			for s := 0; s < g.StrategyCount(i); s++ {
-				c := 0.0
-				for _, u := range g.strategyUses(i, s) {
-					c += u.wm * (loads[u.res] + u.w)
-				}
-				if c < bestCost {
-					best, bestCost = s, c
-				}
-			}
-			p[i] = best
-			for _, u := range g.strategyUses(i, best) {
-				loads[u.res] += u.w
-			}
-		}
-	}
+	p, loads := referenceStart(g, cfg)
 	var trace []float64
 	if cfg.TrackObjective {
 		trace = append(trace, g.SocialCost(p))
@@ -90,6 +68,36 @@ func referenceSweep(g *Game, cfg CGBAConfig) Result {
 		}
 	}
 	return Result{Profile: p, Objective: g.SocialCost(p), Iterations: moves, ObjectiveTrace: trace}
+}
+
+// referenceStart is the reference solvers' initial profile and its
+// loads: cfg.Initial, or the greedy fill (players placed in index order,
+// each on its cheapest strategy against those already placed).
+func referenceStart(g *Game, cfg CGBAConfig) (Profile, []float64) {
+	p := make(Profile, g.Players())
+	loads := make([]float64, g.Resources())
+	if cfg.Initial != nil {
+		copy(p, cfg.Initial)
+		g.loadsInto(loads, p)
+		return p, loads
+	}
+	for i := range p {
+		best, bestCost := 0, math.Inf(1)
+		for s := 0; s < g.StrategyCount(i); s++ {
+			c := 0.0
+			for _, u := range g.strategyUses(i, s) {
+				c += u.wm * (loads[u.res] + u.w)
+			}
+			if c < bestCost {
+				best, bestCost = s, c
+			}
+		}
+		p[i] = best
+		for _, u := range g.strategyUses(i, best) {
+			loads[u.res] += u.w
+		}
+	}
+	return p, loads
 }
 
 // requireSweepMatchesReference solves g with fresh engines at pool sizes

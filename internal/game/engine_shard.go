@@ -10,27 +10,31 @@
 // it with an outer reconciliation loop:
 //
 //	round:
-//	 1. parallel  — each shard runs Gauss–Seidel sweeps (engine_fast.go's
-//	    sweepScore, with a per-shard drift-bound skip) over its interior
+//	 1. parallel  — each shard runs Gauss–Seidel sweeps over its interior
 //	    players to a locally certified quiescence, with boundary players'
 //	    load contributions frozen;
-//	 2. serial    — full-width Gauss–Seidel sweeps over the boundary
-//	    players against the shards' congestion sums, until quiet;
-//	 3. serial    — a full-width certification sweep over every player
-//	    with the exact path's arithmetic (refresh); only a quiet sweep
+//	 2. serial    — Gauss–Seidel sweeps over the boundary players against
+//	    the shards' congestion sums, until quiet;
+//	 3. serial    — one certification pass over every player with the
+//	    exact path's arithmetic (sweepScore); only a quiet pass
 //	    terminates the solve, so the result is a certified λ-equilibrium
 //	    of the *global* game — sharding is a heuristic for speed, never
 //	    for correctness.
 //
+// All three phases share one sweep body (Engine.sweep). It skips, by
+// exact change stamps, every player none of whose resources changed
+// load since its last score, a skip that changes no decision.
+//
 // Determinism and pool-invariance: shards touch disjoint state (their
-// players' profile entries and slack slots, their clusters' loads), draw
-// no RNG, and merge tallies in shard order, so the result is identical
-// at every pool size; phases 2 and 3 are serial. Wall-clock deadlines
-// are polled inside shard sweeps against a read-only snapshot
-// (solver.Deadline.ExpireTime) so a shard that blows the budget degrades
-// alone — it stops moving its own players and the slot still commits a
-// feasible global profile; counted checkpoints are consumed only at
-// serial boundaries, keeping deterministic budgets pool-invariant.
+// players' profile entries and score stamps, their clusters' loads and
+// change stamps), draw no RNG, and merge tallies in shard order, so the
+// result is identical at every pool size; phases 2 and 3 are serial.
+// Wall-clock deadlines are polled inside shard sweeps against a
+// read-only snapshot (solver.Deadline.ExpireTime) so a shard that blows
+// the budget degrades alone — it stops moving its own players and the
+// slot still commits a feasible global profile; counted checkpoints are
+// consumed only in the serial phases, keeping deterministic budgets
+// pool-invariant.
 package game
 
 import (
@@ -38,6 +42,7 @@ import (
 	"time"
 
 	"eotora/internal/rng"
+	"eotora/internal/solver"
 )
 
 // ShardPlan assigns each player of a game to a shard or to the boundary
@@ -171,33 +176,129 @@ func (p *ShardPlan) check(g *Game) error {
 	return nil
 }
 
-// driftState is the interior sweeps' drift-bound skip, indexed by
-// player. rho[i] bounds how fast player i's costs can drift: the largest
-// premultiplied factor m_r·p_{i,r} over all of i's uses, so a total
-// absolute load drift of ΔD since i was last scored moves its current
-// cost and its best-response cost by at most rho[i]·ΔD each. slack[i]
-// is how far i was from dissatisfaction when last scored (−1 = not
-// scored this region) and lastD[i] its shard's drift at that moment.
-// Shards write only their own players' entries.
-type driftState struct {
-	rho   []float64
-	slack []float64
-	lastD []float64
+// sweepEnd is how a sweep stopped.
+type sweepEnd int
+
+const (
+	sweepQuiet     sweepEnd = iota // a pass moved nobody
+	sweepMoved                     // the single pass of a once sweep moved someone
+	sweepTruncated                 // a deadline poll found the budget spent
+	sweepOverrun                   // the sweep made its budget-th move
+)
+
+// sweeper is one sweep's private state: the scratch sweepScore's
+// in-place removal needs, the stamp clock, the move budget and deadline
+// poll, and the tallies merged after the sweep. Each shard owns one in
+// phase 1; phases 2 and 3 share the serial one.
+type sweeper struct {
+	saveRes  []int32
+	saveLoad []float64
+	clock    uint64 // a move advances it, a score records it
+	budget   int64  // moves allowed before sweepOverrun
+
+	// Deadline poll: the serial phases consume dl's checkpoints; shards
+	// (dl nil) compare the wall clock against the pre-region snapshot
+	// and touch no shared deadline state, so a blown budget stops a
+	// shard alone.
+	dl     *solver.Deadline
+	expire time.Time
+	timed  bool
+
+	moves, hits, misses int64
+	end                 sweepEnd
 }
 
-// shardSolve is one shard's private solve state for a parallel region:
-// scratch the sweeps need (sweepScore's in-place removal save slots),
-// the shard's drift accumulator, and its tallies, merged in shard order
-// after the region.
-type shardSolve struct {
-	saveRes   []int32
-	saveLoad  []float64
-	drift     float64
-	moves     int64
-	hits      int64
-	misses    int64
-	truncated bool
-	overrun   bool
+// start readies the sweeper for one sweep: fresh tallies, the given
+// clock and budget, no deadline.
+func (sw *sweeper) start(clock uint64, budget int64, maxUses int) {
+	*sw = sweeper{
+		saveRes:  resizeInt32(sw.saveRes, maxUses),
+		saveLoad: resizeFloat(sw.saveLoad, maxUses),
+		clock:    clock,
+		budget:   budget,
+	}
+}
+
+func (sw *sweeper) expired() bool {
+	if sw.dl != nil {
+		return sw.dl.Expired()
+	}
+	return sw.timed && !time.Now().Before(sw.expire)
+}
+
+// sweep is the one sweep body of all three phases: Gauss–Seidel passes
+// over players in order, each λ-dissatisfied player moving to its best
+// response at once. A player none of whose footprint resources changed
+// since its last score is skipped and tallied as a hit: its loads are
+// bit-identical to those it was found satisfied against, so a score
+// would reproduce the same bits and move nobody. Passes repeat until one
+// moves nobody, or with once end after the first pass. Deadline polls
+// sit at each pass start and every 256 players, before the skip, so the
+// counted checkpoints consumed do not depend on which players skip.
+func (e *Engine) sweep(sw *sweeper, players []int32, lambda float64, once bool) sweepEnd {
+	g := e.g
+	for {
+		moved := false
+		for idx, pi := range players {
+			if idx&fastSweepCheckMask == 0 && sw.expired() {
+				return sweepTruncated
+			}
+			i := int(pi)
+			if e.unchanged(i) {
+				sw.hits++
+				continue
+			}
+			cur, br, brCost := e.sweepScore(i, sw.saveRes, sw.saveLoad)
+			e.scoreStamp[i] = sw.clock
+			sw.misses++
+			if (1-lambda)*cur > brCost+relEps*(cur+1) {
+				sw.clock++
+				for _, u := range g.strategyUses(i, e.profile[i]) {
+					e.resStamp[u.res] = sw.clock
+				}
+				for _, u := range g.strategyUses(i, int(br)) {
+					e.resStamp[u.res] = sw.clock
+				}
+				e.fastMove(i, int(br))
+				sw.moves++
+				moved = true
+				if sw.moves >= sw.budget {
+					return sweepOverrun
+				}
+			}
+		}
+		if !moved {
+			return sweepQuiet
+		}
+		if once {
+			return sweepMoved
+		}
+	}
+}
+
+// unchanged reports whether no resource in player i's footprint has
+// changed load since the player was last scored.
+func (e *Engine) unchanged(i int) bool {
+	g := e.g
+	scored := e.scoreStamp[i]
+	for _, r := range g.fpRes[g.fpOff[i]:g.fpOff[i+1]] {
+		if e.resStamp[r] > scored {
+			return false
+		}
+	}
+	return true
+}
+
+// merge adds a finished sweep's tallies to the engine's, moves the
+// serial clock past the sweep's, and returns the sweep's move count.
+func (e *Engine) merge(sw *sweeper) int {
+	e.tally.moves += sw.moves
+	e.tally.hits += sw.hits
+	e.tally.misses += sw.misses
+	if sw.clock > e.clock {
+		e.clock = sw.clock
+	}
+	return int(sw.moves)
 }
 
 // shardSweepTask is the persistent parallel-region task (a pointer to it
@@ -206,80 +307,13 @@ type shardSweepTask struct {
 	e      *Engine
 	plan   *ShardPlan
 	lambda float64
-	budget int64 // per-shard move cap for this region
-	expire time.Time
-	timed  bool
 }
 
-// Run solves shard sIdx's interior game to a locally certified
-// quiescence: sweeps with per-shard drift-bound skipping, then a pass
-// that skips nobody; only a quiet such pass ends the shard's region
-// (cgbaSweep restricted to the shard's players, plus the skip).
+// Run sweeps shard sIdx's interior players to a locally certified
+// quiescence against the boundary players' frozen loads.
 func (t *shardSweepTask) Run(sIdx int) {
-	e := t.e
-	g := e.g
-	f := &e.drift
-	ss := &e.shardSlv[sIdx]
-	players := t.plan.order[t.plan.off[sIdx]:t.plan.off[sIdx+1]]
-	// Derive the players' drift bounds and restart their slack.
-	for _, pi := range players {
-		first, last := g.playerStrategies(int(pi))
-		rho := 0.0
-		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
-			if u.wm > rho {
-				rho = u.wm
-			}
-		}
-		f.rho[pi], f.slack[pi] = rho, -1
-	}
-
-	full := false
-	for {
-		moved := false
-		for idx, pi := range players {
-			i := int(pi)
-			// Wall-clock-only poll against the pre-region snapshot: no
-			// shared deadline state is touched, and a blown budget stops
-			// this shard alone.
-			if idx&fastSweepCheckMask == 0 && t.timed && !time.Now().Before(t.expire) {
-				ss.truncated = true
-				return
-			}
-			// Drift-bound skip against the *shard's* drift: moves in other
-			// shards cannot touch this shard's resources, so they never
-			// invalidate the bound — the isolation that makes metro-scale
-			// sweeps cheap even on one core.
-			if !full && f.slack[i] >= 0 && 2*f.rho[i]*(ss.drift-f.lastD[i]) < f.slack[i] {
-				ss.hits++
-				continue
-			}
-			cur, br, brCost := e.sweepScore(i, ss.saveRes, ss.saveLoad)
-			ss.misses++
-			if (1-t.lambda)*cur > brCost+relEps*(cur+1) {
-				ss.drift += e.fastMove(i, int(br))
-				ss.moves++
-				// The mover now sits on its best response: zero slack, so
-				// any further drift triggers a rescore.
-				f.slack[i], f.lastD[i] = 0, ss.drift
-				moved = true
-				if ss.moves >= t.budget {
-					ss.overrun = true
-					return
-				}
-			} else {
-				f.slack[i] = brCost + relEps*(cur+1) - (1-t.lambda)*cur
-				f.lastD[i] = ss.drift
-			}
-		}
-		if moved {
-			full = false
-			continue
-		}
-		if full {
-			return // quiet full-width sweep: locally converged
-		}
-		full = true
-	}
+	sw := &t.e.shardSw[sIdx]
+	sw.end = t.e.sweep(sw, t.plan.order[t.plan.off[sIdx]:t.plan.off[sIdx+1]], t.lambda, false)
 }
 
 // CGBASharded runs CGBA factorized by the plan: parallel per-shard
@@ -307,7 +341,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 	if err := plan.check(g); err != nil {
 		return Result{}, err
 	}
-	g.playerIndex() // phase 3's moves walk it
+	g.footprints()
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -323,132 +357,108 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		e.greedyFill()
 	}
 
-	f := &e.drift
-	f.rho = resizeFloat(f.rho, n)
-	f.slack = resizeFloat(f.slack, n)
-	f.lastD = resizeFloat(f.lastD, n)
+	// Fresh clock, every resource stamped with it: every score stamp left
+	// by an earlier solve is older, so no skip outlives a reweight, a
+	// reset, an Engine.Move or a truncated solve.
+	e.clock++
+	e.resStamp = resizeUint64(e.resStamp, g.Resources())
+	for r := range e.resStamp {
+		e.resStamp[r] = e.clock
+	}
+	e.scoreStamp = resizeUint64(e.scoreStamp, n)
+	for k := len(e.everyone); k < n; k++ {
+		e.everyone = append(e.everyone, int32(k))
+	}
 
 	shards := plan.shards
-	if cap(e.shardSlv) < shards {
-		e.shardSlv = make([]shardSolve, shards)
+	if cap(e.shardSw) < shards {
+		e.shardSw = make([]sweeper, shards)
 	} else {
-		e.shardSlv = e.shardSlv[:shards]
+		e.shardSw = e.shardSw[:shards]
 	}
 
 	moves := 0
-	result := func(truncated bool) Result {
+	finish := func(truncated bool, err error) (Result, error) {
+		e.invalidateAll()
+		e.recordCGBA(moves)
 		return Result{
 			Profile:    e.profile.Clone(),
 			Objective:  e.SocialCost(),
 			Iterations: moves,
 			Truncated:  truncated,
-		}
+		}, err
+	}
+	// serial runs one sweep of the serial phases on the serial sweeper.
+	serial := func(players []int32, once bool) (end sweepEnd) {
+		sw := &e.serialSw
+		sw.start(e.clock, int64(maxIter-moves), g.maxUses)
+		sw.dl = e.deadline
+		end = e.sweep(sw, players, cfg.Lambda, once)
+		moves += e.merge(sw)
+		return end
 	}
 
 	for {
 		// Serial checkpoint once per round: the counted budget is consumed
 		// at the same points regardless of pool size.
 		if e.deadline.Expired() {
-			e.invalidateAll()
-			e.recordCGBA(moves)
-			return result(true), nil
+			return finish(true, nil)
 		}
 
-		// Phase 1 — parallel interior solves. Each shard restarts its
-		// players' slack state: boundary and certification moves since the
-		// last region are not in any shard's drift accumulator, so stale
-		// bounds could wrongly skip; a reset is cheap and safe.
+		// Phase 1 — parallel interior solves. Shard s stamps with the
+		// round's base clock plus its own counter and writes only its own
+		// players' score stamps and its own resources' change stamps, so
+		// the region is race-free (the plan's disjointness check) and its
+		// stamps compare correctly within the shard; merge then moves the
+		// serial clock past every shard's.
 		expire, timed := e.deadline.ExpireTime()
-		for s := range e.shardSlv {
-			e.shardSlv[s] = shardSolve{
-				saveRes:  resizeInt32(e.shardSlv[s].saveRes, g.maxUses),
-				saveLoad: resizeFloat(e.shardSlv[s].saveLoad, g.maxUses),
-			}
+		for s := range e.shardSw {
+			sw := &e.shardSw[s]
+			sw.start(e.clock, int64(maxIter-moves), g.maxUses)
+			sw.expire, sw.timed = expire, timed
 		}
-		e.shardT = shardSweepTask{
-			e:      e,
-			plan:   plan,
-			lambda: cfg.Lambda,
-			budget: int64(maxIter - moves),
-			expire: expire,
-			timed:  timed,
-		}
+		e.shardT = shardSweepTask{e: e, plan: plan, lambda: cfg.Lambda}
 		e.pool.Run(shards, &e.shardT)
 		overrun := false
-		for s := range e.shardSlv {
-			ss := &e.shardSlv[s]
-			moves += int(ss.moves)
-			e.tally.moves += ss.moves
-			e.tally.hits += ss.hits
-			e.tally.misses += ss.misses
-			overrun = overrun || ss.overrun
+		for s := range e.shardSw {
+			moves += e.merge(&e.shardSw[s])
+			overrun = overrun || e.shardSw[s].end == sweepOverrun
 		}
 		if overrun || moves >= maxIter {
-			e.invalidateAll()
-			e.recordCGBA(moves)
-			return result(false), ErrNoConverge
+			return finish(false, ErrNoConverge)
 		}
 
-		// Phase 2 — serial boundary reconciliation: full-width sweeps over
-		// the boundary players against the shards' frozen congestion sums,
+		// Phase 2 — serial boundary reconciliation: sweeps over the
+		// boundary players against the shards' frozen congestion sums,
 		// until a quiet pass.
-		for {
-			moved := false
-			for idx, pi := range plan.boundary {
-				i := int(pi)
-				if idx&fastSweepCheckMask == 0 && e.deadline.Expired() {
-					e.invalidateAll()
-					e.recordCGBA(moves)
-					return result(true), nil
-				}
-				cur, br, brCost := e.sweepScore(i, e.saveRes, e.saveLoad)
-				e.tally.misses++
-				if (1-cfg.Lambda)*cur > brCost+relEps*(cur+1) {
-					e.fastMove(i, int(br))
-					e.tally.moves++
-					moves++
-					moved = true
-					if moves >= maxIter {
-						e.invalidateAll()
-						e.recordCGBA(moves)
-						return result(false), ErrNoConverge
-					}
-				}
-			}
-			if !moved {
-				break
-			}
+		switch serial(plan.boundary, false) {
+		case sweepTruncated:
+			return finish(true, nil)
+		case sweepOverrun:
+			return finish(false, ErrNoConverge)
 		}
 
-		// Phase 3 — serial global certification with the exact path's
-		// refresh arithmetic. A quiet sweep proves every player (interior
-		// and boundary) is within λ of its true best response — a
-		// certified λ-equilibrium of the global game — and leaves the
-		// caches fully consistent. Any move sends the solve into another
-		// round: the sharded decomposition converges because every phase
-		// only ever applies λ-improving moves to the one global potential.
-		e.invalidateAll()
-		moved := false
-		for i := 0; i < n; i++ {
-			if i&fastSweepCheckMask == 0 && e.deadline.Expired() {
-				e.invalidateAll()
-				e.recordCGBA(moves)
-				return result(true), nil
-			}
-			if s, _, ok := e.dissatisfied(i, cfg.Lambda); ok {
-				e.move(i, s)
-				moves++
-				moved = true
-				if moves >= maxIter {
-					e.invalidateAll()
-					e.recordCGBA(moves)
-					return result(false), ErrNoConverge
-				}
-			}
-		}
-		if !moved {
-			e.recordCGBA(moves)
-			return result(false), nil
+		// Phase 3 — serial global certification: one pass over every
+		// player in index order. sweepScore is refresh's arithmetic, so a
+		// quiet pass proves every player (interior and boundary) is within
+		// λ of its true best response — a certified λ-equilibrium of the
+		// global game. Any move sends the solve into another round: the
+		// sharded decomposition converges because every phase only ever
+		// applies λ-improving moves to the one global potential.
+		switch serial(e.everyone[:n], true) {
+		case sweepTruncated:
+			return finish(true, nil)
+		case sweepOverrun:
+			return finish(false, ErrNoConverge)
+		case sweepQuiet:
+			return finish(false, nil)
 		}
 	}
+}
+
+func resizeUint64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }

@@ -1,6 +1,8 @@
 package game
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -80,6 +82,219 @@ func runCGBASharded(t testing.TB, g *Game, cfg CGBAConfig, plan *ShardPlan, seed
 	return res
 }
 
+// referenceSharded is the specification of CGBASharded, written from
+// the Game's one-shot methods with no skip of any kind. From
+// referenceStart it runs rounds of three phases: each shard's interior
+// players swept in plan order until a pass moves nobody, shard after
+// shard, each with the round's remaining move budget; the boundary
+// players swept the same way; then one pass over every player in index
+// order, a quiet one ending the solve. Shards share no resources, so
+// running them one after another equals running them in parallel. It
+// ignores deadlines.
+func referenceSharded(g *Game, cfg CGBAConfig, plan *ShardPlan) (Result, error) {
+	n := g.Players()
+	maxIter := cfg.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 200*n + 10000
+	}
+	p, loads := referenceStart(g, cfg)
+	// sweep runs Gauss–Seidel passes over players until one moves nobody,
+	// or once after the first pass, and stops at the budget-th move.
+	sweep := func(players []int32, budget int, once bool) (moves int, moved, overrun bool) {
+		for {
+			moved = false
+			for _, pi := range players {
+				i := int(pi)
+				cur := g.PlayerCost(p, loads, i)
+				if s, c := g.bestResponse(p, loads, i); (1-cfg.Lambda)*cur > c+relEps*(cur+1) {
+					g.applyMove(p, loads, i, s)
+					moves++
+					moved = true
+					if moves >= budget {
+						return moves, true, true
+					}
+				}
+			}
+			if !moved || once {
+				return moves, moved, false
+			}
+		}
+	}
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	moves := 0
+	result := func(err error) (Result, error) {
+		return Result{Profile: p, Objective: g.SocialCost(p), Iterations: moves}, err
+	}
+	for {
+		overrun, budget := false, maxIter-moves
+		for s := 0; s < plan.Shards(); s++ {
+			m, _, o := sweep(plan.order[plan.off[s]:plan.off[s+1]], budget, false)
+			moves += m
+			overrun = overrun || o
+		}
+		if overrun || moves >= maxIter {
+			return result(ErrNoConverge)
+		}
+		m, _, o := sweep(plan.boundary, maxIter-moves, false)
+		moves += m
+		if o {
+			return result(ErrNoConverge)
+		}
+		m, moved, o := sweep(all, maxIter-moves, true)
+		moves += m
+		if o {
+			return result(ErrNoConverge)
+		}
+		if !moved {
+			return result(nil)
+		}
+	}
+}
+
+// requireShardedMatchesReference solves g with a fresh engine at the
+// given pool size and requires the result and error to equal
+// referenceSharded's bit for bit.
+func requireShardedMatchesReference(t *testing.T, label string, g *Game, cfg CGBAConfig, plan *ShardPlan, size int) {
+	t.Helper()
+	want, wantErr := referenceSharded(g, cfg, plan)
+	e := NewEngine(g)
+	if size > 0 {
+		pool := par.New(size)
+		defer pool.Close()
+		e.SetPool(pool)
+	}
+	got, err := e.CGBASharded(cfg, plan, rng.New(1))
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("%s: error %v, want %v", label, err, wantErr)
+	}
+	requireSameSolve(t, label, got, want)
+}
+
+// requireSameSolve is requireSameResult plus the truncation flag.
+func requireSameSolve(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if got.Truncated != want.Truncated {
+		t.Errorf("%s: truncated %v, want %v", label, got.Truncated, want.Truncated)
+	}
+	requireSameResult(t, label, got, want)
+}
+
+// CGBASharded must make exactly the reference's moves: its change-stamp
+// skips only ever pass over players a score would leave where they are.
+// Iteration caps cut the solve in each phase.
+func TestCGBAShardedMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		seed                        int64
+		clusters, perCluster, bound int
+		strategies, perRes          int
+		maxIter                     int
+	}{
+		{811, 4, 10, 6, 8, 5, 0},
+		{812, 3, 10, 0, 8, 5, 0},
+		{813, 2, 10, 5, 8, 5, 0},
+		{814, 5, 10, 3, 8, 5, 0},
+		{815, 4, 10, 6, 8, 5, 5},  // cut in phase 1
+		{816, 4, 10, 6, 8, 5, 40}, // cut in a later phase or round
+		{817, 3, 10, 4, 8, 5, 60},
+		// Footprints narrower than their cluster: a move changes loads
+		// only some of the cluster's players can see, so a move that
+		// failed to stamp its old strategy's resources would show.
+		{851, 4, 3, 4, 3, 10, 0},
+		{852, 3, 4, 4, 2, 12, 0},
+	} {
+		g, assign := clusteredGame(t, rng.New(tc.seed), tc.clusters, tc.perCluster, tc.bound, tc.strategies, tc.perRes)
+		plan, err := NewShardPlan(tc.clusters, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lambda := range []float64{0, 0.01, 0.05, 0.11} {
+			for size := 0; size <= 4; size++ {
+				label := fmt.Sprintf("seed %d λ=%v cap %d pool %d", tc.seed, lambda, tc.maxIter, size)
+				cfg := CGBAConfig{Lambda: lambda, MaxIterations: tc.maxIter}
+				requireShardedMatchesReference(t, label, g, cfg, plan, size)
+			}
+		}
+	}
+}
+
+// TestShardStampLifetime: no change stamp outlives the solve that wrote
+// it. On one engine, a solve after a resource reweight, after an
+// Engine.Move, and after a truncated or capped solve must equal a fresh
+// engine's solve bit for bit.
+func TestShardStampLifetime(t *testing.T) {
+	g, assign := clusteredGame(t, rng.New(822), 4, 12, 5, 8, 6)
+	plan, err := NewShardPlan(4, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CGBAConfig{Lambda: 0.01}
+	pool := par.New(2)
+	defer pool.Close()
+	e := NewEngine(g)
+	e.SetPool(pool)
+	solve := func(label string, e *Engine) Result {
+		t.Helper()
+		res, err := e.CGBASharded(cfg, plan, rng.New(1))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res
+	}
+	// fresh solves on a new engine and requires it to move someone, so
+	// a skip that wrongly survived would show as a missing move.
+	fresh := func(label string) Result {
+		t.Helper()
+		res := solve(label+"/fresh", NewEngine(g))
+		if res.Iterations == 0 {
+			t.Fatalf("%s: fresh solve made no move", label)
+		}
+		return res
+	}
+	solve("warm", e)
+
+	if err := g.SetResourceWeight(2, 2.5*g.ResourceWeight(2)); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSolve(t, "reweight", solve("reweight", e), fresh("reweight"))
+
+	if err := e.Move(0, (e.Profile()[0]+1)%g.StrategyCount(0)); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSolve(t, "move", solve("move", e), fresh("move"))
+
+	// Every counted budget short of a full solve, each cutting the solve
+	// at a later checkpoint.
+	want := fresh("truncated")
+	for checks := 1; ; checks++ {
+		var dl solver.Deadline
+		dl.Start(0, checks)
+		e.SetDeadline(&dl)
+		res, err := e.CGBASharded(cfg, plan, rng.New(1))
+		e.SetDeadline(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Truncated {
+			if checks < 3 {
+				t.Fatalf("%d checkpoints sufficed: too few truncated solves", checks)
+			}
+			break
+		}
+		requireSameSolve(t, fmt.Sprintf("after %d checkpoints", checks), solve("truncated", e), want)
+	}
+	for _, cap := range []int{1, want.Iterations / 2, want.Iterations - 1} {
+		capped := cfg
+		capped.MaxIterations = cap
+		if _, err := e.CGBASharded(capped, plan, rng.New(1)); !errors.Is(err, ErrNoConverge) {
+			t.Fatalf("cap %d: err %v, want ErrNoConverge", cap, err)
+		}
+		requireSameSolve(t, fmt.Sprintf("after cap %d", cap), solve("capped", e), want)
+	}
+}
+
 func TestShardPlanValidation(t *testing.T) {
 	if _, err := NewShardPlan(0, []int32{0}); err == nil {
 		t.Error("0 shards should be rejected")
@@ -153,7 +368,7 @@ func TestCGBAShardedCertifiedEquilibrium(t *testing.T) {
 		exact              bool
 		clusters, boundary int
 	}{
-		{"pruned", false, 4, 6}, // interior sweeps skip by the drift bound
+		{"pruned", false, 4, 6}, // interior sweeps skip by change stamps
 		{"exact-width", true, 4, 6},
 		{"narrow", false, 3, 5}, // three shards
 		{"no-boundary", false, 4, 0},
@@ -263,19 +478,22 @@ func TestCGBAShardedDeadline(t *testing.T) {
 // FuzzShardedEquivalence fuzzes the sharded solve's whole contract: for
 // arbitrary clustered games, tolerances, and pool sizes the
 // sharded result must be a certified λ-equilibrium of the global
-// game, deterministic, pool-invariant, and — with a one-shard
-// plan — bit-identical to the unsharded path.
+// game, bit-identical to referenceSharded at every pool size, and —
+// with a one-shard plan — bit-identical to the unsharded path.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(2))
 	f.Add(int64(42), int64(43), uint8(2), uint8(0), uint8(4), uint8(5), uint8(1))
 	f.Add(int64(-7), int64(99), uint8(5), uint8(6), uint8(19), uint8(11), uint8(4))
+	// Footprints narrower than their cluster: skipping a player after a
+	// move only freed load on its resources breaks certification.
+	f.Add(int64(9), int64(-90), uint8(205), uint8(184), uint8(63), uint8(121), uint8(190))
 	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, clustersRaw, boundaryRaw, exactRaw, lamRaw, poolRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		clusters := 2 + int(clustersRaw)%4
 		perCluster := 2 + gsrc.Intn(8)
 		boundary := int(boundaryRaw) % 5
 		strategies := 2 + gsrc.Intn(6)
-		g, assign := clusteredGame(t, gsrc, clusters, perCluster, boundary, strategies, 3+gsrc.Intn(4))
+		g, assign := clusteredGame(t, gsrc, clusters, perCluster, boundary, strategies, 3+gsrc.Intn(12))
 		lambda := float64(lamRaw%12) / 100
 		exact := exactRaw%20 == 19 // sometimes the exact loop's delegation
 		cfg := CGBAConfig{Lambda: lambda, Exact: exact}
@@ -289,16 +507,21 @@ func FuzzShardedEquivalence(f *testing.F) {
 			t.Fatalf("clusters=%d boundary=%d exact=%v λ=%v: not a certified global equilibrium",
 				clusters, boundary, exact, lambda)
 		}
+		want, err := referenceSharded(g, cfg, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSolve(t, "reference", res, want)
 		size := 1 + int(poolRaw)%4
-		requireSameResult(t, "pooled repeat", runCGBASharded(t, g, cfg, plan, solveSeed, size), res)
+		requireSameSolve(t, "pooled repeat", runCGBASharded(t, g, cfg, plan, solveSeed, size), want)
 
 		// shards=1 must stay bit-identical to the unsharded path.
 		planOne, err := NewShardPlan(1, make([]int32, len(assign)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runCGBAPooled(t, g, cfg, solveSeed, 0)
-		requireSameResult(t, "shards=1", runCGBASharded(t, g, cfg, planOne, solveSeed, 0), want)
+		unsharded := runCGBAPooled(t, g, cfg, solveSeed, 0)
+		requireSameResult(t, "shards=1", runCGBASharded(t, g, cfg, planOne, solveSeed, 0), unsharded)
 	})
 }
 

@@ -75,12 +75,19 @@ type Game struct {
 	useIncOff []int32
 	useIncPos []int32
 
-	// Both indexes are built on first use (playerIndex, useIndex), not by
-	// Build: most slots read neither. incGen and useIncGen are
-	// the structGen each was last built for; incScratch is the per-resource
-	// last-seen marker and fill cursor the builds share.
+	// Footprint index: player i's distinct resources, in first-use order,
+	// are fpRes[fpOff[i]:fpOff[i+1]] — what the sharded solve's change
+	// stamps are checked against.
+	fpOff []int32
+	fpRes []int32
+
+	// All three indexes are built on first use (playerIndex, useIndex,
+	// footprints), not by Build: most slots read none. incGen, useIncGen
+	// and fpGen are the structGen each was last built for; incScratch is
+	// the per-resource last-seen marker and fill cursor the builds share.
 	incGen     uint64
 	useIncGen  uint64
+	fpGen      uint64
 	incScratch []int32
 
 	// maxUses is the largest use count of any single strategy (Engine
@@ -295,6 +302,35 @@ func (g *Game) useIndex() {
 		at := cursor[u.res]
 		g.useIncPos[at] = int32(k)
 		cursor[u.res] = at + 1
+	}
+}
+
+// footprints builds the footprint index if the structure changed since
+// it was last built. Like playerIndex it runs only at serial entry
+// points.
+func (g *Game) footprints() {
+	if g.fpGen == g.structGen {
+		return
+	}
+	g.fpGen = g.structGen
+	players := g.Players()
+	seen := resizeInt32(g.incScratch, len(g.weights))
+	g.incScratch = seen
+	for r := range seen {
+		seen[r] = -1
+	}
+	g.fpOff = resizeInt32(g.fpOff, players+1)
+	g.fpOff[0] = 0
+	g.fpRes = g.fpRes[:0]
+	for i := 0; i < players; i++ {
+		first, last := g.playerStrategies(i)
+		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
+			if seen[u.res] != int32(i) {
+				seen[u.res] = int32(i)
+				g.fpRes = append(g.fpRes, int32(u.res))
+			}
+		}
+		g.fpOff[i+1] = int32(len(g.fpRes))
 	}
 }
 

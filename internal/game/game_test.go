@@ -633,11 +633,12 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	if math.Float64bits(got.Potential(profile)) != math.Float64bits(want.Potential(profile)) {
 		t.Fatalf("potential: got %v, want %v", got.Potential(profile), want.Potential(profile))
 	}
-	// Both incidence indexes, built on demand, must match the fresh
-	// build's bit for bit.
+	// The incidence and footprint indexes, built on demand, must match
+	// the fresh build's bit for bit.
 	for _, g := range []*Game{got, want} {
 		g.playerIndex()
 		g.useIndex()
+		g.footprints()
 	}
 	for _, c := range []struct {
 		name      string
@@ -647,6 +648,8 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 		{"incPlayer", got.incPlayer, want.incPlayer},
 		{"useIncOff", got.useIncOff, want.useIncOff},
 		{"useIncPos", got.useIncPos, want.useIncPos},
+		{"fpOff", got.fpOff, want.fpOff},
+		{"fpRes", got.fpRes, want.fpRes},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Fatalf("%s: got %v, want %v", c.name, c.got, c.want)
@@ -694,7 +697,7 @@ func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
 
 // TestIndexReadersBuildFirst: every reader of an incidence index builds
 // it for the current structure before reading, and only the index it
-// reads. Each case first builds both indexes for a stale structure, so a
+// reads. Each case first builds every index for a stale structure, so a
 // reader that trusted them would diverge from the fresh build the result
 // is compared against (requireGamesEqual also compares the indexes).
 func TestIndexReadersBuildFirst(t *testing.T) {
@@ -709,6 +712,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		g := streamInto(t, b, weights, strats)
 		g.playerIndex()
 		g.useIndex()
+		g.footprints()
 		var content [][][]Use
 		for i := 1; i < len(strats); i += 2 {
 			content = append(content, strats[i])
@@ -764,6 +768,10 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		}
 		requireIndexes(t, "New", g, false, false)
 		runCGBASharded(t, g, CGBAConfig{Lambda: 0.01}, plan, 1, 2)
-		requireIndexes(t, "CGBASharded", g, true, false)
+		// The sharded sweeps read only the footprint index.
+		requireIndexes(t, "CGBASharded", g, false, false)
+		if g.fpGen != g.structGen {
+			t.Fatal("CGBASharded: footprint index not built")
+		}
 	})
 }

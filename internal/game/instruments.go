@@ -21,10 +21,11 @@ type Instruments struct {
 	// MCBAIterations records each Engine.MCBA call's walk length.
 	MCBAIterations *obs.Histogram
 	// CacheHits counts refreshes that found a player's cached cost and
-	// best response still valid.
+	// best response still valid, and sharded sweep visits skipped
+	// because no resource of the player changed since its last score.
 	CacheHits *obs.Counter
-	// CacheMisses counts refreshes that required full per-player
-	// recomputation.
+	// CacheMisses counts refreshes and sweep scorings that required full
+	// per-player recomputation.
 	CacheMisses *obs.Counter
 	// Moves counts strategy switches applied to the engine's profile.
 	Moves *obs.Counter
