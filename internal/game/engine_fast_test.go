@@ -29,6 +29,9 @@ func runCGBAPooled(t testing.TB, g *Game, cfg CGBAConfig, seed int64, size int) 
 
 func requireSameResult(t *testing.T, label string, got, want Result) {
 	t.Helper()
+	if got.Truncated != want.Truncated {
+		t.Errorf("%s: truncated %v, want %v", label, got.Truncated, want.Truncated)
+	}
 	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
 		t.Errorf("%s: objective bits %#x, want %#x",
 			label, math.Float64bits(got.Objective), math.Float64bits(want.Objective))

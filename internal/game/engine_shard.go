@@ -219,6 +219,7 @@ func (sw *sweeper) start(clock uint64, budget int64, maxUses int) {
 	}
 }
 
+// expired is the sweep's deadline poll.
 func (sw *sweeper) expired() bool {
 	if sw.dl != nil {
 		return sw.dl.Expired()

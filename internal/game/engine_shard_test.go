@@ -170,15 +170,6 @@ func requireShardedMatchesReference(t *testing.T, label string, g *Game, cfg CGB
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("%s: error %v, want %v", label, err, wantErr)
 	}
-	requireSameSolve(t, label, got, want)
-}
-
-// requireSameSolve is requireSameResult plus the truncation flag.
-func requireSameSolve(t *testing.T, label string, got, want Result) {
-	t.Helper()
-	if got.Truncated != want.Truncated {
-		t.Errorf("%s: truncated %v, want %v", label, got.Truncated, want.Truncated)
-	}
 	requireSameResult(t, label, got, want)
 }
 
@@ -258,12 +249,12 @@ func TestShardStampLifetime(t *testing.T) {
 	if err := g.SetResourceWeight(2, 2.5*g.ResourceWeight(2)); err != nil {
 		t.Fatal(err)
 	}
-	requireSameSolve(t, "reweight", solve("reweight", e), fresh("reweight"))
+	requireSameResult(t, "reweight", solve("reweight", e), fresh("reweight"))
 
 	if err := e.Move(0, (e.Profile()[0]+1)%g.StrategyCount(0)); err != nil {
 		t.Fatal(err)
 	}
-	requireSameSolve(t, "move", solve("move", e), fresh("move"))
+	requireSameResult(t, "move", solve("move", e), fresh("move"))
 
 	// Every counted budget short of a full solve, each cutting the solve
 	// at a later checkpoint.
@@ -283,7 +274,7 @@ func TestShardStampLifetime(t *testing.T) {
 			}
 			break
 		}
-		requireSameSolve(t, fmt.Sprintf("after %d checkpoints", checks), solve("truncated", e), want)
+		requireSameResult(t, fmt.Sprintf("after %d checkpoints", checks), solve("truncated", e), want)
 	}
 	for _, cap := range []int{1, want.Iterations / 2, want.Iterations - 1} {
 		capped := cfg
@@ -291,7 +282,7 @@ func TestShardStampLifetime(t *testing.T) {
 		if _, err := e.CGBASharded(capped, plan, rng.New(1)); !errors.Is(err, ErrNoConverge) {
 			t.Fatalf("cap %d: err %v, want ErrNoConverge", cap, err)
 		}
-		requireSameSolve(t, fmt.Sprintf("after cap %d", cap), solve("capped", e), want)
+		requireSameResult(t, fmt.Sprintf("after cap %d", cap), solve("capped", e), want)
 	}
 }
 
@@ -511,9 +502,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameSolve(t, "reference", res, want)
+		requireSameResult(t, "reference", res, want)
 		size := 1 + int(poolRaw)%4
-		requireSameSolve(t, "pooled repeat", runCGBASharded(t, g, cfg, plan, solveSeed, size), want)
+		requireSameResult(t, "pooled repeat", runCGBASharded(t, g, cfg, plan, solveSeed, size), want)
 
 		// shards=1 must stay bit-identical to the unsharded path.
 		planOne, err := NewShardPlan(1, make([]int32, len(assign)))
