@@ -24,7 +24,10 @@
 // this against the newest committed BENCH_<rev>.json baseline.
 // Benchmarks match on name and GOMAXPROCS suffix, so both files must be
 // recorded at the same -cpu; a gate that finds no gated benchmark in
-// both files fails (exit 1) instead of passing on an empty compare.
+// both files fails (exit 1) instead of passing on an empty compare. A
+// file recorded with `go test -count N` repeats each name; the compare
+// reduces each name's samples to their median ns/op and median
+// allocs/op and prints the sample counts.
 //
 // Usage:
 //
@@ -40,6 +43,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -194,9 +198,9 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 	if err != nil {
 		return false, err
 	}
-	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
-	for _, b := range oldRep.Benchmarks {
-		oldBy[fmt.Sprintf("%s-%d", b.Name, b.Procs)] = b
+	oldBy := make(map[string]sampled)
+	for _, b := range aggregate(oldRep) {
+		oldBy[b.key] = b
 	}
 	if maxRegress > 0 {
 		fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), gating %q at +%.0f%% ns/op, +0 allocs/op\n",
@@ -206,8 +210,8 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 			parts[0], oldRep.Rev, parts[1], newRep.Rev, threshold)
 	}
 	common, gated := 0, 0
-	for _, b := range newRep.Benchmarks {
-		key := fmt.Sprintf("%s-%d", b.Name, b.Procs)
+	for _, b := range aggregate(newRep) {
+		key := b.key
 		prev, ok := oldBy[key]
 		if !ok {
 			fmt.Fprintf(w, "  %-60s new benchmark (%.0f ns/op)\n", key, b.NsPerOp)
@@ -236,6 +240,9 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 			mark = "  REGRESSED"
 			regressed = true
 		}
+		if prev.samples > 1 || b.samples > 1 {
+			mark = fmt.Sprintf("  [median of %d -> %d samples]", prev.samples, b.samples) + mark
+		}
 		fmt.Fprintf(w, "  %-60s %.0f -> %.0f ns/op (%.2fx)%s\n", key, prev.NsPerOp, b.NsPerOp, ratio, mark)
 	}
 	for key := range oldBy {
@@ -248,6 +255,54 @@ func runCompare(w io.Writer, spec string, threshold, maxRegress float64, gateRE 
 		return regressed, fmt.Errorf("no benchmark matching -gate %q is in both reports (names include the -cpu suffix)", gateRE)
 	}
 	return regressed, nil
+}
+
+// sampled is one benchmark name's samples in a report reduced to a
+// single entry: NsPerOp and AllocsPerOp are the medians, and Benchmem
+// holds when every sample carried allocation columns.
+type sampled struct {
+	Benchmark
+	key     string // Name-Procs, the compare's match key
+	samples int
+}
+
+// aggregate groups a report's results by Name-Procs, in order of first
+// appearance, and reduces each group to its medians. A group of one
+// sample is that sample unchanged.
+func aggregate(rep *Report) []sampled {
+	var out []sampled
+	at := make(map[string]int)
+	var ns, allocs [][]float64
+	for _, b := range rep.Benchmarks {
+		key := fmt.Sprintf("%s-%d", b.Name, b.Procs)
+		i, ok := at[key]
+		if !ok {
+			i = len(out)
+			at[key] = i
+			out = append(out, sampled{Benchmark: b, key: key})
+			ns, allocs = append(ns, nil), append(allocs, nil)
+		}
+		out[i].samples++
+		out[i].Benchmem = out[i].Benchmem && b.Benchmem
+		ns[i] = append(ns[i], b.NsPerOp)
+		allocs[i] = append(allocs[i], b.AllocsPerOp)
+	}
+	for i := range out {
+		out[i].NsPerOp = median(ns[i])
+		out[i].AllocsPerOp = median(allocs[i])
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the middle two for
+// an even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
 }
 
 // loadReport reads one archived benchjson document.

@@ -166,6 +166,80 @@ func TestCompareGateNeedsCommonBenchmarks(t *testing.T) {
 	}
 }
 
+// TestCompareRepeatedSamples: a -count 3 report repeats each name. The
+// compare reduces both sides to their median ns/op and allocs/op, gates
+// the medians, and prints the sample counts, instead of comparing one
+// arbitrary sample per side and listing the rest as new benchmarks.
+func TestCompareRepeatedSamples(t *testing.T) {
+	gate := regexp.MustCompile("ControllerStep|CGBA")
+	dir := t.TempDir()
+	samples := func(rev string, ns, allocs []float64) Report {
+		rep := Report{Rev: rev}
+		for i := range ns {
+			rep.Benchmarks = append(rep.Benchmarks,
+				Benchmark{Name: "BenchmarkControllerStep/devices=300", Procs: 2, NsPerOp: ns[i], AllocsPerOp: allocs[i], Benchmem: true},
+				Benchmark{Name: "BenchmarkSolveP2B", Procs: 2, NsPerOp: 100})
+		}
+		return rep
+	}
+	// Old medians: 1100 ns/op, 5 allocs/op; its last sample is an outlier.
+	oldPath := writeReport(t, dir, "old.json", samples("old", []float64{1000, 1100, 5000}, []float64{5, 6, 5}))
+	for _, tc := range []struct {
+		name      string
+		ns        []float64
+		allocs    []float64
+		regressed bool
+		ratio     string
+	}{
+		{"medians within budget", []float64{1150, 1200, 900}, []float64{5, 5, 7}, false, "(1.05x)"},
+		{"median ns/op over budget", []float64{1300, 1400, 1350}, []float64{5, 5, 5}, true, "(1.23x)"},
+		{"median allocs/op grew", []float64{1100, 1100, 1100}, []float64{6, 6, 5}, true, "(1.00x)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := writeReport(t, dir, "new.json", samples("new", tc.ns, tc.allocs))
+			var out strings.Builder
+			got, err := runCompare(&out, oldPath+","+newPath, 1.25, 0.15, gate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := out.String()
+			if got != tc.regressed {
+				t.Errorf("regressed = %v, want %v\n%s", got, tc.regressed, text)
+			}
+			if !strings.Contains(text, tc.ratio) || !strings.Contains(text, "[median of 3 -> 3 samples]") {
+				t.Errorf("want ratio %s over 3 -> 3 samples\n%s", tc.ratio, text)
+			}
+			if strings.Contains(text, "new benchmark") || strings.Contains(text, "removed") {
+				t.Errorf("repeated samples listed as unmatched\n%s", text)
+			}
+		})
+	}
+}
+
+// TestCompareSingleSampleUnchanged pins the single-sample output: one
+// sample per name compares and prints exactly as it did before the
+// compare learned to aggregate.
+func TestCompareSingleSampleUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", Report{Rev: "old", Benchmarks: []Benchmark{
+		{Name: "BenchmarkControllerStep/devices=300", Procs: 2, NsPerOp: 1000, AllocsPerOp: 5, Benchmem: true},
+	}})
+	newPath := writeReport(t, dir, "new.json", Report{Rev: "new", Benchmarks: []Benchmark{
+		{Name: "BenchmarkControllerStep/devices=300", Procs: 2, NsPerOp: 1100, AllocsPerOp: 5, Benchmem: true},
+		{Name: "BenchmarkPoolRegion/serial", Procs: 2, NsPerOp: 10},
+	}})
+	var out strings.Builder
+	if _, err := runCompare(&out, oldPath+","+newPath, 1.25, 0.15, regexp.MustCompile("ControllerStep")); err != nil {
+		t.Fatal(err)
+	}
+	want := "comparing " + oldPath + " (old) -> " + newPath + " (new), gating \"ControllerStep\" at +15% ns/op, +0 allocs/op\n" +
+		"  BenchmarkControllerStep/devices=300-2                        1000 -> 1100 ns/op (1.10x)\n" +
+		"  BenchmarkPoolRegion/serial-2                                 new benchmark (10 ns/op)\n"
+	if out.String() != want {
+		t.Errorf("output\n%s\nwant\n%s", out.String(), want)
+	}
+}
+
 func TestParseBenchLineMalformed(t *testing.T) {
 	for _, line := range []string{
 		"BenchmarkX-8",                     // too few fields

@@ -81,11 +81,11 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 	if q < 0 || math.IsNaN(q) {
 		return BDMAResult{}, fmt.Errorf("core: BDMA needs Q ≥ 0, got %v", q)
 	}
-	solve := func(sel Selection, sdl *solver.Deadline) (Frequencies, error) {
-		return s.solveP2B(sel, st, v, func(int) float64 { return q }, in, pool, sdl)
+	solve := func(compute []float64, sdl *solver.Deadline) (Frequencies, error) {
+		return s.solveP2B(compute, st, v, func(int) float64 { return q }, in, pool, sdl)
 	}
-	objective := func(sel Selection, freq Frequencies) float64 {
-		return s.p2Objective(sel, freq, st, v, q, pool)
+	objective := func(latency float64, freq Frequencies) float64 {
+		return s.p2Objective(latency, freq, st, v, q)
 	}
 	best, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, pool, dl)
 	if err != nil {
@@ -103,8 +103,17 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // game), skipping the structural rebuild entirely. in records the
 // alternation's round statistics, executed and skipped (zero value
 // records nothing); pool is the intra-slot worker pool handed down to the
-// P2-A engine (sharded best-response scoring) — P2-B and the objective
-// closures captured it already.
+// P2-A engine (sharded best-response scoring) — the P2-B closure
+// captured it already.
+//
+// Each round is priced from its profile on the game, not from the state:
+// the round's loads p_r(z) are the Lemma-1 sums of its selection (the
+// game's player-resource weights are the same square roots, added in the
+// same device order), so P2-B reads its per-server sums A_n from the
+// compute loads, and the objective and Latency reduce the loads with
+// lemma1Latency. The best round's profile and loads stay in scratch for
+// the controller's allocation (P2A.bestAllocation), and the Selection
+// is materialized once, from that profile.
 //
 // dl, when non-nil, is the slot deadline. Checkpoints sit at round
 // boundaries, inside the P2-A engine's iteration loop, and at P2-B entry.
@@ -120,8 +129,8 @@ func (s *System) bdmaLoop(
 	st *trace.State,
 	cfg BDMAConfig,
 	src *rng.Source,
-	solveP2B func(Selection, *solver.Deadline) (Frequencies, error),
-	objective func(Selection, Frequencies) float64,
+	solveP2B func(compute []float64, sdl *solver.Deadline) (Frequencies, error),
+	objective func(latency float64, freq Frequencies) float64,
 	scratch *P2A,
 	in solveInstr,
 	pool *par.Pool,
@@ -186,7 +195,8 @@ func (s *System) bdmaLoop(
 		}
 		warm = res.Profile
 		best.SolverIterations += res.Iterations
-		sel := scratch.Selection(res.Profile)
+		loads := scratch.priceLoads(res.Profile)
+		compute, _, _ := s.splitSums(loads)
 
 		// A truncated P2-A iterate is still a feasible profile; price it
 		// with a deadline-free P2-B grace pass (bounded: N golden-section
@@ -197,7 +207,7 @@ func (s *System) bdmaLoop(
 			sdl = nil
 		}
 		built := freq
-		freq, err = solveP2B(sel, sdl)
+		freq, err = solveP2B(compute, sdl)
 		if err != nil {
 			if errors.Is(err, ErrSlotDeadline) {
 				best.Degraded = true
@@ -207,10 +217,13 @@ func (s *System) bdmaLoop(
 		}
 
 		rounds++
-		if obj := objective(sel, freq); obj < best.Objective {
+		latency := s.lemma1Latency(loads, freq, st)
+		if obj := objective(latency, freq); obj < best.Objective {
 			best.Objective = obj
-			best.Selection = sel.Clone()
-			best.Freq = freq.Clone()
+			best.Latency = latency
+			best.Freq = freq
+			scratch.best = append(scratch.best[:0], res.Profile...)
+			scratch.bestLoads = append(scratch.bestLoads[:0], loads...)
 			bestRound = iter + 1
 		}
 		if res.Truncated {
@@ -226,7 +239,7 @@ func (s *System) bdmaLoop(
 			break
 		}
 	}
-	if best.Selection.Station == nil {
+	if bestRound == 0 {
 		if best.Degraded {
 			return BDMAResult{}, fmt.Errorf("core: BDMA: %w", ErrSlotDeadline)
 		}
@@ -235,7 +248,7 @@ func (s *System) bdmaLoop(
 	in.bdmaRounds.Add(int64(rounds))
 	in.bdmaSkipped.Add(int64(skipped))
 	in.bdmaBestRound.Observe(float64(bestRound))
-	best.Latency = s.reducedLatency(best.Selection, best.Freq, st, pool).Value()
+	best.Selection = scratch.Selection(scratch.best)
 	return best, nil
 }
 

@@ -251,13 +251,13 @@ func (c *Controller) SetLambda(lambda float64) error {
 }
 
 // SetPool attaches a worker pool to the controller's per-slot solve:
-// P2-B's per-server minimizations, the P2-A engine's best-response
-// rescans, and the Lemma-1 accumulators run sharded across the pool's
-// workers. Decisions, objectives, iteration counts, and the RNG draw
-// sequence are bit-identical to the serial path for every pool size
-// (DESIGN.md §9); nil detaches the pool. The pool must not be shared by
-// controllers stepping concurrently — give each concurrent controller
-// its own (as sim.Sweep does).
+// P2-B's per-server minimizations and the P2-A engine's best-response
+// rescans run sharded across the pool's workers. Decisions, objectives,
+// iteration counts, and the RNG draw sequence are bit-identical to the
+// serial path for every pool size (DESIGN.md §9); nil detaches the
+// pool. The pool must not be shared by controllers stepping
+// concurrently — give each concurrent controller its own (as sim.Sweep
+// does).
 func (c *Controller) SetPool(p *par.Pool) {
 	c.pool = p
 	c.p2a.SetPool(p)
@@ -422,9 +422,17 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 		}
 	}
 
-	// Materialize the allocation from the observed state (shares are part
-	// of the decision) and experience it under the realized state.
-	alloc := c.sys.optimalAllocation(res.Selection, observed, c.pool)
+	// Materialize the allocation for the observed state (shares are part
+	// of the decision) and experience it under the realized state. A BDMA
+	// decision is a profile of the slot's P2-A game, which prices its
+	// shares from the arena; the fallback rungs' selections are not, and
+	// are priced from the state.
+	var alloc Allocation
+	if rung <= RungAnytime {
+		alloc = c.p2a.bestAllocation()
+	} else {
+		alloc = c.sys.OptimalAllocation(res.Selection, observed)
+	}
 	decision := Decision{Selection: res.Selection, Allocation: alloc, Freq: res.Freq}
 	total, perDevice := c.sys.LatencyOf(decision, realized)
 
@@ -628,18 +636,18 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 // and reduced latency of a fallback decision, mirroring what bdmaScratch/
 // bdmaRoomsScratch report for a full solve.
 func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
+	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
 	if c.rooms != nil {
-		res.Objective = c.sys.p2ObjectiveRooms(res.Selection, res.Freq, st, c.dpp.V, c.rooms.Backlogs(), c.pool)
+		res.Objective = c.sys.p2ObjectiveRooms(res.Latency, res.Freq, st, c.dpp.V, c.rooms.Backlogs())
 		res.RoomThetas = c.sys.RoomThetasActive(res.Freq, st.Price, st.ServerActive)
 		res.Theta = 0
 		for _, theta := range res.RoomThetas {
 			res.Theta += theta
 		}
 	} else {
-		res.Objective = c.sys.p2Objective(res.Selection, res.Freq, st, c.dpp.V, c.dpp.Queue.Backlog(), c.pool)
+		res.Objective = c.sys.p2Objective(res.Latency, res.Freq, st, c.dpp.V, c.dpp.Queue.Backlog())
 		res.Theta = c.sys.ThetaActive(res.Freq, st.Price, st.ServerActive)
 	}
-	res.Latency = c.sys.reducedLatency(res.Selection, res.Freq, st, c.pool).Value()
 	return res
 }
 

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"sync"
 
-	"eotora/internal/par"
 	"eotora/internal/trace"
 	"eotora/internal/units"
 )
@@ -17,24 +17,15 @@ import (
 // resource sum to exactly 1, which saturates constraints (4)–(6) as the
 // KKT conditions require.
 func (s *System) OptimalAllocation(sel Selection, st *trace.State) Allocation {
-	return s.optimalAllocation(sel, st, nil)
-}
-
-// optimalAllocation is OptimalAllocation with an optional pool sharding
-// the Lemma-1 denominator accumulation (bit-identical; see lemma1Task).
-func (s *System) optimalAllocation(sel Selection, st *trace.State, pool *par.Pool) Allocation {
 	devices := len(sel.Station)
 	a := Allocation{
 		AccessShare:    make([]float64, devices),
 		FronthaulShare: make([]float64, devices),
 		ComputeShare:   make([]float64, devices),
 	}
-
-	// Per-station and per-server denominators: Σ_j √(d_j/h_j), Σ_j √(f_j/σ_j).
-	sums := borrowSums(len(s.Net.BaseStations), len(s.Net.Servers))
-	defer sums.release()
-	sums.accumulate(s, sel, st, pool)
-	accessDen, fronthaulDen, computeDen := sums.access, sums.fronthaul, sums.compute
+	sc := borrowSums(len(s.Net.Servers) + 2*len(s.Net.BaseStations))
+	defer sc.release()
+	computeDen, accessDen, fronthaulDen := s.splitSums(s.lemma1Sums(sc.sums, sel, st))
 	for i := 0; i < devices; i++ {
 		k, n := sel.Station[i], sel.Server[i]
 		if k < 0 {
@@ -52,6 +43,57 @@ func (s *System) optimalAllocation(sel Selection, st *trace.State, pool *par.Poo
 		}
 	}
 	return a
+}
+
+// lemma1Sums accumulates the Lemma-1 denominators of a selection into
+// sums, zeroed and sized N+2K, and returns it. The order is the P2-A
+// game's resource order (see fillResourceWeights): Σ_{i→n} √(f_i/σ_{i,n})
+// per server, then Σ_{i→k} √(d_i/h_{i,k}) and Σ_{i→k} √(d_i/h^F_k) per
+// station. They are the game's loads p_r(z) under the selection's
+// profile, and each sum adds its devices in ascending order, as the
+// game's player order does.
+func (s *System) lemma1Sums(sums []float64, sel Selection, st *trace.State) []float64 {
+	compute, access, fronthaul := s.splitSums(sums)
+	for i := range sel.Station {
+		k, n := sel.Station[i], sel.Server[i]
+		if k < 0 || n < 0 {
+			// Inactive device: no resource demand.
+			continue
+		}
+		access[k] += math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
+		fronthaul[k] += math.Sqrt(st.DataLengths[i].Bits() / st.FronthaulSE[k].BpsPerHz())
+		compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
+	}
+	return sums
+}
+
+// sumsScratch is a pooled buffer for the sums of the state-priced entry
+// points (ReducedLatency, OptimalAllocation, SolveP2B), which the
+// baselines call every slot; pooling keeps those calls allocation-free.
+type sumsScratch struct{ sums []float64 }
+
+var sumsPool = sync.Pool{New: func() any { return new(sumsScratch) }}
+
+// borrowSums returns pooled scratch holding n zeroed sums. Callers must
+// release it when done and must not retain the slice afterwards.
+func borrowSums(n int) *sumsScratch {
+	sc := sumsPool.Get().(*sumsScratch)
+	if cap(sc.sums) < n {
+		sc.sums = make([]float64, n)
+	}
+	sc.sums = sc.sums[:n]
+	clear(sc.sums)
+	return sc
+}
+
+func (sc *sumsScratch) release() { sumsPool.Put(sc) }
+
+// splitSums views resource-ordered Lemma-1 sums (or P2-A game loads) as
+// their per-server compute, per-station access, and per-station
+// fronthaul parts.
+func (s *System) splitSums(sums []float64) (compute, access, fronthaul []float64) {
+	servers, stations := len(s.Net.Servers), len(s.Net.BaseStations)
+	return sums[:servers], sums[servers : servers+stations], sums[servers+stations:]
 }
 
 // LatencyBreakdown itemizes one device's slot latency.
@@ -110,29 +152,30 @@ func (s *System) LatencyOf(d Decision, st *trace.State) (total units.Seconds, pe
 //
 // where ω_n is the server's aggregate capacity at its per-core frequency.
 func (s *System) ReducedLatency(sel Selection, freq Frequencies, st *trace.State) units.Seconds {
-	return s.reducedLatency(sel, freq, st, nil)
+	sc := borrowSums(len(s.Net.Servers) + 2*len(s.Net.BaseStations))
+	defer sc.release()
+	return units.Seconds(s.lemma1Latency(s.lemma1Sums(sc.sums, sel, st), freq, st))
 }
 
-// reducedLatency is ReducedLatency with an optional pool sharding the
-// Lemma-1 accumulation; the Σ sum²/bandwidth reduction stays serial in
-// resource order, so the total is bit-identical for every pool size.
-func (s *System) reducedLatency(sel Selection, freq Frequencies, st *trace.State, pool *par.Pool) units.Seconds {
-	sums := borrowSums(len(s.Net.BaseStations), len(s.Net.Servers))
-	defer sums.release()
-	sums.accumulate(s, sel, st, pool)
-	accessSum, fronthaulSum, computeSum := sums.access, sums.fronthaul, sums.compute
+// lemma1Latency reduces resource-ordered Lemma-1 sums to T_t of equation
+// (20): Σ sum²/bandwidth over the stations, then over the servers, in
+// resource order. BDMA rounds call it on the P2-A game's loads,
+// ReducedLatency on sums recomputed from the state; equal sums give
+// equal bits.
+func (s *System) lemma1Latency(sums []float64, freq Frequencies, st *trace.State) float64 {
+	compute, access, fronthaul := s.splitSums(sums)
 	total := 0.0
 	for k, bs := range s.Net.BaseStations {
-		total += accessSum[k] * accessSum[k] / bs.AccessBandwidth.Hertz()
-		total += fronthaulSum[k] * fronthaulSum[k] / bs.FronthaulBandwidth.Hertz()
+		total += access[k] * access[k] / bs.AccessBandwidth.Hertz()
+		total += fronthaul[k] * fronthaul[k] / bs.FronthaulBandwidth.Hertz()
 	}
 	for n := range s.Net.Servers {
-		if computeSum[n] == 0 {
+		if compute[n] == 0 {
 			continue
 		}
-		total += computeSum[n] * computeSum[n] / (s.Net.Servers[n].Capacity(freq[n]).Hertz() * st.Cap(n))
+		total += compute[n] * compute[n] / (s.Net.Servers[n].Capacity(freq[n]).Hertz() * st.Cap(n))
 	}
-	return units.Seconds(total)
+	return total
 }
 
 // EnergyCost evaluates C_t(Ω_t, p_t) of equation (13): the slot's total

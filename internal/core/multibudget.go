@@ -110,22 +110,24 @@ func (s *System) RoomThetasActive(freq Frequencies, price units.Price, active []
 // energy term is weighted by qByRoom of its hosting room.
 func (s *System) SolveP2BPerRoom(sel Selection, st *trace.State, v float64, qByRoom map[int]float64) (Frequencies, error) {
 	qOf := func(n int) float64 { return qByRoom[s.Net.Servers[n].Room] }
-	return s.solveP2B(sel, st, v, qOf, solveInstr{}, nil, nil)
+	sc := borrowSums(len(s.Net.Servers))
+	defer sc.release()
+	return s.solveP2B(s.computeSums(sc.sums, sel, st), st, v, qOf, solveInstr{}, nil, nil)
 }
 
 // P2ObjectiveRooms evaluates V·T_t + Σ_m Q_m·Θ_m for a candidate decision.
 func (s *System) P2ObjectiveRooms(sel Selection, freq Frequencies, st *trace.State, v float64, qByRoom map[int]float64) float64 {
-	return s.p2ObjectiveRooms(sel, freq, st, v, qByRoom, nil)
+	return s.p2ObjectiveRooms(s.ReducedLatency(sel, freq, st).Value(), freq, st, v, qByRoom)
 }
 
-// p2ObjectiveRooms is P2ObjectiveRooms with an optional worker pool for
-// the Lemma-1 accumulation inside the reduced latency.
-func (s *System) p2ObjectiveRooms(sel Selection, freq Frequencies, st *trace.State, v float64, qByRoom map[int]float64, pool *par.Pool) float64 {
+// p2ObjectiveRooms is P2ObjectiveRooms for a decision whose reduced
+// latency T_t is already known.
+func (s *System) p2ObjectiveRooms(latency float64, freq Frequencies, st *trace.State, v float64, qByRoom map[int]float64) float64 {
 	penalty := 0.0
 	for room, theta := range s.RoomThetasActive(freq, st.Price, st.ServerActive) {
 		penalty += qByRoom[room] * theta
 	}
-	return v*s.reducedLatency(sel, freq, st, pool).Value() + penalty
+	return v*latency + penalty
 }
 
 // BDMARooms runs Algorithm 2 under per-room budgets: the alternation is
@@ -149,12 +151,12 @@ func (s *System) bdmaRoomsScratch(st *trace.State, v float64, qByRoom map[int]fl
 			return BDMAResult{}, fmt.Errorf("core: negative queue weight %v for room %d", q, room)
 		}
 	}
-	solve := func(sel Selection, sdl *solver.Deadline) (Frequencies, error) {
+	solve := func(compute []float64, sdl *solver.Deadline) (Frequencies, error) {
 		qOf := func(n int) float64 { return qByRoom[s.Net.Servers[n].Room] }
-		return s.solveP2B(sel, st, v, qOf, in, pool, sdl)
+		return s.solveP2B(compute, st, v, qOf, in, pool, sdl)
 	}
-	objective := func(sel Selection, freq Frequencies) float64 {
-		return s.p2ObjectiveRooms(sel, freq, st, v, qByRoom, pool)
+	objective := func(latency float64, freq Frequencies) float64 {
+		return s.p2ObjectiveRooms(latency, freq, st, v, qByRoom)
 	}
 	res, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, pool, dl)
 	if err != nil {

@@ -19,12 +19,14 @@ import (
 // strategies and (station, server) pairs.
 //
 // A P2A is reusable: BuildP2A refills it for a new slot without
-// reallocating (the game arena, pair table, and strategy lookup are
-// rebuilt in place), and Reweight swaps only the N compute-resource
-// weights when the frequencies change between BDMA rounds but the slot
-// state — and therefore the game structure — does not. Engine returns a
-// lazily created solve engine bound to the game; CGBA/MCBA solvers run on
-// it so their scratch buffers persist across rounds and slots.
+// reallocating (the game arena and the per-device pair rows are rebuilt
+// in place), and Reweight swaps only the N compute-resource weights when
+// the frequencies change between BDMA rounds but the slot state — and
+// therefore the game structure — does not. Engine returns a lazily
+// created solve engine bound to the game; CGBA/MCBA solvers run on it so
+// their scratch buffers persist across rounds and slots. The P2A also
+// holds BDMA's round-pricing scratch: the game's loads under a round's
+// profile are that round's Lemma-1 sums (priceLoads).
 type P2A struct {
 	sys   *System
 	game  *game.Game
@@ -66,7 +68,20 @@ type P2A struct {
 	planAssign []int32
 	planTarget int
 	planValid  bool
+
+	// Round pricing scratch (see bdmaLoop and priceLoads): loads holds
+	// the latest priced round's game loads, best and bestLoads the
+	// profile and loads of the best round so far.
+	loads     []float64
+	bestLoads []float64
+	best      game.Profile
 }
+
+// noOpPin is the access load buildP2A pins on each strategy of an
+// f = d = 0 device. Every other player-resource weight is the square root
+// of a positive float64, so at least 2^-537: the pin is the only weight
+// this small, and pricing reads it as the 0 the device adds to its sums.
+const noOpPin = math.SmallestNonzeroFloat64
 
 // capAt returns the capacity scale for server n: capScale[n], or the
 // bit-exact nominal 1 when capScale is nil or short.
@@ -204,7 +219,7 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 						// f = d = 0: the device is a no-op this slot and is
 						// indifferent between pairs; pin a negligible access
 						// load to keep the strategy well-formed.
-						b.AddUse(servers+k, math.SmallestNonzeroFloat64)
+						b.AddUse(servers+k, noOpPin)
 					}
 					p.pairArena = append(p.pairArena, topology.Pair{Station: k, Server: n})
 					count++
@@ -325,6 +340,69 @@ func (p *P2A) Selection(profile game.Profile) Selection {
 		sel.Server[i] = pair.Server
 	}
 	return sel
+}
+
+// priceLoads fills p.loads with the profile's game loads p_r(z) in
+// resource order and returns them: the Lemma-1 sums of the profile's
+// Selection (System.lemma1Sums), bit for bit. Players run in ascending
+// device order, so each sum adds the same square roots in the same
+// order, and a use omitted for a zero weight skips the +0 the state sum
+// adds. A real weight absorbs any no-op pins exactly (pins are far below
+// half its ulp), so only a load of pins alone differs from the state
+// sum; it is subnormal, and it is cleared to the state sum's 0.
+func (p *P2A) priceLoads(profile game.Profile) []float64 {
+	r := p.game.Resources()
+	if cap(p.loads) < r {
+		p.loads = make([]float64, r)
+	}
+	p.loads = p.loads[:r]
+	p.game.LoadsInto(p.loads, profile)
+	for i, l := range p.loads {
+		if l < 0x1p-1022 {
+			p.loads[i] = 0
+		}
+	}
+	return p.loads
+}
+
+// bestAllocation materializes the Lemma-1 shares (15)–(17) of the best
+// round's profile: p_{i,r}/p_r(z), with p_{i,r} read from the chosen
+// strategy's arena uses and p_r(z) from the kept loads. Numerators and
+// denominators are the values OptimalAllocation recomputes from the
+// state (a no-op pin prices as 0), so the shares are bit-identical to
+// OptimalAllocation on the best round's Selection.
+func (p *P2A) bestAllocation() Allocation {
+	devices := len(p.devPlayer)
+	a := Allocation{
+		AccessShare:    make([]float64, devices),
+		FronthaulShare: make([]float64, devices),
+		ComputeShare:   make([]float64, devices),
+	}
+	stations := len(p.sys.Net.BaseStations)
+	for pl, sIdx := range p.best {
+		i := int(p.playerDev[pl])
+		pair := p.pairs[i][sIdx]
+		access, fronthaul := p.servers+pair.Station, p.servers+stations+pair.Station
+		a.AccessShare[i] = p.share(pl, sIdx, access)
+		a.FronthaulShare[i] = p.share(pl, sIdx, fronthaul)
+		a.ComputeShare[i] = p.share(pl, sIdx, pair.Server)
+	}
+	return a
+}
+
+// share is player pl's Lemma-1 share of resource r under strategy sIdx
+// of the best round: zero when the resource carries no load, as in
+// OptimalAllocation.
+func (p *P2A) share(pl, sIdx, r int) float64 {
+	den := p.bestLoads[r]
+	if !(den > 0) {
+		return 0
+	}
+	w := p.game.UseWeight(pl, sIdx, r)
+	if w == noOpPin {
+		w = 0
+	}
+	return w / den
 }
 
 // Profile converts a universe-sized selection back into a game profile

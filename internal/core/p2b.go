@@ -29,24 +29,43 @@ func (s *System) SolveP2B(sel Selection, st *trace.State, v, q float64) (Frequen
 	if q < 0 || math.IsNaN(q) {
 		return nil, fmt.Errorf("core: P2-B needs Q ≥ 0, got %v", q)
 	}
-	return s.solveP2B(sel, st, v, func(int) float64 { return q }, solveInstr{}, nil, nil)
+	sc := borrowSums(len(s.Net.Servers))
+	defer sc.release()
+	return s.solveP2B(s.computeSums(sc.sums, sel, st), st, v, func(int) float64 { return q }, solveInstr{}, nil, nil)
 }
 
-// solveP2B is the shared per-server convex solve; qOf supplies the queue
-// weight applied to each server's energy term (constant for the paper's
-// global budget, per-room for the multi-budget extension). in records
-// per-server solver work (the zero value records nothing). pool, when
-// non-trivial, fans the independent per-server 1-D minimizations across
-// workers: the separability the paper exploits analytically is exactly
-// shard independence, each server's result lands in its preallocated
-// freq slot, and golden-section search draws no randomness, so the
-// returned frequencies are bit-identical to the serial loop.
+// computeSums accumulates the per-server Lemma-1 sums Σ_{i→n} √(f_i/σ_{i,n})
+// of a selection, the compute part of lemma1Sums, into compute (zeroed,
+// one entry per server) and returns it: P2-B's input for selections
+// priced from the state.
+func (s *System) computeSums(compute []float64, sel Selection, st *trace.State) []float64 {
+	for i, n := range sel.Server {
+		if n < 0 {
+			continue
+		}
+		compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
+	}
+	return compute
+}
+
+// solveP2B is the shared per-server convex solve over the per-server sums
+// computeSum (A_n = computeSum[n]²): BDMA rounds pass the compute loads
+// of their P2-A game, the exported entry points the sums of a selection.
+// qOf supplies the queue weight applied to each server's energy term
+// (constant for the paper's global budget, per-room for the multi-budget
+// extension). in records per-server solver work (the zero value records
+// nothing). pool, when non-trivial, fans the independent per-server 1-D
+// minimizations across workers: the separability the paper exploits
+// analytically is exactly shard independence, each server's result lands
+// in its preallocated freq slot, and golden-section search draws no
+// randomness, so the returned frequencies are bit-identical to the
+// serial loop.
 //
 // dl is polled exactly once, at entry — never per server, which would make
 // counted-checkpoint budgets depend on the shard layout. An expired
 // deadline returns ErrSlotDeadline; the BDMA loop maps it to the best
 // decision found so far.
-func (s *System) solveP2B(sel Selection, st *trace.State, v float64, qOf func(server int) float64, in solveInstr, pool *par.Pool, dl *solver.Deadline) (Frequencies, error) {
+func (s *System) solveP2B(computeSum []float64, st *trace.State, v float64, qOf func(server int) float64, in solveInstr, pool *par.Pool, dl *solver.Deadline) (Frequencies, error) {
 	if !(v > 0) {
 		return nil, fmt.Errorf("core: P2-B needs V > 0, got %v", v)
 	}
@@ -54,13 +73,6 @@ func (s *System) solveP2B(sel Selection, st *trace.State, v float64, qOf func(se
 		return nil, fmt.Errorf("core: P2-B: %w", ErrSlotDeadline)
 	}
 	servers := len(s.Net.Servers)
-
-	// A_n = (Σ_{i→n} √(f_i/σ_{i,n}))².
-	sums := borrowSums(0, servers)
-	defer sums.release()
-	sums.accumulateCompute(s, sel, st, pool)
-	computeSum := sums.compute
-
 	freq := make(Frequencies, servers)
 	if pool.Size() > 1 && servers > 1 {
 		t := p2bTaskPool.Get().(*p2bTask)
@@ -193,11 +205,11 @@ func (t *p2bTask) release() {
 // P2Objective evaluates the P2 objective f(x, y, Ω) = V·T_t + Q·Θ for a
 // candidate decision.
 func (s *System) P2Objective(sel Selection, freq Frequencies, st *trace.State, v, q float64) float64 {
-	return s.p2Objective(sel, freq, st, v, q, nil)
+	return s.p2Objective(s.ReducedLatency(sel, freq, st).Value(), freq, st, v, q)
 }
 
-// p2Objective is P2Objective with an optional pool for the Lemma-1
-// accumulation inside the reduced latency.
-func (s *System) p2Objective(sel Selection, freq Frequencies, st *trace.State, v, q float64, pool *par.Pool) float64 {
-	return v*s.reducedLatency(sel, freq, st, pool).Value() + q*s.ThetaActive(freq, st.Price, st.ServerActive)
+// p2Objective is P2Objective for a decision whose reduced latency T_t is
+// already known.
+func (s *System) p2Objective(latency float64, freq Frequencies, st *trace.State, v, q float64) float64 {
+	return v*latency + q*s.ThetaActive(freq, st.Price, st.ServerActive)
 }

@@ -91,8 +91,8 @@ func comparableSnapshot(reg *obs.Registry) obs.Snapshot {
 // controller level: a pooled controller's selections, frequencies,
 // objectives, queue trajectory, solver iteration counts, and non-timing
 // observability series are bit-identical to serial at every pool size.
-// The topology is large enough (70 devices) to cross both parallel
-// gates (parRefreshMinPlayers, lemma1MinDevices).
+// The topology is large enough (70 devices) to cross the engine's
+// parallel gate (parRefreshMinPlayers).
 func TestControllerPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 70, 21, 6
 	build := func() (*Controller, []*trace.State) {
@@ -161,14 +161,14 @@ func TestControllerRoomsPoolMatrix(t *testing.T) {
 func TestSolveP2BPoolMatrix(t *testing.T) {
 	sys, gen := buildSystem(t, 80, 17)
 	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 3)
+	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(t, sys, st, 3), st)
 
 	serialReg := obs.New()
 	serialIn := solveInstr{
 		p2bSolves: serialReg.Counter(MetricP2BSolves),
 		p2bIters:  serialReg.Histogram(MetricP2BIterations),
 	}
-	want, err := sys.solveP2B(sel, st, 120, func(int) float64 { return 7 }, serialIn, nil, nil)
+	want, err := sys.solveP2B(compute, st, 120, func(int) float64 { return 7 }, serialIn, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSolveP2BPoolMatrix(t *testing.T) {
 			p2bSolves: reg.Counter(MetricP2BSolves),
 			p2bIters:  reg.Histogram(MetricP2BIterations),
 		}
-		got, err := sys.solveP2B(sel, st, 120, func(int) float64 { return 7 }, in, pool, nil)
+		got, err := sys.solveP2B(compute, st, 120, func(int) float64 { return 7 }, in, pool, nil)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("pool %d: %v", size, err)
@@ -195,51 +195,26 @@ func TestSolveP2BPoolMatrix(t *testing.T) {
 	}
 }
 
-// TestLemma1PoolMatrix checks the sharded accumulators behind
-// ReducedLatency and OptimalAllocation in isolation.
-func TestLemma1PoolMatrix(t *testing.T) {
-	sys, gen := buildSystem(t, 90, 29)
-	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 11)
-	freq := sys.HighestFrequencies()
-
-	wantLat := sys.ReducedLatency(sel, freq, st)
-	wantAlloc := sys.OptimalAllocation(sel, st)
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		gotLat := sys.reducedLatency(sel, freq, st, pool)
-		gotAlloc := sys.optimalAllocation(sel, st, pool)
-		pool.Close()
-		if math.Float64bits(gotLat.Value()) != math.Float64bits(wantLat.Value()) {
-			t.Errorf("pool %d: reduced latency bits %#x, want %#x",
-				size, math.Float64bits(gotLat.Value()), math.Float64bits(wantLat.Value()))
-		}
-		if !reflect.DeepEqual(gotAlloc, wantAlloc) {
-			t.Errorf("pool %d: allocation diverged", size)
-		}
-	}
-}
-
 // TestSolveP2BPoolError checks that the parallel path reports the same
 // error as serial: the lowest failing server wins, regardless of which
 // shard hit its failure first.
 func TestSolveP2BPoolError(t *testing.T) {
 	sys, gen := buildSystem(t, 80, 41)
 	st := gen.Next()
-	sel := feasibleSelection(t, sys, st, 3)
+	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(t, sys, st, 3), st)
 	// Corrupt every server's frequency range so each per-server solve
 	// fails; serial reports server 0.
 	for n := range sys.Net.Servers {
 		sys.Net.Servers[n].MinFreq = 4 * units.GHz
 		sys.Net.Servers[n].MaxFreq = 1 * units.GHz
 	}
-	_, serialErr := sys.solveP2B(sel, st, 100, func(int) float64 { return 1 }, solveInstr{}, nil, nil)
+	_, serialErr := sys.solveP2B(compute, st, 100, func(int) float64 { return 1 }, solveInstr{}, nil, nil)
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
 	for _, size := range corePoolSizes()[1:] {
 		pool := par.New(size)
-		_, err := sys.solveP2B(sel, st, 100, func(int) float64 { return 1 }, solveInstr{}, pool, nil)
+		_, err := sys.solveP2B(compute, st, 100, func(int) float64 { return 1 }, solveInstr{}, pool, nil)
 		pool.Close()
 		if err == nil || err.Error() != serialErr.Error() {
 			t.Errorf("pool %d: error %v, want %v", size, err, serialErr)

@@ -448,6 +448,25 @@ func (g *Game) loadsInto(loads []float64, p Profile) {
 	}
 }
 
+// LoadsInto overwrites loads, which must hold Resources() entries, with
+// p_r(z) under the profile: the non-allocating form of Loads, summing in
+// the same player order.
+func (g *Game) LoadsInto(loads []float64, p Profile) {
+	clear(loads)
+	g.loadsInto(loads, p)
+}
+
+// UseWeight returns p_{i,r} of player i's strategy s, or 0 when that
+// strategy does not use resource r. It reads the arena in place.
+func (g *Game) UseWeight(i, s, r int) float64 {
+	for _, u := range g.strategyUses(i, s) {
+		if u.res == r {
+			return u.w
+		}
+	}
+	return 0
+}
+
 // SocialCost returns the objective Σ_r m_r p_r(z)² — the total latency
 // T(z) of the WCG problem.
 func (g *Game) SocialCost(p Profile) float64 {

@@ -1,9 +1,10 @@
 // Package par provides a fixed-size, reusable worker pool for
 // deterministic intra-slot parallelism. The per-slot solve of the online
-// controller fans three embarrassingly parallel loops — the per-server
-// P2-B minimizations, the CGBA best-response rescans, and the Lemma-1
-// accumulators — across a Pool whose workers persist for the life of the
-// run: no goroutine is spawned per slot, per round, or per region.
+// controller fans its embarrassingly parallel loops — the per-server
+// P2-B minimizations, the CGBA best-response rescans, and the sharded
+// CGBA's interior sweeps — across a Pool whose workers persist for the
+// life of the run: no goroutine is spawned per slot, per round, or per
+// region.
 //
 // Determinism is the contract, not a best effort. A Pool never changes
 // *what* is computed, only *where*: a parallel region is a set of shards

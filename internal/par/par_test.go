@@ -212,3 +212,50 @@ func TestInstruments(t *testing.T) {
 		t.Fatalf("detached pool still recorded: %d", got)
 	}
 }
+
+// spinTask gives each shard a fixed amount of serial work: a dependent
+// chain of logistic-map steps, written to the shard's own slot.
+type spinTask struct {
+	steps int
+	part  []float64
+}
+
+func (t *spinTask) Run(shard int) {
+	x := 0.3 + 0.1*float64(shard)
+	for i := 0; i < t.steps; i++ {
+		x = 3.9 * x * (1 - x)
+	}
+	t.part[shard] = x
+}
+
+// BenchmarkPoolRegion measures whether an intra-slot region pays on the
+// recording host: one op is a 2-shard region run serially on the caller
+// (nil pool) and on a 2-worker pool, at about 10 µs, 100 µs and 1 ms of
+// work per shard (step counts sized on a 2-vCPU x86-64 Xeon). Pooled ns/op
+// near half the serial ns/op means the host runs the shards in
+// parallel; near or above it means wake-up cost or core sharing eats the
+// split.
+func BenchmarkPoolRegion(b *testing.B) {
+	for _, work := range []struct {
+		name  string
+		steps int
+	}{{"10us", 3_300}, {"100us", 33_000}, {"1ms", 330_000}} {
+		for _, mode := range []struct {
+			name string
+			size int
+		}{{"serial", 0}, {"pool2", 2}} {
+			b.Run("work="+work.name+"/"+mode.name, func(b *testing.B) {
+				var p *Pool
+				if mode.size > 0 {
+					p = New(mode.size)
+					defer p.Close()
+				}
+				task := &spinTask{steps: work.steps, part: make([]float64, 2)}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Run(2, task)
+				}
+			})
+		}
+	}
+}

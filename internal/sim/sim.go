@@ -215,8 +215,8 @@ func (m *Metrics) WriteCSV(w io.Writer) error {
 // comparison baselines, or the auto-tuner. Steady-state slots of the
 // controller are allocation-light: it reuses one P2A instance (the game
 // arena is rebuilt in place each slot and only reweighted between BDMA
-// rounds) and one solve engine, and the Lemma-1 accumulators come from a
-// pooled scratch, so per-slot heap work is dominated by the recorded
+// rounds) and one solve engine, and prices each BDMA round from that
+// game's loads, so per-slot heap work is dominated by the recorded
 // metrics, not the solve.
 func Run(p policy.Policy, src trace.Source, cfg Config) (*Metrics, error) {
 	if p == nil {
