@@ -69,9 +69,10 @@ soak:
 # Full benchmark sweep with allocation stats (minutes). The raw benchstat
 # stream lands in bench.out and a machine-readable BENCH_<rev>.json next
 # to it (see cmd/benchjson). -cpu 2 pins the GOMAXPROCS name suffix the
-# CI bench-gate matches baselines on.
+# CI bench-gate matches baselines on; -count 5 records five samples per
+# benchmark, which benchjson -compare reduces to their medians.
 bench:
-	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu 2 ./internal/... | tee bench.out
+	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=$(BENCHTIME) -count 5 -cpu 2 ./internal/... | tee bench.out
 	$(GO) run ./cmd/benchjson -rev $(REV) -out BENCH_$(REV).json < bench.out
 	@echo "wrote BENCH_$(REV).json"
 

@@ -75,7 +75,6 @@ func run(args []string) error {
 		slotDL     = fs.Duration("slot-deadline", 0, "steady-state wall-clock slot budget (0 = none; see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "steady-state counted slot budget (0 = none)")
 		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial)")
-		exact      = fs.Bool("exact", false, "CGBA exact max-improvement loop instead of sweeps (slower; see OPERATIONS.md)")
 		shards     = fs.Int("shards", 0, "shard the slot solve (0/1 = off, -1 = one per cluster, ≥2 = at most that many)")
 		snapshotTo = fs.String("snapshot", "", "snapshot file written every -snapshot-every and on shutdown")
 		snapEvery  = fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot cadence (with -snapshot)")
@@ -119,11 +118,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *exact {
-			if err := ctrl.SetExact(true); err != nil {
-				return err
-			}
-		}
 		if *shards != 0 {
 			if err := ctrl.SetShards(*shards); err != nil {
 				return err
@@ -133,8 +127,8 @@ func run(args []string) error {
 	} else {
 		// The controller-only knobs stay with -policy bdma: the tuner owns
 		// its own λ schedule, and the baselines run no solver.
-		if *exact || *shards != 0 {
-			return fmt.Errorf("-exact/-shards apply only to -policy bdma (got -policy %s)", *polName)
+		if *shards != 0 {
+			return fmt.Errorf("-shards applies only to -policy bdma (got -policy %s)", *polName)
 		}
 		pol, err = policy.New(*polName, sc.Sys, policy.Config{
 			V: *v, Rounds: *z, Lambda: *lambda, Seed: *seed,

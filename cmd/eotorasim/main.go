@@ -60,7 +60,6 @@ func run(args []string) error {
 		slotChecks = fs.Int("slot-checks", 0, "per-slot solver checkpoint budget (0 = none); deterministic alternative to -slot-deadline")
 		faultsOn   = fs.Bool("faults", false, "inject seeded faults (trace corruption, outages, capacity loss, solver stalls) with the soak profile; repairs via trace.Sanitizer stay on")
 		churn      = fs.Float64("churn", 0, "population churn intensity: scales the default join/leave/handover/server-event probabilities (0 = fixed population, 1 = default regime)")
-		exact      = fs.Bool("exact", false, "solve with CGBA's exact max-improvement loop instead of the default sweeps (slower escape hatch; see OPERATIONS.md)")
 		failDegrad = fs.Bool("fail-degraded", false, "exit non-zero if any slot was decided below RungFull (degradation ladder engaged); the scale-smoke CI gate")
 		topoName   = fs.String("topology", "default", "topology preset: default, urban, rural, campus, or metro")
 		shards     = fs.Int("shards", 0, "shard the slot solve into per-cluster games (0 or 1 = off, -1 = one shard per topology cluster, ≥2 = at most that many; see OPERATIONS.md)")
@@ -123,11 +122,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *exact {
-			if err := ctrl.SetExact(true); err != nil {
-				return err
-			}
-		}
 		if *shards != 0 {
 			if err := ctrl.SetShards(*shards); err != nil {
 				return err
@@ -146,8 +140,8 @@ func run(args []string) error {
 		if *solverName != "cgba" {
 			return fmt.Errorf("-solver applies only to -policy bdma (got -policy %s)", *polName)
 		}
-		if *exact || *shards != 0 || *shardAudit > 0 {
-			return fmt.Errorf("-exact/-shards/-shard-audit apply only to -policy bdma (got -policy %s)", *polName)
+		if *shards != 0 || *shardAudit > 0 {
+			return fmt.Errorf("-shards/-shard-audit apply only to -policy bdma (got -policy %s)", *polName)
 		}
 		pol, err = policy.New(*polName, sc.Sys, policy.Config{
 			V: *v, Rounds: *z, Lambda: *lambda, Seed: *seed,

@@ -103,7 +103,7 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // game), skipping the structural rebuild entirely. in records the
 // alternation's round statistics, executed and skipped (zero value
 // records nothing); pool is the intra-slot worker pool handed down to the
-// P2-A engine (sharded best-response scoring) — the P2-B closure
+// P2-A engine (the sharded solve's interior sweeps) — the P2-B closure
 // captured it already.
 //
 // Each round is priced from its profile on the game, not from the state:

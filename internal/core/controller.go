@@ -251,13 +251,12 @@ func (c *Controller) SetLambda(lambda float64) error {
 }
 
 // SetPool attaches a worker pool to the controller's per-slot solve:
-// P2-B's per-server minimizations and the P2-A engine's best-response
-// rescans run sharded across the pool's workers. Decisions, objectives,
-// iteration counts, and the RNG draw sequence are bit-identical to the
-// serial path for every pool size (DESIGN.md §9); nil detaches the
-// pool. The pool must not be shared by controllers stepping
-// concurrently — give each concurrent controller its own (as sim.Sweep
-// does).
+// P2-B's per-server minimizations and the sharded CGBA's interior sweeps
+// run across the pool's workers. Decisions, objectives, iteration
+// counts, and the RNG draw sequence are bit-identical to the serial path
+// for every pool size (DESIGN.md §9); nil detaches the pool. The pool
+// must not be shared by controllers stepping concurrently — give each
+// concurrent controller its own (as sim.Sweep does).
 func (c *Controller) SetPool(p *par.Pool) {
 	c.pool = p
 	c.p2a.SetPool(p)
@@ -266,21 +265,6 @@ func (c *Controller) SetPool(p *par.Pool) {
 
 // Pool returns the pool attached with SetPool, or nil.
 func (c *Controller) Pool() *par.Pool { return c.pool }
-
-// SetExact pins this controller's unsharded slot solves to CGBA's exact
-// max-improvement loop (see game.CGBAConfig.Exact); false restores the
-// default sweep loop for wide games. It errors when the controller's
-// P2-A solver is not CGBA — the knob has no meaning for the MCBA/ROPT
-// baselines.
-func (c *Controller) SetExact(exact bool) error {
-	s, err := c.cgbaSolver("exact loop")
-	if err != nil {
-		return err
-	}
-	s.Exact = exact
-	c.cfg.BDMA.Solver = s
-	return nil
-}
 
 // SetShards configures the sharded slot solve (DESIGN.md §13): the
 // per-slot P2-A game is partitioned into resource-disjoint topology
@@ -311,9 +295,8 @@ func (c *Controller) SetShards(n int) error {
 // same game, and the relative gap is exported through the shard.*
 // metrics (and SlotResult.ShardGap). The reference solve runs
 // uninstrumented so its work never lands in the cgba.*/engine.*
-// series; it costs roughly one extra unsharded solve per audited slot,
-// so keep `every` large in production (OPERATIONS.md). 0 disables the
-// audit.
+// series; it costs one extra unsharded sweep per audited slot, so keep
+// `every` large in production (OPERATIONS.md). 0 disables the audit.
 func (c *Controller) SetShardAudit(every int) { c.shardAuditEvery = every }
 
 // cgbaSolver returns the controller's CGBA solver config for mutation,
@@ -495,14 +478,11 @@ func (c *Controller) auditShardGap(out *SlotResult) {
 	// uninstrumented (its work must not land in the cgba.*/engine.*
 	// series), and fully isolated from the live engine's profile and
 	// caches — later slots solve bit-identically whether or not this
-	// slot was audited. The RNG source is derived outside the slot's
-	// draw sequence for the same reason.
+	// slot was audited. The unsharded sweep draws no RNG.
 	ref, err := game.NewEngine(g).CGBA(game.CGBAConfig{
 		Lambda:        s.Lambda,
 		MaxIterations: s.MaxIterations,
-		Pivot:         s.Pivot,
-		Exact:         s.Exact,
-	}, rng.New(c.cfg.Seed).Derive(fmt.Sprintf("shard-audit-%d", c.slot)))
+	}, nil)
 	if err != nil {
 		return
 	}

@@ -76,12 +76,10 @@ func testControllerObsRecording(t *testing.T, z int) {
 	if h := snap.Histograms[MetricP2BIterations]; h.Count != p2bSolves {
 		t.Errorf("%s count = %d, want one observation per solve (%d)", MetricP2BIterations, h.Count, p2bSolves)
 	}
-	// The engine must have both exercised and reused its caches.
+	// The engine must have recorded its scores. The unsharded sweep
+	// skips nobody, so it records no cache hits.
 	if snap.Counters[MetricCacheMisses] == 0 {
-		t.Error("no cache misses recorded — refresh path not instrumented")
-	}
-	if snap.Counters[MetricCacheHits] == 0 {
-		t.Error("no cache hits recorded — caching apparently never reused")
+		t.Error("no cache misses recorded — score path not instrumented")
 	}
 	if snap.Gauges[MetricBacklogNow] != ctrl.Backlog() {
 		t.Errorf("%s = %g, want current backlog %g",

@@ -300,10 +300,10 @@ func (p *P2A) SetInstruments(in game.Instruments) {
 	}
 }
 
-// SetPool attaches a worker pool to the P2A's solve engine for sharded
-// best-response scoring (now if the engine exists, otherwise when it is
-// lazily created). Nil detaches it. Solver results are bit-identical
-// with or without a pool.
+// SetPool attaches a worker pool to the P2A's solve engine for the
+// sharded solve's interior sweeps (now if the engine exists, otherwise
+// when it is lazily created). Nil detaches it. Solver results are
+// bit-identical with or without a pool.
 func (p *P2A) SetPool(pool *par.Pool) {
 	p.pool = pool
 	if p.engine != nil {
@@ -464,8 +464,8 @@ func (p *P2A) shardPlanFor(target int) (*game.ShardPlan, error) {
 	}
 	part := shard.New(p.sys.Net, want)
 	if part.Shards <= 1 {
-		// Single cluster: every player would land in shard 0 and the
-		// sharded solve would just delegate — skip the plan entirely.
+		// Single cluster: every player would land in shard 0, and a
+		// one-shard plan is the unsharded solve — skip the plan entirely.
 		p.shardPlan, p.planTarget, p.planValid = nil, target, true
 		return nil, nil
 	}
@@ -533,14 +533,6 @@ type CGBASolver struct {
 	Lambda float64
 	// MaxIterations caps the best-response loop (0 = generous default).
 	MaxIterations int
-	// Pivot selects the mover rule; the zero value is the paper's
-	// max-improvement rule.
-	Pivot game.PivotRule
-	// Exact forwards to game.CGBAConfig.Exact: it keeps unsharded solves
-	// on the exact max-improvement loop (bit-identical to the seed path)
-	// instead of the sweep loop wide games take by default. See
-	// OPERATIONS.md.
-	Exact bool
 	// Shards splits the slot game into resource-disjoint topology
 	// clusters solved concurrently and reconciled at the boundary until
 	// the global λ-equilibrium certifies (DESIGN.md §13): 0 or 1 =
@@ -583,8 +575,6 @@ func (c CGBASolver) config(initial game.Profile) game.CGBAConfig {
 	return game.CGBAConfig{
 		Lambda:        c.Lambda,
 		MaxIterations: c.MaxIterations,
-		Pivot:         c.Pivot,
-		Exact:         c.Exact,
 		Initial:       initial,
 	}
 }

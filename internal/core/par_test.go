@@ -91,8 +91,6 @@ func comparableSnapshot(reg *obs.Registry) obs.Snapshot {
 // controller level: a pooled controller's selections, frequencies,
 // objectives, queue trajectory, solver iteration counts, and non-timing
 // observability series are bit-identical to serial at every pool size.
-// The topology is large enough (70 devices) to cross the engine's
-// parallel gate (parRefreshMinPlayers).
 func TestControllerPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 70, 21, 6
 	build := func() (*Controller, []*trace.State) {

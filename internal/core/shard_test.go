@@ -122,9 +122,6 @@ func TestSetShardsValidation(t *testing.T) {
 	if err := def.SetShards(2); err != nil {
 		t.Errorf("SetShards on the default solver: %v", err)
 	}
-	if err := def.SetExact(true); err != nil {
-		t.Errorf("SetExact on the default solver: %v", err)
-	}
 	if def.SolverName() != "CGBA" {
 		t.Errorf("default solver is %s", def.SolverName())
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 )
@@ -22,29 +21,6 @@ func BenchmarkCGBA(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := CGBA(g, CGBAConfig{}, src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCGBAPar is BenchmarkCGBA on an Engine with a GOMAXPROCS-sized
-// worker pool sharding the per-iteration best-response refresh — the
-// benchstat pair for the serial run. Results are bit-identical
-// (TestEngineCGBAPoolMatrix); only the wall clock may differ.
-func BenchmarkCGBAPar(b *testing.B) {
-	for _, players := range []int{25, 50, 100, 300} {
-		b.Run(fmt.Sprintf("players=%d", players), func(b *testing.B) {
-			g := benchGame(b, players)
-			e := NewEngine(g)
-			pool := par.New(0)
-			defer pool.Close()
-			e.SetPool(pool)
-			src := rng.New(2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.CGBA(CGBAConfig{}, src); err != nil {
 					b.Fatal(err)
 				}
 			}

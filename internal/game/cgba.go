@@ -74,19 +74,20 @@ type CGBAConfig struct {
 	// Pivot selects the mover among dissatisfied players; the zero value
 	// is the paper's max-improvement rule. All rules converge (the
 	// potential decreases under any improving move); they differ in step
-	// count and occasionally in the equilibrium reached.
+	// count and occasionally in the equilibrium reached. Non-default rules
+	// run the exact loop.
 	Pivot PivotRule
-	// Exact keeps the exact max-improvement loop for every game. By
-	// default, a game whose widest strategy set exceeds 16 strategies
-	// (with the max-improvement pivot) is solved by Gauss–Seidel sweeps
-	// instead (see engine_fast.go): a certified λ-equilibrium with the
-	// same approximation guarantee, generally not bit-identical to the
-	// exact loop's. Exact is the escape hatch and what the paper-figure
-	// experiments pin. Sharded solves sweep either way.
+	// Exact runs the exact max-improvement loop of Algorithm 3 as
+	// written. By default every game is solved by Gauss–Seidel sweeps
+	// (see engine_fast.go): a certified λ-equilibrium with the same
+	// approximation guarantee, generally not bit-identical to the exact
+	// loop's. The paper-figure experiments pin Exact, and the tests use
+	// it as their reference.
 	Exact bool
 	// TrackObjective records the social cost after every improvement step
 	// into Result.ObjectiveTrace (index 0 is the initial profile's cost).
-	// Costs O(|R|) extra per step; off by default.
+	// Costs O(|R|) extra per step; off by default. Tracked solves run the
+	// exact loop.
 	TrackObjective bool
 }
 

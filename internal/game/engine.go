@@ -56,12 +56,8 @@ type Engine struct {
 	instr Instruments
 	tally engineTallies
 
-	// Parallel refresh (see engine_par.go): pool shards the per-iteration
-	// best-response rescan; refreshT is the persistent region task and
-	// shardTallies the per-shard hit/miss counts merged in shard order.
-	pool         *par.Pool
-	refreshT     refreshTask
-	shardTallies []engineTallies
+	// pool runs the sharded solve's parallel phase (see engine_shard.go).
+	pool *par.Pool
 
 	// deadline, when non-nil, is polled at iteration boundaries: an
 	// expired deadline truncates the solve, returning the current
@@ -76,13 +72,11 @@ type Engine struct {
 	scoreStamp []uint64
 	clock      uint64
 
-	// Sharded solve (see engine_shard.go): per-shard sweepers, the serial
-	// phases' sweeper, the persistent parallel-region task, and the
-	// identity order 0, 1, … the certification sweep walks.
+	// Sweep driver (see engine_shard.go): per-shard sweepers, the serial
+	// sweeper, and the persistent parallel-region task.
 	shardSw  []sweeper
 	serialSw sweeper
 	shardT   shardSweepTask
-	everyone []int32
 }
 
 // NewEngine returns an Engine bound to g with all caches invalid.
@@ -256,15 +250,6 @@ const relEps = 1e-12
 // tolerance, returning its best response when so.
 func (e *Engine) dissatisfied(i int, lambda float64) (strategy int, improve float64, ok bool) {
 	e.refresh(i)
-	return e.dissatisfiedCached(i, lambda)
-}
-
-// dissatisfiedCached is dissatisfied for a player whose cache is known
-// fresh: no refresh, no tally. The parallel scan uses it as phase 2,
-// after refreshAllParallel has refreshed (and tallied) every player —
-// calling dissatisfied there would tally a spurious extra cache hit per
-// player per iteration relative to serial.
-func (e *Engine) dissatisfiedCached(i int, lambda float64) (strategy int, improve float64, ok bool) {
 	cur, c := e.curCost[i], e.brCost[i]
 	// Algorithm 3 line 2: (1−λ)·T_i > min T_i.
 	if (1-lambda)*cur <= c+relEps*(cur+1) {
@@ -273,26 +258,27 @@ func (e *Engine) dissatisfiedCached(i int, lambda float64) (strategy int, improv
 	return int(e.brStrat[i]), cur - c, true
 }
 
-// CGBA runs Algorithm 3 on the engine: the best-response dynamics of the
-// package-level CGBA, but with cached best responses invalidated
-// incrementally instead of recomputed for every player every iteration.
-// The result — profile, objective, iteration count, RNG draw sequence —
-// is bit-identical to the one-shot path for the same inputs. The engine's
-// state is reset on entry, so a stale cache (e.g. after
-// Game.SetResourceWeight) is harmless.
+// CGBA runs Algorithm 3 on the engine. The paper's max-improvement
+// rule runs as Gauss–Seidel sweeps (CGBASharded with a nil plan): a
+// certified λ-equilibrium with the same 2.62/(1−8λ) guarantee. The exact
+// loop below runs only when the config asks for it — CGBAConfig.Exact, a
+// non-default pivot, or TrackObjective. The engine's state is reset on
+// entry, so a stale cache (e.g. after Game.SetResourceWeight) is
+// harmless.
 func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
-	if cfg.Lambda < 0 || cfg.Lambda >= 0.125 {
-		return Result{}, fmt.Errorf("game: λ = %v outside [0, 0.125)", cfg.Lambda)
-	}
+	return e.CGBASharded(cfg, nil, src)
+}
+
+// cgbaExact is the exact loop: each iteration the pivot rule picks one
+// dissatisfied player, which moves to its best response, with cached
+// best responses invalidated incrementally instead of recomputed for
+// every player every iteration. The result — profile, objective,
+// iteration count, RNG draw sequence — is bit-identical to the one-shot
+// best-response dynamics for the same inputs. λ has been validated when
+// this runs.
+func (e *Engine) cgbaExact(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	g := e.g
 	n := g.Players()
-
-	// Wide games under the paper's max-improvement rule take the sweep
-	// loop (see engine_fast.go); everything else runs the exact loop
-	// below — bit-identical to the seed, pools and all.
-	if !cfg.Exact && cfg.Pivot == PivotMaxImprovement && g.maxStrategyCount() > exactWidth {
-		return e.cgbaSweep(cfg)
-	}
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -313,23 +299,14 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		objTrace = append(objTrace, g.SocialCost(e.profile))
 	}
 
-	// The full-scan pivots (max-improvement, random) refresh every
-	// player each iteration; with a pool attached and enough players the
-	// refreshes run in parallel shards, then the pivot scan reads the
-	// caches serially in index order (see engine_par.go). Round-robin
-	// stops its scan at the first dissatisfied player, so a full parallel
-	// refresh would do work — and tally cache traffic — serial wouldn't;
-	// it stays serial.
-	usePar := cfg.Pivot != PivotRoundRobin && e.pool.Size() > 1 && n >= parRefreshMinPlayers
-
 	iterations := 0
 	rrCursor := 0
 	for ; iterations < maxIter; iterations++ {
 		// Deadline checkpoint: one poll per iteration, before any refresh
 		// work. The checkpoint count is a function of the iteration count
-		// alone — identical at every pool size — so counted budgets
-		// degrade deterministically. The current iterate is always a
-		// feasible profile, so truncation can return it directly.
+		// alone, so counted budgets degrade deterministically. The
+		// current iterate is always a feasible profile, so truncation can
+		// return it directly.
 		if e.deadline.Expired() {
 			e.recordCGBA(iterations)
 			return Result{
@@ -341,9 +318,6 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			}, nil
 		}
 		mover, strategy := -1, -1
-		if usePar {
-			e.refreshAllParallel()
-		}
 		switch cfg.Pivot {
 		case PivotRoundRobin:
 			for scanned := 0; scanned < n; scanned++ {
@@ -358,14 +332,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			e.candidates = e.candidates[:0]
 			e.candStrats = e.candStrats[:0]
 			for i := 0; i < n; i++ {
-				var s int
-				var ok bool
-				if usePar {
-					s, _, ok = e.dissatisfiedCached(i, cfg.Lambda)
-				} else {
-					s, _, ok = e.dissatisfied(i, cfg.Lambda)
-				}
-				if ok {
+				if s, _, ok := e.dissatisfied(i, cfg.Lambda); ok {
 					e.candidates = append(e.candidates, i)
 					e.candStrats = append(e.candStrats, s)
 				}
@@ -377,15 +344,7 @@ func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 		default: // PivotMaxImprovement — Algorithm 3 line 3
 			bestImprove := 0.0
 			for i := 0; i < n; i++ {
-				var s int
-				var improve float64
-				var ok bool
-				if usePar {
-					s, improve, ok = e.dissatisfiedCached(i, cfg.Lambda)
-				} else {
-					s, improve, ok = e.dissatisfied(i, cfg.Lambda)
-				}
-				if ok && improve > bestImprove {
+				if s, improve, ok := e.dissatisfied(i, cfg.Lambda); ok && improve > bestImprove {
 					bestImprove = improve
 					mover, strategy = i, s
 				}

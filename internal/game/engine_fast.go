@@ -27,12 +27,11 @@
 // static top-16 shortlist needed half again as many moves as the
 // full-width sweep, plus a table build per solve (DESIGN.md §12).
 //
-// Routing: games whose widest strategy set has at most exactWidth
-// strategies, non-default pivots, and CGBAConfig.Exact stay on the exact
-// loop (engine.go) — bit-identical to the seed at every pool size. The
-// sweep loop is serial by construction — identical results at every
-// pool size — and deterministic: same game bits, config, and initial
-// profile give the same result. engine_fast_test.go and
+// The sweep body is Engine.sweep (engine_shard.go); an unsharded solve
+// runs it as CGBASharded with a nil plan. CGBAConfig.Exact, non-default
+// pivots and TrackObjective take the exact loop (engine.go) instead. The
+// unsharded sweep is serial and deterministic: same game bits, config,
+// and initial profile give the same result. engine_fast_test.go and
 // FuzzIncrementalBestResponseEquivalence enforce this against a
 // reference Gauss–Seidel loop.
 package game
@@ -41,28 +40,11 @@ import (
 	"math"
 )
 
-// exactWidth is the widest strategy set the zero-valued CGBAConfig still
-// solves with the exact max-improvement loop. Small games (the package's
-// goldens and the reduced test topologies) keep the seed-exact dynamics;
-// wider games take the sweep loop. Sharded solves sweep at any width.
-const exactWidth = 16
-
 // fastSweepCheckMask throttles deadline polls inside a sweep: one poll
 // every 256 players (plus one at each pass start). The poll count is a
 // function of the player count and sweep structure alone, so counted
 // checkpoint budgets stay deterministic.
 const fastSweepCheckMask = 255
-
-// maxStrategyCount returns the largest strategy set of any player.
-func (g *Game) maxStrategyCount() int {
-	max := 0
-	for i := 0; i+1 < len(g.strOff); i++ {
-		if n := int(g.strOff[i+1] - g.strOff[i]); n > max {
-			max = n
-		}
-	}
-	return max
-}
 
 // fastMove switches player i to strategy s, updating only the loads —
 // O(resources-touched), no incidence-walk invalidation. The load updates
@@ -152,86 +134,4 @@ func (e *Engine) greedyFill() {
 		}
 	}
 	e.invalidateAll()
-}
-
-// cgbaSweep is Engine.CGBA for wide games: Gauss–Seidel passes in index
-// order from the greedy fill (or cfg.Initial), each dissatisfied player
-// moving to its best response at once. The first pass that moves nobody
-// ends the solve and is its certification. λ has been validated when
-// this runs. Draws no RNG; serial by construction.
-func (e *Engine) cgbaSweep(cfg CGBAConfig) (Result, error) {
-	g := e.g
-	n := g.Players()
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200*n + 10000
-	}
-
-	if cfg.Initial != nil {
-		if err := e.Reset(cfg.Initial); err != nil {
-			return Result{}, err
-		}
-	} else {
-		// Congestion-aware greedy fill instead of the exact loop's random
-		// profile: one pass's work, lands near an equilibrium, and draws
-		// no RNG. Like any initial profile it only affects which
-		// λ-equilibrium the certified dynamics select, never the
-		// guarantee.
-		e.greedyFill()
-	}
-
-	var objTrace []float64
-	if cfg.TrackObjective {
-		objTrace = append(objTrace, g.SocialCost(e.profile))
-	}
-
-	moves := 0
-	result := func(truncated bool) Result {
-		return Result{
-			Profile:        e.profile.Clone(),
-			Objective:      e.SocialCost(),
-			Iterations:     moves,
-			ObjectiveTrace: objTrace,
-			Truncated:      truncated,
-		}
-	}
-
-	for moved := true; moved; {
-		moved = false
-		for i := 0; i < n; i++ {
-			// Deadline checkpoint at each pass start and every 256
-			// players: deterministic poll count, and the current iterate
-			// is always a feasible profile.
-			if i&fastSweepCheckMask == 0 && e.deadline.Expired() {
-				e.invalidateAll()
-				e.recordCGBA(moves)
-				return result(true), nil
-			}
-			cur, br, brCost := e.sweepScore(i, e.saveRes, e.saveLoad)
-			e.tally.misses++
-			// The score doubles as a cache refresh. A later move in the
-			// same pass makes it stale, but the solve only ends on a quiet
-			// pass, which rewrites every entry against the final loads;
-			// early returns invalidate.
-			e.curCost[i], e.brCost[i], e.brStrat[i] = cur, brCost, br
-			e.dirty[i] = false
-			// Algorithm 3 line 2 with the exact path's relEps guard.
-			if (1-cfg.Lambda)*cur > brCost+relEps*(cur+1) {
-				e.fastMove(i, int(br))
-				e.tally.moves++
-				moves++
-				moved = true
-				if cfg.TrackObjective {
-					objTrace = append(objTrace, g.SocialCost(e.profile))
-				}
-				if moves >= maxIter {
-					e.invalidateAll()
-					e.recordCGBA(moves)
-					return result(false), ErrNoConverge
-				}
-			}
-		}
-	}
-	e.recordCGBA(moves)
-	return result(false), nil
 }

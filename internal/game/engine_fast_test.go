@@ -8,6 +8,7 @@ import (
 
 	"eotora/internal/par"
 	"eotora/internal/rng"
+	"eotora/internal/solver"
 )
 
 // runCGBAPooled solves g with a fresh engine and an attached pool of the
@@ -44,33 +45,37 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// referenceSweep is the specification of the sweep loop, written from
-// the Game's one-shot methods: the greedy fill (players placed in index
-// order, each on its cheapest strategy against those already placed) or
-// cfg.Initial, then plain full-width Gauss–Seidel passes in index order
-// until one moves nobody. It ignores MaxIterations and deadlines.
-func referenceSweep(g *Game, cfg CGBAConfig) Result {
+// referenceSweep is the specification of the unsharded sweep, written
+// from the Game's one-shot methods: the greedy fill (players placed in
+// index order, each on its cheapest strategy against those already
+// placed) or cfg.Initial, then plain full-width Gauss–Seidel passes in
+// index order until one moves nobody. A positive checks is a counted
+// deadline budget: the sweep polls at each pass start and every 256
+// players, and the poll after the budget's last checkpoint truncates it.
+// It ignores MaxIterations.
+func referenceSweep(g *Game, cfg CGBAConfig, checks int) Result {
 	p, loads := referenceStart(g, cfg)
-	var trace []float64
-	if cfg.TrackObjective {
-		trace = append(trace, g.SocialCost(p))
+	moves, polls := 0, 0
+	result := func(truncated bool) Result {
+		return Result{Profile: p, Objective: g.SocialCost(p), Iterations: moves, Truncated: truncated}
 	}
-	moves := 0
 	for moved := true; moved; {
 		moved = false
 		for i := range p {
+			if i%256 == 0 {
+				if polls++; checks > 0 && polls > checks {
+					return result(true)
+				}
+			}
 			cur := g.PlayerCost(p, loads, i)
 			if s, c := g.bestResponse(p, loads, i); (1-cfg.Lambda)*cur > c+relEps*(cur+1) {
 				g.applyMove(p, loads, i, s)
 				moves++
 				moved = true
-				if cfg.TrackObjective {
-					trace = append(trace, g.SocialCost(p))
-				}
 			}
 		}
 	}
-	return Result{Profile: p, Objective: g.SocialCost(p), Iterations: moves, ObjectiveTrace: trace}
+	return result(false)
 }
 
 // referenceStart is the reference solvers' initial profile and its
@@ -109,10 +114,7 @@ func referenceStart(g *Game, cfg CGBAConfig) (Profile, []float64) {
 func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConfig) {
 	t.Helper()
 	g := build()
-	if g.maxStrategyCount() <= exactWidth {
-		t.Fatalf("game is %d strategies wide: CGBA would take the exact loop", g.maxStrategyCount())
-	}
-	want := referenceSweep(g, cfg)
+	want := referenceSweep(g, cfg, 0)
 	if !g.IsEquilibrium(want.Profile, cfg.Lambda) {
 		t.Fatalf("reference result is not a λ=%v equilibrium", cfg.Lambda)
 	}
@@ -130,43 +132,81 @@ func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConf
 	}
 }
 
-// TestCGBASweepMatchesReference pins the sweep loop's dynamics: on games
-// wider than exactWidth, the default CGBA must reproduce referenceSweep
-// — profile, iterations and objective bits — at every λ, from the greedy
-// fill and from an Initial profile, at pool sizes 0/1/4.
+// TestCGBASweepMatchesReference pins the sweep's dynamics: at every
+// width from 2 to 24 strategies, the default CGBA must reproduce
+// referenceSweep — profile, iterations and objective bits — at every λ,
+// from the greedy fill and from an Initial profile, at pool sizes 0/1/4.
 func TestCGBASweepMatchesReference(t *testing.T) {
 	for _, lambda := range []float64{0, 0.05, 0.1} {
 		for _, start := range []string{"cold", "initial"} {
 			t.Run(fmt.Sprintf("lambda=%v/%s", lambda, start), func(t *testing.T) {
-				build := func() *Game { return randomGame(t, rng.New(601), 40, 24, 10) }
-				cfg := CGBAConfig{Lambda: lambda}
-				if start == "initial" {
-					src := rng.New(603)
-					cfg.Initial = make(Profile, 40)
-					for i := range cfg.Initial {
-						cfg.Initial[i] = src.Intn(24)
+				for width := 2; width <= 24; width++ {
+					build := func() *Game { return randomGame(t, rng.New(601), 40, width, 10) }
+					cfg := CGBAConfig{Lambda: lambda}
+					if start == "initial" {
+						src := rng.New(603)
+						cfg.Initial = make(Profile, 40)
+						for i := range cfg.Initial {
+							cfg.Initial[i] = src.Intn(width)
+						}
 					}
+					requireSweepMatchesReference(t, build, cfg)
 				}
-				requireSweepMatchesReference(t, build, cfg)
 			})
 		}
 	}
 }
 
-// TestCGBAExactRoutingBitIdentical: games at most exactWidth strategies
-// wide, non-default pivots, and CGBAConfig.Exact all take the exact
-// loop, bit-identical to an Exact solve at every pool size.
+// TestCGBASweepDeadlinePolls pins where the unsharded sweep polls its
+// deadline: for every counted budget short of a full solve, the result
+// — profile, iterations, truncation — must equal referenceSweep's under
+// the same budget, on a game wider than one 256-player poll stride and
+// on a narrow one.
+func TestCGBASweepDeadlinePolls(t *testing.T) {
+	for _, tc := range []struct {
+		name                           string
+		players, strategies, resources int
+	}{
+		{"wide", 600, 24, 40},
+		{"narrow", 40, 6, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := randomGame(t, rng.New(631), tc.players, tc.strategies, tc.resources)
+			cfg := CGBAConfig{Lambda: 0.01}
+			e := NewEngine(g)
+			for checks := 1; ; checks++ {
+				var dl solver.Deadline
+				dl.Start(0, checks)
+				e.SetDeadline(&dl)
+				got, err := e.CGBA(cfg, rng.New(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%d checkpoints", checks), got, referenceSweep(g, cfg, checks))
+				if !got.Truncated {
+					if checks < 3 {
+						t.Fatalf("%d checkpoints sufficed: too few truncated solves", checks)
+					}
+					break
+				}
+			}
+		})
+	}
+}
+
+// TestCGBAExactRoutingBitIdentical: CGBAConfig.Exact, non-default pivots
+// and TrackObjective take the exact loop, bit-identical to an Exact
+// solve at every pool size.
 func TestCGBAExactRoutingBitIdentical(t *testing.T) {
 	cases := []struct {
 		name       string
 		strategies int
 		cfg        CGBAConfig
 	}{
-		{"default-covers-small", 6, CGBAConfig{}},
-		{"default-at-width", exactWidth, CGBAConfig{}},
 		{"exact-flag", 20, CGBAConfig{Exact: true}},
 		{"round-robin", 20, CGBAConfig{Pivot: PivotRoundRobin}},
 		{"random", 20, CGBAConfig{Pivot: PivotRandom}},
+		{"track-objective", 20, CGBAConfig{TrackObjective: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,15 +221,6 @@ func TestCGBAExactRoutingBitIdentical(t *testing.T) {
 				requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
 			}
 		})
-	}
-	// The default solve of a wider game does not take the exact loop:
-	// the sweep seeds from the greedy fill, so its first objective-trace
-	// entry is the filled profile's, never the random start's.
-	g := randomGame(t, rng.New(503), 30, exactWidth+1, 12)
-	exact := runCGBAPooled(t, g, CGBAConfig{Exact: true, TrackObjective: true}, 504, 0)
-	sweep := runCGBAPooled(t, g, CGBAConfig{TrackObjective: true}, 504, 0)
-	if exact.ObjectiveTrace[0] == sweep.ObjectiveTrace[0] {
-		t.Fatal("a game wider than exactWidth started from the exact loop's random profile")
 	}
 }
 
@@ -224,25 +255,6 @@ func TestCGBASweepInitialProfile(t *testing.T) {
 	}
 	if !g.IsEquilibrium(res.Profile, 0) {
 		t.Fatal("sweep from arbitrary initial profile is not an equilibrium")
-	}
-}
-
-// TestCGBASweepTrackObjective: the sweep loop's objective trace is one
-// entry per move plus the initial profile, ending at the final objective.
-func TestCGBASweepTrackObjective(t *testing.T) {
-	g := randomGame(t, rng.New(621), 20, 24, 8)
-	res, err := CGBA(g, CGBAConfig{TrackObjective: true}, rng.New(622))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ObjectiveTrace) != res.Iterations+1 {
-		t.Fatalf("trace length %d, want %d", len(res.ObjectiveTrace), res.Iterations+1)
-	}
-	if math.Float64bits(res.ObjectiveTrace[len(res.ObjectiveTrace)-1]) != math.Float64bits(res.Objective) {
-		t.Error("trace tail differs from the final objective")
-	}
-	if want := referenceSweep(g, CGBAConfig{TrackObjective: true}); !reflect.DeepEqual(res.ObjectiveTrace, want.ObjectiveTrace) {
-		t.Error("objective trace differs from the reference loop's")
 	}
 }
 
@@ -386,11 +398,11 @@ func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// FuzzIncrementalBestResponseEquivalence fuzzes the sweep loop's whole
+// FuzzIncrementalBestResponseEquivalence fuzzes the sweep's whole
 // contract: for arbitrary games, tolerances and starts, CGBA must return
-// a certified λ-equilibrium of the game, deterministically; on games
-// wider than exactWidth it must equal referenceSweep bit for bit, and on
-// narrower ones the exact loop.
+// a certified λ-equilibrium of the game, deterministically, equal to
+// referenceSweep bit for bit at every width; with Exact it must return a
+// certified equilibrium too.
 func FuzzIncrementalBestResponseEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(4), uint8(0))
 	f.Add(int64(42), int64(43), uint8(1), uint8(5))
@@ -398,7 +410,7 @@ func FuzzIncrementalBestResponseEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, startRaw, lamRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		players := 2 + gsrc.Intn(12)
-		strategies := 2 + gsrc.Intn(30)
+		strategies := 2 + gsrc.Intn(23)
 		resources := 3 + gsrc.Intn(8)
 		g := randomGame(t, gsrc, players, strategies, resources)
 		cfg := CGBAConfig{Lambda: float64(lamRaw%12) / 100}
@@ -421,14 +433,16 @@ func FuzzIncrementalBestResponseEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, "repeat", again, res)
-		want := referenceSweep(g, cfg)
-		if strategies <= exactWidth {
-			exactCfg := cfg
-			exactCfg.Exact = true
-			if want, err = CGBA(g, exactCfg, rng.New(solveSeed)); err != nil {
-				t.Fatal(err)
-			}
+		requireSameResult(t, fmt.Sprintf("S=%d λ=%v", strategies, cfg.Lambda), res, referenceSweep(g, cfg, 0))
+
+		exactCfg := cfg
+		exactCfg.Exact = true
+		exact, err := CGBA(g, exactCfg, rng.New(solveSeed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSameResult(t, fmt.Sprintf("S=%d λ=%v", strategies, cfg.Lambda), res, want)
+		if !g.IsEquilibrium(exact.Profile, cfg.Lambda) {
+			t.Fatalf("S=%d λ=%v: exact result is not a certified equilibrium", strategies, cfg.Lambda)
+		}
 	})
 }

@@ -21,9 +21,13 @@
 //	    of the *global* game — sharding is a heuristic for speed, never
 //	    for correctness.
 //
-// All three phases share one sweep body (Engine.sweep). It skips, by
-// exact change stamps, every player none of whose resources changed
-// load since its last score, a skip that changes no decision.
+// All three phases share one sweep body (Engine.sweep), the one
+// max-improvement sweep of the package: a nil plan (an unsharded solve)
+// runs it once over every player. With a plan of two or more shards it
+// skips, by exact change stamps, every player none of whose resources
+// changed load since its last score, a skip that changes no decision.
+// The nil plan keeps no stamps: a footprint build per solve costs more
+// than the skip saves on one unsharded game (DESIGN.md §12).
 //
 // Determinism and pool-invariance: shards touch disjoint state (their
 // players' profile entries and score stamps, their clusters' loads and
@@ -41,9 +45,17 @@ import (
 	"fmt"
 	"time"
 
+	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 )
+
+// SetPool attaches the worker pool the sharded solve's parallel phase
+// runs on (nil detaches it — the default, fully serial). The pool only
+// changes where shards execute, never their results: solves are
+// bit-identical for every pool size. The engine must not share a pool
+// region with another engine concurrently (one Run at a time per pool).
+func (e *Engine) SetPool(p *par.Pool) { e.pool = p }
 
 // ShardPlan assigns each player of a game to a shard or to the boundary
 // set. Interior players of one shard must use only resources no other
@@ -189,10 +201,11 @@ const (
 // sweeper is one sweep's private state: the scratch sweepScore's
 // in-place removal needs, the stamp clock, the move budget and deadline
 // poll, and the tallies merged after the sweep. Each shard owns one in
-// phase 1; phases 2 and 3 share the serial one.
+// phase 1; phases 2 and 3 and the nil plan share the serial one.
 type sweeper struct {
 	saveRes  []int32
 	saveLoad []float64
+	stamps   bool   // skip unchanged players, keep the change stamps
 	clock    uint64 // a move advances it, a score records it
 	budget   int64  // moves allowed before sweepOverrun
 
@@ -209,11 +222,12 @@ type sweeper struct {
 }
 
 // start readies the sweeper for one sweep: fresh tallies, the given
-// clock and budget, no deadline.
-func (sw *sweeper) start(clock uint64, budget int64, maxUses int) {
+// scratch, stamp mode, clock and budget, no deadline.
+func (sw *sweeper) start(saveRes []int32, saveLoad []float64, stamps bool, clock uint64, budget int64) {
 	*sw = sweeper{
-		saveRes:  resizeInt32(sw.saveRes, maxUses),
-		saveLoad: resizeFloat(sw.saveLoad, maxUses),
+		saveRes:  saveRes,
+		saveLoad: saveLoad,
+		stamps:   stamps,
 		clock:    clock,
 		budget:   budget,
 	}
@@ -227,38 +241,52 @@ func (sw *sweeper) expired() bool {
 	return sw.timed && !time.Now().Before(sw.expire)
 }
 
-// sweep is the one sweep body of all three phases: Gauss–Seidel passes
-// over players in order, each λ-dissatisfied player moving to its best
-// response at once. A player none of whose footprint resources changed
-// since its last score is skipped and tallied as a hit: its loads are
-// bit-identical to those it was found satisfied against, so a score
-// would reproduce the same bits and move nobody. Passes repeat until one
-// moves nobody, or with once end after the first pass. Deadline polls
-// sit at each pass start and every 256 players, before the skip, so the
-// counted checkpoints consumed do not depend on which players skip.
-func (e *Engine) sweep(sw *sweeper, players []int32, lambda float64, once bool) sweepEnd {
+// sweep is the one sweep body of every phase and of the nil plan:
+// Gauss–Seidel passes over players in order (with all, over every
+// player in index order instead), each λ-dissatisfied player moving to
+// its best response at once. With stamps on, a player none of whose
+// footprint resources changed since its last score is skipped and
+// tallied as a hit: its loads are bit-identical to those it was found
+// satisfied against, so a score would reproduce the same bits and move
+// nobody. Passes repeat until one moves nobody, or with once end after
+// the first pass. Deadline polls sit at each pass start and every 256
+// players, before the skip, so the counted checkpoints consumed do not
+// depend on which players skip.
+func (e *Engine) sweep(sw *sweeper, players []int32, all bool, lambda float64, once bool) sweepEnd {
 	g := e.g
+	count := len(players)
+	if all {
+		count = g.Players()
+	}
 	for {
 		moved := false
-		for idx, pi := range players {
+		for idx := 0; idx < count; idx++ {
 			if idx&fastSweepCheckMask == 0 && sw.expired() {
 				return sweepTruncated
 			}
-			i := int(pi)
-			if e.unchanged(i) {
+			i := idx
+			if !all {
+				i = int(players[idx])
+			}
+			if sw.stamps && e.unchanged(i) {
 				sw.hits++
 				continue
 			}
 			cur, br, brCost := e.sweepScore(i, sw.saveRes, sw.saveLoad)
-			e.scoreStamp[i] = sw.clock
 			sw.misses++
+			if sw.stamps {
+				e.scoreStamp[i] = sw.clock
+			}
+			// Algorithm 3 line 2 with the exact loop's relEps guard.
 			if (1-lambda)*cur > brCost+relEps*(cur+1) {
-				sw.clock++
-				for _, u := range g.strategyUses(i, e.profile[i]) {
-					e.resStamp[u.res] = sw.clock
-				}
-				for _, u := range g.strategyUses(i, int(br)) {
-					e.resStamp[u.res] = sw.clock
+				if sw.stamps {
+					sw.clock++
+					for _, u := range g.strategyUses(i, e.profile[i]) {
+						e.resStamp[u.res] = sw.clock
+					}
+					for _, u := range g.strategyUses(i, int(br)) {
+						e.resStamp[u.res] = sw.clock
+					}
 				}
 				e.fastMove(i, int(br))
 				sw.moves++
@@ -314,35 +342,35 @@ type shardSweepTask struct {
 // quiescence against the boundary players' frozen loads.
 func (t *shardSweepTask) Run(sIdx int) {
 	sw := &t.e.shardSw[sIdx]
-	sw.end = t.e.sweep(sw, t.plan.order[t.plan.off[sIdx]:t.plan.off[sIdx+1]], t.lambda, false)
+	sw.end = t.e.sweep(sw, t.plan.order[t.plan.off[sIdx]:t.plan.off[sIdx+1]], false, t.lambda, false)
 }
 
 // CGBASharded runs CGBA factorized by the plan: parallel per-shard
 // interior solves, serial boundary reconciliation, and a serial global
 // certification sweep that alone may terminate the solve. The returned
-// profile is a certified λ-equilibrium of the global game — the same
-// guarantee Engine.CGBA provides — and the result is identical at every
-// pool size. The sweeps scan every strategy whatever cfg.Exact says. A
-// nil or single-shard plan delegates to CGBA outright (bit-identical to
-// the unsharded path by construction), as do configurations the sharded
-// loop does not model: non-default pivots (its dynamics are
-// Gauss–Seidel, cgbaSweep's rule) and per-move objective tracking.
+// profile is a certified λ-equilibrium of the global game, and the
+// result is identical at every pool size. A nil or single-shard plan is
+// the unsharded solve: serial sweeps over every player until a pass
+// moves nobody, that quiet pass being the certification. Configurations
+// the sweeps do not model — CGBAConfig.Exact, non-default pivots (the
+// sweeps' dynamics are Gauss–Seidel) and per-move objective tracking —
+// run the exact loop whatever the plan.
 func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (Result, error) {
-	if plan == nil || plan.Shards() <= 1 {
-		return e.CGBA(cfg, src)
-	}
-	if cfg.Pivot != PivotMaxImprovement || cfg.TrackObjective {
-		return e.CGBA(cfg, src)
-	}
 	if cfg.Lambda < 0 || cfg.Lambda >= 0.125 {
 		return Result{}, fmt.Errorf("game: λ = %v outside [0, 0.125)", cfg.Lambda)
 	}
+	if cfg.Exact || cfg.Pivot != PivotMaxImprovement || cfg.TrackObjective {
+		return e.cgbaExact(cfg, src)
+	}
 	g := e.g
 	n := g.Players()
-	if err := plan.check(g); err != nil {
-		return Result{}, err
+	sharded := plan.Shards() > 1
+	if sharded {
+		if err := plan.check(g); err != nil {
+			return Result{}, err
+		}
+		g.footprints()
 	}
-	g.footprints()
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -354,28 +382,12 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 			return Result{}, err
 		}
 	} else {
-		// Same deterministic, RNG-free seed as the sweep loop.
+		// Congestion-aware greedy fill instead of the exact loop's random
+		// profile: one pass's work, lands near an equilibrium, and draws
+		// no RNG. Like any initial profile it only affects which
+		// λ-equilibrium the certified dynamics select, never the
+		// guarantee.
 		e.greedyFill()
-	}
-
-	// Fresh clock, every resource stamped with it: every score stamp left
-	// by an earlier solve is older, so no skip outlives a reweight, a
-	// reset, an Engine.Move or a truncated solve.
-	e.clock++
-	e.resStamp = resizeUint64(e.resStamp, g.Resources())
-	for r := range e.resStamp {
-		e.resStamp[r] = e.clock
-	}
-	e.scoreStamp = resizeUint64(e.scoreStamp, n)
-	for k := len(e.everyone); k < n; k++ {
-		e.everyone = append(e.everyone, int32(k))
-	}
-
-	shards := plan.shards
-	if cap(e.shardSw) < shards {
-		e.shardSw = make([]sweeper, shards)
-	} else {
-		e.shardSw = e.shardSw[:shards]
 	}
 
 	moves := 0
@@ -389,14 +401,42 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 			Truncated:  truncated,
 		}, err
 	}
-	// serial runs one sweep of the serial phases on the serial sweeper.
-	serial := func(players []int32, once bool) (end sweepEnd) {
+	// serial runs one sweep on the serial sweeper, which borrows the
+	// engine's scratch.
+	serial := func(players []int32, all, once bool) (end sweepEnd) {
 		sw := &e.serialSw
-		sw.start(e.clock, int64(maxIter-moves), g.maxUses)
+		sw.start(e.saveRes, e.saveLoad, sharded, e.clock, int64(maxIter-moves))
 		sw.dl = e.deadline
-		end = e.sweep(sw, players, cfg.Lambda, once)
+		end = e.sweep(sw, players, all, cfg.Lambda, once)
 		moves += e.merge(sw)
 		return end
+	}
+
+	if !sharded {
+		switch serial(nil, true, false) {
+		case sweepTruncated:
+			return finish(true, nil)
+		case sweepOverrun:
+			return finish(false, ErrNoConverge)
+		}
+		return finish(false, nil)
+	}
+
+	// Fresh clock, every resource stamped with it: every score stamp left
+	// by an earlier solve is older, so no skip outlives a reweight, a
+	// reset, an Engine.Move or a truncated solve.
+	e.clock++
+	e.resStamp = resizeUint64(e.resStamp, g.Resources())
+	for r := range e.resStamp {
+		e.resStamp[r] = e.clock
+	}
+	e.scoreStamp = resizeUint64(e.scoreStamp, n)
+
+	shards := plan.shards
+	if cap(e.shardSw) < shards {
+		e.shardSw = make([]sweeper, shards)
+	} else {
+		e.shardSw = e.shardSw[:shards]
 	}
 
 	for {
@@ -415,7 +455,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		expire, timed := e.deadline.ExpireTime()
 		for s := range e.shardSw {
 			sw := &e.shardSw[s]
-			sw.start(e.clock, int64(maxIter-moves), g.maxUses)
+			sw.start(resizeInt32(sw.saveRes, g.maxUses), resizeFloat(sw.saveLoad, g.maxUses), true, e.clock, int64(maxIter-moves))
 			sw.expire, sw.timed = expire, timed
 		}
 		e.shardT = shardSweepTask{e: e, plan: plan, lambda: cfg.Lambda}
@@ -432,7 +472,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		// Phase 2 — serial boundary reconciliation: sweeps over the
 		// boundary players against the shards' frozen congestion sums,
 		// until a quiet pass.
-		switch serial(plan.boundary, false) {
+		switch serial(plan.boundary, false, false) {
 		case sweepTruncated:
 			return finish(true, nil)
 		case sweepOverrun:
@@ -446,7 +486,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		// global game. Any move sends the solve into another round: the
 		// sharded decomposition converges because every phase only ever
 		// applies λ-improving moves to the one global potential.
-		switch serial(e.everyone[:n], true) {
+		switch serial(nil, true, true) {
 		case sweepTruncated:
 			return finish(true, nil)
 		case sweepOverrun:

@@ -359,9 +359,9 @@ func TestCGBAShardedCertifiedEquilibrium(t *testing.T) {
 		exact              bool
 		clusters, boundary int
 	}{
-		{"pruned", false, 4, 6}, // interior sweeps skip by change stamps
-		{"exact-width", true, 4, 6},
-		{"narrow", false, 3, 5}, // three shards
+		{"pruned", false, 4, 6},     // interior sweeps skip by change stamps
+		{"exact-width", true, 4, 6}, // the exact loop, whatever the plan
+		{"narrow", false, 3, 5},     // three shards
 		{"no-boundary", false, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -469,8 +469,9 @@ func TestCGBAShardedDeadline(t *testing.T) {
 // FuzzShardedEquivalence fuzzes the sharded solve's whole contract: for
 // arbitrary clustered games, tolerances, and pool sizes the
 // sharded result must be a certified λ-equilibrium of the global
-// game, bit-identical to referenceSharded at every pool size, and —
-// with a one-shard plan — bit-identical to the unsharded path.
+// game, bit-identical to referenceSharded at every pool size (to the
+// unsharded exact loop with Exact), and — with a one-shard plan —
+// bit-identical to the unsharded path.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(2))
 	f.Add(int64(42), int64(43), uint8(2), uint8(0), uint8(4), uint8(5), uint8(1))
@@ -486,7 +487,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 		strategies := 2 + gsrc.Intn(6)
 		g, assign := clusteredGame(t, gsrc, clusters, perCluster, boundary, strategies, 3+gsrc.Intn(12))
 		lambda := float64(lamRaw%12) / 100
-		exact := exactRaw%20 == 19 // sometimes the exact loop's delegation
+		exact := exactRaw%20 == 19 // sometimes the exact loop, whatever the plan
 		cfg := CGBAConfig{Lambda: lambda, Exact: exact}
 		plan, err := NewShardPlan(clusters, assign)
 		if err != nil {
@@ -501,6 +502,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 		want, err := referenceSharded(g, cfg, plan)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if exact {
+			want = runCGBAPooled(t, g, cfg, solveSeed, 0)
 		}
 		requireSameResult(t, "reference", res, want)
 		size := 1 + int(poolRaw)%4
