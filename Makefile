@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=15s ./internal/game/
 	$(GO) test -fuzz=FuzzSanitizeState -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzPolicySeamEquivalence -fuzztime=15s ./internal/policy/
+	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=15s ./internal/serve/
 
 # Long fault-injection soak: 10k slots of corrupted traces, outages, and
 # stalls under the race detector (the nightly configuration; see

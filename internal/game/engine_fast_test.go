@@ -6,22 +6,14 @@ import (
 	"reflect"
 	"testing"
 
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 )
 
-// runCGBAPooled solves g with a fresh engine and an attached pool of the
-// given size (0 = no pool).
-func runCGBAPooled(t testing.TB, g *Game, cfg CGBAConfig, seed int64, size int) Result {
+// runCGBA solves g with a fresh engine.
+func runCGBA(t testing.TB, g *Game, cfg CGBAConfig, seed int64) Result {
 	t.Helper()
-	e := NewEngine(g)
-	if size > 0 {
-		pool := par.New(size)
-		defer pool.Close()
-		e.SetPool(pool)
-	}
-	res, err := e.CGBA(cfg, rng.New(seed))
+	res, err := NewEngine(g).CGBA(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +100,8 @@ func referenceStart(g *Game, cfg CGBAConfig) (Profile, []float64) {
 	return p, loads
 }
 
-// requireSweepMatchesReference solves g with fresh engines at pool sizes
-// 0/1/4 and with one reused engine, and requires each result to equal
+// requireSweepMatchesReference solves g with a fresh engine and twice
+// with one reused engine, and requires each result to equal
 // referenceSweep bit for bit and to certify as a λ-equilibrium of g.
 func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConfig) {
 	t.Helper()
@@ -118,9 +110,7 @@ func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConf
 	if !g.IsEquilibrium(want.Profile, cfg.Lambda) {
 		t.Fatalf("reference result is not a λ=%v equilibrium", cfg.Lambda)
 	}
-	for _, size := range []int{0, 1, 4} {
-		requireSameResult(t, fmt.Sprintf("pool %d", size), runCGBAPooled(t, build(), cfg, 1, size), want)
-	}
+	requireSameResult(t, "fresh", runCGBA(t, build(), cfg, 1), want)
 	// Engine reuse (the BDMA-round pattern) must match fresh.
 	e := NewEngine(build())
 	for rep := 0; rep < 2; rep++ {
@@ -135,7 +125,8 @@ func requireSweepMatchesReference(t *testing.T, build func() *Game, cfg CGBAConf
 // TestCGBASweepMatchesReference pins the sweep's dynamics: at every
 // width from 2 to 24 strategies, the default CGBA must reproduce
 // referenceSweep — profile, iterations and objective bits — at every λ,
-// from the greedy fill and from an Initial profile, at pool sizes 0/1/4.
+// from the greedy fill and from an Initial profile, on fresh and reused
+// engines.
 func TestCGBASweepMatchesReference(t *testing.T) {
 	for _, lambda := range []float64{0, 0.05, 0.1} {
 		for _, start := range []string{"cold", "initial"} {
@@ -196,7 +187,7 @@ func TestCGBASweepDeadlinePolls(t *testing.T) {
 
 // TestCGBAExactRoutingBitIdentical: CGBAConfig.Exact, non-default pivots
 // and TrackObjective take the exact loop, bit-identical to an Exact
-// solve at every pool size.
+// solve on the same RNG stream, run after run.
 func TestCGBAExactRoutingBitIdentical(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -215,10 +206,9 @@ func TestCGBAExactRoutingBitIdentical(t *testing.T) {
 			}
 			exactCfg := tc.cfg
 			exactCfg.Exact = true
-			want := runCGBAPooled(t, build(), exactCfg, 502, 0)
-			for _, size := range []int{0, 1, 4} {
-				got := runCGBAPooled(t, build(), tc.cfg, 502, size)
-				requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
+			want := runCGBA(t, build(), exactCfg, 502)
+			for run := 0; run < 2; run++ {
+				requireSameResult(t, fmt.Sprintf("run %d", run), runCGBA(t, build(), tc.cfg, 502), want)
 			}
 		})
 	}

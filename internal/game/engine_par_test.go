@@ -2,7 +2,6 @@ package game
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,9 +11,9 @@ import (
 	"eotora/internal/rng"
 )
 
-// testPoolSizes is the pool-size matrix every equivalence test runs:
-// size 0 stands for "no pool attached" (the exact pre-pool serial path),
-// 1 a pool that degrades to serial, then genuinely parallel sizes.
+// testPoolSizes is the pool-size matrix every pool-invariance test runs:
+// size 0 stands for "no pool attached" (the serial path), 1 a pool that
+// degrades to serial, then genuinely parallel sizes.
 func testPoolSizes() []int {
 	return []int{0, 1, 2, 3, runtime.NumCPU() + 1}
 }
@@ -31,32 +30,53 @@ func instrumentedEngine(g *Game, reg *obs.Registry) *Engine {
 	return e
 }
 
-// TestEngineCGBAPoolMatrix is the core determinism contract: an attached
-// pool leaves the unsharded CGBA's profile, objective bits, iteration
-// count, RNG draw sequence, and even its cache-hit/miss/move tallies
-// identical for every pool size, on the sweep and on the exact loop.
-func TestEngineCGBAPoolMatrix(t *testing.T) {
-	configs := []CGBAConfig{
-		{},                   // max-improvement, λ=0
-		{Lambda: 0.1},        // max-improvement, λ>0
-		{Pivot: PivotRandom}, // draws from src: trajectory must match
-		{Pivot: PivotRoundRobin},
-		{Pivot: PivotRandom, Lambda: 0.05},
+// randomProfile draws a uniformly random valid profile of g.
+func randomProfile(g *Game, src *rng.Source) Profile {
+	p := make(Profile, g.Players())
+	for i := range p {
+		p[i] = src.Intn(g.StrategyCount(i))
 	}
-	shapes := []struct{ players, strategies, resources int }{
-		{30, 5, 11},
-		{33, 5, 11},
-		{80, 7, 23},
+	return p
+}
+
+// TestEngineCGBAPoolMatrix is the core determinism contract of the one
+// solve that uses a pool, the sharded CGBA on a plan of two or more
+// shards: an attached pool leaves its profile, objective bits, iteration
+// count, and even its cache-hit/miss/move tallies identical for every
+// pool size, cold and warm-started, at λ = 0 and λ > 0.
+func TestEngineCGBAPoolMatrix(t *testing.T) {
+	configs := []func(g *Game) CGBAConfig{
+		func(*Game) CGBAConfig { return CGBAConfig{} },
+		func(*Game) CGBAConfig { return CGBAConfig{Lambda: 0.1} },
+		func(*Game) CGBAConfig { return CGBAConfig{Lambda: 0.01} },
+		func(g *Game) CGBAConfig {
+			return CGBAConfig{Lambda: 0.05, Initial: randomProfile(g, rng.New(7))}
+		},
+		func(g *Game) CGBAConfig {
+			return CGBAConfig{Lambda: 0.1, Initial: randomProfile(g, rng.New(8))}
+		},
+	}
+	shapes := []struct{ clusters, perCluster, boundary, strategies, resPerCluster int }{
+		{2, 15, 3, 5, 5},
+		{4, 8, 6, 5, 4},
+		{6, 12, 8, 7, 4},
 	}
 	for gi, shape := range shapes {
-		for ci, cfg := range configs {
+		for ci, config := range configs {
 			t.Run(fmt.Sprintf("shape%d/cfg%d", gi, ci), func(t *testing.T) {
-				buildGame := func() *Game {
-					return randomGame(t, rng.New(int64(100+gi)), shape.players, shape.strategies, shape.resources)
+				build := func() (*Game, *ShardPlan) {
+					g, assign := clusteredGame(t, rng.New(int64(100+gi)), shape.clusters, shape.perCluster,
+						shape.boundary, shape.strategies, shape.resPerCluster)
+					plan, err := NewShardPlan(shape.clusters, assign)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return g, plan
 				}
+				g, plan := build()
+				cfg := config(g)
 				serialReg := obs.New()
-				serial := instrumentedEngine(buildGame(), serialReg)
-				want, err := serial.CGBA(cfg, rng.New(int64(7+ci)))
+				want, err := instrumentedEngine(g, serialReg).CGBASharded(cfg, plan, rng.New(int64(7+ci)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,23 +85,15 @@ func TestEngineCGBAPoolMatrix(t *testing.T) {
 				for _, size := range testPoolSizes()[1:] {
 					pool := par.New(size)
 					reg := obs.New()
-					e := instrumentedEngine(buildGame(), reg)
+					g, plan := build()
+					e := instrumentedEngine(g, reg)
 					e.SetPool(pool)
-					got, err := e.CGBA(cfg, rng.New(int64(7+ci)))
+					got, err := e.CGBASharded(cfg, plan, rng.New(int64(7+ci)))
 					pool.Close()
 					if err != nil {
 						t.Fatalf("pool %d: %v", size, err)
 					}
-					if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-						t.Errorf("pool %d: objective bits %#x, want %#x",
-							size, math.Float64bits(got.Objective), math.Float64bits(want.Objective))
-					}
-					if got.Iterations != want.Iterations {
-						t.Errorf("pool %d: iterations %d, want %d", size, got.Iterations, want.Iterations)
-					}
-					if !reflect.DeepEqual(got.Profile, want.Profile) {
-						t.Errorf("pool %d: profile diverged", size)
-					}
+					requireSameResult(t, fmt.Sprintf("pool %d", size), got, want)
 					snap := reg.Snapshot()
 					if !reflect.DeepEqual(snap.Counters, wantSnap.Counters) {
 						t.Errorf("pool %d: tallies %v, want %v", size, snap.Counters, wantSnap.Counters)
@@ -95,29 +107,36 @@ func TestEngineCGBAPoolMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineCGBAPoolReuse runs several solves on one pooled engine
-// (random restarts, as BDMA rounds do) and checks each against a fresh
-// serial engine fed the same RNG stream.
+// TestEngineCGBAPoolReuse runs several sharded solves on one pooled
+// engine, each warm-started from a fresh random profile as BDMA's
+// rounds restart the game, and checks each against a fresh serial
+// engine given the same start.
 func TestEngineCGBAPoolReuse(t *testing.T) {
 	pool := par.New(3)
 	defer pool.Close()
-	g := randomGame(t, rng.New(5), 64, 6, 17)
+	build := func() (*Game, *ShardPlan) {
+		g, assign := clusteredGame(t, rng.New(5), 4, 12, 6, 6, 5)
+		plan, err := NewShardPlan(4, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, plan
+	}
+	g, plan := build()
 	e := NewEngine(g)
 	e.SetPool(pool)
-	srcPar, srcSerial := rng.New(91), rng.New(91)
+	starts := rng.New(91)
 	for round := 0; round < 5; round++ {
-		got, err := e.CGBA(CGBAConfig{}, srcPar)
+		cfg := CGBAConfig{Lambda: 0.01, Initial: randomProfile(g, starts)}
+		got, err := e.CGBASharded(cfg, plan, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewEngine(randomGame(t, rng.New(5), 64, 6, 17)).CGBA(CGBAConfig{}, srcSerial)
+		fresh, freshPlan := build()
+		want, err := NewEngine(fresh).CGBASharded(cfg, freshPlan, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
-			got.Iterations != want.Iterations || !reflect.DeepEqual(got.Profile, want.Profile) {
-			t.Fatalf("round %d diverged: got (%v, %d), want (%v, %d)",
-				round, got.Objective, got.Iterations, want.Objective, want.Iterations)
-		}
+		requireSameResult(t, fmt.Sprintf("round %d", round), got, want)
 	}
 }

@@ -400,7 +400,7 @@ func TestCGBAShardedSingleShardBitIdentical(t *testing.T) {
 	g, assign := clusteredGame(t, rng.New(721), 3, 10, 4, 8, 6)
 	for _, exact := range []bool{false, true} {
 		cfg := CGBAConfig{Lambda: 0.01, Exact: exact}
-		want := runCGBAPooled(t, g, cfg, 7, 0)
+		want := runCGBA(t, g, cfg, 7)
 		one := make([]int32, len(assign))
 		plan, err := NewShardPlan(1, one)
 		if err != nil {
@@ -504,7 +504,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		if exact {
-			want = runCGBAPooled(t, g, cfg, solveSeed, 0)
+			want = runCGBA(t, g, cfg, solveSeed)
 		}
 		requireSameResult(t, "reference", res, want)
 		size := 1 + int(poolRaw)%4
@@ -515,7 +515,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unsharded := runCGBAPooled(t, g, cfg, solveSeed, 0)
+		unsharded := runCGBA(t, g, cfg, solveSeed)
 		requireSameResult(t, "shards=1", runCGBASharded(t, g, cfg, planOne, solveSeed, 0), unsharded)
 	})
 }

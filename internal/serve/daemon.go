@@ -43,7 +43,8 @@ type Config struct {
 	Tick time.Duration
 	// QueueCap bounds the ingest queue in events; arrivals beyond it are
 	// shed and counted, so daemon memory stays bounded no matter how far
-	// ingest outruns the slot budget. Zero selects 65536.
+	// ingest outruns the slot budget. The queue's storage grows on demand
+	// with its depth, never past QueueCap events. Zero selects 65536.
 	QueueCap int
 	// MaxBatch bounds the events applied per tick; the remainder stays
 	// queued for the next tick (and counts toward escalation pressure).
@@ -188,8 +189,11 @@ type Daemon struct {
 	shedN    int64
 
 	// tickMu serializes ticks, snapshots, and restores; it owns the
-	// working state and the tick-side counters.
-	tickMu       sync.Mutex
+	// working state, the batch buffer, and the tick-side counters.
+	tickMu sync.Mutex
+	// batch is the tick's reused copy of the events it drains from the
+	// queue.
+	batch        []Event
 	st           *trace.State
 	deviceActive []bool
 	serverActive []bool
@@ -241,7 +245,6 @@ func NewDaemon(pol policy.Policy, initial *trace.State, cfg Config) (*Daemon, er
 		devices:  devices,
 		stations: stations,
 		servers:  servers,
-		queue:    make([]Event, 0, cfg.QueueCap),
 	}
 	d.pub.init(cfg.DecisionBuffer)
 	d.loadState(initial)
@@ -337,6 +340,12 @@ func (d *Daemon) Controller() *core.Controller {
 // queue was full. It never blocks on an in-flight solve and is safe for
 // concurrent producers.
 func (d *Daemon) Ingest(events []Event) (accepted, shed int) {
+	accepted, shed, _ = d.ingest(events)
+	return accepted, shed
+}
+
+// ingest is Ingest that also returns the queue depth after the batch.
+func (d *Daemon) ingest(events []Event) (accepted, shed, depth int) {
 	d.qmu.Lock()
 	room := d.cfg.QueueCap - len(d.queue)
 	if room < 0 {
@@ -347,10 +356,18 @@ func (d *Daemon) Ingest(events []Event) (accepted, shed int) {
 		accepted = room
 	}
 	shed = len(events) - accepted
+	if need := len(d.queue) + accepted; need > cap(d.queue) {
+		// Grow on demand, doubling but never past QueueCap (need is
+		// within it), so storage tracks the depth the stream reaches.
+		size := min(max(2*cap(d.queue), need), d.cfg.QueueCap)
+		grown := make([]Event, len(d.queue), size)
+		copy(grown, d.queue)
+		d.queue = grown
+	}
 	d.queue = append(d.queue, events[:accepted]...)
 	d.ingested += int64(accepted)
 	d.shedN += int64(shed)
-	depth := len(d.queue)
+	depth = len(d.queue)
 	d.qmu.Unlock()
 
 	d.instr.ingested.Add(int64(accepted))
@@ -359,12 +376,14 @@ func (d *Daemon) Ingest(events []Event) (accepted, shed int) {
 	if hw := d.instr.queueHighWater; hw != nil && float64(depth) > hw.Value() {
 		hw.Set(float64(depth))
 	}
-	return accepted, shed
+	return accepted, shed, depth
 }
 
 // takeBatch removes this tick's batch (bounded by MaxBatch) from the
 // queue and returns it with the queue occupancy observed before the
-// take — the escalation pressure signal.
+// take — the escalation pressure signal. The batch is the daemon's
+// reused batch buffer, so the caller must hold tickMu and be done with
+// it before the next take.
 func (d *Daemon) takeBatch() (batch []Event, occupancy float64) {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
@@ -373,11 +392,11 @@ func (d *Daemon) takeBatch() (batch []Event, occupancy float64) {
 	if d.cfg.MaxBatch > 0 && n > d.cfg.MaxBatch {
 		n = d.cfg.MaxBatch
 	}
-	batch = append([]Event(nil), d.queue[:n]...)
+	d.batch = append(d.batch[:0], d.queue[:n]...)
 	rest := copy(d.queue, d.queue[n:])
 	d.queue = d.queue[:rest]
 	d.instr.queueDepth.Set(float64(rest))
-	return batch, occupancy
+	return d.batch, occupancy
 }
 
 // Tick advances one slot: it drains (up to MaxBatch of) the ingest queue

@@ -20,8 +20,9 @@ type IngestResponse struct {
 }
 
 // maxIngestBody bounds a single /v1/events request body (16 MiB, roughly
-// 100k events) so a misbehaving producer cannot balloon daemon memory
-// before the bounded queue even sees the batch.
+// 258k events at the ~65 bytes per event DiffStates batches encode to)
+// so a misbehaving producer cannot balloon daemon memory before the
+// bounded queue even sees the batch.
 const maxIngestBody = 16 << 20
 
 // Handler returns the daemon's HTTP API:
@@ -46,22 +47,32 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// handleEvents ingests a JSON event batch.
+// handleEvents ingests a JSON event batch. The body and the decoded
+// batch live in pooled buffers that are recycled once Ingest has copied
+// the events into the queue (see decodeEvents for the decoding contract).
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var events []Event
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err := dec.Decode(&events); err != nil {
+	bodyBuf := bodyPool.Get().(*[]byte)
+	body, readErr := readBody(http.MaxBytesReader(w, r.Body, maxIngestBody), (*bodyBuf)[:0])
+	eventBuf := eventPool.Get().(*[]Event)
+	events, err := decodeEvents(body, readErr, (*eventBuf)[:0])
+	if cap(body) <= maxPooledBody {
+		*bodyBuf = body
+		bodyPool.Put(bodyBuf)
+	}
+	if err != nil {
+		eventPool.Put(eventBuf)
 		http.Error(w, fmt.Sprintf("decoding events: %v", err), http.StatusBadRequest)
 		return
 	}
-	accepted, shed := d.Ingest(events)
-	d.qmu.Lock()
-	depth := len(d.queue)
-	d.qmu.Unlock()
+	accepted, shed, depth := d.ingest(events)
+	if cap(events) <= maxPooledEvents {
+		*eventBuf = events
+		eventPool.Put(eventBuf)
+	}
 	writeJSON(w, IngestResponse{Accepted: accepted, Shed: shed, QueueDepth: depth})
 }
 
