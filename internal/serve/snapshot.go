@@ -214,16 +214,11 @@ func (d *Daemon) Restore(s Snapshot) error {
 	d.invalid = s.Counters.Invalid
 
 	d.qmu.Lock()
-	d.queue = d.queue[:0]
-	if len(s.Pending) > d.cfg.QueueCap {
-		// A snapshot from a larger queue configuration sheds the tail —
-		// bounded memory wins over completeness, and the shed is counted.
-		d.queue = append(d.queue, s.Pending[:d.cfg.QueueCap]...)
-		d.shedN = s.Counters.Shed + int64(len(s.Pending)-d.cfg.QueueCap)
-	} else {
-		d.queue = append(d.queue, s.Pending...)
-		d.shedN = s.Counters.Shed
-	}
+	// A snapshot from a larger queue configuration sheds the tail —
+	// bounded memory wins over completeness, and the shed is counted.
+	kept := min(len(s.Pending), d.cfg.QueueCap)
+	d.queue = append(make([]Event, 0, kept), s.Pending[:kept]...)
+	d.shedN = s.Counters.Shed + int64(len(s.Pending)-kept)
 	d.ingested = s.Counters.Ingested
 	d.qmu.Unlock()
 
