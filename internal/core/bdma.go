@@ -37,18 +37,17 @@ type BDMAResult struct {
 	Selection Selection
 	// Freq is Ω̄_t.
 	Freq Frequencies
-	// Objective is f(x̄, ȳ, Ω̄) = V·T_t + Q·Θ.
+	// Objective is f(x̄, ȳ, Ω̄) = V·T_t + Σ_g Q_g·θ_g (V·T_t + Q·Θ under
+	// the global budget).
 	Objective float64
 	// Latency is T_t(x̄, ȳ, Ω̄, β) in seconds summed over devices.
 	Latency float64
-	// Theta is Θ(Ω̄, p_t) = C_t − C̄.
+	// Theta is Θ(Ω̄, p_t) = Σ_g (C_{g,t} − C̄_g), C_t − C̄ under the
+	// global budget.
 	Theta float64
 	// SolverIterations accumulates the P2-A solver's iterations across
 	// the z rounds (the Figure 5/6 complexity metric).
 	SolverIterations int
-	// RoomThetas holds the per-room violations Θ_m under the per-room
-	// budget extension (nil in the paper's global-budget mode).
-	RoomThetas map[int]float64
 	// Degraded reports that the slot deadline expired during the solve:
 	// the decision is the best feasible iterate found before expiry (an
 	// anytime result) and does not carry the full z-round Theorem 3
@@ -63,48 +62,28 @@ type BDMAResult struct {
 // stops after a round that provably replays (a warm-started round that
 // moved no player and reproduced its Ω): the remaining rounds would
 // repeat it bit for bit, so the decision equals the full z-round one.
+// q is the backlog of the paper's single global budget; controllers
+// under per-room budgets run the same alternation over their Budget.
 //
 // Theorem 3: the returned decision satisfies
 // V·T(ᾱ) + Q·Θ(Ω̄) ≤ R·V·T(α) + Q·Θ(Ω) for any feasible α, with
 // R = 2.62·R_F/(1−8λ) and R_F = max_n F_n^U/F_n^L.
 func (s *System) BDMA(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source) (BDMAResult, error) {
-	return s.bdmaScratch(st, v, q, cfg, src, nil, solveInstr{}, nil, nil)
+	return s.bdmaScratch(st, v, s.globalBudget(q), cfg, src, nil, solveInstr{}, nil, nil)
 }
 
-// bdmaScratch is BDMA with an optional reusable P2A; the controller passes
-// its per-instance scratch so steady-state slots rebuild the game arena in
-// place instead of reallocating it, plus its solve instruments and its
-// worker pool (nil = serial; results are bit-identical either way). dl is
-// the optional slot deadline threaded down to the round checkpoints, the
-// P2-A engine, and P2-B (nil never expires).
-func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, pool *par.Pool, dl *solver.Deadline) (BDMAResult, error) {
-	if q < 0 || math.IsNaN(q) {
-		return BDMAResult{}, fmt.Errorf("core: BDMA needs Q ≥ 0, got %v", q)
-	}
-	solve := func(compute []float64, sdl *solver.Deadline) (Frequencies, error) {
-		return s.solveP2B(compute, st, v, func(int) float64 { return q }, in, pool, sdl)
-	}
-	objective := func(latency float64, freq Frequencies) float64 {
-		return s.p2Objective(latency, freq, st, v, q)
-	}
-	best, err := s.bdmaLoop(st, cfg, src, solve, objective, scratch, in, pool, dl)
-	if err != nil {
-		return BDMAResult{}, err
-	}
-	best.Theta = s.ThetaActive(best.Freq, st.Price, st.ServerActive)
-	return best, nil
-}
-
-// bdmaLoop is the shared alternation body of Algorithm 2, parameterized by
-// the P2-B solver and the P2 objective so the global-budget and per-room
-// variants share one implementation. scratch, when non-nil, supplies a
-// reusable P2A; round 0 rebuilds it for the slot state and later rounds
-// only reweight the N compute resources (the sole Ω-dependent part of the
-// game), skipping the structural rebuild entirely. in records the
-// alternation's round statistics, executed and skipped (zero value
-// records nothing); pool is the intra-slot worker pool handed down to the
-// P2-A engine (the sharded solve's interior sweeps) — the P2-B closure
-// captured it already.
+// bdmaScratch is the alternation body of Algorithm 2 under the budget
+// state b: P2-B weighs server n's energy by its group's backlog, and each
+// round is priced V·T_t + Σ_g Q_g·θ_g (Budget.Objective). scratch, when
+// non-nil, supplies a reusable P2A, so the controller's steady-state
+// slots rebuild the game arena in place instead of reallocating it:
+// round 0 rebuilds it for the slot state and later rounds only reweight
+// the N compute resources (the sole Ω-dependent part of the game),
+// skipping the structural rebuild entirely. in records the alternation's
+// round statistics, executed and skipped (zero value records nothing);
+// pool is the intra-slot worker pool handed to the P2-A engine (the
+// sharded solve's interior sweeps) and to P2-B (nil = serial; results
+// are bit-identical either way).
 //
 // Each round is priced from its profile on the game, not from the state:
 // the round's loads p_r(z) are the Lemma-1 sums of its selection (the
@@ -125,17 +104,10 @@ func (s *System) bdmaScratch(st *trace.State, v, q float64, cfg BDMAConfig, src 
 // complete round, i.e. there is no decision to degrade to. A replay exit
 // precedes the next round's checkpoint, so a budget that would have run
 // out only inside skipped rounds leaves the decision undegraded.
-func (s *System) bdmaLoop(
-	st *trace.State,
-	cfg BDMAConfig,
-	src *rng.Source,
-	solveP2B func(compute []float64, sdl *solver.Deadline) (Frequencies, error),
-	objective func(latency float64, freq Frequencies) float64,
-	scratch *P2A,
-	in solveInstr,
-	pool *par.Pool,
-	dl *solver.Deadline,
-) (BDMAResult, error) {
+func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, pool *par.Pool, dl *solver.Deadline) (BDMAResult, error) {
+	if err := b.checkWeights(); err != nil {
+		return BDMAResult{}, err
+	}
 	if err := s.CheckState(st); err != nil {
 		return BDMAResult{}, err
 	}
@@ -207,7 +179,7 @@ func (s *System) bdmaLoop(
 			sdl = nil
 		}
 		built := freq
-		freq, err = solveP2B(compute, sdl)
+		freq, err = s.solveP2B(compute, st, v, b, in, pool, sdl)
 		if err != nil {
 			if errors.Is(err, ErrSlotDeadline) {
 				best.Degraded = true
@@ -218,7 +190,10 @@ func (s *System) bdmaLoop(
 
 		rounds++
 		latency := s.lemma1Latency(loads, freq, st)
-		if obj := objective(latency, freq); obj < best.Objective {
+		// The first complete round is kept even at an objective of +Inf
+		// (a backlog so large that Q·θ overflows), so a slot always
+		// decides; later rounds must be strictly better.
+		if obj := b.Objective(latency, freq, st, v); obj < best.Objective || bestRound == 0 && obj == best.Objective {
 			best.Objective = obj
 			best.Latency = latency
 			best.Freq = freq
@@ -249,6 +224,7 @@ func (s *System) bdmaLoop(
 	in.bdmaSkipped.Add(int64(skipped))
 	in.bdmaBestRound.Observe(float64(bestRound))
 	best.Selection = scratch.Selection(scratch.best)
+	best.Theta = b.thetas(best.Freq, st.Price, st.ServerActive)
 	return best, nil
 }
 

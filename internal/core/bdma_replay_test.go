@@ -133,15 +133,13 @@ func TestReplayExitMatchesPlainLoop(t *testing.T) {
 					q := float64(slot%5) * 30
 					var got, want BDMAResult
 					if tc.rooms {
-						qByRoom := map[int]float64{0: q, 1: q / 2}
-						got, err = sys.bdmaRoomsScratch(st, v, qByRoom, cfg, src(), scratch, in, pool, nil)
+						b := roomBudget(t, sys, q, q/2)
+						got, err = sys.bdmaScratch(st, v, b, cfg, src(), scratch, in, pool, nil)
 						want = plainBDMA(t, sys, st, tc.z, tc.solver, src(),
-							func(sel Selection) (Frequencies, error) { return sys.SolveP2BPerRoom(sel, st, v, qByRoom) },
-							func(sel Selection, freq Frequencies) float64 {
-								return sys.P2ObjectiveRooms(sel, freq, st, v, qByRoom)
-							})
+							func(sel Selection) (Frequencies, error) { return b.stateP2B(sel, st, v) },
+							func(sel Selection, freq Frequencies) float64 { return b.stateObjective(sel, freq, st, v) })
 					} else {
-						got, err = sys.bdmaScratch(st, v, q, cfg, src(), scratch, in, pool, nil)
+						got, err = sys.bdmaScratch(st, v, sys.globalBudget(q), cfg, src(), scratch, in, pool, nil)
 						want = plainBDMA(t, sys, st, tc.z, tc.solver, src(),
 							func(sel Selection) (Frequencies, error) { return sys.SolveP2B(sel, st, v, q) },
 							func(sel Selection, freq Frequencies) float64 { return sys.P2Objective(sel, freq, st, v, q) })

@@ -218,10 +218,10 @@ func BenchmarkSolveP2BPar(b *testing.B) {
 	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(b, sys, st, 1), st)
 	pool := par.New(0)
 	defer pool.Close()
-	qOf := func(int) float64 { return 10 }
+	budget := sys.globalBudget(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.solveP2B(compute, st, 100, qOf, solveInstr{}, pool, nil); err != nil {
+		if _, err := sys.solveP2B(compute, st, 100, budget, solveInstr{}, pool, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"eotora/internal/lyapunov"
 	"eotora/internal/units"
 )
 
@@ -18,7 +17,8 @@ import (
 type Checkpoint struct {
 	// Slot is the last completed slot index.
 	Slot int `json:"slot"`
-	// Backlog is the virtual-queue backlog Q(Slot+1).
+	// Backlog is the virtual-queue backlog Q(Slot+1); the total across
+	// rooms in per-room budget mode, where it is derived on restore.
 	Backlog float64 `json:"backlog"`
 	// V is the controller's penalty weight (restore guard).
 	V float64 `json:"v"`
@@ -26,8 +26,8 @@ type Checkpoint struct {
 	Solver string `json:"solver"`
 	// Seed is the controller's randomness seed (restore guard).
 	Seed int64 `json:"seed"`
-	// RoomBacklogs holds per-room backlogs in per-room budget mode; nil
-	// otherwise.
+	// RoomBacklogs holds each room's backlog, keyed by room ID, in
+	// per-room budget mode (exactly the system's rooms); nil otherwise.
 	RoomBacklogs map[int]float64 `json:"room_backlogs,omitempty"`
 	// PrevStation/PrevServer/PrevFreq carry the previous slot's decision
 	// backing the RungPrevious fallback, so a controller restored under a
@@ -50,16 +50,12 @@ type Checkpoint struct {
 // Checkpoint captures the controller's resume state.
 func (c *Controller) Checkpoint() Checkpoint {
 	cp := Checkpoint{
-		Slot:    c.slot,
-		Backlog: c.dpp.Queue.Backlog(),
-		V:       c.cfg.V,
-		Solver:  c.SolverName(),
-		Seed:    c.cfg.Seed,
+		Slot:   c.slot,
+		V:      c.cfg.V,
+		Solver: c.SolverName(),
+		Seed:   c.cfg.Seed,
 	}
-	if c.rooms != nil {
-		cp.RoomBacklogs = c.rooms.Backlogs()
-		cp.Backlog = c.rooms.TotalBacklog()
-	}
+	c.budget.Save(&cp)
 	if c.havePrev {
 		cp.PrevStation = append([]int(nil), c.prevSel.Station...)
 		cp.PrevServer = append([]int(nil), c.prevSel.Server...)
@@ -73,14 +69,15 @@ func (c *Controller) Checkpoint() Checkpoint {
 
 // Restore rewinds (or fast-forwards) the controller to a checkpoint taken
 // from a controller with identical configuration. It fails when V, the
-// solver, or the seed differ — resuming under a different configuration
-// would silently change the experiment.
+// solver, the seed or the budget groups differ — resuming under a
+// different configuration would silently change the experiment — or when
+// a backlog or the previous decision is malformed. Every check runs
+// before any state is written: a rejected checkpoint leaves the
+// controller as it was.
 func (c *Controller) Restore(cp Checkpoint) error {
 	switch {
 	case cp.Slot < 0:
 		return fmt.Errorf("core: checkpoint slot %d negative", cp.Slot)
-	case cp.Backlog < 0:
-		return fmt.Errorf("core: checkpoint backlog %v negative", cp.Backlog)
 	case cp.V != c.cfg.V:
 		return fmt.Errorf("core: checkpoint V = %v, controller V = %v", cp.V, c.cfg.V)
 	case cp.Solver != c.SolverName():
@@ -90,35 +87,48 @@ func (c *Controller) Restore(cp Checkpoint) error {
 	case len(cp.Extra) != 0:
 		return errors.New("core: checkpoint carries policy-wrapper state; restore it through the owning policy")
 	}
-	if (cp.RoomBacklogs != nil) != (c.rooms != nil) {
-		return errors.New("core: checkpoint budget mode differs from controller")
+	prevFreq, err := c.checkPrevious(cp)
+	if err != nil {
+		return err
 	}
-	if c.rooms != nil {
-		for room, backlog := range cp.RoomBacklogs {
-			if backlog < 0 {
-				return fmt.Errorf("core: checkpoint room %d backlog %v negative", room, backlog)
-			}
-			c.rooms.Set(room, backlog)
-		}
-	}
-	if len(cp.PrevStation) != len(cp.PrevServer) {
-		return fmt.Errorf("core: checkpoint previous decision has %d stations, %d servers",
-			len(cp.PrevStation), len(cp.PrevServer))
+	// The budget checks its part in full before writing; nothing after it
+	// can fail.
+	if err := c.budget.Restore(cp); err != nil {
+		return err
 	}
 	c.slot = cp.Slot
-	// Rebuild the scalar queue at the recorded backlog (unused but kept
-	// consistent in per-room mode).
-	c.dpp.Queue = lyapunov.NewQueue(cp.Backlog)
 	// Rehydrate the RungPrevious fallback state, reusing capacity like
 	// the per-slot path does.
 	c.havePrev = len(cp.PrevStation) > 0
 	c.prevSel.Station = append(c.prevSel.Station[:0], cp.PrevStation...)
 	c.prevSel.Server = append(c.prevSel.Server[:0], cp.PrevServer...)
-	c.prevFreq = c.prevFreq[:0]
-	for _, f := range cp.PrevFreq {
-		c.prevFreq = append(c.prevFreq, units.Frequency(f))
-	}
+	c.prevFreq = append(c.prevFreq[:0], prevFreq...)
 	return nil
+}
+
+// checkPrevious validates a checkpoint's previous decision — absent, or
+// one (station, server) pair per device and one in-range frequency per
+// server — and returns its frequencies.
+func (c *Controller) checkPrevious(cp Checkpoint) (Frequencies, error) {
+	_, _, servers, devices := c.sys.Net.Counts()
+	switch {
+	case len(cp.PrevStation) != len(cp.PrevServer):
+		return nil, fmt.Errorf("core: checkpoint previous decision has %d stations, %d servers",
+			len(cp.PrevStation), len(cp.PrevServer))
+	case len(cp.PrevStation) == 0 && len(cp.PrevFreq) == 0:
+		return nil, nil
+	case len(cp.PrevStation) != devices || len(cp.PrevFreq) != servers:
+		return nil, fmt.Errorf("core: checkpoint previous decision has %d pairs and %d frequencies, want %d and %d",
+			len(cp.PrevStation), len(cp.PrevFreq), devices, servers)
+	}
+	freq := make(Frequencies, servers)
+	for n, f := range cp.PrevFreq {
+		freq[n] = units.Frequency(f)
+	}
+	if err := c.sys.ValidateFrequencies(freq); err != nil {
+		return nil, fmt.Errorf("core: checkpoint previous decision: %w", err)
+	}
+	return freq, nil
 }
 
 // WriteCheckpoint serializes the controller's checkpoint as JSON.

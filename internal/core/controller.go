@@ -74,8 +74,8 @@ type SlotResult struct {
 	// Backlog is Q(t+1), the backlog after this slot's update (the total
 	// across rooms in per-room budget mode).
 	Backlog float64
-	// RoomBacklogs holds the per-room backlogs Q_m(t+1) when the system
-	// uses per-room budgets; nil otherwise.
+	// RoomBacklogs holds the per-room backlogs Q_m(t+1), keyed by room
+	// ID, when the system uses per-room budgets; nil otherwise.
 	RoomBacklogs map[int]float64
 	// Objective is the P2 objective value of the performed decision.
 	Objective float64
@@ -101,18 +101,17 @@ type SlotResult struct {
 
 // Controller runs Algorithm 1: at each slot it observes β_t, calls BDMA
 // for (x̄, ȳ, Ω̄), materializes the Lemma-1 allocation, performs the
-// decision, and updates the virtual queue by equation (21).
+// decision, and updates the virtual queues by equation (21).
 //
 // The controller's solver randomness is derived per slot from
 // (Seed, slot), so a controller restored from a Checkpoint continues
 // bit-identically to one that never stopped.
 type Controller struct {
-	sys   *System
-	dpp   *lyapunov.DPP
-	rooms *lyapunov.QueueSet // per-room queues; nil in global-budget mode
-	cfg   ControllerConfig
-	slot  int
-	p2a   P2A // reusable P2-A instance; BDMA rebuilds it in place each slot
+	sys    *System
+	budget *Budget // the virtual queues: one global group, or one per room
+	cfg    ControllerConfig
+	slot   int
+	p2a    P2A // reusable P2-A instance; BDMA rebuilds it in place each slot
 
 	// pool is the intra-slot worker pool attached with SetPool (nil =
 	// serial); it parallelizes the per-slot solve without changing any
@@ -145,31 +144,19 @@ type Controller struct {
 
 // NewController builds a controller over a system. Systems with
 // RoomBudgets set run in per-room budget mode with one virtual queue per
-// room.
+// room (see Budget); a nonzero InitialBacklog is rejected there.
 func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 	if sys == nil {
 		return nil, errors.New("core: nil system")
 	}
-	dpp, err := lyapunov.NewDPP(cfg.V, cfg.InitialBacklog)
-	if err != nil {
+	if err := lyapunov.CheckV(cfg.V); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	c := &Controller{
-		sys: sys,
-		dpp: dpp,
-		cfg: cfg,
+	budget, err := NewBudget(sys, cfg.InitialBacklog)
+	if err != nil {
+		return nil, err
 	}
-	if sys.RoomBudgets != nil {
-		if err := sys.ValidateRoomBudgets(); err != nil {
-			return nil, err
-		}
-		keys := make([]int, 0, len(sys.Net.Rooms))
-		for _, r := range sys.Net.Rooms {
-			keys = append(keys, r.ID)
-		}
-		c.rooms = lyapunov.NewQueueSet(keys)
-	}
-	return c, nil
+	return &Controller{sys: sys, budget: budget, cfg: cfg}, nil
 }
 
 // System returns the controller's system.
@@ -199,21 +186,11 @@ func (c *Controller) Decide(slot int, st *trace.State) (*SlotResult, error) {
 
 // Backlog returns the current virtual-queue backlog Q(t) — the total
 // across rooms in per-room budget mode.
-func (c *Controller) Backlog() float64 {
-	if c.rooms != nil {
-		return c.rooms.TotalBacklog()
-	}
-	return c.dpp.Queue.Backlog()
-}
+func (c *Controller) Backlog() float64 { return c.budget.Backlog() }
 
 // RoomBacklogs returns the per-room backlogs, or nil in global-budget
 // mode.
-func (c *Controller) RoomBacklogs() map[int]float64 {
-	if c.rooms == nil {
-		return nil
-	}
-	return c.rooms.Backlogs()
-}
+func (c *Controller) RoomBacklogs() map[int]float64 { return c.budget.RoomBacklogs() }
 
 // V returns the configured penalty weight.
 func (c *Controller) V() float64 { return c.cfg.V }
@@ -228,7 +205,6 @@ func (c *Controller) SetV(v float64) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	c.cfg.V = v
-	c.dpp.V = v
 	return nil
 }
 
@@ -352,15 +328,7 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 		dl = &c.dl
 	}
 
-	var (
-		res BDMAResult
-		err error
-	)
-	if c.rooms != nil {
-		res, err = c.sys.bdmaRoomsScratch(observed, c.dpp.V, c.rooms.Backlogs(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
-	} else {
-		res, err = c.sys.bdmaScratch(observed, c.dpp.V, c.dpp.Queue.Backlog(), c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
-	}
+	res, err := c.sys.bdmaScratch(observed, c.cfg.V, c.budget, c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
 	rung := RungFull
 	if err == nil && res.Degraded {
 		rung = RungAnytime
@@ -393,16 +361,6 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 		if err := c.sys.Validate(res.Selection, realized); err != nil {
 			return nil, fmt.Errorf("core: slot %d: stale decision infeasible: %w", c.slot, err)
 		}
-		// The violation θ must be re-evaluated at the realized price.
-		if c.rooms != nil {
-			res.RoomThetas = c.sys.RoomThetasActive(res.Freq, realized.Price, realized.ServerActive)
-			res.Theta = 0
-			for _, theta := range res.RoomThetas {
-				res.Theta += theta
-			}
-		} else {
-			res.Theta = c.sys.ThetaActive(res.Freq, realized.Price, realized.ServerActive)
-		}
 	}
 
 	// Materialize the allocation for the observed state (shares are part
@@ -426,21 +384,14 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 		Latency:          total,
 		PerDevice:        perDevice,
 		EnergyCost:       cost,
-		Theta:            res.Theta,
 		Objective:        res.Objective,
 		SolverIterations: res.SolverIterations,
 		Degraded:         rung != RungFull,
 		Rung:             rung,
 	}
-	if c.rooms != nil {
-		for room, theta := range res.RoomThetas {
-			c.rooms.Update(room, theta)
-		}
-		out.RoomBacklogs = c.rooms.Backlogs()
-		out.Backlog = c.rooms.TotalBacklog()
-	} else {
-		out.Backlog = c.dpp.Commit(res.Theta)
-	}
+	// The violations are charged at the realized price and population.
+	out.Theta, out.Backlog = c.budget.Commit(res.Freq, realized.Price, realized.ServerActive)
+	out.RoomBacklogs = c.budget.RoomBacklogs()
 	out.Elapsed = time.Since(start)
 	if c.shardAuditEvery > 0 && rung == RungFull && c.slot%c.shardAuditEvery == 0 {
 		c.auditShardGap(out)
@@ -612,22 +563,12 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 	return c.priceDecision(res, st), nil
 }
 
-// priceDecision fills the objective, Θ (per-room in multi-budget mode),
-// and reduced latency of a fallback decision, mirroring what bdmaScratch/
-// bdmaRoomsScratch report for a full solve.
+// priceDecision fills the reduced latency, objective and Θ of a fallback
+// decision, as bdmaScratch reports them for a full solve.
 func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
 	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
-	if c.rooms != nil {
-		res.Objective = c.sys.p2ObjectiveRooms(res.Latency, res.Freq, st, c.dpp.V, c.rooms.Backlogs())
-		res.RoomThetas = c.sys.RoomThetasActive(res.Freq, st.Price, st.ServerActive)
-		res.Theta = 0
-		for _, theta := range res.RoomThetas {
-			res.Theta += theta
-		}
-	} else {
-		res.Objective = c.sys.p2Objective(res.Latency, res.Freq, st, c.dpp.V, c.dpp.Queue.Backlog())
-		res.Theta = c.sys.ThetaActive(res.Freq, st.Price, st.ServerActive)
-	}
+	res.Objective = c.budget.Objective(res.Latency, res.Freq, st, c.cfg.V)
+	res.Theta = c.budget.thetas(res.Freq, st.Price, st.ServerActive)
 	return res
 }
 

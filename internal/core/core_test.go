@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -961,6 +962,9 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}{
 		{"negative slot", func(cp *Checkpoint) { cp.Slot = -1 }},
 		{"negative backlog", func(cp *Checkpoint) { cp.Backlog = -2 }},
+		{"NaN backlog", func(cp *Checkpoint) { cp.Backlog = math.NaN() }},
+		{"infinite backlog", func(cp *Checkpoint) { cp.Backlog = math.Inf(1) }},
+		{"room backlogs", func(cp *Checkpoint) { cp.RoomBacklogs = map[int]float64{0: 1, 1: 2} }},
 		{"wrong V", func(cp *Checkpoint) { cp.V = 999 }},
 		{"wrong solver", func(cp *Checkpoint) { cp.Solver = "ROPT" }},
 		{"wrong seed", func(cp *Checkpoint) { cp.Seed = 123 }},
@@ -971,6 +975,9 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 			tt.mutate(&cp)
 			if err := ctrl.Restore(cp); err == nil {
 				t.Error("mismatched checkpoint accepted")
+			}
+			if got := ctrl.Checkpoint(); !reflect.DeepEqual(got, good) {
+				t.Errorf("rejected restore changed the checkpoint to %+v", got)
 			}
 		})
 	}

@@ -181,15 +181,7 @@ func (s *System) lemma1Latency(sums []float64, freq Frequencies, st *trace.State
 // EnergyCost evaluates C_t(Ω_t, p_t) of equation (13): the slot's total
 // energy cost across servers at the given per-core frequencies and price.
 func (s *System) EnergyCost(freq Frequencies, price units.Price) units.Money {
-	total := units.Money(0)
-	for n := range s.Net.Servers {
-		e := units.Over(
-			units.Power(s.Energy[n].Power(freq[n]).Watts()*float64(s.Net.Servers[n].Cores)),
-			units.Seconds(s.SlotSeconds),
-		)
-		total += price.Cost(e)
-	}
-	return total
+	return s.EnergyCostActive(freq, price, nil)
 }
 
 // Theta evaluates θ(t) = C_t − C̄, the slot's budget violation.
@@ -199,23 +191,26 @@ func (s *System) Theta(freq Frequencies, price units.Price) float64 {
 
 // EnergyCostActive is EnergyCost restricted to the servers present in the
 // population mask; structurally removed servers draw no power. A nil mask
-// means the full population and delegates to EnergyCost exactly.
+// means the full population.
 func (s *System) EnergyCostActive(freq Frequencies, price units.Price, active []bool) units.Money {
-	if active == nil {
-		return s.EnergyCost(freq, price)
-	}
 	total := units.Money(0)
 	for n := range s.Net.Servers {
-		if !active[n] {
+		if active != nil && !active[n] {
 			continue
 		}
-		e := units.Over(
-			units.Power(s.Energy[n].Power(freq[n]).Watts()*float64(s.Net.Servers[n].Cores)),
-			units.Seconds(s.SlotSeconds),
-		)
-		total += price.Cost(e)
+		total += s.serverCost(n, freq[n], price)
 	}
 	return total
+}
+
+// serverCost is server n's slot energy cost at per-core frequency w: all
+// its cores at g_n(w) for one slot, at the given price.
+func (s *System) serverCost(n int, w units.Frequency, price units.Price) units.Money {
+	e := units.Over(
+		units.Power(s.Energy[n].Power(w).Watts()*float64(s.Net.Servers[n].Cores)),
+		units.Seconds(s.SlotSeconds),
+	)
+	return price.Cost(e)
 }
 
 // ThetaActive is Theta over the active-server population; a nil mask is

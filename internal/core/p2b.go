@@ -31,7 +31,7 @@ func (s *System) SolveP2B(sel Selection, st *trace.State, v, q float64) (Frequen
 	}
 	sc := borrowSums(len(s.Net.Servers))
 	defer sc.release()
-	return s.solveP2B(s.computeSums(sc.sums, sel, st), st, v, func(int) float64 { return q }, solveInstr{}, nil, nil)
+	return s.solveP2B(s.computeSums(sc.sums, sel, st), st, v, s.globalBudget(q), solveInstr{}, nil, nil)
 }
 
 // computeSums accumulates the per-server Lemma-1 sums Σ_{i→n} √(f_i/σ_{i,n})
@@ -51,9 +51,8 @@ func (s *System) computeSums(compute []float64, sel Selection, st *trace.State) 
 // solveP2B is the shared per-server convex solve over the per-server sums
 // computeSum (A_n = computeSum[n]²): BDMA rounds pass the compute loads
 // of their P2-A game, the exported entry points the sums of a selection.
-// qOf supplies the queue weight applied to each server's energy term
-// (constant for the paper's global budget, per-room for the multi-budget
-// extension). in records per-server solver work (the zero value records
+// b supplies the queue weight of each server's energy term, its budget
+// group's backlog (Budget.weight). in records per-server solver work (the zero value records
 // nothing). pool, when non-trivial, fans the independent per-server 1-D
 // minimizations across workers: the separability the paper exploits
 // analytically is exactly shard independence, each server's result lands
@@ -65,7 +64,7 @@ func (s *System) computeSums(compute []float64, sel Selection, st *trace.State) 
 // counted-checkpoint budgets depend on the shard layout. An expired
 // deadline returns ErrSlotDeadline; the BDMA loop maps it to the best
 // decision found so far.
-func (s *System) solveP2B(computeSum []float64, st *trace.State, v float64, qOf func(server int) float64, in solveInstr, pool *par.Pool, dl *solver.Deadline) (Frequencies, error) {
+func (s *System) solveP2B(computeSum []float64, st *trace.State, v float64, b *Budget, in solveInstr, pool *par.Pool, dl *solver.Deadline) (Frequencies, error) {
 	if !(v > 0) {
 		return nil, fmt.Errorf("core: P2-B needs V > 0, got %v", v)
 	}
@@ -80,7 +79,7 @@ func (s *System) solveP2B(computeSum []float64, st *trace.State, v float64, qOf 
 		if shards > servers {
 			shards = servers
 		}
-		t.sys, t.st, t.v, t.qOf, t.in = s, st, v, qOf, in
+		t.sys, t.st, t.v, t.budget, t.in = s, st, v, b, in
 		t.sums, t.freq, t.shards = computeSum, freq, shards
 		if cap(t.errs) < shards {
 			t.errs = make([]error, shards)
@@ -113,7 +112,7 @@ func (s *System) solveP2B(computeSum []float64, st *trace.State, v float64, qOf 
 			freq[n] = s.Net.Servers[n].MinFreq
 			continue
 		}
-		w, steps, solved, err := s.solveP2BServer(n, computeSum[n], st, v, qOf(n))
+		w, steps, solved, err := s.solveP2BServer(n, computeSum[n], st, v, b.weight(n))
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +164,7 @@ type p2bTask struct {
 	sys    *System
 	st     *trace.State
 	v      float64
-	qOf    func(server int) float64
+	budget *Budget
 	in     solveInstr
 	sums   []float64
 	freq   Frequencies
@@ -182,7 +181,7 @@ func (t *p2bTask) Run(shard int) {
 			t.freq[n] = t.sys.Net.Servers[n].MinFreq
 			continue
 		}
-		w, steps, solved, err := t.sys.solveP2BServer(n, t.sums[n], t.st, t.v, t.qOf(n))
+		w, steps, solved, err := t.sys.solveP2BServer(n, t.sums[n], t.st, t.v, t.budget.weight(n))
 		if err != nil {
 			t.errs[shard] = err
 			return
@@ -197,19 +196,14 @@ func (t *p2bTask) Run(shard int) {
 
 // release drops all references and returns the task to the pool.
 func (t *p2bTask) release() {
-	t.sys, t.st, t.qOf, t.in = nil, nil, nil, solveInstr{}
+	t.sys, t.st, t.budget, t.in = nil, nil, nil, solveInstr{}
 	t.sums, t.freq = nil, nil
 	p2bTaskPool.Put(t)
 }
 
 // P2Objective evaluates the P2 objective f(x, y, Ω) = V·T_t + Q·Θ for a
-// candidate decision.
+// candidate decision under the paper's global budget, priced from the
+// state: the reference the one-group Budget.Objective reproduces.
 func (s *System) P2Objective(sel Selection, freq Frequencies, st *trace.State, v, q float64) float64 {
-	return s.p2Objective(s.ReducedLatency(sel, freq, st).Value(), freq, st, v, q)
-}
-
-// p2Objective is P2Objective for a decision whose reduced latency T_t is
-// already known.
-func (s *System) p2Objective(latency float64, freq Frequencies, st *trace.State, v, q float64) float64 {
-	return v*latency + q*s.ThetaActive(freq, st.Price, st.ServerActive)
+	return v*s.ReducedLatency(sel, freq, st).Value() + q*s.ThetaActive(freq, st.Price, st.ServerActive)
 }

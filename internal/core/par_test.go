@@ -127,8 +127,8 @@ func TestControllerPoolMatrix(t *testing.T) {
 	}
 }
 
-// TestControllerRoomsPoolMatrix covers the per-room budget path (its own
-// BDMA wrapper, P2-B queue weights, and objective).
+// TestControllerRoomsPoolMatrix covers per-room budgets (per-group P2-B
+// queue weights and objective).
 func TestControllerRoomsPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 66, 13, 4
 	build := func() (*Controller, []*trace.State) {
@@ -166,7 +166,7 @@ func TestSolveP2BPoolMatrix(t *testing.T) {
 		p2bSolves: serialReg.Counter(MetricP2BSolves),
 		p2bIters:  serialReg.Histogram(MetricP2BIterations),
 	}
-	want, err := sys.solveP2B(compute, st, 120, func(int) float64 { return 7 }, serialIn, nil, nil)
+	want, err := sys.solveP2B(compute, st, 120, sys.globalBudget(7), serialIn, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSolveP2BPoolMatrix(t *testing.T) {
 			p2bSolves: reg.Counter(MetricP2BSolves),
 			p2bIters:  reg.Histogram(MetricP2BIterations),
 		}
-		got, err := sys.solveP2B(compute, st, 120, func(int) float64 { return 7 }, in, pool, nil)
+		got, err := sys.solveP2B(compute, st, 120, sys.globalBudget(7), in, pool, nil)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("pool %d: %v", size, err)
@@ -206,13 +206,13 @@ func TestSolveP2BPoolError(t *testing.T) {
 		sys.Net.Servers[n].MinFreq = 4 * units.GHz
 		sys.Net.Servers[n].MaxFreq = 1 * units.GHz
 	}
-	_, serialErr := sys.solveP2B(compute, st, 100, func(int) float64 { return 1 }, solveInstr{}, nil, nil)
+	_, serialErr := sys.solveP2B(compute, st, 100, sys.globalBudget(1), solveInstr{}, nil, nil)
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
 	for _, size := range corePoolSizes()[1:] {
 		pool := par.New(size)
-		_, err := sys.solveP2B(compute, st, 100, func(int) float64 { return 1 }, solveInstr{}, pool, nil)
+		_, err := sys.solveP2B(compute, st, 100, sys.globalBudget(1), solveInstr{}, pool, nil)
 		pool.Close()
 		if err == nil || err.Error() != serialErr.Error() {
 			t.Errorf("pool %d: error %v, want %v", size, err, serialErr)

@@ -16,22 +16,26 @@ import (
 
 // statePriced is the state-based pricing of a selection: P2-B, T_t, the
 // P2 objective, Θ and the Lemma-1 shares recomputed from (sel, st) with
-// the exported serial entry points. qByRoom selects the per-room
-// variant when non-nil.
+// the serial entry points. roomQ, when non-nil, holds per-room backlogs
+// in Net.Rooms order and selects the per-room budget; the global budget
+// is priced by the exported scalar references.
 type statePriced struct {
 	freq                       Frequencies
 	latency, objective, theta  float64
 	access, fronthaul, compute []float64
 }
 
-func priceFromState(t *testing.T, sys *System, st *trace.State, sel Selection, v, q float64, qByRoom map[int]float64) statePriced {
+func priceFromState(t *testing.T, sys *System, st *trace.State, sel Selection, v, q float64, roomQ []float64) statePriced {
 	t.Helper()
 	var (
 		p   statePriced
 		err error
 	)
-	if qByRoom != nil {
-		p.freq, err = sys.SolveP2BPerRoom(sel, st, v, qByRoom)
+	if roomQ != nil {
+		b := roomBudget(t, sys, roomQ...)
+		p.freq, err = b.stateP2B(sel, st, v)
+		p.objective = b.stateObjective(sel, p.freq, st, v)
+		p.theta = b.thetas(p.freq, st.Price, st.ServerActive)
 	} else {
 		p.freq, err = sys.SolveP2B(sel, st, v, q)
 	}
@@ -39,12 +43,7 @@ func priceFromState(t *testing.T, sys *System, st *trace.State, sel Selection, v
 		t.Fatal(err)
 	}
 	p.latency = sys.ReducedLatency(sel, p.freq, st).Value()
-	if qByRoom != nil {
-		p.objective = sys.P2ObjectiveRooms(sel, p.freq, st, v, qByRoom)
-		for _, theta := range sys.RoomThetasActive(p.freq, st.Price, st.ServerActive) {
-			p.theta += theta
-		}
-	} else {
+	if roomQ == nil {
 		p.objective = sys.P2Objective(sel, p.freq, st, v, q)
 		p.theta = sys.ThetaActive(p.freq, st.Price, st.ServerActive)
 	}
@@ -203,25 +202,27 @@ func checkControllerPricing(t *testing.T, sys *System, states []*trace.State, cf
 	defer pool.Close()
 	ctrl.SetPool(pool)
 	anytime := 0
-	q, qByRoom := 0.0, map[int]float64{}
+	q, roomQ := 0.0, []float64(nil)
+	if rooms {
+		roomQ = make([]float64, len(sys.Net.Rooms))
+	}
 	for slot, st := range states {
 		r, err := ctrl.Step(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Rung <= RungAnytime {
-			var rq map[int]float64
-			if rooms {
-				rq = qByRoom
-			}
-			want := priceFromState(t, sys, st, r.Decision.Selection, v, q, rq)
+			want := priceFromState(t, sys, st, r.Decision.Selection, v, q, roomQ)
 			label := fmt.Sprintf("pool %d checks %d slot %d controller", size, checks, slot)
 			requirePriced(t, label, want, r.Decision.Freq, r.Objective, r.Theta, r.Decision.Allocation, 0, false)
 		}
 		if r.Rung == RungAnytime {
 			anytime++
 		}
-		q, qByRoom = r.Backlog, r.RoomBacklogs
+		q = r.Backlog
+		for g := range roomQ {
+			roomQ[g] = r.RoomBacklogs[sys.Net.Rooms[g].ID]
+		}
 	}
 	return anytime
 }
@@ -246,17 +247,12 @@ func checkBDMAPricing(t *testing.T, sys *System, states []*trace.State, cfg BDMA
 			dl.Start(0, checks)
 		}
 		q := float64(slot%3) * 40
-		var (
-			res BDMAResult
-			err error
-			rq  map[int]float64
-		)
+		b, rq := sys.globalBudget(q), []float64(nil)
 		if rooms {
-			rq = map[int]float64{0: q, 1: q / 3}
-			res, err = sys.bdmaRoomsScratch(st, v, rq, cfg, src, scratch, in, pool, dl)
-		} else {
-			res, err = sys.bdmaScratch(st, v, q, cfg, src, scratch, in, pool, dl)
+			rq = []float64{q, q / 3}
+			b = roomBudget(t, sys, rq...)
 		}
+		res, err := sys.bdmaScratch(st, v, b, cfg, src, scratch, in, pool, dl)
 		if errors.Is(err, ErrSlotDeadline) {
 			continue
 		}

@@ -237,7 +237,7 @@ func (s *System) ValidateFrequencies(f Frequencies) error {
 	}
 	for n, w := range f {
 		srv := &s.Net.Servers[n]
-		if w < srv.MinFreq-1e-6 || w > srv.MaxFreq+1e-6 {
+		if !(w >= srv.MinFreq-1e-6 && w <= srv.MaxFreq+1e-6) { // NaN fails too
 			return fmt.Errorf("core: server %d frequency %v outside [%v, %v]", n, w, srv.MinFreq, srv.MaxFreq)
 		}
 	}

@@ -7,7 +7,6 @@ package lyapunov
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Queue is the virtual queue of equation (21):
@@ -76,84 +75,4 @@ func (d *DPP) Objective(penalty, theta float64) float64 {
 // the new backlog.
 func (d *DPP) Commit(theta float64) float64 {
 	return d.Queue.Update(theta)
-}
-
-// QueueSet maintains one virtual queue per named constraint — the
-// multi-constraint generalization of the paper's single energy-cost
-// budget (e.g. one budget per edge-server room). Keys are arbitrary
-// integer identifiers.
-type QueueSet struct {
-	queues map[int]*Queue
-}
-
-// NewQueueSet creates a set with a zero-backlog queue per key.
-func NewQueueSet(keys []int) *QueueSet {
-	qs := &QueueSet{queues: make(map[int]*Queue, len(keys))}
-	for _, k := range keys {
-		qs.queues[k] = NewQueue(0)
-	}
-	return qs
-}
-
-// Keys returns the sorted constraint identifiers.
-func (qs *QueueSet) Keys() []int {
-	keys := make([]int, 0, len(qs.queues))
-	for k := range qs.queues {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Backlog returns the backlog of queue k, or zero for unknown keys.
-func (qs *QueueSet) Backlog(k int) float64 {
-	q, ok := qs.queues[k]
-	if !ok {
-		return 0
-	}
-	return q.Backlog()
-}
-
-// Backlogs returns a copy of all backlogs.
-func (qs *QueueSet) Backlogs() map[int]float64 {
-	out := make(map[int]float64, len(qs.queues))
-	for k, q := range qs.queues {
-		out[k] = q.Backlog()
-	}
-	return out
-}
-
-// Update applies θ_k(t) to queue k; unknown keys are ignored and report 0.
-func (qs *QueueSet) Update(k int, theta float64) float64 {
-	q, ok := qs.queues[k]
-	if !ok {
-		return 0
-	}
-	return q.Update(theta)
-}
-
-// Set forces queue k to the given backlog (checkpoint restore).
-func (qs *QueueSet) Set(k int, backlog float64) {
-	qs.queues[k] = NewQueue(backlog)
-}
-
-// TotalBacklog returns Σ_k Q_k(t).
-func (qs *QueueSet) TotalBacklog() float64 {
-	total := 0.0
-	for _, q := range qs.queues {
-		total += q.Backlog()
-	}
-	return total
-}
-
-// Penalty returns Σ_k Q_k·θ_k for candidate violations (keys absent from
-// thetas contribute nothing).
-func (qs *QueueSet) Penalty(thetas map[int]float64) float64 {
-	total := 0.0
-	for k, theta := range thetas {
-		if q, ok := qs.queues[k]; ok {
-			total += q.Backlog() * theta
-		}
-	}
-	return total
 }

@@ -147,46 +147,3 @@ func TestDPPMonotoneInV(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQueueSetBasics(t *testing.T) {
-	qs := NewQueueSet([]int{2, 0, 1})
-	if got := qs.Keys(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("Keys = %v", got)
-	}
-	qs.Update(0, 5)
-	qs.Update(1, -3)
-	qs.Update(2, 2)
-	if qs.Backlog(0) != 5 || qs.Backlog(1) != 0 || qs.Backlog(2) != 2 {
-		t.Errorf("backlogs = %v", qs.Backlogs())
-	}
-	if qs.TotalBacklog() != 7 {
-		t.Errorf("TotalBacklog = %v", qs.TotalBacklog())
-	}
-	// Unknown key: ignored.
-	if qs.Update(9, 10) != 0 || qs.Backlog(9) != 0 {
-		t.Error("unknown key not ignored")
-	}
-	// Penalty: Σ Q·θ = 5·1 + 0·1 + 2·(−2) = 1.
-	p := qs.Penalty(map[int]float64{0: 1, 1: 1, 2: -2, 9: 100})
-	if math.Abs(p-1) > 1e-12 {
-		t.Errorf("Penalty = %v, want 1", p)
-	}
-	qs.Set(0, 42)
-	if qs.Backlog(0) != 42 {
-		t.Error("Set did not take effect")
-	}
-}
-
-func TestQueueSetStability(t *testing.T) {
-	// Each queue independently stable under negative-mean violations.
-	qs := NewQueueSet([]int{0, 1})
-	src := rng.New(9)
-	const slots = 20000
-	for i := 0; i < slots; i++ {
-		qs.Update(0, src.Normal(-0.3, 1))
-		qs.Update(1, src.Normal(-0.1, 1))
-	}
-	if avg := qs.TotalBacklog() / slots; avg > 0.02 {
-		t.Errorf("queue set not stable: total/T = %v", avg)
-	}
-}

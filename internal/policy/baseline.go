@@ -21,18 +21,19 @@ type pickFunc func(b *baseline, st *trace.State) (core.Selection, error)
 
 // baseline is the shared frame of the comparison policies: a fixed
 // frequency operating point (Ω^L or Ω^U), a per-policy selection rule,
-// and the same virtual-queue accounting the controller runs, so
-// backlogs and objectives are comparable across policies. Baselines
-// never degrade: every slot is RungFull or a hard error.
+// and the same virtual-queue accounting the controller runs (a
+// core.Budget), so backlogs and objectives are comparable across
+// policies. Baselines never degrade: every slot is RungFull or a hard
+// error.
 type baseline struct {
-	name  string
-	sys   *core.System
-	dpp   *lyapunov.DPP
-	rooms *lyapunov.QueueSet // per-room queues; nil in global-budget mode
-	seed  int64
-	slot  int
-	freq  core.Frequencies
-	pick  pickFunc
+	name   string
+	sys    *core.System
+	budget *core.Budget
+	v      float64
+	seed   int64
+	slot   int
+	freq   core.Frequencies
+	pick   pickFunc
 
 	// p2a is the reusable game arena of the profile-based baselines
 	// (greedy-*/random), rebuilt in place every slot exactly as the
@@ -60,15 +61,19 @@ func newBaseline(name string, sys *core.System, cfg Config) (*baseline, error) {
 	if sys == nil {
 		return nil, errors.New("policy: nil system")
 	}
-	dpp, err := lyapunov.NewDPP(cfg.V, cfg.InitialBacklog)
-	if err != nil {
+	if err := lyapunov.CheckV(cfg.V); err != nil {
 		return nil, fmt.Errorf("policy: %w", err)
 	}
+	budget, err := core.NewBudget(sys, cfg.InitialBacklog)
+	if err != nil {
+		return nil, err
+	}
 	b := &baseline{
-		name: name,
-		sys:  sys,
-		dpp:  dpp,
-		seed: cfg.Seed,
+		name:   name,
+		sys:    sys,
+		budget: budget,
+		v:      cfg.V,
+		seed:   cfg.Seed,
 	}
 	switch name {
 	case GreedyEnergy:
@@ -84,16 +89,6 @@ func newBaseline(name string, sys *core.System, cfg Config) (*baseline, error) {
 	default:
 		return nil, fmt.Errorf("policy: %q is not a baseline", name)
 	}
-	if sys.RoomBudgets != nil {
-		if err := sys.ValidateRoomBudgets(); err != nil {
-			return nil, err
-		}
-		keys := make([]int, 0, len(sys.Net.Rooms))
-		for _, r := range sys.Net.Rooms {
-			keys = append(keys, r.ID)
-		}
-		b.rooms = lyapunov.NewQueueSet(keys)
-	}
 	return b, nil
 }
 
@@ -107,15 +102,11 @@ func (b *baseline) System() *core.System { return b.sys }
 func (b *baseline) Slot() int { return b.slot }
 
 // V returns the penalty weight pricing the baseline's objective.
-func (b *baseline) V() float64 { return b.dpp.V }
+func (b *baseline) V() float64 { return b.v }
 
-// Backlog returns the current virtual-queue backlog Q(t).
-func (b *baseline) Backlog() float64 {
-	if b.rooms != nil {
-		return b.rooms.TotalBacklog()
-	}
-	return b.dpp.Queue.Backlog()
-}
+// Backlog returns the current virtual-queue backlog Q(t) — the total
+// across rooms in per-room budget mode.
+func (b *baseline) Backlog() float64 { return b.budget.Backlog() }
 
 // Decide makes one slot's decision: the per-policy selection rule at the
 // policy's fixed frequency point, the Lemma-1 allocation materialized,
@@ -147,19 +138,9 @@ func (b *baseline) Decide(slot int, st *trace.State) (*core.SlotResult, error) {
 		Rung:       core.RungFull,
 	}
 	// Price the objective against Q(t) before committing θ(t).
-	if b.rooms != nil {
-		out.Objective = b.sys.P2ObjectiveRooms(sel, b.freq, st, b.dpp.V, b.rooms.Backlogs())
-		for room, theta := range b.sys.RoomThetasActive(b.freq, st.Price, st.ServerActive) {
-			b.rooms.Update(room, theta)
-			out.Theta += theta
-		}
-		out.RoomBacklogs = b.rooms.Backlogs()
-		out.Backlog = b.rooms.TotalBacklog()
-	} else {
-		out.Objective = b.sys.P2Objective(sel, b.freq, st, b.dpp.V, b.dpp.Queue.Backlog())
-		out.Theta = b.sys.ThetaActive(b.freq, st.Price, st.ServerActive)
-		out.Backlog = b.dpp.Commit(out.Theta)
-	}
+	out.Objective = b.budget.Objective(b.sys.ReducedLatency(sel, b.freq, st).Value(), b.freq, st, b.v)
+	out.Theta, out.Backlog = b.budget.Commit(b.freq, st.Price, st.ServerActive)
+	out.RoomBacklogs = b.budget.RoomBacklogs()
 	out.Elapsed = time.Since(start)
 	b.instr.record(out)
 	return out, nil
@@ -179,51 +160,34 @@ func (in *baselineInstr) record(res *core.SlotResult) {
 // policy name, so a checkpoint restored into a different policy fails
 // the same guard that protects mismatched controller restores.
 func (b *baseline) Checkpoint() core.Checkpoint {
-	cp := core.Checkpoint{
-		Slot:    b.slot,
-		Backlog: b.dpp.Queue.Backlog(),
-		V:       b.dpp.V,
-		Solver:  b.name,
-		Seed:    b.seed,
-	}
-	if b.rooms != nil {
-		cp.RoomBacklogs = b.rooms.Backlogs()
-		cp.Backlog = b.rooms.TotalBacklog()
-	}
+	cp := core.Checkpoint{Slot: b.slot, V: b.v, Solver: b.name, Seed: b.seed}
+	b.budget.Save(&cp)
 	return cp
 }
 
 // Restore rewinds the baseline to a checkpoint taken from an identically
 // configured baseline. Selection randomness is derived from (seed, slot),
-// so the restored policy continues bit-identically.
+// so the restored policy continues bit-identically. Every check runs
+// before any state is written: a rejected checkpoint leaves the baseline
+// as it was.
 func (b *baseline) Restore(cp core.Checkpoint) error {
 	switch {
 	case cp.Slot < 0:
 		return fmt.Errorf("policy: checkpoint slot %d negative", cp.Slot)
-	case cp.Backlog < 0:
-		return fmt.Errorf("policy: checkpoint backlog %v negative", cp.Backlog)
 	case cp.Solver != b.name:
 		return fmt.Errorf("policy: checkpoint policy %q, this policy %q", cp.Solver, b.name)
-	case cp.V != b.dpp.V:
-		return fmt.Errorf("policy: checkpoint V = %v, policy V = %v", cp.V, b.dpp.V)
+	case cp.V != b.v:
+		return fmt.Errorf("policy: checkpoint V = %v, policy V = %v", cp.V, b.v)
 	case cp.Seed != b.seed:
 		return fmt.Errorf("policy: checkpoint seed %d, policy seed %d", cp.Seed, b.seed)
 	case len(cp.Extra) != 0:
 		return fmt.Errorf("policy: checkpoint carries tuner state, %q has none", b.name)
 	}
-	if (cp.RoomBacklogs != nil) != (b.rooms != nil) {
-		return errors.New("policy: checkpoint budget mode differs from policy")
-	}
-	if b.rooms != nil {
-		for room, backlog := range cp.RoomBacklogs {
-			if backlog < 0 {
-				return fmt.Errorf("policy: checkpoint room %d backlog %v negative", room, backlog)
-			}
-			b.rooms.Set(room, backlog)
-		}
+	// The budget checks its part in full before writing.
+	if err := b.budget.Restore(cp); err != nil {
+		return err
 	}
 	b.slot = cp.Slot
-	b.dpp.Queue = lyapunov.NewQueue(cp.Backlog)
 	return nil
 }
 

@@ -290,6 +290,7 @@ func (t *Tuner) Checkpoint() core.Checkpoint {
 // Restore rewinds the tuner: the adapted knobs (V, λ) are
 // re-applied to the controller before its own restore so the V guard
 // compares adapted-to-adapted, then the window state resumes from Extra.
+// A rejected checkpoint puts the knobs back, leaving the tuner as it was.
 func (t *Tuner) Restore(cp core.Checkpoint) error {
 	if len(cp.Extra) == 0 {
 		return errors.New("policy: checkpoint has no tuner state (taken from plain bdma?)")
@@ -298,19 +299,23 @@ func (t *Tuner) Restore(cp core.Checkpoint) error {
 	if !ok {
 		return errors.New("policy: checkpoint tuner state lacks λ")
 	}
+	oldV := t.ctrl.V()
 	if err := t.ctrl.SetV(cp.V); err != nil {
 		return err
 	}
-	if err := t.ctrl.SetLambda(lambda); err != nil {
+	inner := cp
+	inner.Extra = nil
+	err := t.ctrl.SetLambda(lambda)
+	if err == nil {
+		err = t.ctrl.Restore(inner)
+	}
+	if err != nil {
+		_ = t.ctrl.SetV(oldV)          // valid: it was the controller's V
+		_ = t.ctrl.SetLambda(t.lambda) // valid: it was the controller's λ
 		return err
 	}
 	t.lambda = lambda
 	t.refined = cp.Extra["tuner_refined"] != 0
-	inner := cp
-	inner.Extra = nil
-	if err := t.ctrl.Restore(inner); err != nil {
-		return err
-	}
 	t.refBacklog = cp.Extra["tuner_ref_backlog"]
 	t.haveRef = cp.Extra["tuner_have_ref"] != 0
 	t.emaIters = cp.Extra["tuner_ema"]

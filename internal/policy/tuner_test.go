@@ -204,6 +204,17 @@ func TestTunerCheckpointRestore(t *testing.T) {
 	if err := pc.Restore(missing); err == nil {
 		t.Error("tuner accepted tuner state without λ")
 	}
+	// A checkpoint the controller rejects leaves the knobs as they were.
+	before := pc.Checkpoint()
+	foreign := cp
+	foreign.V, foreign.Seed = 123, 99
+	foreign.Extra = map[string]float64{"tuner_lambda": 0.01}
+	if err := pc.Restore(foreign); err == nil {
+		t.Error("tuner accepted a checkpoint of another seed")
+	}
+	if after := pc.Checkpoint(); !reflect.DeepEqual(after, before) {
+		t.Errorf("rejected restore moved the tuner: %+v → %+v", before, after)
+	}
 }
 
 // TestTunerCoarseWindowMatchesPlainController: until its first window
