@@ -206,6 +206,16 @@ func (b *Budget) Restore(cp Checkpoint) error {
 	return nil
 }
 
+// checkV validates a penalty weight: V must be positive and finite for
+// the drift-plus-penalty objective V·T + Σ_g Q_g·θ_g to trade latency
+// against backlog at all.
+func checkV(v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: V = %v, must be positive and finite", v)
+	}
+	return nil
+}
+
 // checkBacklog rejects a restored backlog that is negative, infinite or
 // NaN.
 func checkBacklog(what string, q float64) error {

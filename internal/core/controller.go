@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eotora/internal/game"
-	"eotora/internal/lyapunov"
 	"eotora/internal/obs"
 	"eotora/internal/par"
 	"eotora/internal/rng"
@@ -101,7 +100,9 @@ type SlotResult struct {
 
 // Controller runs Algorithm 1: at each slot it observes β_t, calls BDMA
 // for (x̄, ȳ, Ω̄), materializes the Lemma-1 allocation, performs the
-// decision, and updates the virtual queues by equation (21).
+// decision, and updates the virtual queues by equation (21). A rule
+// controller (NewRuleController) runs a roster baseline's selection rule
+// at a fixed frequency point in place of BDMA, through the same slot.
 //
 // The controller's solver randomness is derived per slot from
 // (Seed, slot), so a controller restored from a Checkpoint continues
@@ -112,6 +113,11 @@ type Controller struct {
 	cfg    ControllerConfig
 	slot   int
 	p2a    P2A // reusable P2-A instance; BDMA rebuilds it in place each slot
+
+	// rule, when set, replaces the BDMA alternation with a roster
+	// baseline's selection rule decided at the fixed frequencies ruleFreq.
+	rule     *selectionRule
+	ruleFreq Frequencies
 
 	// pool is the intra-slot worker pool attached with SetPool (nil =
 	// serial); it parallelizes the per-slot solve without changing any
@@ -149,8 +155,8 @@ func NewController(sys *System, cfg ControllerConfig) (*Controller, error) {
 	if sys == nil {
 		return nil, errors.New("core: nil system")
 	}
-	if err := lyapunov.CheckV(cfg.V); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := checkV(cfg.V); err != nil {
+		return nil, err
 	}
 	budget, err := NewBudget(sys, cfg.InitialBacklog)
 	if err != nil {
@@ -164,8 +170,14 @@ func (c *Controller) System() *System { return c.sys }
 
 // Name identifies the controller as the flagship "bdma" policy behind the
 // policy seam (internal/policy): the paper's full DPP + BDMA alternation,
-// whatever P2-A solver drives it. SolverName distinguishes the solver.
-func (c *Controller) Name() string { return "bdma" }
+// whatever P2-A solver drives it. SolverName distinguishes the solver. A
+// rule controller is named after its rule.
+func (c *Controller) Name() string {
+	if c.rule != nil {
+		return c.rule.name
+	}
+	return "bdma"
+}
 
 // Slot returns the last completed slot index (0 before the first step,
 // the checkpointed slot right after a Restore).
@@ -201,8 +213,8 @@ func (c *Controller) V() float64 { return c.cfg.V }
 // subsequent slots moves. Checkpoints taken after a SetV record the new V,
 // so a restore into a fixed-V controller of the old weight fails loudly.
 func (c *Controller) SetV(v float64) error {
-	if err := lyapunov.CheckV(v); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := checkV(v); err != nil {
+		return err
 	}
 	c.cfg.V = v
 	return nil
@@ -279,19 +291,20 @@ func (c *Controller) SetShardAudit(every int) { c.shardAuditEvery = every }
 // materializing the implicit default when no solver was configured. The
 // error names the knob that has no meaning for non-CGBA baselines.
 func (c *Controller) cgbaSolver(what string) (CGBASolver, error) {
-	if c.cfg.BDMA.Solver == nil {
-		return CGBASolver{}, nil
-	}
 	s, ok := c.cfg.BDMA.Solver.(CGBASolver)
-	if !ok {
+	if c.rule != nil || (!ok && c.cfg.BDMA.Solver != nil) {
 		return CGBASolver{}, fmt.Errorf("core: %s applies to the CGBA solver, not %s", what, c.SolverName())
 	}
 	return s, nil
 }
 
 // SolverName identifies the P2-A solver driving this controller
-// ("CGBA" for the paper's algorithm, "MCBA"/"ROPT" for baselines).
+// ("CGBA" for the paper's algorithm, "MCBA"/"ROPT" for baselines), or
+// the rule of a rule controller.
 func (c *Controller) SolverName() string {
+	if c.rule != nil {
+		return c.rule.name
+	}
 	if c.cfg.BDMA.Solver == nil {
 		return CGBASolver{}.Name()
 	}
@@ -316,46 +329,18 @@ func (c *Controller) Step(st *trace.State) (*SlotResult, error) {
 func (c *Controller) StepWithObservation(observed, realized *trace.State) (*SlotResult, error) {
 	start := time.Now()
 	c.slot++
-	src := rng.New(c.cfg.Seed).Derive(fmt.Sprintf("controller-slot-%d", c.slot))
-
-	// Arm the slot deadline only when a budget is configured; dl stays nil
-	// otherwise, so the undeadlined path performs only nil checks and the
-	// decisions stay bit-identical to builds without the ladder.
-	var dl *solver.Deadline
-	if c.cfg.SlotDeadline > 0 || c.cfg.SlotChecks > 0 {
-		c.dl.Start(c.cfg.SlotDeadline, c.cfg.SlotChecks)
-		c.dl.Consume(c.stall)
-		dl = &c.dl
-	}
-
-	res, err := c.sys.bdmaScratch(observed, c.cfg.V, c.budget, c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
-	rung := RungFull
-	if err == nil && res.Degraded {
-		rung = RungAnytime
+	var (
+		res  BDMAResult
+		rung int
+		err  error
+	)
+	if c.rule != nil {
+		res, err = c.ruleDecision(observed)
+	} else {
+		res, rung, err = c.solve(observed)
 	}
 	if err != nil {
-		// Only a deadline miss descends the ladder; anything else (bad
-		// state, infeasible device) is a hard error the caller must see.
-		if !errors.Is(err, ErrSlotDeadline) {
-			return nil, fmt.Errorf("core: slot %d: %w", c.slot, err)
-		}
-		rung = RungPrevious
-		res, err = c.repriceDecision(observed)
-		if err != nil {
-			rung = RungGreedy
-			res, err = c.greedyDecision(observed)
-			if err != nil {
-				return nil, fmt.Errorf("core: slot %d: %w", c.slot, err)
-			}
-		}
-	}
-	if dl != nil {
-		// Remember the decision for RungPrevious, copying into reused
-		// capacity (allocation-free after the first slot).
-		c.prevSel.Station = append(c.prevSel.Station[:0], res.Selection.Station...)
-		c.prevSel.Server = append(c.prevSel.Server[:0], res.Selection.Server...)
-		c.prevFreq = append(c.prevFreq[:0], res.Freq...)
-		c.havePrev = true
+		return nil, fmt.Errorf("core: slot %d: %w", c.slot, err)
 	}
 	if observed != realized {
 		if err := c.sys.Validate(res.Selection, realized); err != nil {
@@ -366,10 +351,10 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 	// Materialize the allocation for the observed state (shares are part
 	// of the decision) and experience it under the realized state. A BDMA
 	// decision is a profile of the slot's P2-A game, which prices its
-	// shares from the arena; the fallback rungs' selections are not, and
-	// are priced from the state.
+	// shares from the arena; the fallback rungs' and the rules' selections
+	// are not, and are priced from the state.
 	var alloc Allocation
-	if rung <= RungAnytime {
+	if c.rule == nil && rung <= RungAnytime {
 		alloc = c.p2a.bestAllocation()
 	} else {
 		alloc = c.sys.OptimalAllocation(res.Selection, observed)
@@ -398,6 +383,54 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 	}
 	c.instr.record(out)
 	return out, nil
+}
+
+// solve runs Algorithm 2 on the slot's observed state and returns its
+// decision with the ladder rung that produced it: when the slot deadline
+// expires first, the previous decision repriced, then the greedy
+// profile at Ω^L.
+func (c *Controller) solve(st *trace.State) (BDMAResult, int, error) {
+	src := rng.New(c.cfg.Seed).Derive(fmt.Sprintf("controller-slot-%d", c.slot))
+
+	// Arm the slot deadline only when a budget is configured; dl stays nil
+	// otherwise, so the undeadlined path performs only nil checks and the
+	// decisions stay bit-identical to builds without the ladder.
+	var dl *solver.Deadline
+	if c.cfg.SlotDeadline > 0 || c.cfg.SlotChecks > 0 {
+		c.dl.Start(c.cfg.SlotDeadline, c.cfg.SlotChecks)
+		c.dl.Consume(c.stall)
+		dl = &c.dl
+	}
+
+	res, err := c.sys.bdmaScratch(st, c.cfg.V, c.budget, c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
+	rung := RungFull
+	if err == nil && res.Degraded {
+		rung = RungAnytime
+	}
+	if err != nil {
+		// Only a deadline miss descends the ladder; anything else (bad
+		// state, infeasible device) is a hard error the caller must see.
+		if !errors.Is(err, ErrSlotDeadline) {
+			return BDMAResult{}, 0, err
+		}
+		rung = RungPrevious
+		res, err = c.repriceDecision(st)
+		if err != nil {
+			rung = RungGreedy
+			if res, err = c.greedyDecision(st); err != nil {
+				return BDMAResult{}, 0, err
+			}
+		}
+	}
+	if dl != nil {
+		// Remember the decision for RungPrevious, copying into reused
+		// capacity (allocation-free after the first slot).
+		c.prevSel.Station = append(c.prevSel.Station[:0], res.Selection.Station...)
+		c.prevSel.Server = append(c.prevSel.Server[:0], res.Selection.Server...)
+		c.prevFreq = append(c.prevFreq[:0], res.Freq...)
+		c.havePrev = true
+	}
+	return res, rung, nil
 }
 
 // auditShardGap measures the sharded solve's optimality gap for the
@@ -523,8 +556,8 @@ func (c *Controller) prevPairFeasible(i int, st *trace.State) bool {
 // feasible for device i under st. Pass 0 honors ServerDown advisories;
 // pass 1 re-admits down-but-present servers, mirroring BuildP2A's
 // degraded-topology policy. ok is false when even pass 1 finds nothing.
-// The RungPrevious repair and the local-only baseline policy
-// (internal/policy) share this pair enumeration.
+// The RungPrevious repair and the local-only and edge-only rules share
+// this pair enumeration.
 func (s *System) FirstFeasiblePair(i int, st *trace.State) (station, server int, ok bool) {
 	stations := len(s.Net.BaseStations)
 	for pass := 0; pass < 2; pass++ {
@@ -544,19 +577,18 @@ func (s *System) FirstFeasiblePair(i int, st *trace.State) (station, server int,
 	return -1, -1, false
 }
 
-// greedyDecision is RungGreedy, the ladder's last resort: a deterministic
-// one-pass greedy profile on the slot's P2-A game at the lowest
-// frequencies Ω^L. The game was built by BDMA round 0 for this slot's
-// state (round 0 never checkpoints before building), so the profile maps
-// onto pairs feasible under the current coverage.
+// greedyDecision is RungGreedy, the ladder's last resort: greedy-energy's
+// decision, the one-pass greedy profile at the lowest frequencies Ω^L.
+// The game was built by BDMA round 0 for this slot's state at Ω^L (round
+// 0 never checkpoints before building), so the profile maps onto pairs
+// feasible under the current coverage.
 func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
-	g := c.p2a.Game()
-	if g == nil {
+	sel, ok := c.greedySelection()
+	if !ok {
 		return BDMAResult{}, errors.New("core: no P2-A game for the greedy fallback")
 	}
-	greedy := game.GreedyProfile(g)
 	res := BDMAResult{
-		Selection: c.p2a.Selection(greedy.Profile),
+		Selection: sel,
 		Freq:      c.sys.LowestFrequencies(),
 		Degraded:  true,
 	}
@@ -564,7 +596,7 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 }
 
 // priceDecision fills the reduced latency, objective and Θ of a fallback
-// decision, as bdmaScratch reports them for a full solve.
+// or rule decision, as bdmaScratch reports them for a full solve.
 func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
 	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
 	res.Objective = c.budget.Objective(res.Latency, res.Freq, st, c.cfg.V)

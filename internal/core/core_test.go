@@ -725,13 +725,34 @@ func TestBaselineControllers(t *testing.T) {
 	}
 }
 
+// TestNewControllerValidation: a nil system is rejected, and every way to
+// set V — NewController, SetV and NewRuleController — rejects zero,
+// negative and non-finite weights; a rejected SetV leaves V as it was.
 func TestNewControllerValidation(t *testing.T) {
 	sys, _ := buildSystem(t, 5, 23)
 	if _, err := NewController(nil, ControllerConfig{V: 1}); err == nil {
 		t.Error("nil system accepted")
 	}
-	if _, err := NewController(sys, ControllerConfig{V: 0}); err == nil {
-		t.Error("V = 0 accepted")
+	ctrl, err := NewController(sys, ControllerConfig{V: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewController(sys, ControllerConfig{V: v}); err == nil {
+			t.Errorf("NewController accepted V = %v", v)
+		}
+		if _, err := NewRuleController(sys, "local-only", v, 0, 1); err == nil {
+			t.Errorf("NewRuleController accepted V = %v", v)
+		}
+		if err := ctrl.SetV(v); err == nil {
+			t.Errorf("SetV accepted V = %v", v)
+		}
+		if ctrl.V() != 50 {
+			t.Fatalf("rejected SetV(%v) changed V to %v", v, ctrl.V())
+		}
+	}
+	if err := ctrl.SetV(1e-9); err != nil || ctrl.V() != 1e-9 {
+		t.Errorf("SetV(1e-9): %v, V = %v", err, ctrl.V())
 	}
 }
 

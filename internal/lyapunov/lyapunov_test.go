@@ -85,65 +85,3 @@ func TestQueueStability(t *testing.T) {
 		t.Errorf("Q(T)/T = %v, want ≈ 0 for stable queue", avg)
 	}
 }
-
-func TestNewDPPValidation(t *testing.T) {
-	for _, v := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := NewDPP(v, 0); err == nil {
-			t.Errorf("NewDPP(%v) accepted", v)
-		}
-	}
-	d, err := NewDPP(50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.V != 50 || d.Queue.Backlog() != 3 {
-		t.Errorf("DPP = %+v", d)
-	}
-}
-
-func TestDPPObjective(t *testing.T) {
-	d, err := NewDPP(100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Commit(2) // Q = 2
-	// V·penalty + Q·θ = 100·1.5 + 2·0.5 = 151.
-	if got := d.Objective(1.5, 0.5); math.Abs(got-151) > 1e-12 {
-		t.Errorf("Objective = %v, want 151", got)
-	}
-}
-
-func TestDPPCommitAdvancesQueue(t *testing.T) {
-	d, err := NewDPP(10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Commit(3); got != 3 {
-		t.Errorf("Commit = %v, want 3", got)
-	}
-	if got := d.Commit(-5); got != 0 {
-		t.Errorf("Commit = %v, want 0", got)
-	}
-}
-
-// Property: larger V weights the penalty more for any fixed (penalty, θ)
-// with positive penalty.
-func TestDPPMonotoneInV(t *testing.T) {
-	prop := func(penalty, theta float64) bool {
-		if math.IsNaN(penalty) || math.IsNaN(theta) || math.Abs(penalty) > 1e12 || math.Abs(theta) > 1e12 {
-			return true
-		}
-		penalty = math.Abs(penalty)
-		d1, err1 := NewDPP(10, 5)
-		d2, err2 := NewDPP(20, 5)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		d1.Queue.Update(5)
-		d2.Queue.Update(5)
-		return d2.Objective(penalty, theta) >= d1.Objective(penalty, theta)-1e-9
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}

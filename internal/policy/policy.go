@@ -3,10 +3,11 @@
 // simulator, the sweep runner, the serve-mode daemon, and the CLIs —
 // programs against the Policy interface instead of a concrete
 // controller. The paper's DPP + BDMA controller (core.Controller) is the
-// flagship implementation; this package adds the deterministic
-// comparison baselines every related evaluation ships (greedy-energy,
-// greedy-deadline, random, local-only, edge-only) and an online
-// auto-tuner that adapts the DPP knob V and the CGBA λ
+// flagship implementation. The deterministic comparison baselines every
+// related evaluation ships (greedy-energy, greedy-deadline, random,
+// local-only, edge-only) are the same controller running a fixed-frequency
+// selection rule (core.NewRuleController); this package maps their names
+// and adds an online auto-tuner that adapts the DPP knob V and the CGBA λ
 // schedule across slots (DESIGN.md §15).
 //
 // Every policy is deterministic from (seed, slot): two policies built
@@ -87,6 +88,14 @@ var (
 	_ SolverNamer    = (*core.Controller)(nil)
 )
 
+// baseline is a roster baseline: a rule controller
+// (core.NewRuleController) seen through the Policy methods alone.
+// Embedding the interface rather than the controller hides the
+// controller's other methods, so drivers probing a baseline for
+// DeadlineSetter, PoolSetter or SolverNamer find none — a selection rule
+// has no slot budget, intra-slot pool or P2-A solver.
+type baseline struct{ Policy }
+
 // Policy names constructible through New.
 const (
 	// BDMA is the paper's controller: DPP + BDMA alternation with CGBA.
@@ -160,7 +169,11 @@ func New(name string, sys *core.System, cfg Config) (Policy, error) {
 		}
 		return NewTuner(ctrl, tc)
 	case GreedyEnergy, GreedyDeadline, Random, LocalOnly, EdgeOnly:
-		return newBaseline(name, sys, cfg)
+		ctrl, err := core.NewRuleController(sys, name, cfg.V, cfg.InitialBacklog, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return baseline{ctrl}, nil
 	}
 	return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
 }

@@ -290,8 +290,9 @@ func TestEdgeOnlyCoverage(t *testing.T) {
 }
 
 // TestDecideRejectsInvalidState: a state with a NaN channel fails Decide
-// on every policy with the System.CheckState error — on a fresh policy
-// (the P2-A build path) and after a valid slot (the churn refill path).
+// on every policy with the System.CheckState error under the one slot
+// prefix all policies share — on a fresh policy (the P2-A build path) and
+// after a valid slot (the churn refill path).
 func TestDecideRejectsInvalidState(t *testing.T) {
 	for _, name := range Names() {
 		for _, warm := range []bool{false, true} {
@@ -313,10 +314,7 @@ func TestDecideRejectsInvalidState(t *testing.T) {
 			if want == nil {
 				t.Fatal("CheckState accepted a NaN channel")
 			}
-			prefix := fmt.Sprintf("policy: %s slot %d: ", name, slot)
-			if name == BDMA || name == BDMATuned {
-				prefix = fmt.Sprintf("core: slot %d: ", slot)
-			}
+			prefix := fmt.Sprintf("core: slot %d: ", slot)
 			if _, err = p.Decide(slot, bad); err == nil || err.Error() != prefix+want.Error() {
 				t.Errorf("%s (warm=%v): Decide error %v, want %q", name, warm, err, prefix+want.Error())
 			}
