@@ -320,6 +320,33 @@ func TestBudgetGroups(t *testing.T) {
 	}
 }
 
+// TestCheckV: the drift-plus-penalty weight V must be positive and
+// finite, and a controller built with a valid V and Q(1) starts from
+// exactly those values.
+func TestCheckV(t *testing.T) {
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := checkV(v)
+		if err == nil {
+			t.Errorf("checkV(%v) accepted", v)
+		} else if !strings.Contains(err.Error(), "must be positive and finite") {
+			t.Errorf("checkV(%v) = %q", v, err)
+		}
+	}
+	for _, v := range []float64{1e-9, 1, 50, math.MaxFloat64} {
+		if err := checkV(v); err != nil {
+			t.Errorf("checkV(%v) = %v", v, err)
+		}
+	}
+	sys, _ := buildSystem(t, 5, 23)
+	ctrl, err := NewController(sys, ControllerConfig{V: 50, InitialBacklog: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctrl.V() != 50 || ctrl.Backlog() != 3 {
+		t.Errorf("controller starts at V = %v, Q = %v; want 50, 3", ctrl.V(), ctrl.Backlog())
+	}
+}
+
 // TestBudgetBasics checks the per-room queue rule on a four-room system:
 // Commit gives Q_g ← max(Q_g + θ_g, 0) with θ_g the room's cost over its
 // cap, the total is the room sum, and Objective is V·T + Σ_g Q_g·θ_g.
