@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: all verify build lint vet test race cover fuzz soak bench bench-json bench-quick bench-smoke examples paper smoke-serve serve-demo compare-demo clean
+.PHONY: all verify build lint docs vet test race cover fuzz soak bench bench-json bench-quick bench-smoke examples paper smoke-serve serve-demo compare-demo clean
 
 all: build vet test
 
@@ -18,19 +18,23 @@ verify: build lint test race bench-quick
 build:
 	$(GO) build ./...
 
-# lint gates on formatting, static analysis, godoc coverage of the core
-# packages (cmd/doccheck), and the repository's relative markdown links
-# (cmd/linkcheck). staticcheck is optional locally (skipped with a notice
-# when not installed); CI installs it.
-lint: vet
-	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/doccheck ./internal/core ./internal/game ./internal/obs ./internal/par ./internal/faults ./internal/trace ./internal/solver ./internal/serve ./internal/policy
-	$(GO) run ./cmd/linkcheck .
+# lint gates on static analysis plus the docs checks. staticcheck is
+# optional locally (skipped with a notice when not installed); CI installs
+# it.
+lint: vet docs
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
+
+# docs gates on formatting, godoc coverage of the core packages
+# (cmd/doccheck), and the repository's relative markdown links
+# (cmd/linkcheck). The CI docs job runs this target.
+docs:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	$(GO) run ./cmd/doccheck ./internal/core ./internal/game ./internal/obs ./internal/par ./internal/faults ./internal/trace ./internal/solver ./internal/serve ./internal/policy
+	$(GO) run ./cmd/linkcheck .
 
 vet:
 	$(GO) vet ./...

@@ -42,9 +42,6 @@ type BDMAResult struct {
 	Objective float64
 	// Latency is T_t(x̄, ȳ, Ω̄, β) in seconds summed over devices.
 	Latency float64
-	// Theta is Θ(Ω̄, p_t) = Σ_g (C_{g,t} − C̄_g), C_t − C̄ under the
-	// global budget.
-	Theta float64
 	// SolverIterations accumulates the P2-A solver's iterations across
 	// the z rounds (the Figure 5/6 complexity metric).
 	SolverIterations int
@@ -55,26 +52,19 @@ type BDMAResult struct {
 	Degraded bool
 }
 
-// BDMA runs Algorithm 2, the Benders'-decomposition-motivated alternation:
-// starting from Ω = Ω^L it repeats at most z times — solve P2-A for (x, y)
-// under the current Ω, then solve P2-B for Ω under the new (x, y) — and
-// returns the best iterate under the P2 objective f = V·T_t + Q·Θ. It
-// stops after a round that provably replays (a warm-started round that
-// moved no player and reproduced its Ω): the remaining rounds would
-// repeat it bit for bit, so the decision equals the full z-round one.
-// q is the backlog of the paper's single global budget; controllers
-// under per-room budgets run the same alternation over their Budget.
-//
-// Theorem 3: the returned decision satisfies
-// V·T(ᾱ) + Q·Θ(Ω̄) ≤ R·V·T(α) + Q·Θ(Ω) for any feasible α, with
+// bdmaScratch runs Algorithm 2, the Benders'-decomposition-motivated
+// alternation, under the budget state b: starting from Ω = Ω^L it repeats
+// at most z times — solve P2-A for (x, y) under the current Ω, then solve
+// P2-B for Ω under the new (x, y) — and returns the best iterate under
+// the P2 objective. It stops after a round that provably replays (a
+// warm-started round that moved no player and reproduced its Ω): the
+// remaining rounds would repeat it bit for bit, so the decision equals
+// the full z-round one. Theorem 3: under the global budget the decision
+// satisfies V·T(ᾱ) + Q·Θ(Ω̄) ≤ R·V·T(α) + Q·Θ(Ω) for any feasible α, with
 // R = 2.62·R_F/(1−8λ) and R_F = max_n F_n^U/F_n^L.
-func (s *System) BDMA(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source) (BDMAResult, error) {
-	return s.bdmaScratch(st, v, s.globalBudget(q), cfg, src, nil, solveInstr{}, nil, nil)
-}
-
-// bdmaScratch is the alternation body of Algorithm 2 under the budget
-// state b: P2-B weighs server n's energy by its group's backlog, and each
-// round is priced V·T_t + Σ_g Q_g·θ_g (Budget.Objective). scratch, when
+//
+// P2-B weighs server n's energy by its group's backlog, and each round is
+// priced V·T_t + Σ_g Q_g·θ_g (Budget.Objective). scratch, when
 // non-nil, supplies a reusable P2A, so the controller's steady-state
 // slots rebuild the game arena in place instead of reallocating it:
 // round 0 rebuilds it for the slot state and later rounds only reweight
@@ -224,22 +214,5 @@ func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConf
 	in.bdmaSkipped.Add(int64(skipped))
 	in.bdmaBestRound.Observe(float64(bestRound))
 	best.Selection = scratch.Selection(scratch.best)
-	best.Theta = b.thetas(best.Freq, st.Price, st.ServerActive)
 	return best, nil
-}
-
-// ApproxRatio returns the R of Theorem 3 for this system and λ:
-// R = 2.62·R_F/(1−8λ), with R_F the largest frequency-range ratio.
-func (s *System) ApproxRatio(lambda float64) (float64, error) {
-	if lambda < 0 || lambda >= 0.125 {
-		return 0, fmt.Errorf("core: λ = %v outside [0, 0.125)", lambda)
-	}
-	rf := 0.0
-	for n := range s.Net.Servers {
-		r := float64(s.Net.Servers[n].MaxFreq) / float64(s.Net.Servers[n].MinFreq)
-		if r > rf {
-			rf = r
-		}
-	}
-	return 2.62 * rf / (1 - 8*lambda), nil
 }

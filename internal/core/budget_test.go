@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"eotora/internal/rng"
 	"eotora/internal/topology"
@@ -185,7 +186,7 @@ func TestMultiBudgetControllerMeetsPerRoomBudgets(t *testing.T) {
 			t.Errorf("room %d average cost $%v far above budget $%v", room, avg, budget.Dollars())
 		}
 	}
-	if ctrl.RoomBacklogs() == nil {
+	if ctrl.budget.RoomBacklogs() == nil {
 		t.Error("controller does not expose room backlogs")
 	}
 }
@@ -392,6 +393,55 @@ func TestBudgetBasics(t *testing.T) {
 			t.Errorf("group %d backlog %v after an empty population, want %v", g, b.q[g], want)
 		}
 	}
+
+	// Eq. (21) sequences on the one-group budget: accumulation, the clamp
+	// at zero and recovery after it, and initial backlogs (negative and
+	// NaN ones start at zero).
+	global, _ := buildSystem(t, 5, 5)
+	for _, tt := range []struct {
+		name   string
+		init   float64
+		thetas []float64
+		want   float64
+	}{
+		{"accumulates positive violations", 0, []float64{1, 2, 3}, 6},
+		{"clamps at zero", 0, []float64{5, -10}, 0},
+		{"recovers after clamp", 0, []float64{-3, 4}, 4},
+		{"initial backlog", 10, []float64{-4}, 6},
+		{"negative initial clamped", -5, nil, 0},
+		{"NaN initial clamped", math.NaN(), nil, 0},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			b, commit := violationQueue(t, global, tt.init)
+			for _, th := range tt.thetas {
+				commit(th)
+			}
+			if got := b.Backlog(); got != tt.want {
+				t.Errorf("backlog = %v, want %v", got, tt.want)
+			}
+		})
+	}
+}
+
+// violationQueue returns the global budget of sys at Q(1) = init and a
+// function that commits one slot of violation θ to it and returns the new
+// backlog. An empty population costs nothing, so setting the cap to −θ
+// makes the committed violation exactly θ.
+func violationQueue(t *testing.T, sys *System, init float64) (*Budget, func(theta float64) float64) {
+	t.Helper()
+	b, err := NewBudget(sys, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := make([]bool, len(sys.Net.Servers))
+	return b, func(theta float64) float64 {
+		b.cap[0] = units.Money(-theta)
+		got, backlog := b.Commit(nil, 0, none)
+		if got != theta {
+			t.Fatalf("Commit saw violation %v, want %v", got, theta)
+		}
+		return backlog
+	}
 }
 
 // TestBudgetStability: every room's queue is stable when its mean
@@ -409,6 +459,28 @@ func TestBudgetStability(t *testing.T) {
 	}
 	if avg := b.Backlog() / slots; avg > 0.02 {
 		t.Errorf("room queues not stable: total/T = %v", avg)
+	}
+
+	// Property: over random violation sequences the one-group backlog
+	// stays ≥ 0 and follows Q ← max(Q + θ, 0), slot by slot. quick draws
+	// floats across the whole float64 range; folding them into (−10, 10)
+	// makes the clamp bind as often as not.
+	global, _ := buildSystem(t, 5, 9)
+	prop := func(raw []float64) bool {
+		_, commit := violationQueue(t, global, 0)
+		ref := 0.0
+		for _, th := range raw {
+			th = math.Mod(th, 10)
+			got := commit(th)
+			ref = math.Max(ref+th, 0)
+			if got < 0 || math.Abs(got-ref) > 1e-9*(ref+1) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -577,7 +649,7 @@ func TestRestoreParentCheckpointFormat(t *testing.T) {
 	if err := ctrl.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctrl.RoomBacklogs(); !reflect.DeepEqual(got, map[int]float64{0: 1.25, 1: 2.25}) || ctrl.Backlog() != 3.5 || ctrl.Slot() != 6 {
+	if got := ctrl.budget.RoomBacklogs(); !reflect.DeepEqual(got, map[int]float64{0: 1.25, 1: 2.25}) || ctrl.Backlog() != 3.5 || ctrl.Slot() != 6 {
 		t.Errorf("restored rooms %v, total %v, slot %d", got, ctrl.Backlog(), ctrl.Slot())
 	}
 }

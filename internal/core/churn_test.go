@@ -91,10 +91,10 @@ func requireSameGame(t testing.TB, slot int, recycled, fresh *P2A) {
 			}
 		}
 	}
+	wa, wb := recycled.arenaWeights(), fresh.arenaWeights()
 	for r := 0; r < a.Resources(); r++ {
-		if math.Float64bits(a.ResourceWeight(r)) != math.Float64bits(b.ResourceWeight(r)) {
-			t.Fatalf("slot %d: resource %d weight %v, fresh %v",
-				slot, r, a.ResourceWeight(r), b.ResourceWeight(r))
+		if math.Float64bits(wa[r]) != math.Float64bits(wb[r]) {
+			t.Fatalf("slot %d: resource %d weight %v, fresh %v", slot, r, wa[r], wb[r])
 		}
 	}
 	// The pair mapping must agree: every profile decodes to the same

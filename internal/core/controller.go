@@ -200,10 +200,6 @@ func (c *Controller) Decide(slot int, st *trace.State) (*SlotResult, error) {
 // across rooms in per-room budget mode.
 func (c *Controller) Backlog() float64 { return c.budget.Backlog() }
 
-// RoomBacklogs returns the per-room backlogs, or nil in global-budget
-// mode.
-func (c *Controller) RoomBacklogs() map[int]float64 { return c.budget.RoomBacklogs() }
-
 // V returns the configured penalty weight.
 func (c *Controller) V() float64 { return c.cfg.V }
 
@@ -250,9 +246,6 @@ func (c *Controller) SetPool(p *par.Pool) {
 	c.p2a.SetPool(p)
 	p.Instrument(c.obs)
 }
-
-// Pool returns the pool attached with SetPool, or nil.
-func (c *Controller) Pool() *par.Pool { return c.pool }
 
 // SetShards configures the sharded slot solve (DESIGN.md §13): the
 // per-slot P2-A game is partitioned into resource-disjoint topology
@@ -595,12 +588,11 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 	return c.priceDecision(res, st), nil
 }
 
-// priceDecision fills the reduced latency, objective and Θ of a fallback
-// or rule decision, as bdmaScratch reports them for a full solve.
+// priceDecision fills the reduced latency and objective of a fallback or
+// rule decision, as bdmaScratch reports them for a full solve.
 func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
 	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
 	res.Objective = c.budget.Objective(res.Latency, res.Freq, st, c.cfg.V)
-	res.Theta = c.budget.thetas(res.Freq, st.Price, st.ServerActive)
 	return res
 }
 

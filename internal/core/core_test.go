@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -85,9 +86,9 @@ func TestDefaultEnergyModels(t *testing.T) {
 	distinct := make(map[string]bool)
 	for _, m := range models {
 		if !energy.IsConvexOn(m, 1.8*units.GHz, 3.6*units.GHz, 16) {
-			t.Errorf("model %s not convex", m.Name())
+			t.Errorf("model %v not convex", m)
 		}
-		distinct[m.Name()] = true
+		distinct[fmt.Sprint(m)] = true
 	}
 	if len(distinct) < 8 {
 		t.Errorf("only %d distinct models among 16 — perturbation broken?", len(distinct))
@@ -399,8 +400,8 @@ func TestEnergyCostArithmetic(t *testing.T) {
 	if math.Abs(cost.Dollars()-0.05) > 1e-9 {
 		t.Errorf("EnergyCost = %v, want $0.05", cost)
 	}
-	if got := sys.Theta(Frequencies{1.5 * units.GHz}, 50); math.Abs(got-0.02) > 1e-9 {
-		t.Errorf("Theta = %v, want 0.02", got)
+	if got := sys.ThetaActive(Frequencies{1.5 * units.GHz}, 50, nil); math.Abs(got-0.02) > 1e-9 {
+		t.Errorf("ThetaActive = %v, want 0.02", got)
 	}
 }
 
@@ -549,12 +550,9 @@ func TestBDMAProducesValidDecision(t *testing.T) {
 	if math.IsInf(res.Objective, 0) || math.IsNaN(res.Objective) {
 		t.Errorf("objective = %v", res.Objective)
 	}
-	// Reported latency/theta must match the decision.
+	// Reported latency must match the decision.
 	if got := sys.ReducedLatency(res.Selection, res.Freq, st).Value(); math.Abs(got-res.Latency) > 1e-9*(got+1) {
 		t.Errorf("latency %v ≠ recomputed %v", res.Latency, got)
-	}
-	if got := sys.Theta(res.Freq, st.Price); math.Abs(got-res.Theta) > 1e-9 {
-		t.Errorf("theta %v ≠ recomputed %v", res.Theta, got)
 	}
 	if res.SolverIterations <= 0 {
 		t.Error("no solver iterations recorded")
@@ -773,7 +771,7 @@ func TestTheorem3Bound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lhs := v*res.Latency + q*res.Theta
+		lhs := v*res.Latency + q*sys.ThetaActive(res.Freq, st.Price, st.ServerActive)
 		// Compare against a batch of random feasible decisions with random
 		// feasible frequencies.
 		for cand := 0; cand < 20; cand++ {
@@ -783,7 +781,7 @@ func TestTheorem3Bound(t *testing.T) {
 				srv := &sys.Net.Servers[n]
 				freq[n] = srv.MinFreq + units.Frequency(src.Float64()*float64(srv.MaxFreq-srv.MinFreq))
 			}
-			rhs := r*v*sys.ReducedLatency(sel, freq, st).Value() + q*sys.Theta(freq, st.Price)
+			rhs := r*v*sys.ReducedLatency(sel, freq, st).Value() + q*sys.ThetaActive(freq, st.Price, nil)
 			if lhs > rhs+1e-6*(math.Abs(rhs)+1) {
 				t.Errorf("trial %d cand %d: Theorem 3 violated: %v > %v", trial, cand, lhs, rhs)
 			}

@@ -116,9 +116,6 @@ func (c *Controller) SetObs(reg *obs.Registry) {
 	c.pool.Instrument(reg)
 }
 
-// Obs returns the registry attached with SetObs, or nil.
-func (c *Controller) Obs() *obs.Registry { return c.obs }
-
 // record captures one slot's outcome in the attached instruments; a
 // detached controller pays only nil checks.
 func (in *ctrlInstr) record(res *SlotResult) {

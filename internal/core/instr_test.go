@@ -26,8 +26,8 @@ func testControllerObsRecording(t *testing.T, z int) {
 	}
 	reg := obs.New()
 	ctrl.SetObs(reg)
-	if ctrl.Obs() != reg {
-		t.Fatal("Obs() does not return the attached registry")
+	if ctrl.obs != reg {
+		t.Fatal("SetObs did not attach the registry")
 	}
 	states := trace.Record(gen, slots)
 	for _, st := range states {

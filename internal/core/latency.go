@@ -184,11 +184,6 @@ func (s *System) EnergyCost(freq Frequencies, price units.Price) units.Money {
 	return s.EnergyCostActive(freq, price, nil)
 }
 
-// Theta evaluates θ(t) = C_t − C̄, the slot's budget violation.
-func (s *System) Theta(freq Frequencies, price units.Price) float64 {
-	return float64(s.EnergyCost(freq, price) - s.Budget)
-}
-
 // EnergyCostActive is EnergyCost restricted to the servers present in the
 // population mask; structurally removed servers draw no power. A nil mask
 // means the full population.
@@ -213,8 +208,8 @@ func (s *System) serverCost(n int, w units.Frequency, price units.Price) units.M
 	return price.Cost(e)
 }
 
-// ThetaActive is Theta over the active-server population; a nil mask is
-// bit-identical to Theta.
+// ThetaActive evaluates θ(t) = C_t − C̄, the slot's budget violation,
+// over the servers in the population mask (nil = all).
 func (s *System) ThetaActive(freq Frequencies, price units.Price, active []bool) float64 {
 	return float64(s.EnergyCostActive(freq, price, active) - s.Budget)
 }

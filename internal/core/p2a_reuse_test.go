@@ -34,8 +34,7 @@ func TestReweightMatchesFresh(t *testing.T) {
 	}
 
 	for r := 0; r < fresh.Game().Resources(); r++ {
-		got := p.Game().ResourceWeight(r)
-		want := fresh.Game().ResourceWeight(r)
+		got, want := p.arenaWeights()[r], fresh.arenaWeights()[r]
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("resource %d weight: reweighted %v (bits %#x), fresh %v (bits %#x)",
 				r, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -93,7 +92,7 @@ func TestBuildP2AReuseMatchesFresh(t *testing.T) {
 			}
 		}
 		for r := 0; r < rg.Resources(); r++ {
-			if math.Float64bits(rg.ResourceWeight(r)) != math.Float64bits(fg.ResourceWeight(r)) {
+			if math.Float64bits(reused.arenaWeights()[r]) != math.Float64bits(fresh.arenaWeights()[r]) {
 				t.Fatalf("slot %d: resource %d weight differs", slot, r)
 			}
 		}

@@ -264,7 +264,8 @@ func checkBDMAPricing(t *testing.T, sys *System, states []*trace.State, cfg BDMA
 		}
 		want := priceFromState(t, sys, st, res.Selection, v, q, rq)
 		label := fmt.Sprintf("pool %d checks %d slot %d BDMA", size, checks, slot)
-		requirePriced(t, label, want, res.Freq, res.Objective, res.Theta, scratch.bestAllocation(), res.Latency, true)
+		theta := b.thetas(res.Freq, st.Price, st.ServerActive)
+		requirePriced(t, label, want, res.Freq, res.Objective, theta, scratch.bestAllocation(), res.Latency, true)
 	}
 	return degraded
 }

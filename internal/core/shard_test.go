@@ -49,12 +49,18 @@ func TestShardPlanFor(t *testing.T) {
 	if plan == nil || plan.Shards() < 2 {
 		t.Fatalf("metro preset should split into ≥ 2 shards, got %v", plan)
 	}
-	if plan.Players() != p.Game().Players() {
-		t.Fatalf("plan covers %d players, game has %d", plan.Players(), p.Game().Players())
+	if len(p.planAssign) != p.Game().Players() {
+		t.Fatalf("plan covers %d players, game has %d", len(p.planAssign), p.Game().Players())
 	}
-	if plan.Boundary() >= plan.Players() {
+	boundary := 0
+	for _, sh := range p.planAssign {
+		if sh < 0 {
+			boundary++
+		}
+	}
+	if boundary >= len(p.planAssign) {
 		t.Fatalf("every player is boundary (%d of %d) — partition degenerate",
-			plan.Boundary(), plan.Players())
+			boundary, len(p.planAssign))
 	}
 
 	// Memoized: the same target returns the identical compiled plan.

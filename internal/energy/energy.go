@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"eotora/internal/stats"
 	"eotora/internal/units"
@@ -26,8 +25,6 @@ import (
 type Model interface {
 	// Power returns the per-core power draw at per-core frequency f.
 	Power(f units.Frequency) units.Power
-	// Name identifies the model for reports.
-	Name() string
 }
 
 // Quadratic is the paper's fitted model: power = A·ω² + B·ω + C with ω in
@@ -42,11 +39,6 @@ var _ Model = Quadratic{}
 func (q Quadratic) Power(f units.Frequency) units.Power {
 	ghz := f.GigaHertz()
 	return units.Power(q.A*ghz*ghz + q.B*ghz + q.C)
-}
-
-// Name implements Model.
-func (q Quadratic) Name() string {
-	return fmt.Sprintf("quadratic(%.3g, %.3g, %.3g)", q.A, q.B, q.C)
 }
 
 // Perturb returns the paper's per-server variant of the quadratic: the
@@ -73,65 +65,10 @@ func (l Linear) Power(f units.Frequency) units.Power {
 	return units.Power(l.Slope*f.GigaHertz() + l.Intercept)
 }
 
-// Name implements Model.
-func (l Linear) Name() string {
-	return fmt.Sprintf("linear(%.3g, %.3g)", l.Slope, l.Intercept)
-}
-
 // Sample is one measured (frequency, power) point.
 type Sample struct {
 	Freq  units.Frequency
 	Power units.Power
-}
-
-// Table interpolates measured samples piecewise-linearly and extrapolates
-// the first/last segment beyond the sampled range. A table over convex
-// data is itself convex.
-type Table struct {
-	samples []Sample // sorted by frequency, strictly increasing
-	name    string
-}
-
-var _ Model = (*Table)(nil)
-
-// NewTable builds a Table from at least two samples. Samples are sorted by
-// frequency; duplicate frequencies are rejected.
-func NewTable(name string, samples []Sample) (*Table, error) {
-	if len(samples) < 2 {
-		return nil, errors.New("energy: table needs at least two samples")
-	}
-	sorted := append([]Sample(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Freq < sorted[j].Freq })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].Freq == sorted[i-1].Freq {
-			return nil, fmt.Errorf("energy: duplicate sample frequency %v", sorted[i].Freq)
-		}
-	}
-	return &Table{samples: sorted, name: name}, nil
-}
-
-// Power implements Model.
-func (t *Table) Power(f units.Frequency) units.Power {
-	s := t.samples
-	// Locate the first sample with Freq >= f.
-	idx := sort.Search(len(s), func(i int) bool { return s[i].Freq >= f })
-	switch idx {
-	case 0:
-		idx = 1 // extrapolate first segment
-	case len(s):
-		idx = len(s) - 1 // extrapolate last segment
-	}
-	lo, hi := s[idx-1], s[idx]
-	frac := (float64(f) - float64(lo.Freq)) / (float64(hi.Freq) - float64(lo.Freq))
-	return units.Power(float64(lo.Power) + frac*(float64(hi.Power)-float64(lo.Power)))
-}
-
-// Name implements Model.
-func (t *Table) Name() string { return t.name }
-
-// Samples returns a copy of the table's samples.
-func (t *Table) Samples() []Sample {
-	return append([]Sample(nil), t.samples...)
 }
 
 // I7_3770K reproduces the measured per-core power/frequency scaling of the
@@ -212,12 +149,4 @@ func IsConvexOn(m Model, lo, hi units.Frequency, n int) bool {
 		}
 	}
 	return true
-}
-
-// ServerEnergy returns the energy consumed by a server with the given
-// model and core count, running every core at per-core frequency f for the
-// given duration.
-func ServerEnergy(m Model, cores int, f units.Frequency, d units.Seconds) units.Energy {
-	perCore := m.Power(f)
-	return units.Over(units.Power(float64(perCore)*float64(cores)), d)
 }

@@ -55,55 +55,6 @@ func TestLinearPower(t *testing.T) {
 	}
 }
 
-func TestNewTableValidation(t *testing.T) {
-	if _, err := NewTable("x", []Sample{{Freq: units.GHz, Power: 1}}); err == nil {
-		t.Error("single-sample table accepted")
-	}
-	dup := []Sample{
-		{Freq: units.GHz, Power: 1},
-		{Freq: units.GHz, Power: 2},
-	}
-	if _, err := NewTable("x", dup); err == nil {
-		t.Error("duplicate-frequency table accepted")
-	}
-}
-
-func TestTableInterpolation(t *testing.T) {
-	// Deliberately unsorted input; NewTable must sort.
-	tbl, err := NewTable("test", []Sample{
-		{Freq: 3 * units.GHz, Power: 30},
-		{Freq: 1 * units.GHz, Power: 10},
-		{Freq: 2 * units.GHz, Power: 18},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		name string
-		f    units.Frequency
-		want float64
-	}{
-		{"exact sample", 2 * units.GHz, 18},
-		{"midpoint", 1.5 * units.GHz, 14},
-		{"upper midpoint", 2.5 * units.GHz, 24},
-		{"extrapolate below", 0.5 * units.GHz, 6},
-		{"extrapolate above", 3.5 * units.GHz, 36},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tbl.Power(tt.f).Watts(); math.Abs(got-tt.want) > 1e-9 {
-				t.Errorf("Power(%v) = %v, want %v", tt.f, got, tt.want)
-			}
-		})
-	}
-	if tbl.Name() != "test" {
-		t.Errorf("Name = %q", tbl.Name())
-	}
-	if got := tbl.Samples(); len(got) != 3 || got[0].Freq != units.GHz {
-		t.Errorf("Samples() = %v", got)
-	}
-}
-
 func TestI7DatasetShape(t *testing.T) {
 	samples := I7_3770K()
 	if len(samples) != 10 {
@@ -205,15 +156,6 @@ func TestIsConvexOnDetectsConcavity(t *testing.T) {
 	}
 }
 
-func TestServerEnergy(t *testing.T) {
-	m := Linear{Slope: 0, Intercept: 10} // flat 10 W per core
-	// 64 cores × 10 W × 3600 s = 2.304e6 J.
-	e := ServerEnergy(m, 64, 2*units.GHz, 3600)
-	if math.Abs(e.Joules()-2.304e6) > 1e-3 {
-		t.Errorf("ServerEnergy = %v J, want 2.304e6", e.Joules())
-	}
-}
-
 // Property: quadratic models with A ≥ 0 always pass the convexity check.
 func TestQuadraticConvexityProperty(t *testing.T) {
 	prop := func(a, b, c float64) bool {
@@ -222,34 +164,6 @@ func TestQuadraticConvexityProperty(t *testing.T) {
 		}
 		q := Quadratic{A: math.Abs(math.Mod(a, 1e3)), B: math.Mod(b, 1e3), C: math.Mod(c, 1e3)}
 		return IsConvexOn(q, 1*units.GHz, 4*units.GHz, 16)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: table interpolation is exact at every sample point.
-func TestTableExactAtSamplesProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		src := rng.New(seed)
-		n := 2 + src.Intn(8)
-		samples := make([]Sample, n)
-		for i := range samples {
-			samples[i] = Sample{
-				Freq:  units.Frequency(float64(i+1) * 1e9 * src.Uniform(0.9, 1.1)),
-				Power: units.Power(src.Uniform(1, 100)),
-			}
-		}
-		tbl, err := NewTable("prop", samples)
-		if err != nil {
-			return true // duplicate freq collision — not this property's concern
-		}
-		for _, s := range tbl.Samples() {
-			if math.Abs(tbl.Power(s.Freq).Watts()-s.Power.Watts()) > 1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -75,7 +77,8 @@ func TestNewScenarioDefaults(t *testing.T) {
 	if k != 6 || m != 2 || n != 16 || i != 100 {
 		t.Errorf("counts = (%d,%d,%d,%d), want paper's (6,2,16,100)", k, m, n, i)
 	}
-	low, high := sc.BudgetRange(50)
+	low := sc.Sys.EnergyCost(sc.Sys.LowestFrequencies(), 50)
+	high := sc.Sys.EnergyCost(sc.Sys.HighestFrequencies(), 50)
 	if !(low < sc.Sys.Budget && sc.Sys.Budget < high) {
 		t.Errorf("budget $%v outside feasible range ($%v, $%v)", sc.Sys.Budget, low, high)
 	}
@@ -111,8 +114,8 @@ func TestFig2Shapes(t *testing.T) {
 		t.Fatalf("series = %d, want price + workload", len(fig.Series))
 	}
 	for _, s := range fig.Series {
-		if s.Len() != 7*24 {
-			t.Errorf("series %q has %d points, want %d", s.Name, s.Len(), 7*24)
+		if len(s.X) != 7*24 {
+			t.Errorf("series %q has %d points, want %d", s.Name, len(s.X), 7*24)
 		}
 	}
 	// Both inputs must be visibly diurnal (ratio > 1.1).
@@ -140,7 +143,7 @@ func TestFig3FitQuality(t *testing.T) {
 		t.Fatalf("series = %d, want 4", len(fig.Series))
 	}
 	measured, fitted := fig.Series[0], fig.Series[1]
-	if measured.Len() != fitted.Len() {
+	if len(measured.X) != len(fitted.X) {
 		t.Fatal("length mismatch")
 	}
 	for i := range measured.Y {
@@ -151,7 +154,7 @@ func TestFig3FitQuality(t *testing.T) {
 	}
 	// All curves increasing in frequency.
 	for _, s := range fig.Series {
-		for i := 1; i < s.Len(); i++ {
+		for i := 1; i < len(s.X); i++ {
 			if s.Y[i] <= s.Y[i-1] {
 				t.Errorf("series %q not increasing at index %d", s.Name, i)
 			}
@@ -279,8 +282,8 @@ func TestFig7Shapes(t *testing.T) {
 		t.Fatalf("series = %d, want %d", len(fig.Series), len(cfg.Vs)+1)
 	}
 	for _, s := range fig.Series {
-		if s.Len() != cfg.Slots {
-			t.Fatalf("series %q length %d, want %d", s.Name, s.Len(), cfg.Slots)
+		if len(s.X) != cfg.Slots {
+			t.Fatalf("series %q length %d, want %d", s.Name, len(s.X), cfg.Slots)
 		}
 	}
 	// Backlogs non-negative; early average below late average (ramp-up).
@@ -465,11 +468,11 @@ func TestFigureWriteMarkdown(t *testing.T) {
 
 func TestRunSpecRoundtrip(t *testing.T) {
 	spec := RunSpec{Devices: 12, Seed: 7, V: 50, Z: 2, Solver: "ropt", Slots: 24, Layout: "hex"}
-	var sb strings.Builder
-	if err := spec.Save(&sb); err != nil {
+	raw, err := json.Marshal(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadRunSpec(strings.NewReader(sb.String()))
+	got, err := LoadRunSpec(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +570,7 @@ func TestAblationSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 2 || fig.Series[0].Len() != 3 {
+	if len(fig.Series) != 2 || len(fig.Series[0].X) != 3 {
 		t.Fatalf("series shape wrong: %v", fig.Series)
 	}
 	if len(fig.Notes) != 3 {
@@ -678,17 +681,17 @@ func TestAblationConvergence(t *testing.T) {
 		// Individual selfish moves may raise the social objective (only
 		// the potential is monotone); the end of each trajectory must
 		// still improve on its start.
-		if s.Y[s.Len()-1] > s.Y[0] {
-			t.Errorf("series %q ended above its start: %v → %v", s.Name, s.Y[0], s.Y[s.Len()-1])
+		if s.Y[len(s.X)-1] > s.Y[0] {
+			t.Errorf("series %q ended above its start: %v → %v", s.Name, s.Y[0], s.Y[len(s.X)-1])
 		}
 	}
 	// λ=0 runs at least as long and ends at least as low as λ=0.12.
 	l0, l12 := fig.Series[0], fig.Series[1]
-	if l0.Len() < l12.Len() {
-		t.Errorf("λ=0 trace (%d) shorter than λ=0.12 (%d)", l0.Len(), l12.Len())
+	if len(l0.X) < len(l12.X) {
+		t.Errorf("λ=0 trace (%d) shorter than λ=0.12 (%d)", len(l0.X), len(l12.X))
 	}
-	if l0.Y[l0.Len()-1] > l12.Y[l12.Len()-1]*1.0001 {
-		t.Errorf("λ=0 final %v above λ=0.12 final %v", l0.Y[l0.Len()-1], l12.Y[l12.Len()-1])
+	if l0.Y[len(l0.X)-1] > l12.Y[len(l12.X)-1]*1.0001 {
+		t.Errorf("λ=0 final %v above λ=0.12 final %v", l0.Y[len(l0.X)-1], l12.Y[len(l12.X)-1])
 	}
 }
 
@@ -711,8 +714,8 @@ func TestComparePolicies(t *testing.T) {
 	}
 	cost := map[string]float64{}
 	for _, s := range fig.Series {
-		if s.Len() != 1 {
-			t.Fatalf("series %q has %d points, want 1", s.Name, s.Len())
+		if len(s.X) != 1 {
+			t.Fatalf("series %q has %d points, want 1", s.Name, len(s.X))
 		}
 		cost[s.Name] = s.X[0]
 	}

@@ -24,9 +24,6 @@ type Series struct {
 	Y    []float64
 }
 
-// Len returns the number of points.
-func (s Series) Len() int { return len(s.X) }
-
 // Figure is a reproduced plot: metadata plus one or more series over a
 // shared x-axis semantic.
 type Figure struct {

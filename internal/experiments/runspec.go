@@ -59,13 +59,6 @@ func LoadRunSpec(r io.Reader) (RunSpec, error) {
 	return spec, nil
 }
 
-// Save writes the spec as indented JSON.
-func (r RunSpec) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 func (r *RunSpec) applyDefaults() {
 	if r.Devices <= 0 {
 		r.Devices = 100

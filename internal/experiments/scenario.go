@@ -80,10 +80,3 @@ func (s *Scenario) Generator(cfg trace.GeneratorConfig) (*trace.Generator, error
 func (s *Scenario) DefaultGenerator() (*trace.Generator, error) {
 	return s.Generator(trace.DefaultGeneratorConfig())
 }
-
-// BudgetRange returns the feasible budget interval [all-F^L cost,
-// all-F^U cost] at the reference price, the sweep range of Figure 9.
-func (s *Scenario) BudgetRange(ref units.Price) (low, high units.Money) {
-	return s.Sys.EnergyCost(s.Sys.LowestFrequencies(), ref),
-		s.Sys.EnergyCost(s.Sys.HighestFrequencies(), ref)
-}

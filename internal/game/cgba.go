@@ -110,17 +110,3 @@ var ErrNoConverge = errors.New("game: CGBA iteration cap reached")
 func CGBA(g *Game, cfg CGBAConfig, src *rng.Source) (Result, error) {
 	return NewEngine(g).CGBA(cfg, src)
 }
-
-// IsEquilibrium reports whether no player can improve its cost by more
-// than the relative tolerance tol under unilateral deviation — the λ-Nash
-// condition CGBA terminates with.
-func (g *Game) IsEquilibrium(p Profile, tol float64) bool {
-	loads := g.Loads(p)
-	for i := range p {
-		cur := g.PlayerCost(p, loads, i)
-		if _, c := g.bestResponse(p, loads, i); (1-tol)*cur > c+1e-9*(cur+1) {
-			return false
-		}
-	}
-	return true
-}

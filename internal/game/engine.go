@@ -9,7 +9,8 @@
 //
 // Exact equivalence is the contract: every cached quantity is computed
 // with the same floating-point operations, in the same order, as the
-// one-shot Game methods (PlayerCost, bestResponse, Loads). A cache entry
+// one-shot reference methods (Game.PlayerCost and Game.bestResponse, kept
+// in oracle_test.go, and Game.Loads). A cache entry
 // is only reused while all of its inputs are bit-unchanged, so the
 // engine-backed CGBA/MCBA reproduce the original implementation
 // bit-for-bit. The property and golden tests in engine_test.go enforce
@@ -18,7 +19,6 @@ package game
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"eotora/internal/par"
@@ -110,9 +110,6 @@ func (e *Engine) Bind(g *Game) {
 	e.invalidateAll()
 }
 
-// Game returns the bound game.
-func (e *Engine) Game() *Game { return e.g }
-
 // SetDeadline attaches a cooperative deadline polled at CGBA/MCBA
 // iteration boundaries. When the deadline expires mid-solve the engine
 // returns its current feasible iterate (CGBA) or best-so-far profile
@@ -120,13 +117,6 @@ func (e *Engine) Game() *Game { return e.g }
 // nil deadline (the default) never expires and adds only a nil check per
 // iteration, keeping the undeadlined solve bit-identical.
 func (e *Engine) SetDeadline(dl *solver.Deadline) { e.deadline = dl }
-
-// Profile returns a view of the engine's current profile. The slice is
-// owned by the engine; callers must Clone it to retain it across moves.
-func (e *Engine) Profile() Profile { return e.profile }
-
-// Loads returns a view of the current per-resource loads.
-func (e *Engine) Loads() []float64 { return e.loads }
 
 // Reset sets the engine to the given profile, recomputing loads from
 // scratch and invalidating all caches.
@@ -176,19 +166,6 @@ func (e *Engine) refresh(i int) {
 	e.dirty[i] = false
 }
 
-// PlayerCost returns T_i under the current profile (cached).
-func (e *Engine) PlayerCost(i int) float64 {
-	e.refresh(i)
-	return e.curCost[i]
-}
-
-// BestResponse returns player i's minimum-cost deviation and its cost
-// (cached).
-func (e *Engine) BestResponse(i int) (strategy int, cost float64) {
-	e.refresh(i)
-	return int(e.brStrat[i]), e.brCost[i]
-}
-
 // SocialCost returns Σ_r m_r p_r(z)² for the current profile, recomputed
 // from scratch (not from the incrementally maintained loads) so the value
 // is bit-identical to Game.SocialCost.
@@ -202,19 +179,8 @@ func (e *Engine) SocialCost() float64 {
 	return obj
 }
 
-// Move switches player i to strategy s, updating loads incrementally and
-// dirtying exactly the players whose cached responses the move could
-// change.
-func (e *Engine) Move(i, s int) error {
-	if i < 0 || i >= e.g.Players() || s < 0 || s >= e.g.StrategyCount(i) {
-		return fmt.Errorf("game: move (%d, %d) out of range", i, s)
-	}
-	e.g.playerIndex()
-	e.move(i, s)
-	return nil
-}
-
-// move is Move without bounds checks — the hot path. Load updates follow
+// move switches player i to strategy s without bounds checks — the hot
+// path (the tests reach it through Engine.Move). Load updates follow
 // Game.applyMove's order (all old uses removed, then all new uses added),
 // keeping the load bits identical to the one-shot path's. Every player
 // incident to a touched resource is dirtied; players sharing no touched

@@ -146,12 +146,6 @@ func (p *ShardPlan) Shards() int {
 	return p.shards
 }
 
-// Players returns the number of players the plan covers.
-func (p *ShardPlan) Players() int { return len(p.player) }
-
-// Boundary returns how many players are in the boundary set.
-func (p *ShardPlan) Boundary() int { return len(p.boundary) }
-
 // check verifies the plan against the bound game: the player count must
 // match, and interior players' resources must be disjoint across shards
 // (the property that makes the parallel region race-free). The result is

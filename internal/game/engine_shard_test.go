@@ -246,7 +246,7 @@ func TestShardStampLifetime(t *testing.T) {
 	}
 	solve("warm", e)
 
-	if err := g.SetResourceWeight(2, 2.5*g.ResourceWeight(2)); err != nil {
+	if err := g.SetResourceWeight(2, 2.5*g.weights[2]); err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "reweight", solve("reweight", e), fresh("reweight"))
@@ -300,9 +300,9 @@ func TestShardPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Shards() != 3 || plan.Players() != 7 || plan.Boundary() != 2 {
+	if plan.Shards() != 3 || len(plan.player) != 7 || len(plan.boundary) != 2 {
 		t.Fatalf("Shards/Players/Boundary = %d/%d/%d, want 3/7/2",
-			plan.Shards(), plan.Players(), plan.Boundary())
+			plan.Shards(), len(plan.player), len(plan.boundary))
 	}
 	// CSR groups interior players by shard, ascending inside each.
 	wantOrder := []int32{2, 4, 3, 0, 6}
@@ -316,8 +316,8 @@ func TestShardPlanValidation(t *testing.T) {
 	if err := plan.Reset(2, []int32{1, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Shards() != 2 || plan.Players() != 3 || plan.Boundary() != 0 {
-		t.Fatalf("after Reset: %d/%d/%d, want 2/3/0", plan.Shards(), plan.Players(), plan.Boundary())
+	if plan.Shards() != 2 || len(plan.player) != 3 || len(plan.boundary) != 0 {
+		t.Fatalf("after Reset: %d/%d/%d, want 2/3/0", plan.Shards(), len(plan.player), len(plan.boundary))
 	}
 	var nilPlan *ShardPlan
 	if nilPlan.Shards() != 0 {

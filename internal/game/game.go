@@ -382,9 +382,6 @@ func (g *Game) Resources() int { return len(g.weights) }
 // StrategyCount returns the size of player i's strategy set.
 func (g *Game) StrategyCount(i int) int { return int(g.strOff[i+1] - g.strOff[i]) }
 
-// ResourceWeight returns m_r.
-func (g *Game) ResourceWeight(r int) float64 { return g.weights[r] }
-
 // SetResourceWeight swaps m_r in place — the P2-A Reweight fast path,
 // where only the compute-resource weights 1/ω_n change between BDMA
 // rounds. Any Engine bound to the game holds stale caches afterwards and
@@ -476,151 +473,4 @@ func (g *Game) SocialCost(p Profile) float64 {
 		obj += g.weights[r] * l * l
 	}
 	return obj
-}
-
-// PlayerCost returns T_i(z) given precomputed loads.
-func (g *Game) PlayerCost(p Profile, loads []float64, i int) float64 {
-	cost := 0.0
-	for _, u := range g.strategyUses(i, p[i]) {
-		cost += u.wm * loads[u.res]
-	}
-	return cost
-}
-
-// Potential returns the weighted Rosenthal potential
-//
-//	Φ(z) = ½ Σ_r m_r (p_r(z)² + Σ_{i uses r} p_{i,r}²),
-//
-// whose change under a unilateral move equals the mover's cost change —
-// the property that makes CGBA's best-response dynamics converge.
-func (g *Game) Potential(p Profile) float64 {
-	loads := g.Loads(p)
-	phi := 0.0
-	for r, l := range loads {
-		phi += g.weights[r] * l * l
-	}
-	for i, s := range p {
-		for _, u := range g.strategyUses(i, s) {
-			phi += u.wm * u.w
-		}
-	}
-	return phi / 2
-}
-
-// bestResponse returns player i's minimum-cost strategy against the other
-// players' contributions. loads must include player i's current strategy;
-// the function internally removes it. Engine.refresh computes the same
-// quantity incrementally from cached state; the two must stay
-// bit-identical (see TestEngineMatchesRecomputation).
-func (g *Game) bestResponse(p Profile, loads []float64, i int) (strategy int, cost float64) {
-	// Loads without player i.
-	cur := g.strategyUses(i, p[i])
-	without := func(r int) float64 {
-		l := loads[r]
-		for _, u := range cur {
-			if u.res == r {
-				return l - u.w
-			}
-		}
-		return l
-	}
-	best, bestCost := -1, math.Inf(1)
-	for s := 0; s < g.StrategyCount(i); s++ {
-		c := 0.0
-		for _, u := range g.strategyUses(i, s) {
-			c += u.wm * (without(u.res) + u.w)
-		}
-		if c < bestCost {
-			best, bestCost = s, c
-		}
-	}
-	return best, bestCost
-}
-
-// applyMove switches player i to strategy s, updating loads in place.
-func (g *Game) applyMove(p Profile, loads []float64, i, s int) {
-	for _, u := range g.strategyUses(i, p[i]) {
-		loads[u.res] -= u.w
-	}
-	p[i] = s
-	for _, u := range g.strategyUses(i, s) {
-		loads[u.res] += u.w
-	}
-}
-
-// EnumerateEquilibria exhaustively enumerates pure Nash equilibria of the
-// game, up to maxProfiles enumerated profiles (0 = no cap). It returns the
-// equilibria found and whether enumeration completed. Exponential in the
-// player count — a research tool for micro instances, used to measure the
-// empirical price of anarchy against Theorem 2's 2.62 bound.
-func (g *Game) EnumerateEquilibria(maxProfiles int) (equilibria []Profile, complete bool) {
-	n := g.Players()
-	current := make(Profile, n)
-	visited := 0
-	complete = true
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == n {
-			visited++
-			if maxProfiles > 0 && visited > maxProfiles {
-				complete = false
-				return false
-			}
-			if g.IsEquilibrium(current, 0) {
-				equilibria = append(equilibria, current.Clone())
-			}
-			return true
-		}
-		for s := 0; s < g.StrategyCount(i); s++ {
-			current[i] = s
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-	return equilibria, complete
-}
-
-// PriceOfAnarchy returns worst-equilibrium cost / optimal cost over the
-// game's pure Nash equilibria, found by exhaustive enumeration (bounded by
-// maxProfiles; 0 = unbounded). The optimum is the minimum social cost over
-// all profiles. It returns an error when enumeration was truncated or no
-// equilibrium exists within the bound.
-func (g *Game) PriceOfAnarchy(maxProfiles int) (float64, error) {
-	equilibria, complete := g.EnumerateEquilibria(maxProfiles)
-	if !complete {
-		return 0, fmt.Errorf("game: equilibrium enumeration truncated at %d profiles", maxProfiles)
-	}
-	if len(equilibria) == 0 {
-		return 0, errors.New("game: no pure Nash equilibrium found (finite potential games always have one — check tolerances)")
-	}
-	worst := 0.0
-	for _, eq := range equilibria {
-		if c := g.SocialCost(eq); c > worst {
-			worst = c
-		}
-	}
-	// Optimal social cost by enumeration.
-	best := math.Inf(1)
-	current := make(Profile, g.Players())
-	var rec func(i int)
-	rec = func(i int) {
-		if i == g.Players() {
-			if c := g.SocialCost(current); c < best {
-				best = c
-			}
-			return
-		}
-		for s := 0; s < g.StrategyCount(i); s++ {
-			current[i] = s
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	if best <= 0 {
-		return 0, errors.New("game: non-positive optimal cost")
-	}
-	return worst / best, nil
 }

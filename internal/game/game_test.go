@@ -603,8 +603,8 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 			got.Players(), got.Resources(), want.Players(), want.Resources())
 	}
 	for r := 0; r < want.Resources(); r++ {
-		if math.Float64bits(got.ResourceWeight(r)) != math.Float64bits(want.ResourceWeight(r)) {
-			t.Fatalf("resource %d weight: got %v, want %v", r, got.ResourceWeight(r), want.ResourceWeight(r))
+		if math.Float64bits(got.weights[r]) != math.Float64bits(want.weights[r]) {
+			t.Fatalf("resource %d weight: got %v, want %v", r, got.weights[r], want.weights[r])
 		}
 	}
 	profile := make(Profile, want.Players())

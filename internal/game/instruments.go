@@ -10,8 +10,8 @@ import "eotora/internal/obs"
 // fields during a solve — the Engine is single-goroutine by contract, so
 // the hot loops pay no atomic operations — and flushes the tallies to
 // the shared obs instruments once per CGBA/MCBA call. Tallies from
-// direct PlayerCost/BestResponse queries outside a solve are flushed by
-// the next solve on the same engine.
+// queries outside a solve (IsEquilibrium) are flushed by the next solve
+// on the same engine.
 type Instruments struct {
 	// CGBASolves counts Engine.CGBA calls.
 	CGBASolves *obs.Counter

@@ -3,7 +3,7 @@
 // histograms, gauges) collected in a Registry that the solver stack
 // threads through its hot paths.
 //
-// Three invariants make it safe to leave instrumentation wired in
+// Two invariants make it safe to leave instrumentation wired in
 // permanently (DESIGN.md §8):
 //
 //  1. Nil-safe: every method on a nil *Registry, *Counter, *Gauge, or
@@ -14,10 +14,6 @@
 //     Histogram.Observe perform only atomic operations on preallocated
 //     memory. All allocation happens at registration (Registry.Counter
 //     et al.) or snapshot time.
-//  3. Mergeable: Registry.Merge folds another registry into this one
-//     (counters and histogram buckets add, gauges keep the maximum), so
-//     per-worker registries from a parameter sweep combine into one
-//     fleet view without any cross-worker synchronization during the run.
 package obs
 
 import (
@@ -71,19 +67,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// max folds v into the gauge, keeping the larger value (merge semantics).
-func (g *Gauge) max(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }
 
 // Histogram bucket layout: numBuckets fixed power-of-two buckets.
@@ -192,33 +175,12 @@ func (h *Histogram) updateMax(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the running sum of observations (0 on a nil receiver).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// merge folds src's state into h.
-func (h *Histogram) merge(src *Histogram) {
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(src.count.Load())
-	h.addSum(src.Sum())
-	h.updateMin(math.Float64frombits(src.minBits.Load()))
-	h.updateMax(math.Float64frombits(src.maxBits.Load()))
 }
 
 // Registry names and owns a set of instruments. The zero value is not
@@ -290,44 +252,4 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Merge folds src into r: counters and histogram buckets/counts/sums
-// add, histogram min/max combine, and gauges keep the maximum of the two
-// values (the peak across merged workers). Merging a nil src, or calling
-// on a nil receiver, is a no-op. src should be quiescent; concurrent
-// writes to src during a merge may be partially included.
-func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil || r == src {
-		return
-	}
-	// Snapshot src's instrument tables under its lock, then fold without
-	// holding both locks at once (avoids lock-order trouble).
-	src.mu.Lock()
-	counters := make(map[string]*Counter, len(src.counters))
-	for k, v := range src.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = v
-	}
-	src.mu.Unlock()
-
-	for name, c := range counters {
-		r.Counter(name).Add(c.Value())
-	}
-	for name, g := range gauges {
-		r.Gauge(name).max(g.Value())
-	}
-	for name, h := range hists {
-		if h.Count() == 0 {
-			continue
-		}
-		r.Histogram(name).merge(h)
-	}
 }

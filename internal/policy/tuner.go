@@ -170,14 +170,6 @@ func (t *Tuner) V() float64 { return t.ctrl.V() }
 // Backlog returns the controller's virtual-queue backlog Q(t).
 func (t *Tuner) Backlog() float64 { return t.ctrl.Backlog() }
 
-// Lambda returns the current λ of the coarse-to-fine schedule.
-func (t *Tuner) Lambda() float64 { return t.lambda }
-
-// Controller returns the wrapped controller — for configuration (pools,
-// shards, deadlines) before stepping starts, like serve.Daemon's
-// accessor; stepping it directly desynchronizes the tuner's windows.
-func (t *Tuner) Controller() *core.Controller { return t.ctrl }
-
 // SetPool forwards the intra-slot worker pool to the controller.
 func (t *Tuner) SetPool(p *par.Pool) { t.ctrl.SetPool(p) }
 

@@ -116,22 +116,22 @@ func TestTunerLambdaRefinement(t *testing.T) {
 	tn.SetObs(reg)
 
 	tn.window(10, 1000) // calibration; no prevEma yet
-	if tn.Lambda() != 0.1 {
-		t.Fatalf("λ moved during calibration: %v", tn.Lambda())
+	if tn.lambda != 0.1 {
+		t.Fatalf("λ moved during calibration: %v", tn.lambda)
 	}
 	tn.window(10, 400) // EMA jumps 1000→700: unstable, hold
-	if tn.Lambda() != 0.1 {
-		t.Fatalf("unstable window refined λ to %v", tn.Lambda())
+	if tn.lambda != 0.1 {
+		t.Fatalf("unstable window refined λ to %v", tn.lambda)
 	}
 	tn.window(10, 700) // EMA holds at 700: refine one step
-	if math.Abs(tn.Lambda()-0.075) > 1e-12 {
-		t.Fatalf("first refinement: λ = %v, want 0.075", tn.Lambda())
+	if math.Abs(tn.lambda-0.075) > 1e-12 {
+		t.Fatalf("first refinement: λ = %v, want 0.075", tn.lambda)
 	}
 	for i := 0; i < 20 && !tn.refined; i++ {
 		tn.window(10, 700)
 	}
-	if !tn.refined || tn.Lambda() != 0.05 {
-		t.Fatalf("schedule never converged: refined=%v λ=%v", tn.refined, tn.Lambda())
+	if !tn.refined || tn.lambda != 0.05 {
+		t.Fatalf("schedule never converged: refined=%v λ=%v", tn.refined, tn.lambda)
 	}
 	before := reg.Snapshot().Counters[MetricTunerRefined]
 	tn.window(10, 700) // refined: no further steps
@@ -149,8 +149,8 @@ func TestTunerLambdaZeroTarget(t *testing.T) {
 	for i := 0; i < 30 && !tn.refined; i++ {
 		tn.window(10, 1000)
 	}
-	if !tn.refined || tn.Lambda() != 0 {
-		t.Fatalf("zero target never reached: refined=%v λ=%v", tn.refined, tn.Lambda())
+	if !tn.refined || tn.lambda != 0 {
+		t.Fatalf("zero target never reached: refined=%v λ=%v", tn.refined, tn.lambda)
 	}
 }
 
@@ -187,9 +187,9 @@ func TestTunerCheckpointRestore(t *testing.T) {
 	if !reflect.DeepEqual(got, want[cut:]) {
 		t.Error("restored tuner diverged from the uninterrupted run")
 	}
-	if pcT, paT := pc.(*Tuner), pa.(*Tuner); pcT.Lambda() != paT.Lambda() || pcT.V() != paT.V() {
+	if pcT, paT := pc.(*Tuner), pa.(*Tuner); pcT.lambda != paT.lambda || pcT.V() != paT.V() {
 		t.Errorf("knobs diverged: λ %v vs %v, V %v vs %v",
-			pcT.Lambda(), paT.Lambda(), pcT.V(), paT.V())
+			pcT.lambda, paT.lambda, pcT.V(), paT.V())
 	}
 
 	// Restore guards: a plain-bdma checkpoint (no Extra) and an Extra map

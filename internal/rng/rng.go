@@ -54,9 +54,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.r.NormFloat64()
 }
 
-// StdNormal returns a draw from the standard normal distribution.
-func (s *Source) StdNormal() float64 { return s.r.NormFloat64() }
-
 // LogNormal returns exp(N(mu, sigma²)).
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.r.NormFloat64())
@@ -84,38 +81,6 @@ func (s *Source) Bernoulli(p float64) bool { return s.r.Float64() < p }
 
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Choice returns a uniformly random index weighted by the non-negative
-// weights. If all weights are zero it falls back to uniform choice. It
-// panics if weights is empty.
-func (s *Source) Choice(weights []float64) int {
-	if len(weights) == 0 {
-		panic("rng: Choice on empty weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return s.r.Intn(len(weights))
-	}
-	target := s.r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w > 0 {
-			acc += w
-		}
-		if target < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Shuffle pseudo-randomly permutes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {

@@ -130,45 +130,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestChoiceWeighted(t *testing.T) {
-	s := New(6)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[s.Choice(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Errorf("weight-3 / weight-1 ratio = %v, want ≈3", ratio)
-	}
-}
-
-func TestChoiceAllZeroFallsBackToUniform(t *testing.T) {
-	s := New(7)
-	counts := make([]int, 4)
-	for i := 0; i < 8000; i++ {
-		counts[s.Choice([]float64{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c < 1500 {
-			t.Errorf("index %d chosen only %d/8000 times under uniform fallback", i, c)
-		}
-	}
-}
-
-func TestChoicePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Choice on empty weights did not panic")
-		}
-	}()
-	New(8).Choice(nil)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(9)
 	p := s.Perm(20)

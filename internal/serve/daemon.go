@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"eotora/internal/core"
 	"eotora/internal/obs"
 	"eotora/internal/policy"
 	"eotora/internal/trace"
@@ -166,7 +165,7 @@ type instruments struct {
 }
 
 // Daemon is the streaming controller service. Construct with NewDaemon,
-// feed events through Ingest (or the HTTP handler), and advance slots
+// feed events through the HTTP handler, and advance slots
 // either manually with Tick or on a cadence with Run.
 type Daemon struct {
 	cfg Config
@@ -180,8 +179,8 @@ type Daemon struct {
 	stations int
 	servers  int
 
-	// qmu guards the ingest queue and the ingest-side counters. Ingest
-	// never touches the tick state, so producers are never blocked by an
+	// qmu guards the ingest queue and the ingest-side counters. The ingest
+	// path never touches the tick state, so producers are never blocked by an
 	// in-flight solve.
 	qmu      sync.Mutex
 	queue    []Event
@@ -322,29 +321,10 @@ func (d *Daemon) SetObs(reg *obs.Registry) {
 // Obs returns the registry attached with SetObs, or nil.
 func (d *Daemon) Obs() *obs.Registry { return d.obs }
 
-// Policy returns the daemon's decision policy. Callers must not step it
-// concurrently with the daemon; the accessor exists for configuration
-// (pools, shards) before the daemon starts ticking.
-func (d *Daemon) Policy() policy.Policy { return d.pol }
-
-// Controller returns the daemon's controller when the policy is (or
-// wraps, for nothing so far) a *core.Controller, and nil for baseline
-// policies. Same exclusivity caveat as Policy.
-func (d *Daemon) Controller() *core.Controller {
-	ctrl, _ := d.pol.(*core.Controller)
-	return ctrl
-}
-
-// Ingest appends events to the bounded queue in arrival order and
-// returns how many were accepted and how many were shed because the
-// queue was full. It never blocks on an in-flight solve and is safe for
-// concurrent producers.
-func (d *Daemon) Ingest(events []Event) (accepted, shed int) {
-	accepted, shed, _ = d.ingest(events)
-	return accepted, shed
-}
-
-// ingest is Ingest that also returns the queue depth after the batch.
+// ingest appends events to the bounded queue in arrival order and
+// returns how many were accepted, how many were shed because the queue
+// was full, and the queue depth after the batch. It never blocks on an
+// in-flight solve and is safe for concurrent producers.
 func (d *Daemon) ingest(events []Event) (accepted, shed, depth int) {
 	d.qmu.Lock()
 	room := d.cfg.QueueCap - len(d.queue)

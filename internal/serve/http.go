@@ -48,7 +48,7 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 // handleEvents ingests a JSON event batch. The body and the decoded
-// batch live in pooled buffers that are recycled once Ingest has copied
+// batch live in pooled buffers that are recycled once ingest has copied
 // the events into the queue (see decodeEvents for the decoding contract).
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

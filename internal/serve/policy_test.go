@@ -34,12 +34,6 @@ func TestDaemonBaselinePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if daemon.Controller() != nil {
-		t.Error("Controller() non-nil for a baseline policy")
-	}
-	if daemon.Policy() != polB {
-		t.Error("Policy() is not the constructed policy")
-	}
 
 	prev := genA.Next()
 	res, err := polA.Decide(1, prev)

@@ -86,7 +86,7 @@ type SnapshotCounters struct {
 }
 
 // Snapshot captures the daemon's resume state between ticks. It is safe
-// to call concurrently with Ingest and Run: the tick lock is held, so the
+// to call concurrently with event ingest and Run: the tick lock is held, so the
 // snapshot always lands on a slot boundary.
 func (d *Daemon) Snapshot() Snapshot {
 	d.tickMu.Lock()

@@ -5,13 +5,11 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"eotora/internal/policy"
@@ -101,16 +99,6 @@ func (m *Metrics) AvgCost() float64 { return stats.Mean(m.steady(m.EnergyCost)) 
 // AvgBacklog returns the post-warmup time-average backlog.
 func (m *Metrics) AvgBacklog() float64 { return stats.Mean(m.steady(m.Backlog)) }
 
-// AvgCommLatency returns the post-warmup average communication latency.
-func (m *Metrics) AvgCommLatency() float64 { return stats.Mean(m.steady(m.CommLatency)) }
-
-// AvgProcLatency returns the post-warmup average processing latency.
-func (m *Metrics) AvgProcLatency() float64 { return stats.Mean(m.steady(m.ProcLatency)) }
-
-// AvgFairness returns the post-warmup average Jain fairness index of the
-// per-device latencies.
-func (m *Metrics) AvgFairness() float64 { return stats.Mean(m.steady(m.Fairness)) }
-
 // AvgShardGap returns the mean sharded-vs-unsharded optimality gap over
 // the audited slots (core.Controller.SetShardAudit), or NaN when no slot
 // was audited.
@@ -168,12 +156,6 @@ func (m *Metrics) DegradedSlots() int {
 // within (1+slack) of the budget.
 func (m *Metrics) BudgetSatisfied(slack float64) bool {
 	return m.AvgCost() <= m.Budget*(1+slack)
-}
-
-// WindowAvgLatency returns window means of the latency series (the 48-slot
-// averages of Figure 9).
-func (m *Metrics) WindowAvgLatency(window int) []float64 {
-	return stats.WindowMeans(m.Latency, window)
 }
 
 // WriteCSV streams the per-slot series as CSV (the schema table in
@@ -342,66 +324,4 @@ func RunAll(policies []policy.Policy, src trace.Source, cfg Config) ([]*Metrics,
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// Summary writes a human-readable run report: configuration, averages,
-// latency split, fairness, and budget verdict.
-func (m *Metrics) Summary(w io.Writer) error {
-	var b strings.Builder
-	if m.Solver != "" {
-		fmt.Fprintf(&b, "run: policy %s (%s-based DPP), V=%g, %d slots (%d warmup)\n", m.Policy, m.Solver, m.V, m.Slots(), m.Warmup)
-	} else {
-		fmt.Fprintf(&b, "run: policy %s, V=%g, %d slots (%d warmup)\n", m.Policy, m.V, m.Slots(), m.Warmup)
-	}
-	fmt.Fprintf(&b, "  avg latency:        %.4f s/slot", m.AvgLatency())
-	if comm, proc := m.AvgCommLatency(), m.AvgProcLatency(); !math.IsNaN(comm) && !math.IsNaN(proc) {
-		fmt.Fprintf(&b, "  (comm %.4f + proc %.4f)", comm, proc)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "  avg energy cost:    $%.4f/slot (budget $%.4f, ratio %.3f)\n",
-		m.AvgCost(), m.Budget, m.AvgCost()/m.Budget)
-	fmt.Fprintf(&b, "  avg queue backlog:  %.3f\n", m.AvgBacklog())
-	if f := m.AvgFairness(); !math.IsNaN(f) {
-		fmt.Fprintf(&b, "  avg Jain fairness:  %.3f\n", f)
-	}
-	fmt.Fprintf(&b, "  avg decision time:  %v/slot\n", m.AvgDecisionTime())
-	if a := m.AuditedSlots(); a > 0 {
-		fmt.Fprintf(&b, "  avg shard gap:      %+.4f%% over %d audited slots (DESIGN.md §13)\n",
-			m.AvgShardGap()*100, a)
-	}
-	if d := m.DegradedSlots(); d > 0 {
-		fmt.Fprintf(&b, "  degraded slots:     %d of %d (fallback ladder; see OPERATIONS.md)\n", d, m.Slots())
-	}
-	if m.BudgetSatisfied(0.02) {
-		b.WriteString("  budget:             satisfied ✓\n")
-	} else {
-		b.WriteString("  budget:             NOT satisfied within 2% (lengthen the horizon or lower V)\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// RunContext is Run with cooperative cancellation: it checks ctx between
-// slots and returns ctx.Err() (with partial metrics) once canceled.
-// Long paper-scale runs should prefer it.
-func RunContext(ctx context.Context, p policy.Policy, src trace.Source, cfg Config) (*Metrics, error) {
-	if p == nil {
-		return nil, errors.New("sim: nil policy")
-	}
-	if src == nil {
-		return nil, errors.New("sim: nil state source")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := newMetrics(p, cfg)
-	for s := 0; s < cfg.Slots; s++ {
-		if err := ctx.Err(); err != nil {
-			return m, fmt.Errorf("sim: canceled at slot %d: %w", s+1, err)
-		}
-		if err := m.step(p, src, s); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

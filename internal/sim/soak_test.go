@@ -65,13 +65,14 @@ func TestFaultSoak(t *testing.T) {
 	inj.Attach(ctrl)
 	san := trace.NewSanitizer(inj)
 
-	degraded := 0
+	degraded, repairs := 0, 0
 	for slot := 0; slot < slots; slot++ {
-		st := san.Next()
+		st := inj.Next() // san.Next, with the repairs counted
+		repairs += san.Apply(st)
 		res, err := ctrl.Step(st)
 		if err != nil {
 			t.Fatalf("slot %d: %v (after %d injections, %d repairs)",
-				slot, err, inj.Injections(), san.Repairs())
+				slot, err, inj.Injections(), repairs)
 		}
 		if q := res.Backlog; math.IsNaN(q) || math.IsInf(q, 0) || q < 0 {
 			t.Fatalf("slot %d: backlog Q = %v", slot, q)
@@ -89,7 +90,7 @@ func TestFaultSoak(t *testing.T) {
 	if inj.Injections() == 0 {
 		t.Fatal("soak injected no faults; profile or seeding is broken")
 	}
-	if san.Repairs() == 0 {
+	if repairs == 0 {
 		t.Fatal("soak repaired nothing; corruption is not reaching the sanitizer")
 	}
 	if degraded == 0 {
@@ -99,5 +100,5 @@ func TestFaultSoak(t *testing.T) {
 		t.Fatalf("every one of %d slots degraded; the controller never recovered", slots)
 	}
 	t.Logf("soak: %d slots, %d injections, %d repairs, %d degraded slots",
-		slots, inj.Injections(), san.Repairs(), degraded)
+		slots, inj.Injections(), repairs, degraded)
 }

@@ -36,8 +36,7 @@ type Job struct {
 	// Obs, when non-nil, is the job's observability registry. Give each
 	// job its own registry and attach it to the job's policy inside the
 	// factory (policy.Policy.SetObs); the sweep carries it into the
-	// JobResult, and MergedObs folds the per-worker registries into one
-	// fleet view after the sweep.
+	// JobResult.
 	Obs *obs.Registry
 	// Faults, when non-nil, wraps the job's source in a seeded fault
 	// injector (and, when Faults.Sanitize is set, a repairing
@@ -195,17 +194,4 @@ func runJob(job Job, out *JobResult, pool *par.Pool) error {
 	out.Metrics = m
 	out.Obs = job.Obs
 	return nil
-}
-
-// MergedObs merges the per-job observability registries of a sweep into
-// one new registry: counters and histograms add, gauges keep the maximum
-// (the peak across workers — e.g. the largest backlog any sweep point
-// reached). Jobs without a registry are skipped; the result is empty when
-// no job was instrumented.
-func MergedObs(results []JobResult) *obs.Registry {
-	merged := obs.New()
-	for _, r := range results {
-		merged.Merge(r.Obs)
-	}
-	return merged
 }

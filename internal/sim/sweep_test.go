@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -88,8 +87,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 // TestSweepFirstErrorCancelsRemaining pins the cancellation contract with
 // a single worker, where scheduling is fully deterministic: job 0
 // completes, job 1 fails, and job 2 — still unfed when the only worker
-// died — is never started. The completed job's registry survives and
-// still merges.
+// died — is never started. The completed job's registry survives.
 func TestSweepFirstErrorCancelsRemaining(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := sweepJobs(t, []float64{10, 50, 100})
@@ -122,11 +120,6 @@ func TestSweepFirstErrorCancelsRemaining(t *testing.T) {
 	}
 	if got := reg0.Counter(core.MetricSlots).Value(); got != 12 {
 		t.Errorf("completed job recorded %d slots, want 12", got)
-	}
-	merged := obs.New()
-	merged.Merge(reg0)
-	if got := merged.Counter(core.MetricSlots).Value(); got != 12 {
-		t.Errorf("merged registry lost the completed job: %d slots", got)
 	}
 }
 
@@ -193,52 +186,6 @@ func TestSweepDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestRunContextCancellation(t *testing.T) {
-	sys, gen := buildFixture(t, 6, 10)
-	ctrl, err := core.NewBDMAController(sys, 50, 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel before the first slot
-	m, err := RunContext(ctx, ctrl, gen, Config{Slots: 100})
-	if err == nil {
-		t.Fatal("canceled run succeeded")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if m == nil || m.Slots() != 0 {
-		t.Errorf("partial metrics = %v", m)
-	}
-}
-
-func TestRunContextMatchesRun(t *testing.T) {
-	sysA, genA := buildFixture(t, 6, 11)
-	sysB, genB := buildFixture(t, 6, 11)
-	a, err := core.NewBDMAController(sysA, 50, 1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.NewBDMAController(sysB, 50, 1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := Run(a, genA, Config{Slots: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := RunContext(context.Background(), b, genB, Config{Slots: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Latency {
-		if m1.Latency[i] != m2.Latency[i] {
-			t.Fatalf("RunContext diverged at slot %d", i)
-		}
-	}
-}
-
 func TestReplicate(t *testing.T) {
 	build := func(seed int64) (Job, error) {
 		return Job{
@@ -283,7 +230,9 @@ func TestReplicate(t *testing.T) {
 	}
 }
 
-func TestSweepMergedObs(t *testing.T) {
+// TestSweepPerJobObs: each instrumented job keeps its own registry,
+// with exactly its own slots counted.
+func TestSweepPerJobObs(t *testing.T) {
 	vs := []float64{10, 100, 200}
 	jobs := sweepJobs(t, vs)
 	for i := range jobs {
@@ -299,7 +248,7 @@ func TestSweepMergedObs(t *testing.T) {
 			return ctrl, nil
 		}
 	}
-	// Leave one job uninstrumented: MergedObs must skip it gracefully.
+	// Leave one job uninstrumented: Sweep must leave it without one.
 	jobs[2].Obs = nil
 
 	results, err := Sweep(jobs, 3)
@@ -318,18 +267,6 @@ func TestSweepMergedObs(t *testing.T) {
 		t.Error("uninstrumented job gained a registry")
 	}
 
-	merged := MergedObs(results)
-	if got := merged.Counter(core.MetricSlots).Value(); got != 24 {
-		t.Errorf("merged slots = %d, want 24 (two instrumented jobs × 12)", got)
-	}
-	snap := merged.Snapshot()
-	h, ok := snap.Histograms[core.MetricLatencySeconds]
-	if !ok || h.Count != 24 {
-		t.Errorf("merged latency histogram = %+v, want 24 observations", h)
-	}
-	if snap.Counters[core.MetricCGBASolves] == 0 {
-		t.Error("merged registry missing CGBA solve counts")
-	}
 }
 
 // TestSweepMixedPolicyJobs races a bdma Controller job, a bdma Policy

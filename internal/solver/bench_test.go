@@ -16,16 +16,6 @@ func BenchmarkMinimize1D(b *testing.B) {
 	}
 }
 
-func BenchmarkMinimizeConvexGrad(b *testing.B) {
-	grad := func(x float64) float64 { return 2 * (x - 2.345) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinimizeConvexGrad(grad, 0, 10, 1e-12); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCoordinateDescent(b *testing.B) {
 	f := func(v []float64) float64 {
 		s := 0.0
@@ -52,24 +42,10 @@ func BenchmarkCoordinateDescent(b *testing.B) {
 func BenchmarkBranchAndBound(b *testing.B) {
 	src := rng.New(1)
 	q := randomQCAP(src, 10, 4, 6)
-	inc, incCost, err := Greedy(q)
-	if err != nil {
-		b.Fatal(err)
-	}
+	inc, incCost := zeroIncumbent(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BranchAndBound(q, BnBConfig{Incumbent: inc, IncumbentCost: incCost}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreedy(b *testing.B) {
-	src := rng.New(2)
-	q := randomQCAP(src, 50, 8, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Greedy(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,15 +70,6 @@ type BnBResult struct {
 	Nodes int
 }
 
-// Gap returns the relative optimality gap (Cost − Bound)/Bound, or zero
-// when proven optimal.
-func (r BnBResult) Gap() float64 {
-	if r.Optimal || r.Bound <= 0 {
-		return 0
-	}
-	return (r.Cost - r.Bound) / r.Bound
-}
-
 // ErrNoFeasible is returned when an item has no options.
 var ErrNoFeasible = errors.New("solver: item with no options")
 
@@ -198,74 +189,4 @@ func BranchAndBound(p Problem, cfg BnBConfig) (BnBResult, error) {
 		res.Optimal = true
 	}
 	return res, nil
-}
-
-// Exhaustive enumerates every complete assignment and returns the optimum.
-// It is exponential and intended for verifying BranchAndBound on small
-// instances.
-func Exhaustive(p Problem) (BnBResult, error) {
-	n := p.Items()
-	res := BnBResult{Cost: math.Inf(1)}
-	for i := 0; i < n; i++ {
-		if p.OptionCount(i) == 0 {
-			return res, fmt.Errorf("%w: item %d", ErrNoFeasible, i)
-		}
-	}
-	current := make(Assignment, n)
-	var rec func(item int)
-	rec = func(item int) {
-		if item == n {
-			res.Nodes++
-			if cost := p.Cost(); cost < res.Cost {
-				res.Cost = cost
-				res.Best = current.Clone()
-			}
-			return
-		}
-		for o := 0; o < p.OptionCount(item); o++ {
-			p.Assign(item, o)
-			current[item] = o
-			rec(item + 1)
-			p.Unassign(item, o)
-		}
-	}
-	rec(0)
-	if res.Best == nil {
-		// n == 0: the empty assignment is the optimum.
-		res.Best = Assignment{}
-		res.Cost = p.Cost()
-	}
-	res.Bound = res.Cost
-	res.Optimal = true
-	return res, nil
-}
-
-// Greedy assigns items in order, each picking the option with the smallest
-// immediate cost increase. It provides a fast incumbent for
-// BranchAndBound.
-func Greedy(p Problem) (Assignment, float64, error) {
-	n := p.Items()
-	out := make(Assignment, n)
-	for i := 0; i < n; i++ {
-		opts := p.OptionCount(i)
-		if opts == 0 {
-			return nil, 0, fmt.Errorf("%w: item %d", ErrNoFeasible, i)
-		}
-		best, bestCost := -1, math.Inf(1)
-		for o := 0; o < opts; o++ {
-			p.Assign(i, o)
-			if c := p.Cost(); c < bestCost {
-				best, bestCost = o, c
-			}
-			p.Unassign(i, o)
-		}
-		p.Assign(i, best)
-		out[i] = best
-	}
-	cost := p.Cost()
-	// Restore the problem to its unassigned state.
-	for i := n - 1; i >= 0; i-- {
-		p.Unassign(i, out[i])
-	}
-	return out, cost, nil
 }

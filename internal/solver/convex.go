@@ -72,36 +72,6 @@ func Minimize1DSteps(f func(float64) float64, lo, hi, tol float64) (x, fx float6
 	return x, fx, steps, nil
 }
 
-// MinimizeConvexGrad minimizes a differentiable convex function on
-// [lo, hi] by bisection on its derivative. It is used to cross-validate
-// the golden-section solver in tests and as a faster alternative when a
-// derivative is cheap.
-func MinimizeConvexGrad(grad func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if hi < lo || math.IsNaN(lo) || math.IsNaN(hi) {
-		return 0, ErrBadInterval
-	}
-	if tol <= 0 {
-		tol = 1e-12 * math.Max(1, hi-lo)
-	}
-	if grad(lo) >= 0 {
-		return lo, nil // increasing everywhere: boundary minimum
-	}
-	if grad(hi) <= 0 {
-		return hi, nil // decreasing everywhere: boundary minimum
-	}
-	a, b := lo, hi
-	const maxIter = 200
-	for i := 0; i < maxIter && b-a > tol; i++ {
-		mid := (a + b) / 2
-		if grad(mid) < 0 {
-			a = mid
-		} else {
-			b = mid
-		}
-	}
-	return (a + b) / 2, nil
-}
-
 // CoordinateDescent minimizes f(x) over a box by cyclically applying
 // Minimize1D to each coordinate until the objective improvement over a
 // full sweep drops below tol or maxSweeps is reached. For separable

@@ -53,20 +53,6 @@ func (d *Deadline) Consume(dt time.Duration) {
 	d.expireAt = d.expireAt.Add(-dt)
 }
 
-// Expire forces the deadline into the expired state immediately. A no-op
-// on a nil or unarmed receiver.
-func (d *Deadline) Expire() {
-	if d == nil || !(d.timed || d.counted) {
-		return
-	}
-	d.expired = true
-}
-
-// Active reports whether the deadline is armed (nil-safe).
-func (d *Deadline) Active() bool {
-	return d != nil && (d.timed || d.counted)
-}
-
 // ExpireTime returns the wall-clock expiry instant and whether a timed
 // budget is armed. Unlike Expired it mutates nothing — no checkpoint is
 // consumed and expiry does not stick — so the snapshot may be compared

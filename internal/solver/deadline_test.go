@@ -12,11 +12,10 @@ func TestNilDeadlineNeverExpires(t *testing.T) {
 			t.Fatal("nil deadline expired")
 		}
 	}
-	if d.Active() {
-		t.Fatal("nil deadline active")
+	if _, timed := d.ExpireTime(); timed {
+		t.Fatal("nil deadline timed")
 	}
 	d.Consume(time.Hour) // must not panic
-	d.Expire()
 }
 
 func TestUnarmedDeadlineNeverExpires(t *testing.T) {
@@ -27,20 +26,16 @@ func TestUnarmedDeadlineNeverExpires(t *testing.T) {
 		}
 	}
 	d.Start(0, 0)
-	if d.Active() || d.Expired() {
+	if d.timed || d.counted || d.Expired() {
 		t.Fatal("Start(0, 0) armed the deadline")
-	}
-	d.Expire()
-	if d.Expired() {
-		t.Fatal("Expire armed an unarmed deadline")
 	}
 }
 
 func TestTimedDeadline(t *testing.T) {
 	var d Deadline
 	d.Start(time.Hour, 0)
-	if !d.Active() {
-		t.Fatal("not active after Start")
+	if !d.timed {
+		t.Fatal("not armed after Start")
 	}
 	if d.Expired() {
 		t.Fatal("expired immediately with an hour budget")
@@ -69,15 +64,6 @@ func TestCountedDeadline(t *testing.T) {
 	}
 	if !d.Expired() {
 		t.Fatalf("not expired after %d checkpoints", checks+1)
-	}
-}
-
-func TestForcedExpire(t *testing.T) {
-	var d Deadline
-	d.Start(time.Hour, 0)
-	d.Expire()
-	if !d.Expired() {
-		t.Fatal("Expire did not take effect")
 	}
 }
 

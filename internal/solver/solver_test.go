@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -47,36 +48,8 @@ func TestMinimize1DErrors(t *testing.T) {
 	}
 }
 
-func TestMinimizeConvexGrad(t *testing.T) {
-	// f = (x−2)², f' = 2(x−2).
-	grad := func(x float64) float64 { return 2 * (x - 2) }
-	tests := []struct {
-		name   string
-		lo, hi float64
-		want   float64
-	}{
-		{name: "interior", lo: 0, hi: 10, want: 2},
-		{name: "clipped left", lo: 3, hi: 10, want: 3},
-		{name: "clipped right", lo: -5, hi: 1, want: 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			x, err := MinimizeConvexGrad(grad, tt.lo, tt.hi, 1e-12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(x-tt.want) > 1e-6 {
-				t.Errorf("x = %v, want %v", x, tt.want)
-			}
-		})
-	}
-	if _, err := MinimizeConvexGrad(grad, 5, 1, 0); err == nil {
-		t.Error("inverted interval accepted")
-	}
-}
-
-// Property: golden-section and derivative bisection agree on random convex
-// quadratics over random boxes.
+// Property: golden-section search agrees with the closed-form minimizer
+// of random convex quadratics over random boxes.
 func TestSolversAgreeProperty(t *testing.T) {
 	src := rng.New(123)
 	prop := func(seed int64) bool {
@@ -85,13 +58,11 @@ func TestSolversAgreeProperty(t *testing.T) {
 		lo := src.Uniform(-10, 10)
 		hi := lo + src.Uniform(0.1, 20)
 		f := func(x float64) float64 { return a*x*x + b*x }
-		grad := func(x float64) float64 { return 2*a*x + b }
-		x1, _, err1 := Minimize1D(f, lo, hi, 1e-12)
-		x2, err2 := MinimizeConvexGrad(grad, lo, hi, 1e-12)
-		if err1 != nil || err2 != nil {
+		x, _, err := Minimize1D(f, lo, hi, 1e-12)
+		if err != nil {
 			return false
 		}
-		return math.Abs(x1-x2) < 1e-5
+		return math.Abs(x-math.Min(math.Max(-b/(2*a), lo), hi)) < 1e-5
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -245,11 +216,58 @@ func randomQCAP(src *rng.Source, items, options, resources int) *qcap {
 	return q
 }
 
+// zeroIncumbent is a feasible warm start for BranchAndBound: every item
+// at its first option, with that assignment's objective.
+func zeroIncumbent(q *qcap) (Assignment, float64) {
+	a := make(Assignment, q.Items())
+	return a, q.objectiveOf(a)
+}
+
+// exhaustive enumerates every complete assignment and returns the optimum.
+// It is exponential: the test oracle for BranchAndBound on small
+// instances.
+func exhaustive(p Problem) (BnBResult, error) {
+	n := p.Items()
+	res := BnBResult{Cost: math.Inf(1)}
+	for i := 0; i < n; i++ {
+		if p.OptionCount(i) == 0 {
+			return res, fmt.Errorf("%w: item %d", ErrNoFeasible, i)
+		}
+	}
+	current := make(Assignment, n)
+	var rec func(item int)
+	rec = func(item int) {
+		if item == n {
+			res.Nodes++
+			if cost := p.Cost(); cost < res.Cost {
+				res.Cost = cost
+				res.Best = current.Clone()
+			}
+			return
+		}
+		for o := 0; o < p.OptionCount(item); o++ {
+			p.Assign(item, o)
+			current[item] = o
+			rec(item + 1)
+			p.Unassign(item, o)
+		}
+	}
+	rec(0)
+	if res.Best == nil {
+		// n == 0: the empty assignment is the optimum.
+		res.Best = Assignment{}
+		res.Cost = p.Cost()
+	}
+	res.Bound = res.Cost
+	res.Optimal = true
+	return res, nil
+}
+
 func TestBnBMatchesExhaustive(t *testing.T) {
 	src := rng.New(99)
 	for trial := 0; trial < 30; trial++ {
 		q := randomQCAP(src, 2+src.Intn(5), 2+src.Intn(3), 3+src.Intn(3))
-		ex, err := Exhaustive(q)
+		ex, err := exhaustive(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,23 +293,20 @@ func TestBnBMatchesExhaustive(t *testing.T) {
 func TestBnBWithIncumbent(t *testing.T) {
 	src := rng.New(7)
 	q := randomQCAP(src, 6, 3, 4)
-	greedyAssign, greedyCost, err := Greedy(q)
+	inc, incCost := zeroIncumbent(q)
+	bb, err := BranchAndBound(q, BnBConfig{Incumbent: inc, IncumbentCost: incCost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := BranchAndBound(q, BnBConfig{Incumbent: greedyAssign, IncumbentCost: greedyCost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := Exhaustive(q)
+	ex, err := exhaustive(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(bb.Cost-ex.Cost) > 1e-9 {
 		t.Errorf("warm-started BnB cost %v ≠ optimal %v", bb.Cost, ex.Cost)
 	}
-	if bb.Cost > greedyCost+1e-9 {
-		t.Errorf("BnB worse than its incumbent: %v > %v", bb.Cost, greedyCost)
+	if bb.Cost > incCost+1e-9 {
+		t.Errorf("BnB worse than its incumbent: %v > %v", bb.Cost, incCost)
 	}
 }
 
@@ -311,7 +326,7 @@ func TestBnBNodeBudgetTruncation(t *testing.T) {
 		t.Errorf("bound %v exceeds incumbent cost %v", bb.Bound, bb.Cost)
 	}
 	// The bound must lower-bound the true optimum.
-	ex, err := Exhaustive(q)
+	ex, err := exhaustive(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,19 +336,14 @@ func TestBnBNodeBudgetTruncation(t *testing.T) {
 	if bb.Cost < ex.Cost-1e-9 {
 		t.Errorf("incumbent %v beats true optimum %v", bb.Cost, ex.Cost)
 	}
-	if bb.Gap() < 0 {
-		t.Errorf("negative gap %v", bb.Gap())
-	}
 }
 
 func TestBnBTimeLimit(t *testing.T) {
 	src := rng.New(17)
 	q := randomQCAP(src, 14, 5, 6)
 	start := time.Now()
-	bb, err := BranchAndBound(q, BnBConfig{
-		TimeLimit: time.Millisecond,
-		Incumbent: mustGreedy(t, q), IncumbentCost: greedyCost(t, q),
-	})
+	inc, incCost := zeroIncumbent(q)
+	bb, err := BranchAndBound(q, BnBConfig{TimeLimit: time.Millisecond, Incumbent: inc, IncumbentCost: incCost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,63 +352,6 @@ func TestBnBTimeLimit(t *testing.T) {
 	}
 	if bb.Best == nil {
 		t.Error("no incumbent returned")
-	}
-}
-
-func mustGreedy(t *testing.T, q *qcap) Assignment {
-	t.Helper()
-	a, _, err := Greedy(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-func greedyCost(t *testing.T, q *qcap) float64 {
-	t.Helper()
-	_, c, err := Greedy(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestGreedyRestoresState(t *testing.T) {
-	src := rng.New(19)
-	q := randomQCAP(src, 5, 3, 4)
-	if _, _, err := Greedy(q); err != nil {
-		t.Fatal(err)
-	}
-	// The push/pop bookkeeping is floating point; only rounding residue
-	// may remain.
-	if math.Abs(q.cost) > 1e-9 {
-		t.Errorf("greedy left residual cost %v", q.cost)
-	}
-	for r, l := range q.loads {
-		if math.Abs(l) > 1e-9 {
-			t.Errorf("greedy left residual load %v on resource %d", l, r)
-		}
-	}
-}
-
-func TestGreedyIsFeasibleAndAboveOptimal(t *testing.T) {
-	src := rng.New(23)
-	for trial := 0; trial < 10; trial++ {
-		q := randomQCAP(src, 5, 3, 4)
-		a, cost, err := Greedy(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := q.objectiveOf(a); math.Abs(got-cost) > 1e-9 {
-			t.Fatalf("greedy reported %v, recomputed %v", cost, got)
-		}
-		ex, err := Exhaustive(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost < ex.Cost-1e-9 {
-			t.Fatalf("greedy %v beats optimal %v", cost, ex.Cost)
-		}
 	}
 }
 
@@ -411,11 +364,8 @@ func TestBnBErrors(t *testing.T) {
 	if _, err := BranchAndBound(q, BnBConfig{}); err == nil {
 		t.Error("item without options accepted")
 	}
-	if _, err := Exhaustive(q); err == nil {
+	if _, err := exhaustive(q); err == nil {
 		t.Error("exhaustive accepted item without options")
-	}
-	if _, _, err := Greedy(q); err == nil {
-		t.Error("greedy accepted item without options")
 	}
 	ok := randomQCAP(rng.New(1), 3, 2, 3)
 	if _, err := BranchAndBound(ok, BnBConfig{Incumbent: Assignment{0}}); err == nil {
@@ -432,7 +382,7 @@ func TestBnBEmptyProblem(t *testing.T) {
 	if !res.Optimal || res.Cost != 0 || len(res.Best) != 0 {
 		t.Errorf("empty problem result %+v", res)
 	}
-	exr, err := Exhaustive(q)
+	exr, err := exhaustive(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,21 +391,17 @@ func TestBnBEmptyProblem(t *testing.T) {
 	}
 }
 
-// Property: on random small instances, BnB with a greedy warm start is
-// optimal and its assignment's recomputed objective matches.
+// Property: on random small instances, BnB with a warm start is optimal.
 func TestBnBProperty(t *testing.T) {
 	src := rng.New(31)
 	prop := func(seed int64) bool {
 		q := randomQCAP(src, 2+src.Intn(4), 2+src.Intn(2), 2+src.Intn(3))
-		inc, incCost, err := Greedy(q)
-		if err != nil {
-			return false
-		}
+		inc, incCost := zeroIncumbent(q)
 		bb, err := BranchAndBound(q, BnBConfig{Incumbent: inc, IncumbentCost: incCost})
 		if err != nil || !bb.Optimal {
 			return false
 		}
-		ex, err := Exhaustive(q)
+		ex, err := exhaustive(q)
 		if err != nil {
 			return false
 		}

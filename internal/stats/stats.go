@@ -72,15 +72,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It returns NaN for empty input
 // and clamps q into [0, 1].
@@ -187,10 +178,6 @@ func (p Polynomial) Eval(x float64) float64 {
 	return v
 }
 
-// Degree returns the nominal degree of the polynomial (len(Coeffs)−1),
-// or −1 for the empty polynomial.
-func (p Polynomial) Degree() int { return len(p.Coeffs) - 1 }
-
 // FitPolynomial performs least-squares fitting of a degree-d polynomial to
 // (xs, ys) by solving the normal equations with partially pivoted Gaussian
 // elimination. It needs at least d+1 points.
@@ -282,86 +269,6 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 		x[i] = v / m[i][i]
 	}
 	return x, nil
-}
-
-// Running accumulates streaming first and second moments without storing
-// the samples (Welford's algorithm). The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates a sample.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// Count returns the number of samples seen.
-func (r *Running) Count() int { return r.n }
-
-// Mean returns the running mean, or NaN before any sample.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.mean
-}
-
-// Variance returns the running population variance, or NaN before any sample.
-func (r *Running) Variance() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest sample, or NaN before any sample.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.min
-}
-
-// Max returns the largest sample, or NaN before any sample.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return math.NaN()
-	}
-	return r.max
-}
-
-// WindowMeans splits xs into consecutive windows of the given size and
-// returns the mean of each full window (a trailing partial window is
-// dropped). The paper's Figure 9 reports 48-slot window averages.
-func WindowMeans(xs []float64, window int) []float64 {
-	if window <= 0 || len(xs) < window {
-		return nil
-	}
-	out := make([]float64, 0, len(xs)/window)
-	for i := 0; i+window <= len(xs); i += window {
-		out = append(out, Mean(xs[i:i+window]))
-	}
-	return out
 }
 
 // Diff returns the first differences xs[i+1]−xs[i].

@@ -51,9 +51,6 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v, want 7", got)
 	}
-	if got := Sum(xs); got != 9 {
-		t.Errorf("Sum = %v, want 9", got)
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -141,12 +138,6 @@ func TestPolynomialEval(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if p.Degree() != 2 {
-		t.Errorf("Degree = %d, want 2", p.Degree())
-	}
-	if (Polynomial{}).Degree() != -1 {
-		t.Error("empty polynomial degree should be -1")
-	}
 }
 
 func TestFitPolynomialRecoversQuadratic(t *testing.T) {
@@ -218,50 +209,6 @@ func TestSolveLinearDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-func TestRunningMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	if r.Count() != len(xs) {
-		t.Errorf("Count = %d, want %d", r.Count(), len(xs))
-	}
-	if !almostEqual(r.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("running mean = %v, batch = %v", r.Mean(), Mean(xs))
-	}
-	if !almostEqual(r.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("running variance = %v, batch = %v", r.Variance(), Variance(xs))
-	}
-	if r.Min() != 1 || r.Max() != 9 {
-		t.Errorf("running min/max = %v/%v, want 1/9", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Variance()) || !math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Error("empty Running aggregates should be NaN")
-	}
-}
-
-func TestWindowMeans(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7}
-	got := WindowMeans(xs, 2)
-	want := []float64{1.5, 3.5, 5.5} // trailing 7 dropped
-	if len(got) != len(want) {
-		t.Fatalf("WindowMeans = %v, want %v", got, want)
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("window %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if WindowMeans(xs, 0) != nil || WindowMeans(xs, 100) != nil {
-		t.Error("degenerate windows should return nil")
-	}
-}
-
 func TestDiff(t *testing.T) {
 	got := Diff([]float64{1, 4, 2})
 	if len(got) != 2 || got[0] != 3 || got[1] != -2 {
@@ -269,30 +216,6 @@ func TestDiff(t *testing.T) {
 	}
 	if Diff([]float64{1}) != nil {
 		t.Error("Diff of single element should be nil")
-	}
-}
-
-// Property: Welford running mean equals batch mean on arbitrary inputs.
-func TestRunningMeanProperty(t *testing.T) {
-	prop := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12 {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var r Running
-		for _, x := range xs {
-			r.Add(x)
-		}
-		scale := math.Max(1, math.Abs(Mean(xs)))
-		return almostEqual(r.Mean(), Mean(xs), 1e-9*scale)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 

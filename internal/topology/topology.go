@@ -143,12 +143,6 @@ func (s *Server) Capacity(f units.Frequency) units.Frequency {
 	return units.Frequency(float64(s.Cores) * float64(f))
 }
 
-// MinCapacity returns the aggregate capability at the lowest frequency.
-func (s *Server) MinCapacity() units.Frequency { return s.Capacity(s.MinFreq) }
-
-// MaxCapacity returns the aggregate capability at the highest frequency.
-func (s *Server) MaxCapacity() units.Frequency { return s.Capacity(s.MaxFreq) }
-
 // Device is one of the I mobile devices D_i.
 type Device struct {
 	ID   int

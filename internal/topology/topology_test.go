@@ -245,11 +245,8 @@ func TestServerCapacity(t *testing.T) {
 	if got := s.Capacity(2 * units.GHz); got != 128*units.GHz {
 		t.Errorf("Capacity = %v, want 128 GHz", got)
 	}
-	if got := s.MinCapacity(); got != units.Frequency(64*1.8e9) {
-		t.Errorf("MinCapacity = %v", got)
-	}
-	if got := s.MaxCapacity(); got != units.Frequency(64*3.6e9) {
-		t.Errorf("MaxCapacity = %v", got)
+	if got := s.Capacity(s.MaxFreq); got != units.Frequency(64*3.6e9) {
+		t.Errorf("Capacity(MaxFreq) = %v", got)
 	}
 }
 

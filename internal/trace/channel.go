@@ -85,11 +85,6 @@ func (p *ChannelProcess) randomWaypoint() topology.Point {
 	return topology.Point{X: p.src.Uniform(0, p.area), Y: p.src.Uniform(0, p.area)}
 }
 
-// Positions returns the current device positions (a copy).
-func (p *ChannelProcess) Positions() []topology.Point {
-	return append([]topology.Point(nil), p.positions...)
-}
-
 // step advances every device toward its waypoint by speed × slot length,
 // picking a fresh waypoint on arrival.
 func (p *ChannelProcess) step() {

@@ -22,8 +22,7 @@ import (
 // buffers, so the steady-state path allocates only while the buffers grow
 // to the state's dimensions.
 type Sanitizer struct {
-	src     Source
-	repairs int
+	src Source
 
 	// Last-good copies, reused across slots.
 	goodTasks    []units.Cycles
@@ -51,15 +50,12 @@ func NewSanitizer(src Source) *Sanitizer {
 // Period implements Source.
 func (z *Sanitizer) Period() int { return z.src.Period() }
 
-// Repairs returns the total number of fields repaired so far.
-func (z *Sanitizer) Repairs() int { return z.repairs }
-
 // Next implements Source: it pulls the next state from the wrapped source,
 // repairs it in place, and remembers the repaired values as the new last
 // good state.
 func (z *Sanitizer) Next() *State {
 	st := z.src.Next()
-	z.repairs += z.Apply(st)
+	z.Apply(st)
 	return st
 }
 

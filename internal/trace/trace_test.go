@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"eotora/internal/rng"
@@ -243,11 +244,11 @@ func TestChannelDistanceDependence(t *testing.T) {
 func TestChannelMobilityMovesDevices(t *testing.T) {
 	net := testNetwork(t, 10)
 	p := NewChannelProcess(DefaultChannelConfig(), net, rng.New(8))
-	before := p.Positions()
+	before := slices.Clone(p.positions)
 	for s := 0; s < 5; s++ {
 		p.Next()
 	}
-	after := p.Positions()
+	after := p.positions
 	moved := 0
 	for i := range before {
 		if before[i].DistanceTo(after[i]) > 1 {

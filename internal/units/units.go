@@ -24,7 +24,6 @@ type Frequency float64
 
 // Common frequency scales.
 const (
-	Hz  Frequency = 1
 	KHz Frequency = 1e3
 	MHz Frequency = 1e6
 	GHz Frequency = 1e9
@@ -54,7 +53,6 @@ type DataSize float64
 
 // Common data-size scales (decimal, matching networking convention).
 const (
-	Bit     DataSize = 1
 	Kilobit DataSize = 1e3
 	Megabit DataSize = 1e6
 	Gigabit DataSize = 1e9
@@ -62,9 +60,6 @@ const (
 
 // Bits returns the size as a bare float64 number of bits.
 func (d DataSize) Bits() float64 { return float64(d) }
-
-// Megabits returns the size expressed in megabits.
-func (d DataSize) Megabits() float64 { return float64(d) / 1e6 }
 
 func (d DataSize) String() string {
 	switch {
@@ -84,7 +79,6 @@ type Cycles float64
 
 // Common cycle scales.
 const (
-	Cycle      Cycles = 1
 	MegaCycles Cycles = 1e6
 	GigaCycles Cycles = 1e9
 )
@@ -105,9 +99,6 @@ func (c Cycles) String() string {
 
 // DataRate is a throughput in bits per second.
 type DataRate float64
-
-// BitsPerSecond returns the rate as a bare float64 in bps.
-func (r DataRate) BitsPerSecond() float64 { return float64(r) }
 
 func (r DataRate) String() string {
 	switch {
@@ -143,7 +134,6 @@ type Power float64
 
 // Common power scales.
 const (
-	Watt     Power = 1
 	Kilowatt Power = 1e3
 	Megawatt Power = 1e6
 )
@@ -164,9 +154,6 @@ func (p Power) String() string {
 
 // Energy is an amount of energy in joules.
 type Energy float64
-
-// Joules returns the energy as a bare float64 in joules.
-func (e Energy) Joules() float64 { return float64(e) }
 
 // MegawattHours converts the energy to MWh (1 MWh = 3.6e9 J).
 func (e Energy) MegawattHours() float64 { return float64(e) / 3.6e9 }
