@@ -20,6 +20,7 @@ import (
 	"eotora/internal/core"
 	"eotora/internal/experiments"
 	"eotora/internal/faults"
+	"eotora/internal/obs"
 	"eotora/internal/par"
 	"eotora/internal/policy"
 	"eotora/internal/sim"
@@ -188,7 +189,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	src, inj, err := applyRobustness(pol, base, *slotDL, *slotChecks, *faultsOn, *seed)
+	src, inj, err := applyRobustness(pol, base, *slotDL, *slotChecks, *faultsOn, *seed, reg)
 	if err != nil {
 		return err
 	}
@@ -301,11 +302,12 @@ func scaledChurn(intensity float64, seed int64) trace.ChurnConfig {
 // applyRobustness arms the policy's per-slot deadline (when either budget
 // is set; an error when the policy has no deadline capability) and, when
 // injectFaults is on, wraps src in a seeded fault injector with a
-// repairing trace.Sanitizer on top. The returned source is what the
-// simulation should consume; the injector is returned for post-run
-// reporting (nil when fault injection is off). Policies without a timed
-// solve skip the stall leg but still see the corrupted traces.
-func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration, checks int, injectFaults bool, seed int64) (trace.Source, *faults.Injector, error) {
+// repairing trace.Sanitizer on top, whose repairs reg (nil = none) counts
+// under trace.repairs. The returned source is what the simulation should
+// consume; the injector is returned for post-run reporting (nil when
+// fault injection is off). Policies without a timed solve skip the stall
+// leg but still see the corrupted traces.
+func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration, checks int, injectFaults bool, seed int64, reg *obs.Registry) (trace.Source, *faults.Injector, error) {
 	if deadline > 0 || checks > 0 {
 		ds, ok := pol.(policy.DeadlineSetter)
 		if !ok {
@@ -323,7 +325,9 @@ func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration
 	if st, ok := pol.(faults.Staller); ok {
 		inj.Attach(st)
 	}
-	return trace.NewSanitizer(inj), inj, nil
+	san := trace.NewSanitizer(inj)
+	san.Instrument(reg)
+	return san, inj, nil
 }
 
 // attachPool gives the policy an intra-slot worker pool of the requested

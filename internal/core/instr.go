@@ -36,6 +36,7 @@ const (
 	MetricCacheHits      = "engine.cache_hits" // counter: best-response cache hits
 	MetricCacheMisses    = "engine.cache_miss" // counter: best-response cache misses
 	MetricEngineMoves    = "engine.moves"      // counter: strategy switches applied
+	MetricScanTerms      = "engine.scan_terms" // counter: use terms read by best-response scans
 
 	// Sharded-solve optimality audit (Controller.SetShardAudit;
 	// DESIGN.md §13). The gap is (sharded − reference)/reference social
@@ -110,6 +111,7 @@ func (c *Controller) SetObs(reg *obs.Registry) {
 		CacheHits:      reg.Counter(MetricCacheHits),
 		CacheMisses:    reg.Counter(MetricCacheMisses),
 		Moves:          reg.Counter(MetricEngineMoves),
+		ScanTerms:      reg.Counter(MetricScanTerms),
 	})
 	// The attached pool (if any) records its region/shard-utilization
 	// series (par.Metric*) into the same registry.

@@ -176,6 +176,7 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 		p.playerDev = append(p.playerDev, int32(i))
 		b.NextPlayer()
 		count := 0
+		cycles, bits, suitability := st.TaskSizes[i].Count(), st.DataLengths[i].Bits(), s.Net.Suitability[i]
 		// Pass 0 honors ServerDown drains; pass 1 runs only when the drain
 		// would strand the device with no feasible pair, re-admitting down
 		// servers (a drain is advisory — serving every device wins). With
@@ -187,8 +188,15 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 				if !st.Covered(i, k) {
 					continue
 				}
-				accessW := math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
-				fronthaulW := math.Sqrt(st.DataLengths[i].Bits() / st.FronthaulSE[k].BpsPerHz())
+				accessW := math.Sqrt(bits / st.Channels[i][k].BpsPerHz())
+				fronthaulW := math.Sqrt(bits / st.FronthaulSE[k].BpsPerHz())
+				// A device with f, d > 0 streams every strategy as a
+				// (server, access, fronthaul) pair, the shape the game's
+				// factored best response reads.
+				paired := accessW > 0 && fronthaulW > 0 && cycles > 0
+				if paired {
+					b.NextStation(servers+k, accessW, servers+stations+k, fronthaulW)
+				}
 				for _, n := range s.Net.ReachableServers(k) {
 					// A structurally removed server is skipped on both
 					// passes; a Down drain is advisory and re-admitted on
@@ -196,7 +204,13 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 					if !st.ActiveServer(n) || (honorDown && st.Down(n)) {
 						continue
 					}
-					computeW := math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
+					computeW := math.Sqrt(cycles / suitability[n])
+					p.pairArena = append(p.pairArena, topology.Pair{Station: k, Server: n})
+					count++
+					if paired && computeW > 0 {
+						b.AddPair(n, computeW)
+						continue
+					}
 					b.NextStrategy()
 					// A zero weight means the device exerts no load on that
 					// resource (f = 0 reduces EOTO to the pure-communication
@@ -221,8 +235,6 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 						// load to keep the strategy well-formed.
 						b.AddUse(servers+k, noOpPin)
 					}
-					p.pairArena = append(p.pairArena, topology.Pair{Station: k, Server: n})
-					count++
 				}
 			}
 		}

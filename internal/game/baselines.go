@@ -47,26 +47,20 @@ func RandomProfile(g *Game, src *rng.Source) Result {
 
 // GreedyProfile builds a profile in one deterministic pass: players commit
 // in index order, each picking the strategy minimizing its marginal cost
-// Σ_u wm·(load+w) against the loads of the already-placed players. It
-// draws no randomness and visits each (player, strategy, use) triple once,
-// making it the constant-time last rung of the controller's degradation
-// ladder — always feasible, never iterative.
+// Σ_u wm·(load+w) against the loads of the already-placed players (the
+// engine's best-response scan; strategy 0 when no cost is finite). It
+// draws no randomness and scans each player once, making it the
+// constant-time last rung of the controller's degradation ladder —
+// always feasible, never iterative.
 func GreedyProfile(g *Game) Result {
 	profile := make(Profile, g.Players())
 	loads := make([]float64, g.Resources())
+	sc := scan{cterm: make([]float64, g.maxDist)}
 	for i := range profile {
-		best, bestCost := 0, math.Inf(1)
-		for s := 0; s < g.StrategyCount(i); s++ {
-			c := 0.0
-			for _, u := range g.strategyUses(i, s) {
-				c += u.wm * (loads[u.res] + u.w)
-			}
-			if c < bestCost {
-				best, bestCost = s, c
-			}
-		}
-		profile[i] = best
-		for _, u := range g.strategyUses(i, best) {
+		best, _ := sc.cheapest(g, loads, i)
+		best = max(best, 0)
+		profile[i] = int(best)
+		for _, u := range g.strategyUses(i, int(best)) {
 			loads[u.res] += u.w
 		}
 	}

@@ -44,8 +44,7 @@ type Engine struct {
 	brStrat []int32
 
 	// Scratch buffers (hoisted out of the solve loops).
-	saveLoad   []float64 // saved load bits during in-place self-removal
-	saveRes    []int32
+	scan       scan  // refresh's and greedyFill's best-response scratch
 	candidates []int // PivotRandom mover candidates
 	candStrats []int
 	scratchLds []float64 // fresh-loads scratch for exact SocialCost
@@ -104,8 +103,7 @@ func (e *Engine) Bind(g *Game) {
 	e.curCost = resizeFloat(e.curCost, n)
 	e.brCost = resizeFloat(e.brCost, n)
 	e.brStrat = resizeInt32(e.brStrat, n)
-	e.saveLoad = resizeFloat(e.saveLoad, g.maxUses)
-	e.saveRes = resizeInt32(e.saveRes, g.maxUses)
+	e.scan.resize(g)
 	e.scratchLds = resizeFloat(e.scratchLds, r)
 	e.invalidateAll()
 }
@@ -161,7 +159,7 @@ func (e *Engine) refresh(i int) {
 		return
 	}
 	e.tally.misses++
-	cur, br, brCost := e.sweepScore(i, e.saveRes, e.saveLoad)
+	cur, br, brCost := e.sweepScore(i, &e.scan)
 	e.curCost[i], e.brStrat[i], e.brCost[i] = cur, br, brCost
 	e.dirty[i] = false
 }

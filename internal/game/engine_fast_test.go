@@ -148,6 +148,42 @@ func TestCGBASweepMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCGBASweepMatchesReferenceFactored is TestCGBASweepMatchesReference
+// on factoredGames, whose near-ties the factored best response must
+// break as the arena scan does; GreedyProfile, which runs the same scan,
+// must place every player where referenceStart does.
+func TestCGBASweepMatchesReferenceFactored(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		build := func() *Game {
+			g, _ := factoredGame(t, rng.New(800+seed), 1, 40, 0)
+			return g
+		}
+		g := build()
+		if f := factoredPlayers(g); 4*f < g.Players() {
+			t.Fatalf("seed %d: only %d of %d players factored", seed, f, g.Players())
+		}
+		want, _ := referenceStart(g, CGBAConfig{})
+		if got := GreedyProfile(g).Profile; !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: GreedyProfile %v, want %v", seed, got, want)
+		}
+		for _, lambda := range []float64{0, 0.05, 0.1} {
+			for _, start := range []string{"cold", "initial"} {
+				t.Run(fmt.Sprintf("seed=%d/lambda=%v/%s", seed, lambda, start), func(t *testing.T) {
+					cfg := CGBAConfig{Lambda: lambda}
+					if start == "initial" {
+						src := rng.New(seed)
+						cfg.Initial = make(Profile, g.Players())
+						for i := range cfg.Initial {
+							cfg.Initial[i] = src.Intn(g.StrategyCount(i))
+						}
+					}
+					requireSweepMatchesReference(t, build, cfg)
+				})
+			}
+		}
+	}
+}
+
 // TestCGBASweepDeadlinePolls pins where the unsharded sweep polls its
 // deadline: for every counted budget short of a full solve, the result
 // — profile, iterations, truncation — must equal referenceSweep's under
@@ -392,22 +428,30 @@ func TestChurnShrinkGrowMatchesFreshBuild(t *testing.T) {
 // contract: for arbitrary games, tolerances and starts, CGBA must return
 // a certified λ-equilibrium of the game, deterministically, equal to
 // referenceSweep bit for bit at every width; with Exact it must return a
-// certified equilibrium too.
+// certified equilibrium too. An odd shape byte draws a factoredGame, so
+// the factored best response and its near-ties are fuzzed as well.
 func FuzzIncrementalBestResponseEquivalence(f *testing.F) {
-	f.Add(int64(1), int64(2), uint8(4), uint8(0))
-	f.Add(int64(42), int64(43), uint8(1), uint8(5))
-	f.Add(int64(-7), int64(99), uint8(200), uint8(11))
-	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, startRaw, lamRaw uint8) {
+	f.Add(int64(1), int64(2), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(42), int64(43), uint8(1), uint8(5), uint8(0))
+	f.Add(int64(-7), int64(99), uint8(200), uint8(11), uint8(0))
+	f.Add(int64(3), int64(4), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(77), int64(5), uint8(9), uint8(3), uint8(1))
+	f.Add(int64(-12), int64(6), uint8(14), uint8(7), uint8(1))
+	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, startRaw, lamRaw, shapeRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		players := 2 + gsrc.Intn(12)
-		strategies := 2 + gsrc.Intn(23)
-		resources := 3 + gsrc.Intn(8)
-		g := randomGame(t, gsrc, players, strategies, resources)
+		var g *Game
+		if shapeRaw%2 == 1 {
+			g, _ = factoredGame(t, gsrc, 1, 2*players, 0)
+		} else {
+			g = randomGame(t, gsrc, players, 2+gsrc.Intn(23), 3+gsrc.Intn(8))
+		}
+		strategies := g.StrategyCount(0)
 		cfg := CGBAConfig{Lambda: float64(lamRaw%12) / 100}
 		if startRaw%2 == 1 {
-			cfg.Initial = make(Profile, players)
+			cfg.Initial = make(Profile, g.Players())
 			for i := range cfg.Initial {
-				cfg.Initial[i] = int(startRaw/2) % strategies
+				cfg.Initial[i] = int(startRaw/2) % g.StrategyCount(i)
 			}
 		}
 

@@ -26,6 +26,7 @@ func instrumentedEngine(g *Game, reg *obs.Registry) *Engine {
 		CacheHits:      reg.Counter("engine.cache_hits"),
 		CacheMisses:    reg.Counter("engine.cache_miss"),
 		Moves:          reg.Counter("engine.moves"),
+		ScanTerms:      reg.Counter("engine.scan_terms"),
 	})
 	return e
 }

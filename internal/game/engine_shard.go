@@ -197,11 +197,10 @@ const (
 // poll, and the tallies merged after the sweep. Each shard owns one in
 // phase 1; phases 2 and 3 and the nil plan share the serial one.
 type sweeper struct {
-	saveRes  []int32
-	saveLoad []float64
-	stamps   bool   // skip unchanged players, keep the change stamps
-	clock    uint64 // a move advances it, a score records it
-	budget   int64  // moves allowed before sweepOverrun
+	scan   scan
+	stamps bool   // skip unchanged players, keep the change stamps
+	clock  uint64 // a move advances it, a score records it
+	budget int64  // moves allowed before sweepOverrun
 
 	// Deadline poll: the serial phases consume dl's checkpoints; shards
 	// (dl nil) compare the wall clock against the pre-region snapshot
@@ -217,13 +216,13 @@ type sweeper struct {
 
 // start readies the sweeper for one sweep: fresh tallies, the given
 // scratch, stamp mode, clock and budget, no deadline.
-func (sw *sweeper) start(saveRes []int32, saveLoad []float64, stamps bool, clock uint64, budget int64) {
+func (sw *sweeper) start(sc scan, stamps bool, clock uint64, budget int64) {
+	sc.terms = 0
 	*sw = sweeper{
-		saveRes:  saveRes,
-		saveLoad: saveLoad,
-		stamps:   stamps,
-		clock:    clock,
-		budget:   budget,
+		scan:   sc,
+		stamps: stamps,
+		clock:  clock,
+		budget: budget,
 	}
 }
 
@@ -266,7 +265,7 @@ func (e *Engine) sweep(sw *sweeper, players []int32, all bool, lambda float64, o
 				sw.hits++
 				continue
 			}
-			cur, br, brCost := e.sweepScore(i, sw.saveRes, sw.saveLoad)
+			cur, br, brCost := e.sweepScore(i, &sw.scan)
 			sw.misses++
 			if sw.stamps {
 				e.scoreStamp[i] = sw.clock
@@ -318,6 +317,7 @@ func (e *Engine) merge(sw *sweeper) int {
 	e.tally.moves += sw.moves
 	e.tally.hits += sw.hits
 	e.tally.misses += sw.misses
+	e.tally.terms += sw.scan.terms
 	if sw.clock > e.clock {
 		e.clock = sw.clock
 	}
@@ -399,7 +399,7 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 	// engine's scratch.
 	serial := func(players []int32, all, once bool) (end sweepEnd) {
 		sw := &e.serialSw
-		sw.start(e.saveRes, e.saveLoad, sharded, e.clock, int64(maxIter-moves))
+		sw.start(e.scan, sharded, e.clock, int64(maxIter-moves))
 		sw.dl = e.deadline
 		end = e.sweep(sw, players, all, cfg.Lambda, once)
 		moves += e.merge(sw)
@@ -449,7 +449,8 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		expire, timed := e.deadline.ExpireTime()
 		for s := range e.shardSw {
 			sw := &e.shardSw[s]
-			sw.start(resizeInt32(sw.saveRes, g.maxUses), resizeFloat(sw.saveLoad, g.maxUses), true, e.clock, int64(maxIter-moves))
+			sw.scan.resize(g)
+			sw.start(sw.scan, true, e.clock, int64(maxIter-moves))
 			sw.expire, sw.timed = expire, timed
 		}
 		e.shardT = shardSweepTask{e: e, plan: plan, lambda: cfg.Lambda}

@@ -471,21 +471,33 @@ func TestCGBAShardedDeadline(t *testing.T) {
 // sharded result must be a certified λ-equilibrium of the global
 // game, bit-identical to referenceSharded at every pool size (to the
 // unsharded exact loop with Exact), and — with a one-shard plan —
-// bit-identical to the unsharded path.
+// bit-identical to the unsharded path. An odd shape byte draws the
+// clusters as a factoredGame, so the factored best response is fuzzed
+// in every phase.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), int64(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(2))
-	f.Add(int64(42), int64(43), uint8(2), uint8(0), uint8(4), uint8(5), uint8(1))
-	f.Add(int64(-7), int64(99), uint8(5), uint8(6), uint8(19), uint8(11), uint8(4))
+	f.Add(int64(1), int64(2), uint8(3), uint8(2), uint8(0), uint8(0), uint8(2), uint8(0))
+	f.Add(int64(42), int64(43), uint8(2), uint8(0), uint8(4), uint8(5), uint8(1), uint8(0))
+	f.Add(int64(-7), int64(99), uint8(5), uint8(6), uint8(19), uint8(11), uint8(4), uint8(0))
 	// Footprints narrower than their cluster: skipping a player after a
 	// move only freed load on its resources breaks certification.
-	f.Add(int64(9), int64(-90), uint8(205), uint8(184), uint8(63), uint8(121), uint8(190))
-	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, clustersRaw, boundaryRaw, exactRaw, lamRaw, poolRaw uint8) {
+	f.Add(int64(9), int64(-90), uint8(205), uint8(184), uint8(63), uint8(121), uint8(190), uint8(0))
+	// Clusters of factoredGame shape (odd shapeRaw), which the factored
+	// best response scores.
+	f.Add(int64(5), int64(6), uint8(0), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(31), int64(-4), uint8(3), uint8(4), uint8(1), uint8(6), uint8(2), uint8(1))
+	f.Add(int64(9), int64(-90), uint8(205), uint8(184), uint8(63), uint8(121), uint8(190), uint8(1))
+	f.Fuzz(func(t *testing.T, gameSeed, solveSeed int64, clustersRaw, boundaryRaw, exactRaw, lamRaw, poolRaw, shapeRaw uint8) {
 		gsrc := rng.New(gameSeed)
 		clusters := 2 + int(clustersRaw)%4
 		perCluster := 2 + gsrc.Intn(8)
 		boundary := int(boundaryRaw) % 5
-		strategies := 2 + gsrc.Intn(6)
-		g, assign := clusteredGame(t, gsrc, clusters, perCluster, boundary, strategies, 3+gsrc.Intn(12))
+		var g *Game
+		var assign []int32
+		if shapeRaw%2 == 1 {
+			g, assign = factoredGame(t, gsrc, clusters, 2*perCluster, boundary)
+		} else {
+			g, assign = clusteredGame(t, gsrc, clusters, perCluster, boundary, 2+gsrc.Intn(6), 3+gsrc.Intn(12))
+		}
 		lambda := float64(lamRaw%12) / 100
 		exact := exactRaw%20 == 19 // sometimes the exact loop, whatever the plan
 		cfg := CGBAConfig{Lambda: lambda, Exact: exact}

@@ -572,6 +572,126 @@ func randomStrategies(src *rng.Source, players, strategies, resources int) [][][
 	return strats
 }
 
+// factoredGame builds a game of P2-A's shape through NextStation and
+// AddPair, so most players carry a factor description: clusters blocks,
+// each of stations sharing rooms of servers, every station reaching
+// one or more of its cluster's rooms. Interior players cover stations of
+// one cluster; the last boundary players cover stations of every
+// cluster. Servers share one weight, and each player's server weights
+// are one draw moved by a few ulps, while its access and fronthaul
+// weights are larger, so two servers' terms often differ by less than
+// the rounding of (C + A) + F: near-ties the factored scan must break
+// as the arena scan does. One player in eight streams the same pairs as
+// generic strategies, one repeats a server with another weight, and one
+// omits its fronthaul uses; all three keep the arena scan. It returns the
+// game and the player → cluster assignment (−1 = boundary).
+func factoredGame(t testing.TB, src *rng.Source, clusters, perCluster, boundary int) (*Game, []int32) {
+	t.Helper()
+	type block struct{ stations, servers, base int }
+	roomSize := 6 + src.Intn(4)
+	rooms := 1 + src.Intn(3)
+	stations := 3 + src.Intn(3)
+	blocks := make([]block, clusters)
+	resources := 0
+	for c := range blocks {
+		blocks[c] = block{stations: stations, servers: rooms * roomSize, base: resources}
+		resources += rooms*roomSize + 2*stations
+	}
+	b := NewBuilder()
+	b.Reset(resources)
+	weights := b.Weights()
+	reach := make([][][]int, clusters) // [cluster][station] → servers
+	for c, bl := range blocks {
+		for n := 0; n < bl.servers; n++ {
+			weights[bl.base+n] = 1
+		}
+		for k := 0; k < 2*bl.stations; k++ {
+			weights[bl.base+bl.servers+k] = src.Uniform(0.5, 2)
+		}
+		// Most stations reach a prefix of the rooms, so their servers form
+		// runs of the player's distinct servers; the rest reach a suffix,
+		// which can break the run and leave the player generic.
+		reach[c] = make([][]int, bl.stations)
+		for k := range reach[c] {
+			lo, hi := 0, 1+src.Intn(rooms)
+			if k > 0 && src.Intn(4) == 0 {
+				lo, hi = src.Intn(rooms), rooms
+			}
+			for n := lo * roomSize; n < hi*roomSize; n++ {
+				reach[c][k] = append(reach[c][k], bl.base+n)
+			}
+		}
+	}
+	n := clusters*perCluster + boundary
+	assign := make([]int32, n)
+	computeW := make([]float64, resources)
+	for i := 0; i < n; i++ {
+		covered := []int{i % clusters}
+		assign[i] = int32(covered[0])
+		if i >= clusters*perCluster {
+			assign[i] = -1
+			covered = covered[:0]
+			for c := 0; c < clusters; c++ {
+				covered = append(covered, c)
+			}
+		}
+		w := src.Uniform(0.2, 1)
+		for r := range computeW {
+			computeW[r] = w
+			for step := src.Intn(4); step > 0; step-- {
+				computeW[r] = math.Nextafter(computeW[r], 2)
+			}
+		}
+		shape := src.Intn(8)
+		b.NextPlayer()
+		for _, c := range covered {
+			bl := blocks[c]
+			for k := 0; k < bl.stations; k++ {
+				if k > 0 && src.Intn(4) == 0 {
+					continue // not covered
+				}
+				access, fronthaul := bl.base+bl.servers+k, bl.base+bl.servers+bl.stations+k
+				aw, fw := src.Uniform(2, 6), src.Uniform(2, 6)
+				b.NextStation(access, aw, fronthaul, fw)
+				for _, srv := range reach[c][k] {
+					switch shape {
+					case 0: // generic strategies, same content
+						b.NextStrategy()
+						b.AddUse(srv, computeW[srv])
+						b.AddUse(access, aw)
+						b.AddUse(fronthaul, fw)
+					case 1: // a server's weight differs between stations
+						b.AddPair(srv, computeW[srv]*float64(1+k))
+					case 2: // no fronthaul use
+						b.NextStrategy()
+						b.AddUse(srv, computeW[srv])
+						b.AddUse(access, aw)
+					default:
+						b.AddPair(srv, computeW[srv])
+					}
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, assign
+}
+
+// factoredPlayers counts the players of g that carry a factor
+// description.
+func factoredPlayers(g *Game) int {
+	count := 0
+	for i := 0; i < g.Players(); i++ {
+		if g.facStOff[i] < g.facStOff[i+1] {
+			count++
+		}
+	}
+	return count
+}
+
 // streamInto streams weights and strategies into the builder and builds.
 func streamInto(t *testing.T, b *Builder, weights []float64, strats [][][]Use) *Game {
 	t.Helper()

@@ -6,12 +6,12 @@ import "eotora/internal/obs"
 // optional; nil instruments record nothing (obs handles are nil-safe),
 // so the zero Instruments value is "observability off".
 //
-// The Engine tallies cache hits/misses and moves in plain per-engine
-// fields during a solve — the Engine is single-goroutine by contract, so
-// the hot loops pay no atomic operations — and flushes the tallies to
-// the shared obs instruments once per CGBA/MCBA call. Tallies from
-// queries outside a solve (IsEquilibrium) are flushed by the next solve
-// on the same engine.
+// The Engine tallies cache hits/misses, moves and scan terms in plain
+// per-engine fields during a solve — the Engine is single-goroutine by
+// contract, so the hot loops pay no atomic operations — and flushes the
+// tallies to the shared obs instruments once per CGBA/MCBA call.
+// Tallies from queries outside a solve (IsEquilibrium) are flushed by
+// the next solve on the same engine.
 type Instruments struct {
 	// CGBASolves counts Engine.CGBA calls.
 	CGBASolves *obs.Counter
@@ -29,6 +29,12 @@ type Instruments struct {
 	CacheMisses *obs.Counter
 	// Moves counts strategy switches applied to the engine's profile.
 	Moves *obs.Counter
+	// ScanTerms counts the use terms m_r·p_{i,r}·(p_r + p_{i,r}) the
+	// best-response scans read: every use of every strategy on the
+	// generic arena scan, one per distinct server plus two per station
+	// on the factored scan. It is work, fixed by the game and the
+	// solve's inputs, and equal at every pool size.
+	ScanTerms *obs.Counter
 }
 
 // SetInstruments installs observability hooks on the engine. Passing the
@@ -37,7 +43,7 @@ func (e *Engine) SetInstruments(in Instruments) { e.instr = in }
 
 // engineTallies are the engine-local counters flushed per solve.
 type engineTallies struct {
-	hits, misses, moves int64
+	hits, misses, moves, terms int64
 }
 
 // flushInstr publishes and resets the engine-local tallies.
@@ -51,5 +57,8 @@ func (e *Engine) flushInstr() {
 	if e.tally.moves != 0 {
 		e.instr.Moves.Add(e.tally.moves)
 	}
-	e.tally = engineTallies{}
+	if terms := e.tally.terms + e.scan.terms; terms != 0 {
+		e.instr.ScanTerms.Add(terms)
+	}
+	e.tally, e.scan.terms = engineTallies{}, 0
 }

@@ -183,7 +183,9 @@ func runJob(job Job, out *JobResult, pool *par.Pool) error {
 		}
 		src = inj
 		if job.Faults.Sanitize {
-			src = trace.NewSanitizer(src)
+			san := trace.NewSanitizer(src)
+			san.Instrument(job.Obs)
+			src = san
 		}
 	}
 	m, err := Run(pol, src, job.Config)

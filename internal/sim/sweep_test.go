@@ -3,10 +3,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"eotora/internal/core"
+	"eotora/internal/faults"
 	"eotora/internal/obs"
 	"eotora/internal/policy"
 	"eotora/internal/trace"
@@ -267,6 +269,29 @@ func TestSweepPerJobObs(t *testing.T) {
 		t.Error("uninstrumented job gained a registry")
 	}
 
+}
+
+// TestSweepCountsRepairs: a job whose faults are repaired counts the
+// repaired fields in its registry's trace.repairs, and decides exactly
+// as the same job without a registry.
+func TestSweepCountsRepairs(t *testing.T) {
+	jobs := sweepJobs(t, []float64{50, 50})
+	for i := range jobs {
+		jobs[i].Faults = &faults.Config{Seed: 3, NaNProb: 0.5, NegProb: 0.5, ZeroChannelProb: 0.5, Sanitize: true}
+	}
+	jobs[0].Obs = obs.New()
+	results, err := Sweep(jobs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[0].Obs.Counter(trace.MetricRepairs).Value(); got == 0 {
+		t.Error("trace.repairs recorded no repair")
+	}
+	got, want := results[0].Metrics, results[1].Metrics
+	if !reflect.DeepEqual(got.Latency, want.Latency) || !reflect.DeepEqual(got.EnergyCost, want.EnergyCost) ||
+		!reflect.DeepEqual(got.Backlog, want.Backlog) || !reflect.DeepEqual(got.SolverIterations, want.SolverIterations) {
+		t.Error("the instrumented job decided differently")
+	}
 }
 
 // TestSweepMixedPolicyJobs races a bdma Controller job, a bdma Policy

@@ -270,11 +270,11 @@ func TestJainIndex(t *testing.T) {
 // Property: Jain's index is scale-invariant and within [1/n, 1].
 func TestJainIndexProperty(t *testing.T) {
 	prop := func(raw []float64, scale float64) bool {
+		// quick draws magnitudes up to 1.8e308, whose squares overflow;
+		// fold them into a finite range so every draw is checked.
 		xs := make([]float64, 0, len(raw))
 		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e100 {
-				xs = append(xs, math.Abs(v))
-			}
+			xs = append(xs, math.Mod(math.Abs(v), 1e6))
 		}
 		if len(xs) == 0 {
 			return true
@@ -283,8 +283,8 @@ func TestJainIndexProperty(t *testing.T) {
 		if j < 1/float64(len(xs))-1e-9 || j > 1+1e-9 {
 			return false
 		}
-		s := math.Abs(scale)
-		if s == 0 || math.IsNaN(s) || s > 1e100 {
+		s := math.Mod(math.Abs(scale), 1e3)
+		if s == 0 {
 			return true
 		}
 		scaled := make([]float64, len(xs))

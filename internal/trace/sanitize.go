@@ -3,8 +3,13 @@ package trace
 import (
 	"math"
 
+	"eotora/internal/obs"
 	"eotora/internal/units"
 )
+
+// MetricRepairs names the counter of fields a Sanitizer repaired (see
+// Sanitizer.Instrument): OPERATIONS.md's data-quality alarm.
+const MetricRepairs = "trace.repairs"
 
 // Sanitizer wraps a Source and repairs invalid fields in every state
 // before it reaches the controller: NaN, infinite, or negative task sizes,
@@ -30,6 +35,9 @@ type Sanitizer struct {
 	goodChannels [][]units.SpectralEfficiency
 	goodFront    []units.SpectralEfficiency
 	goodPrice    units.Price
+
+	// repairs counts the fields Next repaired; nil records nothing.
+	repairs *obs.Counter
 }
 
 // Fallbacks used before any good value has been observed for a field.
@@ -50,12 +58,19 @@ func NewSanitizer(src Source) *Sanitizer {
 // Period implements Source.
 func (z *Sanitizer) Period() int { return z.src.Period() }
 
+// Instrument records the number of fields every Next repairs in reg's
+// MetricRepairs counter. A nil registry detaches it. Repairs do not
+// depend on it, so an instrumented run emits the same states.
+func (z *Sanitizer) Instrument(reg *obs.Registry) { z.repairs = reg.Counter(MetricRepairs) }
+
 // Next implements Source: it pulls the next state from the wrapped source,
 // repairs it in place, and remembers the repaired values as the new last
 // good state.
 func (z *Sanitizer) Next() *State {
 	st := z.src.Next()
-	z.Apply(st)
+	if n := z.Apply(st); n > 0 {
+		z.repairs.Add(int64(n))
+	}
 	return st
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"eotora/internal/obs"
 	"eotora/internal/units"
 )
 
@@ -155,6 +156,38 @@ func TestSanitizerSourceWrapping(t *testing.T) {
 	checkFinite(t, second)
 	if second.TaskSizes[1] != 80e6 {
 		t.Errorf("task repaired to %v, want 80e6", second.TaskSizes[1])
+	}
+}
+
+// TestSanitizerCountsRepairs: an instrumented Sanitizer adds every
+// Next's repair count to trace.repairs and emits the same states as an
+// uninstrumented one.
+func TestSanitizerCountsRepairs(t *testing.T) {
+	corrupt := func() *State {
+		st := sampleState()
+		st.TaskSizes[1] = units.Cycles(math.Inf(1))
+		st.Price = units.Price(math.NaN())
+		return st
+	}
+	source := func() Source {
+		re, err := NewReplay([]*State{sampleState(), corrupt(), corrupt()}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+	reg := obs.New()
+	plain, counted := NewSanitizer(source()), NewSanitizer(source())
+	counted.Instrument(reg)
+	repairs := reg.Counter(MetricRepairs)
+	for slot, want := range []int64{0, 2, 4} {
+		got, ref := counted.Next(), plain.Next()
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("slot %d: instrumented state differs", slot)
+		}
+		if repairs.Value() != want {
+			t.Fatalf("slot %d: trace.repairs = %d, want %d", slot, repairs.Value(), want)
+		}
 	}
 }
 
