@@ -546,16 +546,30 @@ func (c *Controller) prevPairFeasible(i int, st *trace.State) bool {
 }
 
 // FirstFeasiblePair returns the lowest-indexed (station, server) pair
-// feasible for device i under st. Pass 0 honors ServerDown advisories;
-// pass 1 re-admits down-but-present servers, mirroring BuildP2A's
-// degraded-topology policy. ok is false when even pass 1 finds nothing.
-// The RungPrevious repair and the local-only and edge-only rules share
-// this pair enumeration.
+// feasible for device i under st (see feasiblePairs). ok is false when
+// the device has none. The RungPrevious repair and the local-only and
+// edge-only rules use it.
 func (s *System) FirstFeasiblePair(i int, st *trace.State) (station, server int, ok bool) {
-	stations := len(s.Net.BaseStations)
-	for pass := 0; pass < 2; pass++ {
+	station, server = -1, -1
+	ok = s.feasiblePairs(i, st, func(k, n int) bool {
+		station, server = k, n
+		return false
+	}) > 0
+	return station, server, ok
+}
+
+// feasiblePairs visits device i's feasible (station, server) pairs under
+// st in the order BuildP2A streams them as the device's strategies —
+// covered stations ascending, each station's present reachable servers
+// in order — until visit returns false, and returns how many it visited.
+// Pass 0 honors ServerDown advisories; pass 1, run only when pass 0
+// finds nothing, re-admits down-but-present servers, BuildP2A's
+// degraded-topology policy.
+func (s *System) feasiblePairs(i int, st *trace.State, visit func(station, server int) bool) int {
+	count := 0
+	for pass := 0; pass < 2 && count == 0; pass++ {
 		honorDown := pass == 0
-		for k := 0; k < stations; k++ {
+		for k := range s.Net.BaseStations {
 			if !st.Covered(i, k) {
 				continue
 			}
@@ -563,11 +577,14 @@ func (s *System) FirstFeasiblePair(i int, st *trace.State) (station, server int,
 				if !st.ActiveServer(n) || (honorDown && st.Down(n)) {
 					continue
 				}
-				return k, n, true
+				count++
+				if !visit(k, n) {
+					return count
+				}
 			}
 		}
 	}
-	return -1, -1, false
+	return count
 }
 
 // greedyDecision is RungGreedy, the ladder's last resort: greedy-energy's

@@ -33,8 +33,8 @@ const (
 	MetricCGBASolves     = "cgba.solves"       // counter: CGBA solves
 	MetricCGBAIterations = "cgba.iterations"   // histogram: improvement steps per solve
 	MetricMCBAIterations = "mcba.iterations"   // histogram: walk length per solve
-	MetricCacheHits      = "engine.cache_hits" // counter: best-response cache hits
-	MetricCacheMisses    = "engine.cache_miss" // counter: best-response cache misses
+	MetricCacheHits      = "engine.cache_hits" // counter: sharded-sweep players skipped by change stamps
+	MetricCacheMisses    = "engine.cache_miss" // counter: player scores (cost and best response)
 	MetricEngineMoves    = "engine.moves"      // counter: strategy switches applied
 	MetricScanTerms      = "engine.scan_terms" // counter: use terms read by best-response scans
 

@@ -273,8 +273,8 @@ func (s *System) ApplyChurn(p *P2A, st *trace.State, freq Frequencies) error {
 // compute-resource weights 1/ω_n depend on Ω, so the strategy structure,
 // pair table, and link weights built for the slot state are untouched.
 // The resulting weights are bit-identical to a fresh BuildP2A with the
-// same state and frequencies. The bound engine's caches become stale;
-// Engine.CGBA and Engine.MCBA reset on entry, so solver calls are safe.
+// same state and frequencies. The bound engine's loads stay valid, and
+// its next solve scores against the new weights.
 func (p *P2A) Reweight(freq Frequencies) error {
 	if err := p.sys.ValidateFrequencies(freq); err != nil {
 		return err
@@ -561,7 +561,8 @@ var _ warmStartSolver = CGBASolver{}
 func (c CGBASolver) Name() string { return "CGBA" }
 
 // Solve implements P2ASolver. It runs on the instance's persistent
-// engine, so repeated solves of the same P2A reuse caches and scratch.
+// engine, so repeated solves of the same P2A reuse its buffers and
+// scratch.
 func (c CGBASolver) Solve(p *P2A, src *rng.Source) (game.Result, error) {
 	return c.solveFrom(p, nil, src)
 }

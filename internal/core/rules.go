@@ -14,7 +14,7 @@ import (
 // tail — Lemma-1 allocation, fallback-rung pricing and the queue commit —
 // so a baseline's latency, cost and backlog series are comparable with
 // BDMA's. A pick owns validating the slot state (System.CheckState)
-// before reading it: the game-based rules validate through BuildP2A, the
+// before reading it: the greedy rules validate through BuildP2A, the
 // others call CheckState, so each state is checked once per slot.
 type selectionRule struct {
 	name string
@@ -93,17 +93,36 @@ func pickGreedy(c *Controller, st *trace.State) (Selection, error) {
 // pickRandom assigns every active device a uniformly random feasible
 // (station, server) pair — the ROPT selection step. The draws come from a
 // source derived from (seed, slot) under the policy's own name, so runs
-// replay bit-identically.
+// replay bit-identically. Each active device, in ascending order, draws
+// one Intn over its feasible-pair count: the draws game.RandomProfile
+// makes on the slot's P2-A game, whose players are the active devices in
+// that order with those pairs as strategies, without building the game.
 func pickRandom(c *Controller, st *trace.State) (Selection, error) {
-	if err := c.sys.BuildP2A(&c.p2a, st, c.ruleFreq); err != nil {
+	if err := c.sys.CheckState(st); err != nil {
 		return Selection{}, err
 	}
 	src := rng.New(c.cfg.Seed).Derive(fmt.Sprintf("policy-random-slot-%d", c.slot))
-	res, err := RandomSolver{}.Solve(&c.p2a, src)
-	if err != nil {
-		return Selection{}, err
+	_, _, _, devices := c.sys.Net.Counts()
+	sel := emptySelection(devices)
+	for i := 0; i < devices; i++ {
+		if !st.ActiveDevice(i) {
+			continue
+		}
+		count := c.sys.feasiblePairs(i, st, func(int, int) bool { return true })
+		if count == 0 {
+			return Selection{}, fmt.Errorf("core: device %d has no feasible (station, server) pair this slot", i)
+		}
+		pick := src.Intn(count)
+		c.sys.feasiblePairs(i, st, func(k, n int) bool {
+			if pick > 0 {
+				pick--
+				return true
+			}
+			sel.Station[i], sel.Server[i] = k, n
+			return false
+		})
 	}
-	return c.p2a.Selection(res.Profile), nil
+	return sel, nil
 }
 
 // pickLocalOnly pins every active device to its lowest-indexed feasible

@@ -5,6 +5,7 @@ import (
 
 	"eotora/internal/core"
 	"eotora/internal/faults"
+	"eotora/internal/obs"
 	"eotora/internal/sim"
 	"eotora/internal/trace"
 )
@@ -15,7 +16,8 @@ import (
 // wall-clock ones) and reports how average latency and fallback-ladder
 // occupancy respond as the solver is squeezed, with an unlimited-budget
 // reference and a fault-injected soak leg (faults.DefaultConfig behind a
-// trace.Sanitizer) that exercises the full ladder.
+// trace.Sanitizer) that exercises the full ladder and reports the fields
+// the sanitizer repaired (trace.repairs).
 func FigDegrade(cfg AblationConfig, checks []int) (*Figure, error) {
 	if len(checks) == 0 {
 		checks = []int{2, 3, 4, 6, 10, 16}
@@ -24,6 +26,8 @@ func FigDegrade(cfg AblationConfig, checks []int) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
+	// reg holds the soak leg's sanitizer repair count.
+	reg := obs.New()
 	run := func(checkBudget int, fcfg *faults.Config) (*sim.Metrics, error) {
 		gen, err := sc.DefaultGenerator()
 		if err != nil {
@@ -40,7 +44,9 @@ func FigDegrade(cfg AblationConfig, checks []int) (*Figure, error) {
 				return nil, err
 			}
 			inj.Attach(ctrl)
-			src = trace.NewSanitizer(inj)
+			z := trace.NewSanitizer(inj)
+			z.Instrument(reg)
+			src = z
 		}
 		if checkBudget > 0 {
 			ctrl.SetSlotDeadline(0, checkBudget)
@@ -88,8 +94,9 @@ func FigDegrade(cfg AblationConfig, checks []int) (*Figure, error) {
 		}
 	}
 	fig.AddNote(fmt.Sprintf(
-		"fault soak (default profile, sanitized, budget 4): avg latency %.4f s; rung occupancy full=%d anytime=%d previous=%d greedy=%d",
-		fm.AvgLatency(), rungs[core.RungFull], rungs[core.RungAnytime], rungs[core.RungPrevious], rungs[core.RungGreedy]))
+		"fault soak (default profile, sanitized, budget 4): avg latency %.4f s; rung occupancy full=%d anytime=%d previous=%d greedy=%d; sanitizer repairs=%d",
+		fm.AvgLatency(), rungs[core.RungFull], rungs[core.RungAnytime], rungs[core.RungPrevious], rungs[core.RungGreedy],
+		reg.Counter(trace.MetricRepairs).Value()))
 	fig.AddNote("every slot still produced a feasible decision; see OPERATIONS.md for the ladder semantics")
 	return fig, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -771,4 +772,33 @@ func TestTunerDemo(t *testing.T) {
 	if ratio := tuned.AvgLatency() / fixed.AvgLatency(); ratio > 1.02 || ratio < 0.98 {
 		t.Errorf("latency parity broken: tuned %v vs fixed %v", tuned.AvgLatency(), fixed.AvgLatency())
 	}
+}
+
+// TestFigDegradeCountsRepairs: the fault soak's note reports the fields
+// its sanitizer repaired, and the default fault profile's corruption
+// makes that count positive.
+func TestFigDegradeCountsRepairs(t *testing.T) {
+	cfg := QuickAblationConfig()
+	cfg.Slots = 48
+	cfg.Warmup = 8
+	fig, err := FigDegrade(cfg, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, note := range fig.Notes {
+		at := strings.Index(note, "sanitizer repairs=")
+		if at < 0 {
+			continue
+		}
+		var repairs int
+		if _, err := fmt.Sscanf(note[at:], "sanitizer repairs=%d", &repairs); err != nil {
+			t.Fatalf("note %q: %v", note, err)
+		}
+		if repairs <= 0 {
+			t.Fatalf("fault soak repaired %d fields, want > 0: %q", repairs, note)
+		}
+		t.Logf("%s", note)
+		return
+	}
+	t.Fatalf("no note reports sanitizer repairs: %q", fig.Notes)
 }

@@ -106,7 +106,7 @@ var ErrNoConverge = errors.New("game: CGBA iteration cap reached")
 //
 // This entry point builds a fresh Engine per call; hot callers that solve
 // the same game repeatedly (BDMA rounds, simulation slots) should hold an
-// Engine and call Engine.CGBA to reuse its caches and scratch buffers.
+// Engine and call Engine.CGBA to reuse its buffers and scratch.
 func CGBA(g *Game, cfg CGBAConfig, src *rng.Source) (Result, error) {
 	return NewEngine(g).CGBA(cfg, src)
 }

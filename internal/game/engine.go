@@ -1,20 +1,17 @@
 // Engine: the mutable solve state of a Game. The Game arena is immutable
-// structure; an Engine owns a profile, the per-resource loads, and
-// per-player cached best responses with dirty-bit invalidation — when
-// player j moves, only the players sharing a touched resource (found via
-// the game's resource→player incidence index) re-evaluate; everyone else
-// reuses their cached current cost and best response. CGBA's
-// per-iteration full rescan, O(I·S·u), becomes work proportional to the
-// mover's resource neighborhood.
+// structure; an Engine owns a profile and the per-resource loads, kept
+// current in O(resources-touched) per move. The exact CGBA loop scores
+// every player against those loads each iteration (sweepScore, shared
+// with the sweeps); it keeps no per-player cache, because on the paper's
+// topology a move touches a resource nearly every player uses, so a cache
+// invalidated on each move would be rescored anyway.
 //
-// Exact equivalence is the contract: every cached quantity is computed
-// with the same floating-point operations, in the same order, as the
-// one-shot reference methods (Game.PlayerCost and Game.bestResponse, kept
-// in oracle_test.go, and Game.Loads). A cache entry
-// is only reused while all of its inputs are bit-unchanged, so the
-// engine-backed CGBA/MCBA reproduce the original implementation
-// bit-for-bit. The property and golden tests in engine_test.go enforce
-// this.
+// Exact equivalence is the contract: every score is computed with the
+// same floating-point operations, in the same order, as the one-shot
+// reference methods (Game.PlayerCost and Game.bestResponse, kept in
+// oracle_test.go, and Game.Loads), so the engine-backed CGBA/MCBA
+// reproduce the original implementation bit-for-bit. The property and
+// golden tests in engine_test.go enforce this.
 package game
 
 import (
@@ -35,16 +32,8 @@ type Engine struct {
 	profile Profile
 	loads   []float64
 
-	// Per-player cache, valid when !dirty[i]: curCost[i] = T_i(z) under
-	// the current profile, and (brStrat[i], brCost[i]) = player i's best
-	// response against the other players' current loads.
-	dirty   []bool
-	curCost []float64
-	brCost  []float64
-	brStrat []int32
-
 	// Scratch buffers (hoisted out of the solve loops).
-	scan       scan  // refresh's and greedyFill's best-response scratch
+	scan       scan  // the exact loop's and greedyFill's best-response scratch
 	candidates []int // PivotRandom mover candidates
 	candStrats []int
 	scratchLds []float64 // fresh-loads scratch for exact SocialCost
@@ -78,7 +67,7 @@ type Engine struct {
 	shardT   shardSweepTask
 }
 
-// NewEngine returns an Engine bound to g with all caches invalid.
+// NewEngine returns an Engine bound to g.
 func NewEngine(g *Game) *Engine {
 	e := &Engine{}
 	e.Bind(g)
@@ -87,10 +76,10 @@ func NewEngine(g *Game) *Engine {
 
 // Bind (re)binds the engine to a game, resizing buffers without
 // reallocating when capacities suffice — the cross-slot reuse path where
-// a Builder rebuilt the arena in place. All caches become invalid; call
-// Reset or ResetRandom before querying. The profile is poisoned (every
-// entry -1, never a valid strategy) so a recycled profile from an earlier
-// binding can never pass Game.Valid as a solved one.
+// a Builder rebuilt the arena in place. Call Reset or ResetRandom before
+// querying. The profile is poisoned (every entry -1, never a valid
+// strategy) so a recycled profile from an earlier binding can never pass
+// Game.Valid as a solved one.
 func (e *Engine) Bind(g *Game) {
 	e.g = g
 	n, r := g.Players(), g.Resources()
@@ -99,13 +88,8 @@ func (e *Engine) Bind(g *Game) {
 		e.profile[i] = -1
 	}
 	e.loads = resizeFloat(e.loads, r)
-	e.dirty = resizeBool(e.dirty, n)
-	e.curCost = resizeFloat(e.curCost, n)
-	e.brCost = resizeFloat(e.brCost, n)
-	e.brStrat = resizeInt32(e.brStrat, n)
 	e.scan.resize(g)
 	e.scratchLds = resizeFloat(e.scratchLds, r)
-	e.invalidateAll()
 }
 
 // SetDeadline attaches a cooperative deadline polled at CGBA/MCBA
@@ -117,7 +101,7 @@ func (e *Engine) Bind(g *Game) {
 func (e *Engine) SetDeadline(dl *solver.Deadline) { e.deadline = dl }
 
 // Reset sets the engine to the given profile, recomputing loads from
-// scratch and invalidating all caches.
+// scratch.
 func (e *Engine) Reset(p Profile) error {
 	if !e.g.Valid(p) {
 		return errors.New("game: invalid initial profile")
@@ -139,29 +123,15 @@ func (e *Engine) ResetRandom(src *rng.Source) {
 func (e *Engine) reload() {
 	clearFloats(e.loads)
 	e.g.loadsInto(e.loads, e.profile)
-	e.invalidateAll()
 }
 
-func (e *Engine) invalidateAll() {
-	for i := range e.dirty {
-		e.dirty[i] = true
-	}
-}
-
-// refresh brings player i's cached costs up to date by full per-player
-// recomputation (no partial deltas — only bit-identical full evaluation
-// is allowed to reuse). sweepScore's arithmetic mirrors Game.PlayerCost
-// and Game.bestResponse exactly, fusing the strict-less argmin into one
-// pass over the player's contiguous arena slice.
-func (e *Engine) refresh(i int) {
-	if !e.dirty[i] {
-		e.tally.hits++
-		return
-	}
+// score evaluates player i against the current loads on the engine's
+// scratch, tallied as a cache miss: its current cost T_i(z) and its best
+// response. sweepScore's arithmetic mirrors Game.PlayerCost and
+// Game.bestResponse exactly.
+func (e *Engine) score(i int) (cur float64, best int32, bestCost float64) {
 	e.tally.misses++
-	cur, br, brCost := e.sweepScore(i, &e.scan)
-	e.curCost[i], e.brStrat[i], e.brCost[i] = cur, br, brCost
-	e.dirty[i] = false
+	return e.sweepScore(i, &e.scan)
 }
 
 // SocialCost returns Σ_r m_r p_r(z)² for the current profile, recomputed
@@ -177,35 +147,6 @@ func (e *Engine) SocialCost() float64 {
 	return obj
 }
 
-// move switches player i to strategy s without bounds checks — the hot
-// path (the tests reach it through Engine.Move). Load updates follow
-// Game.applyMove's order (all old uses removed, then all new uses added),
-// keeping the load bits identical to the one-shot path's. Every player
-// incident to a touched resource is dirtied; players sharing no touched
-// resource keep bit-unchanged inputs, so their caches stay valid. The
-// caller must have built the player index (Game.playerIndex).
-func (e *Engine) move(i, s int) {
-	e.tally.moves++
-	g := e.g
-	for _, u := range g.strategyUses(i, e.profile[i]) {
-		e.loads[u.res] -= u.w
-		e.markTouched(u.res)
-	}
-	e.profile[i] = s
-	for _, u := range g.strategyUses(i, s) {
-		e.loads[u.res] += u.w
-		e.markTouched(u.res)
-	}
-	e.dirty[i] = true
-}
-
-func (e *Engine) markTouched(r int) {
-	g := e.g
-	for _, j := range g.incPlayer[g.incOff[r]:g.incOff[r+1]] {
-		e.dirty[j] = true
-	}
-}
-
 // relEps guards against floating-point non-termination at λ = 0: a move
 // must improve by more than a vanishing relative amount.
 const relEps = 1e-12
@@ -213,13 +154,12 @@ const relEps = 1e-12
 // dissatisfied reports whether player i can improve beyond the λ
 // tolerance, returning its best response when so.
 func (e *Engine) dissatisfied(i int, lambda float64) (strategy int, improve float64, ok bool) {
-	e.refresh(i)
-	cur, c := e.curCost[i], e.brCost[i]
+	cur, br, c := e.score(i)
 	// Algorithm 3 line 2: (1−λ)·T_i > min T_i.
 	if (1-lambda)*cur <= c+relEps*(cur+1) {
 		return 0, 0, false
 	}
-	return int(e.brStrat[i]), cur - c, true
+	return int(br), cur - c, true
 }
 
 // CGBA runs Algorithm 3 on the engine. The paper's max-improvement
@@ -227,19 +167,17 @@ func (e *Engine) dissatisfied(i int, lambda float64) (strategy int, improve floa
 // certified λ-equilibrium with the same 2.62/(1−8λ) guarantee. The exact
 // loop below runs only when the config asks for it — CGBAConfig.Exact, a
 // non-default pivot, or TrackObjective. The engine's state is reset on
-// entry, so a stale cache (e.g. after Game.SetResourceWeight) is
-// harmless.
+// entry.
 func (e *Engine) CGBA(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	return e.CGBASharded(cfg, nil, src)
 }
 
-// cgbaExact is the exact loop: each iteration the pivot rule picks one
-// dissatisfied player, which moves to its best response, with cached
-// best responses invalidated incrementally instead of recomputed for
-// every player every iteration. The result — profile, objective,
-// iteration count, RNG draw sequence — is bit-identical to the one-shot
-// best-response dynamics for the same inputs. λ has been validated when
-// this runs.
+// cgbaExact is the exact loop: each iteration the pivot rule scores the
+// players against the incrementally maintained loads and picks one
+// dissatisfied player, which moves to its best response. The result —
+// profile, objective, iteration count, RNG draw sequence — is
+// bit-identical to the one-shot best-response dynamics for the same
+// inputs. λ has been validated when this runs.
 func (e *Engine) cgbaExact(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	g := e.g
 	n := g.Players()
@@ -256,7 +194,6 @@ func (e *Engine) cgbaExact(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	} else {
 		e.ResetRandom(src)
 	}
-	g.playerIndex()
 
 	var objTrace []float64
 	if cfg.TrackObjective {
@@ -266,7 +203,7 @@ func (e *Engine) cgbaExact(cfg CGBAConfig, src *rng.Source) (Result, error) {
 	iterations := 0
 	rrCursor := 0
 	for ; iterations < maxIter; iterations++ {
-		// Deadline checkpoint: one poll per iteration, before any refresh
+		// Deadline checkpoint: one poll per iteration, before any scoring
 		// work. The checkpoint count is a function of the iteration count
 		// alone, so counted budgets degrade deterministically. The
 		// current iterate is always a feasible profile, so truncation can
@@ -324,6 +261,7 @@ func (e *Engine) cgbaExact(cfg CGBAConfig, src *rng.Source) (Result, error) {
 			}, nil
 		}
 		e.move(mover, strategy)
+		e.tally.moves++
 		if cfg.TrackObjective {
 			objTrace = append(objTrace, g.SocialCost(e.profile))
 		}
@@ -345,12 +283,10 @@ func (e *Engine) recordCGBA(iterations int) {
 }
 
 // IsEquilibrium reports whether the engine's current profile is a λ-Nash
-// equilibrium under the given tolerance, using the cached best responses.
+// equilibrium under the given tolerance, scoring every player.
 func (e *Engine) IsEquilibrium(tol float64) bool {
 	for i := range e.profile {
-		e.refresh(i)
-		cur, c := e.curCost[i], e.brCost[i]
-		if (1-tol)*cur > c+1e-9*(cur+1) {
+		if cur, _, c := e.score(i); (1-tol)*cur > c+1e-9*(cur+1) {
 			return false
 		}
 	}
@@ -359,8 +295,7 @@ func (e *Engine) IsEquilibrium(tol float64) bool {
 
 // MCBA runs the Markov chain Monte Carlo baseline on the engine, reusing
 // its profile/loads buffers as the walk state. Draw sequence and result
-// are bit-identical to the package-level MCBA. The best-response caches
-// are left invalid (the walk does not maintain them).
+// are bit-identical to the package-level MCBA.
 func (e *Engine) MCBA(cfg MCBAConfig, src *rng.Source) (Result, error) {
 	g := e.g
 	n := g.Players()
@@ -392,7 +327,6 @@ func (e *Engine) MCBA(cfg MCBAConfig, src *rng.Source) (Result, error) {
 		// time.Now() per iteration, and 64 keeps the counted-checkpoint
 		// sequence deterministic (it depends only on the iteration index).
 		if it&63 == 0 && e.deadline.Expired() {
-			e.invalidateAll()
 			e.instr.MCBAIterations.Observe(float64(it))
 			e.flushInstr()
 			return Result{Profile: best.Clone(), Objective: g.SocialCost(best), Iterations: it, Truncated: true}, nil
@@ -457,17 +391,15 @@ func (e *Engine) MCBA(cfg MCBAConfig, src *rng.Source) (Result, error) {
 		}
 		temp *= cooling
 	}
-	// The walk moved profile/loads behind the caches' back.
-	e.invalidateAll()
 	e.instr.MCBAIterations.Observe(float64(iters))
 	e.flushInstr()
 	return Result{Profile: best.Clone(), Objective: g.SocialCost(best), Iterations: iters}, nil
 }
 
-// resizeProfile and resizeBool grow a recycled slice to n entries with
-// make-parity semantics: slots beyond the previous length are zeroed, so
-// a shrink-then-grow cycle (population churn) never resurfaces stale
-// strategy indices or dirty bits from an earlier, larger binding.
+// resizeProfile grows a recycled profile to n entries with make-parity
+// semantics: slots beyond the previous length are zeroed, so a
+// shrink-then-grow cycle (population churn) never resurfaces stale
+// strategy indices from an earlier, larger binding.
 func resizeProfile(p Profile, n int) Profile {
 	if cap(p) < n {
 		return make(Profile, n)
@@ -478,16 +410,4 @@ func resizeProfile(p Profile, n int) Profile {
 		p[i] = 0
 	}
 	return p
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = false
-	}
-	return s
 }

@@ -1,25 +1,23 @@
 // Sweep dynamics: the sub-quadratic half of the Engine.
 //
 // The exact CGBA loop re-scores every player each iteration to find the
-// single largest improvement, and dirties every incident player on each
-// move. On the paper's topology the resource set is small and shared (a
-// few stations and server rooms cover the whole area), so each move
-// dirties nearly everyone and the solve cost grows quadratically with
-// the population. The sweep loop avoids both costs:
+// single largest improvement, so on the paper's topology — a small,
+// shared resource set, a few stations and server rooms covering the
+// whole area — its solve cost grows quadratically with the population.
+// The sweep loop moves a player as soon as its score finds it
+// dissatisfied:
 //
 //   - Incremental congestion sums. The per-resource loads p_r(z) are
-//     maintained in O(resources-touched) per move; the sweep scores
-//     candidates directly against them (fastMove) and skips the exact
-//     loop's incidence-walk invalidation entirely — no O(n) dirty
-//     fan-out per move.
+//     maintained in O(resources-touched) per move (Engine.move), and
+//     every score reads them directly.
 //
 //   - Gauss–Seidel passes with exact certification. Players are visited
 //     in index order and each dissatisfied player moves to its best
 //     response immediately. Every score finds the exact minimum over the
-//     player's full strategy set with refresh's arithmetic and order, so
-//     a pass that moves nobody is the certification: the returned
-//     profile is a certified λ-equilibrium, and Theorem 2's 2.62/(1−8λ)
-//     approximation bound applies.
+//     player's full strategy set with the exact loop's arithmetic and
+//     order, so a pass that moves nobody is the certification: the
+//     returned profile is a certified λ-equilibrium, and Theorem 2's
+//     2.62/(1−8λ) approximation bound applies.
 //
 // No strategy is pruned: a static top-16 shortlist needed half again as
 // many moves as the full-width sweep, plus a table build per solve
@@ -55,12 +53,11 @@ import (
 // checkpoint budgets stay deterministic.
 const fastSweepCheckMask = 255
 
-// fastMove switches player i to strategy s, updating only the loads —
-// O(resources-touched), no incidence-walk invalidation. The load updates
-// follow Game.applyMove's order (all old uses removed, then all new
-// added) so the load bits match the exact path's. Callers own cache
-// consistency and count the move.
-func (e *Engine) fastMove(i, s int) {
+// move switches player i to strategy s without bounds checks, updating
+// the loads in O(resources-touched). The load updates follow
+// Game.applyMove's order (all old uses removed, then all new added), so
+// the load bits match the one-shot path's. Callers count the move.
+func (e *Engine) move(i, s int) {
 	g := e.g
 	for _, u := range g.strategyUses(i, e.profile[i]) {
 		e.loads[u.res] -= u.w
@@ -96,8 +93,9 @@ func (sc *scan) resize(g *Game) {
 // bits saved into the scratch and restored before returning, since
 // (a−b)+b is not a floating-point identity — so each candidate cost is
 // m_r·p_{i,r}·((loads[r]−w_cur)+w), the expression Game.bestResponse
-// evaluates. refresh and every sweep share this one function, so a quiet
-// sweep agrees bit for bit with the exact loop's equilibrium test.
+// evaluates. The exact loop and every sweep share this one function, so
+// a quiet sweep agrees bit for bit with the exact loop's equilibrium
+// test.
 func (e *Engine) sweepScore(i int, sc *scan) (cur float64, best int32, bestCost float64) {
 	g := e.g
 	cs := g.strOff[i] + int32(e.profile[i])
@@ -203,7 +201,7 @@ func (sc *scan) factored(g *Game, loads []float64, i int, stations []facStation)
 // 0..n−1 place sequentially on their best response against the players
 // placed so far. Each player adds its uses exactly once in index order,
 // so the resulting loads carry the same bits as a from-scratch reload of
-// the final profile. Caches are left invalid, matching Reset.
+// the final profile.
 func (e *Engine) greedyFill() {
 	g := e.g
 	clearFloats(e.loads)
@@ -214,5 +212,4 @@ func (e *Engine) greedyFill() {
 			e.loads[u.res] += u.w
 		}
 	}
-	e.invalidateAll()
 }

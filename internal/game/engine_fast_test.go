@@ -332,10 +332,10 @@ func TestCGBASweepReweightMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestResizeShrinkGrowZeroesTail pins the make-parity semantics of the
-// recycled-slice helpers: a shrink-then-grow cycle (population churn)
-// must hand back zeroed tail slots, never stale strategy indices or
-// dirty bits from an earlier, larger binding.
+// TestResizeShrinkGrowZeroesTail pins the make-parity semantics of
+// resizeProfile: a shrink-then-grow cycle (population churn) must hand
+// back zeroed tail slots, never stale strategy indices from an earlier,
+// larger binding.
 func TestResizeShrinkGrowZeroesTail(t *testing.T) {
 	p := Profile{7, 8, 9, 6}
 	p = resizeProfile(p, 2)
@@ -345,15 +345,6 @@ func TestResizeShrinkGrowZeroesTail(t *testing.T) {
 	}
 	if p[2] != 0 || p[3] != 0 {
 		t.Fatalf("resizeProfile resurfaced stale tail slots: %v", p)
-	}
-	b := []bool{true, true, true, true}
-	b = resizeBool(b, 1)
-	b = resizeBool(b, 3)
-	if len(b) != 3 || !b[0] {
-		t.Fatalf("resizeBool clobbered live slots: %v", b)
-	}
-	if b[1] || b[2] {
-		t.Fatalf("resizeBool resurfaced stale tail slots: %v", b)
 	}
 	// Growth past capacity allocates fresh (and therefore zero) storage.
 	p = resizeProfile(p, 100)

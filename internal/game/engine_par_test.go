@@ -43,7 +43,7 @@ func randomProfile(g *Game, src *rng.Source) Profile {
 // TestEngineCGBAPoolMatrix is the core determinism contract of the one
 // solve that uses a pool, the sharded CGBA on a plan of two or more
 // shards: an attached pool leaves its profile, objective bits, iteration
-// count, and even its cache-hit/miss/move tallies identical for every
+// count, and even its skip/score/move tallies identical for every
 // pool size, cold and warm-started, at λ = 0 and λ > 0.
 func TestEngineCGBAPoolMatrix(t *testing.T) {
 	configs := []func(g *Game) CGBAConfig{

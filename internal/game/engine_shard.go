@@ -281,7 +281,7 @@ func (e *Engine) sweep(sw *sweeper, players []int32, all bool, lambda float64, o
 						e.resStamp[u.res] = sw.clock
 					}
 				}
-				e.fastMove(i, int(br))
+				e.move(i, int(br))
 				sw.moves++
 				moved = true
 				if sw.moves >= sw.budget {
@@ -386,7 +386,6 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 
 	moves := 0
 	finish := func(truncated bool, err error) (Result, error) {
-		e.invalidateAll()
 		e.recordCGBA(moves)
 		return Result{
 			Profile:    e.profile.Clone(),
@@ -475,8 +474,8 @@ func (e *Engine) CGBASharded(cfg CGBAConfig, plan *ShardPlan, src *rng.Source) (
 		}
 
 		// Phase 3 — serial global certification: one pass over every
-		// player in index order. sweepScore is refresh's arithmetic, so a
-		// quiet pass proves every player (interior and boundary) is within
+		// player in index order. sweepScore is the exact loop's
+		// arithmetic, so a quiet pass proves every player (interior and boundary) is within
 		// λ of its true best response — a certified λ-equilibrium of the
 		// global game. Any move sends the solve into another round: the
 		// sharded decomposition converges because every phase only ever

@@ -7,7 +7,7 @@ import (
 	"eotora/internal/rng"
 )
 
-// checkEngineAgainstShadow asserts the engine's cached quantities are
+// checkEngineAgainstShadow asserts the engine's loads and scores are
 // bit-identical to the seed implementation's path: a shadow profile whose
 // loads are maintained through Game.applyMove (exactly as the pre-Engine
 // CGBA loop did), with costs evaluated by the one-shot Game methods on
@@ -50,7 +50,7 @@ func checkEngineAgainstShadow(t *testing.T, e *Engine, g *Game, shadow Profile, 
 }
 
 // TestEngineMatchesRecomputation drives engines through random move
-// sequences and checks every cached quantity against the seed
+// sequences and checks every load and score against the seed
 // implementation's incremental dynamics and against full recomputation —
 // the exact-equivalence contract of the incremental solve path.
 func TestEngineMatchesRecomputation(t *testing.T) {
@@ -359,7 +359,7 @@ func TestEngineMoveValidation(t *testing.T) {
 	checkEngineAgainstShadow(t, e, g, shadow, g.Loads(shadow))
 }
 
-// TestEngineIsEquilibrium checks the cached equilibrium test against the
+// TestEngineIsEquilibrium checks the engine's equilibrium test against the
 // Game-level one on CGBA outputs and on perturbed non-equilibria.
 func TestEngineIsEquilibrium(t *testing.T) {
 	g := randomGame(t, rng.New(31), 8, 4, 6)

@@ -16,9 +16,9 @@
 //
 // Internally a Game stores its strategies in a flat CSR-style arena (one
 // backing []Use plus per-player/per-strategy offsets) instead of a
-// [][][]Use pointer forest, and derives resource incidence indexes from it
-// on first use. The structure is immutable; mutable solve state (profile,
-// loads, cached best responses) lives in Engine.
+// [][][]Use pointer forest, and derives its use and footprint indexes from
+// it on first use. The structure is immutable; mutable solve state
+// (profile, loads, scan scratch) lives in Engine.
 package game
 
 import (
@@ -44,10 +44,9 @@ type use struct {
 
 // Game is a weighted congestion game instance. Its strategy structure is
 // immutable after construction; resource weights may be swapped through
-// SetResourceWeight (the P2-A Reweight fast path), which invalidates any
-// Engine caches until the next Engine reset. Solver entry points build
-// the incidence indexes on first use, so Engines bound to one Game must
-// not run in different goroutines at once.
+// SetResourceWeight (the P2-A Reweight fast path). SetResourceWeight and
+// the sharded solve build the use and footprint indexes on first use, so
+// Engines bound to one Game must not run in different goroutines at once.
 type Game struct {
 	weights []float64 // m_r
 
@@ -62,13 +61,6 @@ type Game struct {
 	useOff []int32 // len = total strategies + 1
 	strOff []int32 // len = players + 1
 
-	// Player incidence: the distinct players with at least one strategy
-	// using resource r are incPlayer[incOff[r]:incOff[r+1]]. Engines walk
-	// it to invalidate exactly the players whose cached best responses a
-	// move could change.
-	incOff    []int32
-	incPlayer []int32
-
 	// Use incidence: the arena positions of the uses of resource r are
 	// useIncPos[useIncOff[r]:useIncOff[r+1]] — the SetResourceWeight fast
 	// path for re-deriving premultiplied factors without an arena sweep.
@@ -81,11 +73,10 @@ type Game struct {
 	fpOff []int32
 	fpRes []int32
 
-	// All three indexes are built on first use (playerIndex, useIndex,
-	// footprints), not by Build: most slots read none. incGen, useIncGen
-	// and fpGen are the structGen each was last built for; incScratch is
-	// the per-resource last-seen marker and fill cursor the builds share.
-	incGen     uint64
+	// Both indexes are built on first use (useIndex, footprints), not by
+	// Build: most slots read neither. useIncGen and fpGen are the
+	// structGen each was last built for; incScratch is the per-resource
+	// fill cursor and last-seen marker the builds share.
 	useIncGen  uint64
 	fpGen      uint64
 	incScratch []int32
@@ -110,9 +101,8 @@ type Game struct {
 	maxDist    int
 
 	// structGen advances whenever the strategy arena changes (Build),
-	// invalidating the incidence indexes above and memoized
-	// shard-plan checks. It starts at 1 so a zero-valued marker is
-	// always stale.
+	// invalidating the indexes above and memoized shard-plan checks. It
+	// starts at 1 so a zero-valued marker is always stale.
 	structGen uint64
 }
 
@@ -409,54 +399,10 @@ func (g *Game) playerStrategies(i int) (first, last int32) {
 	return g.strOff[i], g.strOff[i+1]
 }
 
-// playerIndex builds the player incidence index if the structure changed
-// since it was last built. It writes the Game, so it runs only at serial
-// entry points, never inside a par.Pool region.
-func (g *Game) playerIndex() {
-	if g.incGen == g.structGen {
-		return
-	}
-	g.incGen = g.structGen
-	resources, players := len(g.weights), g.Players()
-	g.incOff = resizeInt32(g.incOff, resources+1)
-	clear(g.incOff)
-	// Count distinct players per resource with a last-seen marker.
-	seen := resizeInt32(g.incScratch, resources)
-	g.incScratch = seen
-	for r := range seen {
-		seen[r] = -1
-	}
-	for i := 0; i < players; i++ {
-		first, last := g.playerStrategies(i)
-		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
-			if seen[u.res] != int32(i) {
-				seen[u.res] = int32(i)
-				g.incOff[u.res+1]++
-			}
-		}
-	}
-	for r := 0; r < resources; r++ {
-		g.incOff[r+1] += g.incOff[r]
-	}
-	// Fill in player order; the last entry written for a resource is the
-	// dedup marker, so the scratch now serves as the fill cursor.
-	g.incPlayer = resizeInt32(g.incPlayer, int(g.incOff[resources]))
-	cursor := seen
-	copy(cursor, g.incOff[:resources])
-	for i := 0; i < players; i++ {
-		first, last := g.playerStrategies(i)
-		for _, u := range g.uses[g.useOff[first]:g.useOff[last]] {
-			if at := cursor[u.res]; at == g.incOff[u.res] || g.incPlayer[at-1] != int32(i) {
-				g.incPlayer[at] = int32(i)
-				cursor[u.res] = at + 1
-			}
-		}
-	}
-}
-
 // useIndex builds the use incidence index (counting sort of arena
 // positions by resource) if the structure changed since it was last
-// built. Like playerIndex it runs only at serial entry points.
+// built. It writes the Game, so it runs only at serial entry points,
+// never inside a par.Pool region.
 func (g *Game) useIndex() {
 	if g.useIncGen == g.structGen {
 		return
@@ -483,8 +429,7 @@ func (g *Game) useIndex() {
 }
 
 // footprints builds the footprint index if the structure changed since
-// it was last built. Like playerIndex it runs only at serial entry
-// points.
+// it was last built. Like useIndex it runs only at serial entry points.
 func (g *Game) footprints() {
 	if g.fpGen == g.structGen {
 		return
@@ -561,10 +506,9 @@ func (g *Game) StrategyCount(i int) int { return int(g.strOff[i+1] - g.strOff[i]
 
 // SetResourceWeight swaps m_r in place — the P2-A Reweight fast path,
 // where only the compute-resource weights 1/ω_n change between BDMA
-// rounds. Any Engine bound to the game holds stale caches afterwards and
-// must be reset before further incremental queries (Engine.CGBA and
-// Engine.MCBA reset unconditionally, so the solver entry points are safe).
-// Setting the current weight is a no-op.
+// rounds. An Engine bound to the game keeps valid loads (they do not
+// depend on m_r), and its next score reads the new factors. Setting the
+// current weight is a no-op.
 func (g *Game) SetResourceWeight(r int, m float64) error {
 	if r < 0 || r >= len(g.weights) {
 		return fmt.Errorf("game: resource %d of %d", r, len(g.weights))

@@ -753,10 +753,9 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	if math.Float64bits(got.Potential(profile)) != math.Float64bits(want.Potential(profile)) {
 		t.Fatalf("potential: got %v, want %v", got.Potential(profile), want.Potential(profile))
 	}
-	// The incidence and footprint indexes, built on demand, must match
-	// the fresh build's bit for bit.
+	// The use and footprint indexes, built on demand, must match the
+	// fresh build's bit for bit.
 	for _, g := range []*Game{got, want} {
-		g.playerIndex()
 		g.useIndex()
 		g.footprints()
 	}
@@ -764,8 +763,6 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 		name      string
 		got, want []int32
 	}{
-		{"incOff", got.incOff, want.incOff},
-		{"incPlayer", got.incPlayer, want.incPlayer},
 		{"useIncOff", got.useIncOff, want.useIncOff},
 		{"useIncPos", got.useIncPos, want.useIncPos},
 		{"fpOff", got.fpOff, want.fpOff},
@@ -777,22 +774,22 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	}
 }
 
-// indexesBuilt reports whether the player and use incidence indexes are
-// current for the game's structure.
-func indexesBuilt(g *Game) (player, use bool) {
-	return g.incGen == g.structGen, g.useIncGen == g.structGen
+// indexesBuilt reports whether the use incidence and footprint indexes
+// are current for the game's structure.
+func indexesBuilt(g *Game) (use, footprint bool) {
+	return g.useIncGen == g.structGen, g.fpGen == g.structGen
 }
 
 // requireIndexes fails unless exactly the wanted indexes are current.
-func requireIndexes(t *testing.T, label string, g *Game, player, use bool) {
+func requireIndexes(t *testing.T, label string, g *Game, use, footprint bool) {
 	t.Helper()
-	if p, u := indexesBuilt(g); p != player || u != use {
-		t.Fatalf("%s: player index built=%v (want %v), use index built=%v (want %v)", label, p, player, u, use)
+	if u, f := indexesBuilt(g); u != use || f != footprint {
+		t.Fatalf("%s: use index built=%v (want %v), footprint index built=%v (want %v)", label, u, use, f, footprint)
 	}
 }
 
-// TestBuildAndCommitLeaveIndexesUnbuilt: Build does not pay for the incidence
-// indexes, on a fresh Builder or on a rebuild into a recycled arena whose
+// TestBuildAndCommitLeaveIndexesUnbuilt: Build does not pay for the use and
+// footprint indexes, on a fresh Builder or on a rebuild into a recycled arena whose
 // indexes were current for the previous structure; only their readers
 // build them.
 func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
@@ -805,8 +802,8 @@ func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
 
 	// Build the indexes, then rebuild different content into the same
 	// arena: the rebuilt game must leave them stale.
-	g.playerIndex()
 	g.useIndex()
+	g.footprints()
 	content := [][][]Use{strats[1], strats[4], strats[0]}
 	if g2 := streamInto(t, b, weights, content); g2 != g {
 		t.Fatal("rebuild did not reuse the Builder's stable game")
@@ -815,9 +812,9 @@ func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
 	requireGamesEqual(t, g, streamInto(t, NewBuilder(), weights, content))
 }
 
-// TestIndexReadersBuildFirst: every reader of an incidence index builds
-// it for the current structure before reading, and only the index it
-// reads. Each case first builds every index for a stale structure, so a
+// TestIndexReadersBuildFirst: every reader of an index builds it for the
+// current structure before reading, and only the index it reads; the
+// engine's moves, scores and exact loop read none. Each case first builds every index for a stale structure, so a
 // reader that trusted them would diverge from the fresh build the result
 // is compared against (requireGamesEqual also compares the indexes).
 func TestIndexReadersBuildFirst(t *testing.T) {
@@ -830,7 +827,6 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		strats := randomStrategies(src, 8, 3, len(weights))
 		b := NewBuilder()
 		g := streamInto(t, b, weights, strats)
-		g.playerIndex()
 		g.useIndex()
 		g.footprints()
 		var content [][][]Use
@@ -850,11 +846,24 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		g, content := setup(t, 1)
 		e := NewEngine(g)
 		requireIndexes(t, "Bind", g, false, false)
-		e.ResetRandom(rng.New(2))
-		if err := e.Move(0, 1); err != nil {
-			t.Fatal(err)
+		want := NewEngine(fresh(t, weights, content))
+		for _, eng := range []*Engine{e, want} {
+			eng.ResetRandom(rng.New(2))
+			if err := eng.Move(0, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		requireIndexes(t, "Move", g, true, false)
+		requireIndexes(t, "Move", g, false, false)
+		// Scores after the move match the fresh build's bit for bit.
+		for i := 0; i < g.Players(); i++ {
+			gotS, gotC := e.BestResponse(i)
+			wantS, wantC := want.BestResponse(i)
+			gotCur, wantCur := e.PlayerCost(i), want.PlayerCost(i)
+			if math.Float64bits(gotCur) != math.Float64bits(wantCur) || gotS != wantS || math.Float64bits(gotC) != math.Float64bits(wantC) {
+				t.Fatalf("player %d: cost %v best (%d, %v), fresh %v (%d, %v)", i, gotCur, gotS, gotC, wantCur, wantS, wantC)
+			}
+		}
+		requireIndexes(t, "scores", g, false, false)
 		requireGamesEqual(t, g, fresh(t, weights, content))
 	})
 	t.Run("SetResourceWeight", func(t *testing.T) {
@@ -862,7 +871,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		if err := g.SetResourceWeight(2, 3.5); err != nil {
 			t.Fatal(err)
 		}
-		requireIndexes(t, "SetResourceWeight", g, false, true)
+		requireIndexes(t, "SetResourceWeight", g, true, false)
 		w := append([]float64(nil), weights...)
 		w[2] = 3.5
 		requireGamesEqual(t, g, fresh(t, w, content))
@@ -877,7 +886,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIndexes(t, "CGBA", g, true, false)
+		requireIndexes(t, "CGBA", g, false, false)
 		requireSameResult(t, "CGBA", got, want)
 	})
 	t.Run("CGBASharded", func(t *testing.T) {
@@ -889,9 +898,6 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		requireIndexes(t, "New", g, false, false)
 		runCGBASharded(t, g, CGBAConfig{Lambda: 0.01}, plan, 1, 2)
 		// The sharded sweeps read only the footprint index.
-		requireIndexes(t, "CGBASharded", g, false, false)
-		if g.fpGen != g.structGen {
-			t.Fatal("CGBASharded: footprint index not built")
-		}
+		requireIndexes(t, "CGBASharded", g, false, true)
 	})
 }

@@ -6,7 +6,7 @@ import "eotora/internal/obs"
 // optional; nil instruments record nothing (obs handles are nil-safe),
 // so the zero Instruments value is "observability off".
 //
-// The Engine tallies cache hits/misses, moves and scan terms in plain
+// The Engine tallies scores and skips, moves and scan terms in plain
 // per-engine fields during a solve — the Engine is single-goroutine by
 // contract, so the hot loops pay no atomic operations — and flushes the
 // tallies to the shared obs instruments once per CGBA/MCBA call.
@@ -20,12 +20,14 @@ type Instruments struct {
 	CGBAIterations *obs.Histogram
 	// MCBAIterations records each Engine.MCBA call's walk length.
 	MCBAIterations *obs.Histogram
-	// CacheHits counts refreshes that found a player's cached cost and
-	// best response still valid, and sharded sweep visits skipped
-	// because no resource of the player changed since its last score.
+	// CacheHits counts sharded sweep visits skipped because no resource
+	// of the player changed since its last score. Only a sweep over a
+	// plan of two or more shards keeps the change stamps that allow a
+	// skip, so every other solve records none.
 	CacheHits *obs.Counter
-	// CacheMisses counts refreshes and sweep scorings that required full
-	// per-player recomputation.
+	// CacheMisses counts player scores: full per-player evaluations of
+	// the current cost and best response, in the exact loop, its
+	// equilibrium test, and every sweep.
 	CacheMisses *obs.Counter
 	// Moves counts strategy switches applied to the engine's profile.
 	Moves *obs.Counter

@@ -57,9 +57,9 @@ func (g *Game) Potential(p Profile) float64 {
 
 // bestResponse returns player i's minimum-cost strategy against the other
 // players' contributions. loads must include player i's current strategy;
-// the function internally removes it. Engine.refresh computes the same
-// quantity incrementally from cached state; the two must stay
-// bit-identical (see TestEngineMatchesRecomputation).
+// the function internally removes it. Engine.sweepScore computes the
+// same quantity against the engine's incrementally maintained loads; the
+// two must stay bit-identical (see TestEngineMatchesRecomputation).
 func (g *Game) bestResponse(p Profile, loads []float64, i int) (strategy int, cost float64) {
 	// Loads without player i.
 	cur := g.strategyUses(i, p[i])
@@ -174,7 +174,7 @@ func (g *Game) PriceOfAnarchy(maxProfiles int) (float64, error) {
 }
 
 // The Engine's observation and single-move API: the tests drive the
-// incremental path one move at a time and read its state and caches.
+// incremental path one move at a time and read its state and scores.
 
 // Profile returns a view of the engine's current profile. The slice is
 // owned by the engine; callers must Clone it to retain it across moves.
@@ -183,27 +183,26 @@ func (e *Engine) Profile() Profile { return e.profile }
 // Loads returns a view of the current per-resource loads.
 func (e *Engine) Loads() []float64 { return e.loads }
 
-// PlayerCost returns T_i under the current profile (cached).
+// PlayerCost returns T_i under the current profile, scored against the
+// engine's loads.
 func (e *Engine) PlayerCost(i int) float64 {
-	e.refresh(i)
-	return e.curCost[i]
+	cur, _, _ := e.score(i)
+	return cur
 }
 
-// BestResponse returns player i's minimum-cost deviation and its cost
-// (cached).
+// BestResponse returns player i's minimum-cost deviation and its cost,
+// scored against the engine's loads.
 func (e *Engine) BestResponse(i int) (strategy int, cost float64) {
-	e.refresh(i)
-	return int(e.brStrat[i]), e.brCost[i]
+	_, br, c := e.score(i)
+	return int(br), c
 }
 
-// Move switches player i to strategy s, updating loads incrementally and
-// dirtying exactly the players whose cached responses the move could
-// change.
+// Move switches player i to strategy s, updating loads incrementally.
 func (e *Engine) Move(i, s int) error {
 	if i < 0 || i >= e.g.Players() || s < 0 || s >= e.g.StrategyCount(i) {
 		return fmt.Errorf("game: move (%d, %d) out of range", i, s)
 	}
-	e.g.playerIndex()
 	e.move(i, s)
+	e.tally.moves++
 	return nil
 }
