@@ -53,7 +53,7 @@ func BenchmarkCGBAPivotRules(b *testing.B) {
 		b.Run(pivot.String(), func(b *testing.B) {
 			src := rng.New(3)
 			for i := 0; i < b.N; i++ {
-				if _, err := CGBA(g, CGBAConfig{Pivot: pivot}, src); err != nil {
+				if _, err := CGBA(g, CGBAConfig{Pivot: pivot, Exact: true}, src); err != nil {
 					b.Fatal(err)
 				}
 			}

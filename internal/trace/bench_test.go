@@ -41,3 +41,43 @@ func BenchmarkChannelProcess(b *testing.B) {
 		ch.Next()
 	}
 }
+
+// metroGenerator builds the metro-scale state source the sharded slot
+// solver runs on: MetroSpec(20000), 49 stations, about two covering each
+// device.
+func metroGenerator(b *testing.B) (*topology.Network, *Generator) {
+	b.Helper()
+	net, err := topology.Generate(topology.MetroSpec(20000), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := NewGenerator(net, DefaultGeneratorConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net, gen
+}
+
+func BenchmarkGeneratorNextMetro(b *testing.B) {
+	_, gen := metroGenerator(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.Next()
+	}
+}
+
+func BenchmarkChurnScheduleNextMetro(b *testing.B) {
+	net, gen := metroGenerator(b)
+	cfg := DefaultChurnConfig(1)
+	cfg.InitialActiveFraction = 0.5
+	sched, err := NewChurnSchedule(cfg, net, gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched.Next()
+	}
+}

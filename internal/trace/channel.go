@@ -46,14 +46,26 @@ type ChannelProcess struct {
 	area      float64
 	positions []topology.Point
 	waypoints []topology.Point
-	fading    [][]float64 // AR(1) deviation per pair, in bps/Hz
+
+	// fading holds last slot's AR(1) deviation (bps/Hz) of every covered
+	// pair, device by device in ascending station order: device i's pairs
+	// are fading[fadeOff[i]:fadeOff[i+1]]. Every other pair's deviation
+	// is zero. spare and spareOff are the buffers Next builds the new
+	// slot's memory in before swapping.
+	fading, spare     []fade
+	fadeOff, spareOff []int
+}
+
+// fade is one covered pair's AR(1) deviation toward station k.
+type fade struct {
+	k   int
+	dev float64
 }
 
 // NewChannelProcess returns a channel process over the network's devices
 // and stations. The network must be finalized.
 func NewChannelProcess(cfg ChannelConfig, net *topology.Network, src *rng.Source) *ChannelProcess {
 	_, _, _, devices := net.Counts()
-	stations, _, _, _ := net.Counts()
 	area := 0.0
 	for _, bs := range net.BaseStations {
 		area = math.Max(area, math.Max(bs.Pos.X, bs.Pos.Y))
@@ -71,12 +83,12 @@ func NewChannelProcess(cfg ChannelConfig, net *topology.Network, src *rng.Source
 		area:      area,
 		positions: make([]topology.Point, devices),
 		waypoints: make([]topology.Point, devices),
-		fading:    make([][]float64, devices),
+		fadeOff:   make([]int, devices+1),
+		spareOff:  make([]int, devices+1),
 	}
 	for i := range p.positions {
 		p.positions[i] = net.Devices[i].Pos
 		p.waypoints[i] = p.randomWaypoint()
-		p.fading[i] = make([]float64, stations)
 	}
 	return p
 }
@@ -114,29 +126,53 @@ func (p *ChannelProcess) step() {
 }
 
 // Next advances the mobility model one slot and returns the channel matrix
-// h[i][k]; zero entries mark out-of-coverage pairs.
+// h[i][k]; zero entries mark out-of-coverage pairs. The rows share one
+// backing array and are sliced at full capacity, so an append to one row
+// reallocates instead of writing into the next.
 func (p *ChannelProcess) Next() [][]units.SpectralEfficiency {
 	p.step()
 	stations := len(p.net.BaseStations)
+	flat := make([]units.SpectralEfficiency, len(p.positions)*stations)
 	out := make([][]units.SpectralEfficiency, len(p.positions))
 	span := float64(p.cfg.SEMax - p.cfg.SEMin)
-	for i := range p.positions {
-		row := make([]units.SpectralEfficiency, stations)
+	next := p.spare[:0]
+	for i, pos := range p.positions {
+		prev := p.fading[p.fadeOff[i]:p.fadeOff[i+1]]
+		p.spareOff[i] = len(next)
+		row := flat[i*stations : (i+1)*stations : (i+1)*stations]
 		for k := range p.net.BaseStations {
 			bs := &p.net.BaseStations[k]
-			dist := bs.Pos.DistanceTo(p.positions[i])
-			if dist > bs.CoverageRadius {
-				p.fading[i][k] = 0 // reset fading memory outside coverage
+			r := bs.CoverageRadius
+			// Exact prefilter: Hypot(dx, dy) >= max(|dx|, |dy|) in IEEE
+			// arithmetic, so a pair failing it would fail dist > r too.
+			dx, dy := bs.Pos.X-pos.X, bs.Pos.Y-pos.Y
+			if math.Abs(dx) > r || math.Abs(dy) > r {
+				continue
+			}
+			dist := math.Hypot(dx, dy) // bs.Pos.DistanceTo(pos), bit for bit
+			if dist > r {
 				continue
 			}
 			// Distance-dependent level: cell edge → SEMin, tower → SEMax.
-			level := float64(p.cfg.SEMax) - span*dist/bs.CoverageRadius
-			// AR(1) fading around the level.
-			p.fading[i][k] = p.cfg.ARCoeff*p.fading[i][k] + p.src.Normal(0, p.cfg.NoiseSigma)
-			se := rng.Clamp(level+p.fading[i][k], float64(p.cfg.SEMin), float64(p.cfg.SEMax))
+			level := float64(p.cfg.SEMax) - span*dist/r
+			// AR(1) fading around the level, from zero when the pair was
+			// out of coverage last slot.
+			for len(prev) > 0 && prev[0].k < k {
+				prev = prev[1:]
+			}
+			dev := 0.0
+			if len(prev) > 0 && prev[0].k == k {
+				dev = prev[0].dev
+			}
+			dev = p.cfg.ARCoeff*dev + p.src.Normal(0, p.cfg.NoiseSigma)
+			next = append(next, fade{k: k, dev: dev})
+			se := rng.Clamp(level+dev, float64(p.cfg.SEMin), float64(p.cfg.SEMax))
 			row[k] = units.SpectralEfficiency(se)
 		}
 		out[i] = row
 	}
+	p.spareOff[len(p.positions)] = len(next)
+	p.fading, p.spare = next, p.fading
+	p.fadeOff, p.spareOff = p.spareOff, p.fadeOff
 	return out
 }

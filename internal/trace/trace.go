@@ -344,12 +344,13 @@ func (d *DemandProcess) Next() (tasks []units.Cycles, data []units.DataSize) {
 	tasks = make([]units.Cycles, len(d.phases))
 	data = make([]units.DataSize, len(d.phases))
 	for i := range d.phases {
-		frac := d.cfg.TrendWeight*d.TrendFraction(i, d.t) + (1-d.cfg.TrendWeight)*d.src.Float64()
+		trend := d.TrendFraction(i, d.t)
+		frac := d.cfg.TrendWeight*trend + (1-d.cfg.TrendWeight)*d.src.Float64()
 		tasks[i] = d.cfg.TaskMin + units.Cycles(frac*float64(d.cfg.TaskMax-d.cfg.TaskMin))
 		// Data length follows the same congestion level with its own noise:
 		// d and f are correlated but not proportional (the paper presumes
 		// no specific relation).
-		fracD := d.cfg.TrendWeight*d.TrendFraction(i, d.t) + (1-d.cfg.TrendWeight)*d.src.Float64()
+		fracD := d.cfg.TrendWeight*trend + (1-d.cfg.TrendWeight)*d.src.Float64()
 		data[i] = d.cfg.DataMin + units.DataSize(fracD*float64(d.cfg.DataMax-d.cfg.DataMin))
 	}
 	d.t++

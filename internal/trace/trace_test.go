@@ -208,6 +208,27 @@ func TestChannelProcessCoverageAndRange(t *testing.T) {
 	}
 }
 
+// TestChannelRowsFullCapacity: the channel matrix's rows share one
+// backing array, so each must be sliced at full capacity — an append to
+// one row has to reallocate rather than write into the next.
+func TestChannelRowsFullCapacity(t *testing.T) {
+	net := testNetwork(t, 12)
+	p := NewChannelProcess(DefaultChannelConfig(), net, rng.New(9))
+	h := p.Next()
+	for i, row := range h {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: cap %d != len %d", i, cap(row), len(row))
+		}
+	}
+	for i := 0; i+1 < len(h); i++ {
+		next := slices.Clone(h[i+1])
+		h[i] = append(h[i], 99)
+		if !slices.Equal(h[i+1], next) {
+			t.Fatalf("append to row %d wrote into row %d: %v, was %v", i, i+1, h[i+1], next)
+		}
+	}
+}
+
 func TestChannelDistanceDependence(t *testing.T) {
 	// A device under the tower must out-average a device at the cell edge.
 	net := &topology.Network{
