@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadColumnCSV -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzLoadPriceCSV -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzCoveragePrefilter -fuzztime=15s ./internal/trace/
+	$(GO) test -fuzz=FuzzCellTable -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadJSON -fuzztime=15s ./internal/topology/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzParallelEquivalence -fuzztime=15s ./internal/core/

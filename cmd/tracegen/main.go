@@ -79,12 +79,8 @@ func emitSummary(days, devices int, seed int64) error {
 		}
 		tasks = append(tasks, totalF/1e6)
 		covered := 0
-		for i := range st.Channels {
-			for k := range st.Channels[i] {
-				if st.Covered(i, k) {
-					covered++
-				}
-			}
+		for _, row := range st.Channels {
+			covered += len(row)
 		}
 		coverage = append(coverage, float64(covered)/float64(devices))
 	}
@@ -135,12 +131,9 @@ func emitChannels(days, devices int, seed int64) error {
 	fmt.Println("slot,device,station,spectral_efficiency_bps_hz")
 	for t := 1; t <= days*24; t++ {
 		st := gen.Next()
-		for i := range st.Channels {
-			for k, se := range st.Channels[i] {
-				if se == 0 {
-					continue // out of coverage
-				}
-				fmt.Printf("%d,%d,%d,%.3f\n", t, i, k, se.BpsPerHz())
+		for i, row := range st.Channels {
+			for _, l := range row {
+				fmt.Printf("%d,%d,%d,%.3f\n", t, i, l.Station, l.SE.BpsPerHz())
 			}
 		}
 	}

@@ -84,9 +84,11 @@ func BenchmarkControllerStepSharded(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				// Metro states are large (100k × 49 channel rows); two still
-				// alternate enough to defeat cross-slot caching artifacts.
+				// Two recorded states (up to 100k devices' channel rows)
+				// still alternate enough to defeat cross-slot caching
+				// artifacts.
 				states := trace.Record(gen, 2)
+				warmStep(b, ctrl, states[1])
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := ctrl.Step(states[i%len(states)]); err != nil {
@@ -113,6 +115,7 @@ func BenchmarkControllerStep(b *testing.B) {
 				recorded = 8
 			}
 			states := trace.Record(gen, recorded)
+			warmStep(b, ctrl, states[len(states)-1])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ctrl.Step(states[i%len(states)]); err != nil {
@@ -120,6 +123,16 @@ func BenchmarkControllerStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// warmStep runs one untimed slot before the timer starts, so the first
+// slot's arena growth stays out of ns/op and allocs/op even for the
+// sizes the bench gate runs at b.N = 2–5.
+func warmStep(b *testing.B, ctrl *Controller, st *trace.State) {
+	b.Helper()
+	if _, err := ctrl.Step(st); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/trace"
-	"eotora/internal/units"
 )
 
 // aggressiveChurn returns a churn regime hot enough that a short test run
@@ -41,7 +40,7 @@ func (s *pinnedSource) Next() *trace.State {
 	st := *s.base
 	// Fresh top-level channel slice: the churn schedule's copy-on-write
 	// handover edits must not leak back into the shared base rows.
-	st.Channels = append([][]units.SpectralEfficiency(nil), s.base.Channels...)
+	st.Channels = append([][]trace.Link(nil), s.base.Channels...)
 	s.slot++
 	st.Slot = s.slot
 	return &st

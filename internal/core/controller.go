@@ -569,10 +569,8 @@ func (s *System) feasiblePairs(i int, st *trace.State, visit func(station, serve
 	count := 0
 	for pass := 0; pass < 2 && count == 0; pass++ {
 		honorDown := pass == 0
-		for k := range s.Net.BaseStations {
-			if !st.Covered(i, k) {
-				continue
-			}
+		for _, l := range st.Channels[i] {
+			k := l.Station
 			for _, n := range s.Net.ReachableServers(k) {
 				if !st.ActiveServer(n) || (honorDown && st.Down(n)) {
 					continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,27 +102,47 @@ func TestCheckState(t *testing.T) {
 	if err := sys.CheckState(st); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
+	stations := len(sys.Net.BaseStations)
+	// Row mutations act on device d.
+	setSE := func(se float64) func(*trace.State, int) {
+		return func(s *trace.State, d int) { s.Channels[d][0].SE = units.SpectralEfficiency(se) }
+	}
 	tests := []struct {
 		name   string
-		mutate func(*trace.State)
+		mutate func(s *trace.State, d int)
 	}{
-		{"short task sizes", func(s *trace.State) { s.TaskSizes = s.TaskSizes[:3] }},
-		{"short channel row", func(s *trace.State) { s.Channels[0] = s.Channels[0][:1] }},
-		{"short fronthaul", func(s *trace.State) { s.FronthaulSE = s.FronthaulSE[:1] }},
-		{"zero price", func(s *trace.State) { s.Price = 0 }},
+		{"short task sizes", func(s *trace.State, _ int) { s.TaskSizes = s.TaskSizes[:3] }},
+		{"short channel row", func(s *trace.State, _ int) { s.Channels = s.Channels[:1] }},
+		{"short fronthaul", func(s *trace.State, _ int) { s.FronthaulSE = s.FronthaulSE[:1] }},
+		{"zero price", func(s *trace.State, _ int) { s.Price = 0 }},
+		{"NaN channel", setSE(math.NaN())},
+		{"+Inf channel", setSE(math.Inf(1))},
+		{"-Inf channel", setSE(math.Inf(-1))},
+		{"negative channel", setSE(-1)},
+		{"stored zero channel", setSE(0)},
+		{"station out of range", func(s *trace.State, d int) {
+			s.Channels[d] = append(s.Channels[d], trace.Link{Station: stations, SE: 20})
+		}},
+		{"negative station", func(s *trace.State, d int) {
+			s.Channels[d] = append([]trace.Link{{Station: -1, SE: 20}}, s.Channels[d]...)
+		}},
+		{"repeated station", func(s *trace.State, d int) {
+			s.Channels[d] = append(s.Channels[d], s.Channels[d][len(s.Channels[d])-1])
+		}},
+		{"descending stations", func(s *trace.State, d int) {
+			s.Channels[d] = []trace.Link{{Station: 1, SE: 20}, {Station: 0, SE: 20}}
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			bad := *gen.Next()
+			const d = 0 // covered, like every device
 			// Deep-copy the mutable slices we mutate.
 			bad.TaskSizes = append([]units.Cycles(nil), bad.TaskSizes...)
 			bad.FronthaulSE = append([]units.SpectralEfficiency(nil), bad.FronthaulSE...)
-			rows := make([][]units.SpectralEfficiency, len(bad.Channels))
-			for i := range rows {
-				rows[i] = append([]units.SpectralEfficiency(nil), bad.Channels[i]...)
-			}
-			bad.Channels = rows
-			tt.mutate(&bad)
+			bad.Channels = slices.Clone(bad.Channels)
+			bad.Channels[d] = slices.Clone(bad.Channels[d])
+			tt.mutate(&bad, d)
 			if err := sys.CheckState(&bad); err == nil {
 				t.Error("invalid state accepted")
 			}

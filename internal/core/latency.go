@@ -33,7 +33,7 @@ func (s *System) OptimalAllocation(sel Selection, st *trace.State) Allocation {
 			continue
 		}
 		if accessDen[k] > 0 {
-			a.AccessShare[i] = math.Sqrt(st.DataLengths[i].Bits()/st.Channels[i][k].BpsPerHz()) / accessDen[k]
+			a.AccessShare[i] = math.Sqrt(st.DataLengths[i].Bits()/st.Channel(i, k).BpsPerHz()) / accessDen[k]
 		}
 		if fronthaulDen[k] > 0 {
 			a.FronthaulShare[i] = math.Sqrt(st.DataLengths[i].Bits()/st.FronthaulSE[k].BpsPerHz()) / fronthaulDen[k]
@@ -60,7 +60,7 @@ func (s *System) lemma1Sums(sums []float64, sel Selection, st *trace.State) []fl
 			// Inactive device: no resource demand.
 			continue
 		}
-		access[k] += math.Sqrt(st.DataLengths[i].Bits() / st.Channels[i][k].BpsPerHz())
+		access[k] += math.Sqrt(st.DataLengths[i].Bits() / st.Channel(i, k).BpsPerHz())
 		fronthaul[k] += math.Sqrt(st.DataLengths[i].Bits() / st.FronthaulSE[k].BpsPerHz())
 		compute[n] += math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
 	}
@@ -127,7 +127,7 @@ func (s *System) LatencyOf(d Decision, st *trace.State) (total units.Seconds, pe
 		bs := &s.Net.BaseStations[k]
 		srv := &s.Net.Servers[n]
 
-		accessRate := st.Channels[i][k].Rate(units.Frequency(float64(bs.AccessBandwidth) * d.AccessShare[i]))
+		accessRate := st.Channel(i, k).Rate(units.Frequency(float64(bs.AccessBandwidth) * d.AccessShare[i]))
 		fronthaulRate := st.FronthaulSE[k].Rate(units.Frequency(float64(bs.FronthaulBandwidth) * d.FronthaulShare[i]))
 		capacity := srv.Capacity(d.Freq[n])
 		effective := units.Frequency(float64(capacity) * st.Cap(n) * s.Net.Suitability[i][n] * d.ComputeShare[i])

@@ -82,3 +82,63 @@ func TestScanTermsLedger(t *testing.T) {
 		})
 	}
 }
+
+// TestStateLinksLedger pins the counted work the sparse channel rows
+// leave the slot-0 P2-A build at seed 1: the links the generated State
+// stores (one per covered device–station pair) and the strategy uses the
+// build writes into the game arena, next to the devices × stations
+// entries a dense channel matrix held and CheckState and the build
+// scanned. A DefaultSpec device is covered by 3.45 of 6 stations; a
+// MetroSpec device by 1.65 of 49, so its state stores 3.4% of the dense
+// entries. Counts are fixed by the inputs and equal on every host.
+func TestStateLinksLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spec  topology.Spec
+		dense int // devices × stations
+		links int
+		uses  int
+	}{
+		{"default-1000", topology.DefaultSpec(1000), 6000, 3454, 82896},
+		{"metro-10000", topology.MetroSpec(10000), 490000, 16517, 198204},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := rng.New(1)
+			net, err := topology.Generate(tc.spec, src.Derive("net"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewSystem(net, DefaultEnergyModels(len(net.Servers), src.Derive("energy")), 3600, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := trace.NewGenerator(net, trace.DefaultGeneratorConfig(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := gen.Next()
+			p, err := sys.NewP2A(st, sys.LowestFrequencies())
+			if err != nil {
+				t.Fatal(err)
+			}
+			links := 0
+			for _, row := range st.Channels {
+				links += len(row)
+			}
+			g := p.Game()
+			uses := 0
+			for i := 0; i < g.Players(); i++ {
+				for s := 0; s < g.StrategyCount(i); s++ {
+					uses += len(g.StrategyUses(i, s))
+				}
+			}
+			dense := len(st.Channels) * len(net.BaseStations)
+			t.Logf("%s: %d links stored of %d device–station entries (%.2f per device); %d uses built",
+				tc.name, links, dense, float64(links)/float64(len(st.Channels)), uses)
+			if dense != tc.dense || links != tc.links || uses != tc.uses {
+				t.Errorf("ledger (dense, links, uses) = (%d, %d, %d), pinned (%d, %d, %d)",
+					dense, links, uses, tc.dense, tc.links, tc.uses)
+			}
+		})
+	}
+}

@@ -39,6 +39,7 @@ type P2A struct {
 	pairArena []topology.Pair
 	pairOff   []int32
 	servers   int
+	serverW   []float64 // Reweight's compute weights 1/ω_n
 
 	// instr holds the engine's observability hooks, applied when the lazy
 	// engine is created (and immediately if it already exists); pool is
@@ -184,11 +185,9 @@ func (s *System) buildP2A(p *P2A, st *trace.State, freq Frequencies) error {
 		// before, so fault-free builds are bit-identical.
 		for pass := 0; pass < 2 && count == 0; pass++ {
 			honorDown := pass == 0
-			for k := 0; k < stations; k++ {
-				if !st.Covered(i, k) {
-					continue
-				}
-				accessW := math.Sqrt(bits / st.Channels[i][k].BpsPerHz())
+			for _, l := range st.Channels[i] {
+				k := l.Station
+				accessW := math.Sqrt(bits / l.SE.BpsPerHz())
 				fronthaulW := math.Sqrt(bits / st.FronthaulSE[k].BpsPerHz())
 				// A device with f, d > 0 streams every strategy as a
 				// (server, access, fronthaul) pair, the shape the game's
@@ -279,11 +278,13 @@ func (p *P2A) Reweight(freq Frequencies) error {
 	if err := p.sys.ValidateFrequencies(freq); err != nil {
 		return err
 	}
+	w := p.serverW[:0]
 	for n := 0; n < p.servers; n++ {
-		m := 1 / (p.sys.Net.Servers[n].Capacity(freq[n]).Hertz() * capAt(p.capScale, n))
-		if err := p.game.SetResourceWeight(n, m); err != nil {
-			return fmt.Errorf("core: reweighting P2-A game: %w", err)
-		}
+		w = append(w, 1/(p.sys.Net.Servers[n].Capacity(freq[n]).Hertz()*capAt(p.capScale, n)))
+	}
+	p.serverW = w
+	if err := p.game.SetResourceWeights(0, w); err != nil {
+		return fmt.Errorf("core: reweighting P2-A game: %w", err)
 	}
 	return nil
 }

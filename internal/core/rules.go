@@ -165,9 +165,9 @@ func pickEdgeOnly(c *Controller, st *trace.State) (Selection, error) {
 			continue
 		}
 		bestK, bestSE := -1, 0.0
-		for k := range c.sys.Net.BaseStations {
-			if se := float64(st.Channels[i][k]); se > bestSE {
-				bestK, bestSE = k, se
+		for _, l := range st.Channels[i] {
+			if se := float64(l.SE); se > bestSE {
+				bestK, bestSE = l.Station, se
 			}
 		}
 		if bestK < 0 {

@@ -159,13 +159,11 @@ func TestInfeasibleBudgetQueueGrowsLinearly(t *testing.T) {
 }
 
 func TestUncoveredDeviceStateFailsCleanly(t *testing.T) {
-	// A state whose channel row is all zeros (device out of every cell)
+	// A state whose channel row is empty (device out of every cell)
 	// must produce an error, not a panic.
 	sys, gen := buildSystem(t, 6, 72)
 	st := gen.Next()
-	for k := range st.Channels[2] {
-		st.Channels[2][k] = 0
-	}
+	st.Channels[2] = nil
 	if _, err := sys.NewP2A(st, sys.LowestFrequencies()); err == nil {
 		t.Error("uncovered device accepted")
 	}

@@ -83,22 +83,18 @@ func DefaultEnergyModels(servers int, src interface {
 
 // CheckState verifies a state's dimensions and values against the system.
 // Beyond the shape checks, every numeric field must be finite and in
-// range: NaN or negative task sizes, data lengths, or channel gains, a
-// non-finite or non-positive price, and out-of-range CapScale entries are
-// all rejected. A NaN admitted here would propagate through the Lemma-1
-// square roots into the objective and ultimately poison the virtual queue
-// Q(t), so the solve pipeline trusts states only after this gate (the
-// trace.Sanitizer repairs instead of rejecting, for sources that must
-// keep flowing).
+// range: NaN or negative task sizes and data lengths, a channel row whose
+// stations are not strictly ascending in range or whose stored gain is
+// not positive and finite, a non-finite or non-positive price, and
+// out-of-range CapScale entries are all rejected. A NaN admitted here
+// would propagate through the Lemma-1 square roots into the objective and
+// ultimately poison the virtual queue Q(t), so the solve pipeline trusts
+// states only after this gate (the trace.Sanitizer repairs instead of
+// rejecting, for sources that must keep flowing).
 func (s *System) CheckState(st *trace.State) error {
 	stations, _, servers, devices := s.Net.Counts()
 	if len(st.TaskSizes) != devices || len(st.DataLengths) != devices || len(st.Channels) != devices {
 		return fmt.Errorf("core: state sized for %d devices, system has %d", len(st.TaskSizes), devices)
-	}
-	for i := range st.Channels {
-		if len(st.Channels[i]) != stations {
-			return fmt.Errorf("core: channel row %d has %d stations, system has %d", i, len(st.Channels[i]), stations)
-		}
 	}
 	if len(st.FronthaulSE) != stations {
 		return fmt.Errorf("core: state has %d fronthaul entries, system has %d stations", len(st.FronthaulSE), stations)
@@ -110,9 +106,14 @@ func (s *System) CheckState(st *trace.State) error {
 		if d := st.DataLengths[i].Bits(); math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 			return fmt.Errorf("core: device %d data length %v invalid", i, st.DataLengths[i])
 		}
-		for k, h := range st.Channels[i] {
-			if v := h.BpsPerHz(); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("core: device %d channel to station %d is %v", i, k, h)
+		prev := -1
+		for _, l := range st.Channels[i] {
+			if l.Station <= prev || l.Station >= stations {
+				return fmt.Errorf("core: device %d channel row lists station %d after %d, want strictly ascending in [0, %d)", i, l.Station, prev, stations)
+			}
+			prev = l.Station
+			if v := l.SE.BpsPerHz(); !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: device %d channel to station %d is %v", i, l.Station, l.SE)
 			}
 		}
 	}

@@ -203,10 +203,7 @@ func (in *Injector) corruptTrace(st *trace.State, r *rng.Source) {
 		in.injected++
 	}
 	if r.Bernoulli(in.cfg.ZeroChannelProb) && len(st.Channels) == devices {
-		i := r.Intn(devices)
-		for k := range st.Channels[i] {
-			st.Channels[i][k] = 0
-		}
+		st.Channels[r.Intn(devices)] = nil
 		in.injected++
 	}
 }

@@ -33,9 +33,9 @@ func cloneState(st *trace.State) *trace.State {
 	cp := *st
 	cp.TaskSizes = append([]units.Cycles(nil), st.TaskSizes...)
 	cp.DataLengths = append([]units.DataSize(nil), st.DataLengths...)
-	cp.Channels = make([][]units.SpectralEfficiency, len(st.Channels))
+	cp.Channels = make([][]trace.Link, len(st.Channels))
 	for i := range st.Channels {
-		cp.Channels[i] = append([]units.SpectralEfficiency(nil), st.Channels[i]...)
+		cp.Channels[i] = append([]trace.Link(nil), st.Channels[i]...)
 	}
 	cp.FronthaulSE = append([]units.SpectralEfficiency(nil), st.FronthaulSE...)
 	if st.ServerDown != nil {

@@ -284,7 +284,7 @@ func TestCGBASweepInitialProfile(t *testing.T) {
 	}
 }
 
-// TestCGBASweepReweightMatchesFreshBuild: after SetResourceWeight a
+// TestCGBASweepReweightMatchesFreshBuild: after SetResourceWeights a
 // reused engine must solve exactly like a fresh build with the new
 // weights — even when the reweight inverts which resources are cheap.
 func TestCGBASweepReweightMatchesFreshBuild(t *testing.T) {
@@ -306,10 +306,8 @@ func TestCGBASweepReweightMatchesFreshBuild(t *testing.T) {
 	// more expensive, so stale premultiplied factors would steer into
 	// congestion.
 	newWeights := []float64{50, 1.1, 45, 1.2, 55, 0.95}
-	for r, w := range newWeights {
-		if err := g.SetResourceWeight(r, w); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.SetResourceWeights(0, newWeights); err != nil {
+		t.Fatal(err)
 	}
 	got, err := e.CGBA(cfg, rng.New(643))
 	if err != nil {

@@ -246,7 +246,7 @@ func TestShardStampLifetime(t *testing.T) {
 	}
 	solve("warm", e)
 
-	if err := g.SetResourceWeight(2, 2.5*g.weights[2]); err != nil {
+	if err := g.SetResourceWeights(2, []float64{2.5 * g.weights[2]}); err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "reweight", solve("reweight", e), fresh("reweight"))

@@ -276,8 +276,8 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 }
 
 // TestSetResourceWeightMatchesFresh checks the Reweight fast path's
-// foundation: swapping m_r in place must leave the game bit-identical to
-// one built from scratch with the new weights.
+// foundation: swapping the weights m_r in place must leave the game
+// bit-identical to one built from scratch with the new weights.
 func TestSetResourceWeightMatchesFresh(t *testing.T) {
 	src := rng.New(81)
 	weights := []float64{1.5, 0.75, 2.25, 0.5, 1.25}
@@ -297,10 +297,8 @@ func TestSetResourceWeightMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	newWeights := []float64{1.5, 3.125, 2.25, 0.875, 1.25}
-	for r, m := range newWeights {
-		if err := g.SetResourceWeight(r, m); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.SetResourceWeights(0, newWeights); err != nil {
+		t.Fatal(err)
 	}
 	freshG, err := New(newWeights, strats)
 	if err != nil {
@@ -323,14 +321,25 @@ func TestSetResourceWeightMatchesFresh(t *testing.T) {
 		}
 	}
 
-	if err := g.SetResourceWeight(-1, 1); err == nil {
-		t.Error("expected error for resource -1")
+	for _, bad := range []struct {
+		name    string
+		first   int
+		weights []float64
+	}{
+		{"resource -1", -1, []float64{1}},
+		{"past the last resource", len(newWeights) - 1, []float64{1, 1}},
+		{"NaN weight", 0, []float64{1, math.NaN()}},
+		{"zero weight", 0, []float64{0}},
+		{"infinite weight", 0, []float64{math.Inf(1)}},
+	} {
+		if err := g.SetResourceWeights(bad.first, bad.weights); err == nil {
+			t.Errorf("expected error for %s", bad.name)
+		}
 	}
-	if err := g.SetResourceWeight(0, math.NaN()); err == nil {
-		t.Error("expected error for NaN weight")
-	}
-	if err := g.SetResourceWeight(0, 0); err == nil {
-		t.Error("expected error for zero weight")
+	// A rejected call sets no weight, not even the valid ones before
+	// the bad one.
+	if g.weights[0] != newWeights[0] {
+		t.Errorf("rejected call set weight 0 to %v", g.weights[0])
 	}
 }
 

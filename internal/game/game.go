@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Use is one resource consumed by a strategy, with the player-resource
@@ -44,9 +45,10 @@ type use struct {
 
 // Game is a weighted congestion game instance. Its strategy structure is
 // immutable after construction; resource weights may be swapped through
-// SetResourceWeight (the P2-A Reweight fast path). SetResourceWeight and
-// the sharded solve build the use and footprint indexes on first use, so
-// Engines bound to one Game must not run in different goroutines at once.
+// SetResourceWeights (the P2-A Reweight fast path). SetResourceWeights
+// writes the arena and the sharded solve builds the footprint index on
+// first use, so Engines bound to one Game must not run in different
+// goroutines at once.
 type Game struct {
 	weights []float64 // m_r
 
@@ -56,30 +58,21 @@ type Game struct {
 	// weight so the Engine's hot loops stream one array with no extra
 	// lookups. Cost expressions are left-associative (m·w)·x, so using the
 	// premultiplied factor is bit-identical to the naive evaluation;
-	// SetResourceWeight keeps wm in sync via the incidence index.
+	// SetResourceWeights re-derives wm in one pass over the arena.
 	uses   []use
 	useOff []int32 // len = total strategies + 1
 	strOff []int32 // len = players + 1
 
-	// Use incidence: the arena positions of the uses of resource r are
-	// useIncPos[useIncOff[r]:useIncOff[r+1]] — the SetResourceWeight fast
-	// path for re-deriving premultiplied factors without an arena sweep.
-	useIncOff []int32
-	useIncPos []int32
-
 	// Footprint index: player i's distinct resources, in first-use order,
 	// are fpRes[fpOff[i]:fpOff[i+1]] — what the sharded solve's change
-	// stamps are checked against.
-	fpOff []int32
-	fpRes []int32
-
-	// Both indexes are built on first use (useIndex, footprints), not by
-	// Build: most slots read neither. useIncGen and fpGen are the
-	// structGen each was last built for; incScratch is the per-resource
-	// fill cursor and last-seen marker the builds share.
-	useIncGen  uint64
-	fpGen      uint64
-	incScratch []int32
+	// stamps are checked against. It is built on first use (footprints),
+	// not by Build: most slots never read it. fpGen is the structGen it
+	// was last built for, and fpSeen the per-resource last-seen marker
+	// the build uses.
+	fpOff  []int32
+	fpRes  []int32
+	fpGen  uint64
+	fpSeen []int32
 
 	// maxUses is the largest use count of any single strategy (Engine
 	// scratch sizing).
@@ -92,7 +85,7 @@ type Game struct {
 	// first-use order; a player with no stations takes the generic arena
 	// scan. facDist holds the arena position of one use of each distinct
 	// server, so the factored scan reads the same w and wm as the arena,
-	// SetResourceWeight included. maxDist is the most distinct servers of
+	// SetResourceWeights included. maxDist is the most distinct servers of
 	// any factored player (scan scratch sizing).
 	facStOff   []int32
 	facDistOff []int32
@@ -399,45 +392,17 @@ func (g *Game) playerStrategies(i int) (first, last int32) {
 	return g.strOff[i], g.strOff[i+1]
 }
 
-// useIndex builds the use incidence index (counting sort of arena
-// positions by resource) if the structure changed since it was last
-// built. It writes the Game, so it runs only at serial entry points,
-// never inside a par.Pool region.
-func (g *Game) useIndex() {
-	if g.useIncGen == g.structGen {
-		return
-	}
-	g.useIncGen = g.structGen
-	resources := len(g.weights)
-	g.useIncOff = resizeInt32(g.useIncOff, resources+1)
-	clear(g.useIncOff)
-	for _, u := range g.uses {
-		g.useIncOff[u.res+1]++
-	}
-	for r := 0; r < resources; r++ {
-		g.useIncOff[r+1] += g.useIncOff[r]
-	}
-	g.useIncPos = resizeInt32(g.useIncPos, len(g.uses))
-	cursor := resizeInt32(g.incScratch, resources)
-	g.incScratch = cursor
-	copy(cursor, g.useIncOff[:resources])
-	for k, u := range g.uses {
-		at := cursor[u.res]
-		g.useIncPos[at] = int32(k)
-		cursor[u.res] = at + 1
-	}
-}
-
 // footprints builds the footprint index if the structure changed since
-// it was last built. Like useIndex it runs only at serial entry points.
+// it was last built. It writes the Game, so it runs only at serial entry
+// points, never inside a par.Pool region.
 func (g *Game) footprints() {
 	if g.fpGen == g.structGen {
 		return
 	}
 	g.fpGen = g.structGen
 	players := g.Players()
-	seen := resizeInt32(g.incScratch, len(g.weights))
-	g.incScratch = seen
+	seen := resizeInt32(g.fpSeen, len(g.weights))
+	g.fpSeen = seen
 	for r := range seen {
 		seen[r] = -1
 	}
@@ -504,27 +469,32 @@ func (g *Game) Resources() int { return len(g.weights) }
 // StrategyCount returns the size of player i's strategy set.
 func (g *Game) StrategyCount(i int) int { return int(g.strOff[i+1] - g.strOff[i]) }
 
-// SetResourceWeight swaps m_r in place — the P2-A Reweight fast path,
-// where only the compute-resource weights 1/ω_n change between BDMA
-// rounds. An Engine bound to the game keeps valid loads (they do not
-// depend on m_r), and its next score reads the new factors. Setting the
-// current weight is a no-op.
-func (g *Game) SetResourceWeight(r int, m float64) error {
-	if r < 0 || r >= len(g.weights) {
-		return fmt.Errorf("game: resource %d of %d", r, len(g.weights))
+// SetResourceWeights swaps m_r in place for the resources first,
+// first+1, … — the P2-A Reweight fast path, where only the
+// compute-resource weights 1/ω_n change between BDMA rounds. One pass
+// over the arena re-derives every premultiplied factor wm = m_r·p_{i,r},
+// the product Build computes, so the game is bit-identical to a fresh
+// build with the new weights. An Engine bound to the game keeps valid
+// loads (they do not depend on m_r), and its next score reads the new
+// factors. The weights are all validated before any is set; setting the
+// current weights is a no-op.
+func (g *Game) SetResourceWeights(first int, weights []float64) error {
+	if first < 0 || first+len(weights) > len(g.weights) {
+		return fmt.Errorf("game: resources [%d, %d) of %d", first, first+len(weights), len(g.weights))
 	}
-	if !(m > 0) || math.IsInf(m, 0) {
-		return fmt.Errorf("game: resource %d has invalid weight %v", r, m)
+	for j, m := range weights {
+		if !(m > 0) || math.IsInf(m, 0) {
+			return fmt.Errorf("game: resource %d has invalid weight %v", first+j, m)
+		}
 	}
-	if m == g.weights[r] {
+	cur := g.weights[first : first+len(weights)]
+	if slices.Equal(cur, weights) {
 		return nil
 	}
-	g.weights[r] = m
-	// Re-derive the premultiplied factors of every use of r through the
-	// use incidence index.
-	g.useIndex()
-	for _, k := range g.useIncPos[g.useIncOff[r]:g.useIncOff[r+1]] {
-		g.uses[k].wm = m * g.uses[k].w
+	copy(cur, weights)
+	uses, all := g.uses, g.weights
+	for k := range uses {
+		uses[k].wm = all[uses[k].res] * uses[k].w
 	}
 	return nil
 }

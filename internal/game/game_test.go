@@ -753,18 +753,15 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	if math.Float64bits(got.Potential(profile)) != math.Float64bits(want.Potential(profile)) {
 		t.Fatalf("potential: got %v, want %v", got.Potential(profile), want.Potential(profile))
 	}
-	// The use and footprint indexes, built on demand, must match the
-	// fresh build's bit for bit.
+	// The footprint index, built on demand, must match the fresh build's
+	// bit for bit.
 	for _, g := range []*Game{got, want} {
-		g.useIndex()
 		g.footprints()
 	}
 	for _, c := range []struct {
 		name      string
 		got, want []int32
 	}{
-		{"useIncOff", got.useIncOff, want.useIncOff},
-		{"useIncPos", got.useIncPos, want.useIncPos},
 		{"fpOff", got.fpOff, want.fpOff},
 		{"fpRes", got.fpRes, want.fpRes},
 	} {
@@ -774,52 +771,47 @@ func requireGamesEqual(t *testing.T, got, want *Game) {
 	}
 }
 
-// indexesBuilt reports whether the use incidence and footprint indexes
-// are current for the game's structure.
-func indexesBuilt(g *Game) (use, footprint bool) {
-	return g.useIncGen == g.structGen, g.fpGen == g.structGen
-}
-
-// requireIndexes fails unless exactly the wanted indexes are current.
-func requireIndexes(t *testing.T, label string, g *Game, use, footprint bool) {
+// requireFootprints fails unless the footprint index's currency for the
+// game's structure is the wanted one.
+func requireFootprints(t *testing.T, label string, g *Game, built bool) {
 	t.Helper()
-	if u, f := indexesBuilt(g); u != use || f != footprint {
-		t.Fatalf("%s: use index built=%v (want %v), footprint index built=%v (want %v)", label, u, use, f, footprint)
+	if f := g.fpGen == g.structGen; f != built {
+		t.Fatalf("%s: footprint index built=%v, want %v", label, f, built)
 	}
 }
 
-// TestBuildAndCommitLeaveIndexesUnbuilt: Build does not pay for the use and
-// footprint indexes, on a fresh Builder or on a rebuild into a recycled arena whose
-// indexes were current for the previous structure; only their readers
-// build them.
+// TestBuildAndCommitLeaveIndexesUnbuilt: Build does not pay for the
+// footprint index, on a fresh Builder or on a rebuild into a recycled
+// arena whose index was current for the previous structure; only its
+// reader builds it.
 func TestBuildAndCommitLeaveIndexesUnbuilt(t *testing.T) {
 	src := rng.New(47)
 	weights := []float64{1.3, 0.6, 2.2, 1.1, 0.8}
 	strats := randomStrategies(src, 6, 3, len(weights))
 	b := NewBuilder()
 	g := streamInto(t, b, weights, strats)
-	requireIndexes(t, "Build", g, false, false)
+	requireFootprints(t, "Build", g, false)
 
-	// Build the indexes, then rebuild different content into the same
-	// arena: the rebuilt game must leave them stale.
-	g.useIndex()
+	// Build the index, then rebuild different content into the same
+	// arena: the rebuilt game must leave it stale.
 	g.footprints()
 	content := [][][]Use{strats[1], strats[4], strats[0]}
 	if g2 := streamInto(t, b, weights, content); g2 != g {
 		t.Fatal("rebuild did not reuse the Builder's stable game")
 	}
-	requireIndexes(t, "rebuild", g, false, false)
+	requireFootprints(t, "rebuild", g, false)
 	requireGamesEqual(t, g, streamInto(t, NewBuilder(), weights, content))
 }
 
-// TestIndexReadersBuildFirst: every reader of an index builds it for the
-// current structure before reading, and only the index it reads; the
-// engine's moves, scores and exact loop read none. Each case first builds every index for a stale structure, so a
-// reader that trusted them would diverge from the fresh build the result
-// is compared against (requireGamesEqual also compares the indexes).
+// TestIndexReadersBuildFirst: the footprint index's one reader, the
+// sharded solve, builds it for the current structure before reading; the
+// engine's moves, scores, exact loop and reweights read no index. Each
+// case first builds the index for a stale structure, so a reader that
+// trusted it would diverge from the fresh build the result is compared
+// against (requireGamesEqual also compares the index).
 func TestIndexReadersBuildFirst(t *testing.T) {
 	weights := []float64{1.4, 0.7, 2.0, 1.2, 0.9, 1.6}
-	// setup builds a game, warms both indexes, and rebuilds different
+	// setup builds a game, warms the index, and rebuilds different
 	// content (odd players plus two new ones) into the same arena.
 	setup := func(t *testing.T, seed int64) (*Game, [][][]Use) {
 		t.Helper()
@@ -827,7 +819,6 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		strats := randomStrategies(src, 8, 3, len(weights))
 		b := NewBuilder()
 		g := streamInto(t, b, weights, strats)
-		g.useIndex()
 		g.footprints()
 		var content [][][]Use
 		for i := 1; i < len(strats); i += 2 {
@@ -835,7 +826,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		}
 		content = append(content, randomStrategies(src, 2, 2, len(weights))...)
 		streamInto(t, b, weights, content)
-		requireIndexes(t, "setup", g, false, false)
+		requireFootprints(t, "setup", g, false)
 		return g, content
 	}
 	fresh := func(t *testing.T, w []float64, content [][][]Use) *Game {
@@ -845,7 +836,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 	t.Run("Bind+Move", func(t *testing.T) {
 		g, content := setup(t, 1)
 		e := NewEngine(g)
-		requireIndexes(t, "Bind", g, false, false)
+		requireFootprints(t, "Bind", g, false)
 		want := NewEngine(fresh(t, weights, content))
 		for _, eng := range []*Engine{e, want} {
 			eng.ResetRandom(rng.New(2))
@@ -853,7 +844,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		requireIndexes(t, "Move", g, false, false)
+		requireFootprints(t, "Move", g, false)
 		// Scores after the move match the fresh build's bit for bit.
 		for i := 0; i < g.Players(); i++ {
 			gotS, gotC := e.BestResponse(i)
@@ -863,15 +854,15 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 				t.Fatalf("player %d: cost %v best (%d, %v), fresh %v (%d, %v)", i, gotCur, gotS, gotC, wantCur, wantS, wantC)
 			}
 		}
-		requireIndexes(t, "scores", g, false, false)
+		requireFootprints(t, "scores", g, false)
 		requireGamesEqual(t, g, fresh(t, weights, content))
 	})
 	t.Run("SetResourceWeight", func(t *testing.T) {
 		g, content := setup(t, 3)
-		if err := g.SetResourceWeight(2, 3.5); err != nil {
+		if err := g.SetResourceWeights(2, []float64{3.5}); err != nil {
 			t.Fatal(err)
 		}
-		requireIndexes(t, "SetResourceWeight", g, true, false)
+		requireFootprints(t, "SetResourceWeight", g, false)
 		w := append([]float64(nil), weights...)
 		w[2] = 3.5
 		requireGamesEqual(t, g, fresh(t, w, content))
@@ -886,7 +877,7 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIndexes(t, "CGBA", g, false, false)
+		requireFootprints(t, "CGBA", g, false)
 		requireSameResult(t, "CGBA", got, want)
 	})
 	t.Run("CGBASharded", func(t *testing.T) {
@@ -895,9 +886,9 @@ func TestIndexReadersBuildFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIndexes(t, "New", g, false, false)
+		requireFootprints(t, "New", g, false)
 		runCGBASharded(t, g, CGBAConfig{Lambda: 0.01}, plan, 1, 2)
 		// The sharded sweeps read only the footprint index.
-		requireIndexes(t, "CGBASharded", g, false, true)
+		requireFootprints(t, "CGBASharded", g, true)
 	})
 }

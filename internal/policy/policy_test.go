@@ -281,9 +281,7 @@ func TestEdgeOnlyCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := gen.Next()
-	for k := range st.Channels[2] {
-		st.Channels[2][k] = 0
-	}
+	st.Channels[2] = nil
 	if _, err := p.Decide(1, st); err == nil {
 		t.Error("edge-only decided a device with no coverage")
 	}
@@ -309,7 +307,7 @@ func TestDecideRejectsInvalidState(t *testing.T) {
 				slot++
 			}
 			bad := gen.Next()
-			bad.Channels[3][0] = units.SpectralEfficiency(math.NaN())
+			bad.Channels[3][0].SE = units.SpectralEfficiency(math.NaN())
 			want := sys.CheckState(bad)
 			if want == nil {
 				t.Fatal("CheckState accepted a NaN channel")

@@ -137,7 +137,7 @@ func refPickEdgeOnly(b *refBaseline, st *trace.State) (core.Selection, error) {
 		}
 		bestK, bestSE := -1, 0.0
 		for k := range b.sys.Net.BaseStations {
-			if se := float64(st.Channels[i][k]); se > bestSE {
+			if se := float64(st.Channel(i, k)); se > bestSE {
 				bestK, bestSE = k, se
 			}
 		}

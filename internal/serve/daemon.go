@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -260,12 +261,12 @@ func (d *Daemon) loadState(src *trace.State) {
 		Slot:        src.Slot,
 		TaskSizes:   append([]units.Cycles(nil), src.TaskSizes...),
 		DataLengths: append([]units.DataSize(nil), src.DataLengths...),
-		Channels:    make([][]units.SpectralEfficiency, len(src.Channels)),
+		Channels:    make([][]trace.Link, len(src.Channels)),
 		FronthaulSE: append([]units.SpectralEfficiency(nil), src.FronthaulSE...),
 		Price:       src.Price,
 	}
-	for i := range src.Channels {
-		st.Channels[i] = append([]units.SpectralEfficiency(nil), src.Channels[i]...)
+	for i, row := range src.Channels {
+		st.Channels[i] = slices.Clone(row)
 	}
 	d.st = st
 	d.deviceActive = fullMask(d.devices, src.DeviceActive)

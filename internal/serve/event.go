@@ -22,7 +22,8 @@ const (
 	// data length (Data, bits).
 	KindDemand Kind = "demand"
 	// KindChannel sets the access-link spectral efficiency between Device
-	// and Station to Value (0 = out of coverage).
+	// and Station to Value; Value 0 puts the pair out of coverage,
+	// removing the link.
 	KindChannel Kind = "channel"
 	// KindFronthaul sets Station's fronthaul spectral efficiency to Value.
 	KindFronthaul Kind = "fronthaul"
@@ -30,7 +31,7 @@ const (
 	KindDeviceJoin Kind = "device-join"
 	// KindDeviceLeave deactivates Device (churn leave).
 	KindDeviceLeave Kind = "device-leave"
-	// KindHandover zeroes the (Device, Station) channel entry, forcing the
+	// KindHandover removes the (Device, Station) channel link, forcing the
 	// device off that station (the streaming form of trace.Handover).
 	KindHandover Kind = "handover"
 	// KindServerAdd re-activates Server (churn server add).
@@ -140,7 +141,7 @@ func (d *Daemon) apply(ev Event) {
 		d.st.TaskSizes[ev.Device] = units.Cycles(ev.Task)
 		d.st.DataLengths[ev.Device] = units.DataSize(ev.Data)
 	case KindChannel:
-		d.st.Channels[ev.Device][ev.Station] = units.SpectralEfficiency(ev.Value)
+		d.st.SetChannel(ev.Device, ev.Station, units.SpectralEfficiency(ev.Value))
 	case KindFronthaul:
 		d.st.FronthaulSE[ev.Station] = units.SpectralEfficiency(ev.Value)
 	case KindDeviceJoin:
@@ -148,7 +149,7 @@ func (d *Daemon) apply(ev Event) {
 	case KindDeviceLeave:
 		d.deviceActive[ev.Device] = false
 	case KindHandover:
-		d.st.Channels[ev.Device][ev.Station] = 0
+		d.st.SetChannel(ev.Device, ev.Station, 0)
 	case KindServerAdd:
 		d.serverActive[ev.Server] = true
 	case KindServerRemove:
@@ -164,7 +165,7 @@ func (d *Daemon) apply(ev Event) {
 
 // DiffStates converts the transition prev → next into the event batch
 // that reproduces it: price and fronthaul moves, per-device demand moves,
-// every changed channel entry, and the activity/drain/capacity mask
+// every changed channel link, and the activity/drain/capacity mask
 // transitions. Feeding a daemon initialized at state 1 the diffs of each
 // consecutive state pair replays the exact batch trace — the invariant the
 // equivalence tests and cmd/loadgen are built on. Events are emitted in a
@@ -191,11 +192,7 @@ func DiffStates(prev, next *trace.State) []Event {
 		}
 	}
 	for i := range next.Channels {
-		for k := range next.Channels[i] {
-			if next.Channels[i][k] != prev.Channels[i][k] {
-				out = append(out, Event{Kind: KindChannel, Device: i, Station: k, Value: float64(next.Channels[i][k])})
-			}
-		}
+		out = diffRow(out, i, prev.Channels[i], next.Channels[i])
 	}
 	for i := 0; i < len(next.TaskSizes); i++ {
 		was, is := prev.ActiveDevice(i), next.ActiveDevice(i)
@@ -243,6 +240,29 @@ func DiffStates(prev, next *trace.State) []Event {
 		}
 		if prev.Cap(n) != next.Cap(n) {
 			out = append(out, Event{Kind: KindCapScale, Server: n, Value: next.Cap(n)})
+		}
+	}
+	return out
+}
+
+// diffRow appends the channel events that turn device i's row a into b:
+// one per station whose efficiency differs, in ascending station order,
+// carrying b's value (0 for a link b lacks). It merges the two sorted
+// rows, so it reads only their links.
+func diffRow(out []Event, i int, a, b []trace.Link) []Event {
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0].Station < b[0].Station):
+			out = append(out, Event{Kind: KindChannel, Device: i, Station: a[0].Station})
+			a = a[1:]
+		case len(a) == 0 || b[0].Station < a[0].Station:
+			out = append(out, Event{Kind: KindChannel, Device: i, Station: b[0].Station, Value: float64(b[0].SE)})
+			b = b[1:]
+		default:
+			if a[0].SE != b[0].SE {
+				out = append(out, Event{Kind: KindChannel, Device: i, Station: b[0].Station, Value: float64(b[0].SE)})
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
 	return out

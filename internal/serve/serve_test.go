@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -512,6 +513,13 @@ func TestRestoreGuards(t *testing.T) {
 		t.Fatalf("mismatched universe accepted: %v", err)
 	}
 
+	// A negative channel entry has no sparse form and is rejected.
+	neg := daemon.Snapshot()
+	neg.State.Channels[2][1] = -1
+	if err := daemon.Restore(neg); err == nil || !strings.Contains(err.Error(), "channel (2, 1)") {
+		t.Fatalf("negative channel accepted: %v", err)
+	}
+
 	// Round trip through the JSON codec preserves the snapshot, and a
 	// truncated payload is rejected.
 	var buf bytes.Buffer
@@ -595,5 +603,56 @@ func TestRunTicksOnCadence(t *testing.T) {
 	}
 	if err := manual.Run(ctx, nil); err == nil {
 		t.Fatal("Run accepted manual mode")
+	}
+}
+
+// TestDiffStatesChannelEvents: DiffStates merges the two sorted channel
+// rows of each device and must emit exactly the events a dense scan over
+// every (device, station) entry emits, in the same order — one per
+// changed entry, carrying the new value, 0 for a removed link. Pairs of
+// churned states one and five slots apart cover updates, handover
+// removals, and links gained and lost by mobility.
+func TestDiffStatesChannelEvents(t *testing.T) {
+	sys, gen := buildSystem(t, 40, 5)
+	sched, err := trace.NewChurnSchedule(testChurn(5), sys.Net, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := trace.Record(sched, 30)
+	stations := len(sys.Net.BaseStations)
+	dense := func(prev, next *trace.State) []serve.Event {
+		var out []serve.Event
+		for i := range next.Channels {
+			for k := 0; k < stations; k++ {
+				if a, b := prev.Channel(i, k), next.Channel(i, k); a != b {
+					out = append(out, serve.Event{Kind: serve.KindChannel, Device: i, Station: k, Value: float64(b)})
+				}
+			}
+		}
+		return out
+	}
+	removals := 0
+	for s := 1; s < len(states); s++ {
+		for _, gap := range []int{1, 5} {
+			if s < gap {
+				continue
+			}
+			prev, next := states[s-gap], states[s]
+			var got []serve.Event
+			for _, ev := range serve.DiffStates(prev, next) {
+				if ev.Kind == serve.KindChannel {
+					got = append(got, ev)
+					if ev.Value == 0 {
+						removals++
+					}
+				}
+			}
+			if want := dense(prev, next); !reflect.DeepEqual(got, want) {
+				t.Fatalf("slots %d → %d: channel events\n got %v\nwant %v", s-gap, s, got, want)
+			}
+		}
+	}
+	if removals == 0 {
+		t.Fatal("test premise broken: no link was removed")
 	}
 }

@@ -49,7 +49,8 @@ type SnapshotState struct {
 	TaskSizes []float64 `json:"task_sizes"`
 	// DataLengths holds d_{i,t} in bits.
 	DataLengths []float64 `json:"data_lengths"`
-	// Channels holds h_{i,k,t} in bps/Hz (0 = out of coverage).
+	// Channels holds h_{i,k,t} in bps/Hz as a dense devices × stations
+	// matrix (0 = out of coverage).
 	Channels [][]float64 `json:"channels"`
 	// FronthaulSE holds h_k^F per station in bps/Hz.
 	FronthaulSE []float64 `json:"fronthaul_se"`
@@ -110,9 +111,9 @@ func (d *Daemon) Snapshot() Snapshot {
 		st.DataLengths[i] = float64(v)
 	}
 	for i, row := range d.st.Channels {
-		st.Channels[i] = make([]float64, len(row))
-		for k, v := range row {
-			st.Channels[i][k] = float64(v)
+		st.Channels[i] = make([]float64, d.stations)
+		for _, l := range row {
+			st.Channels[i][l.Station] = float64(l.SE)
 		}
 	}
 	for k, v := range d.st.FronthaulSE {
@@ -171,6 +172,11 @@ func (d *Daemon) Restore(s Snapshot) error {
 		if len(row) != d.stations {
 			return fmt.Errorf("serve: snapshot channel row %d has %d stations, daemon %d", i, len(row), d.stations)
 		}
+		for k, v := range row {
+			if v < 0 {
+				return fmt.Errorf("serve: snapshot channel (%d, %d) is %v", i, k, v)
+			}
+		}
 	}
 
 	d.tickMu.Lock()
@@ -182,7 +188,7 @@ func (d *Daemon) Restore(s Snapshot) error {
 	st := &trace.State{
 		TaskSizes:   make([]units.Cycles, d.devices),
 		DataLengths: make([]units.DataSize, d.devices),
-		Channels:    make([][]units.SpectralEfficiency, d.devices),
+		Channels:    make([][]trace.Link, d.devices),
 		FronthaulSE: make([]units.SpectralEfficiency, d.stations),
 		Price:       units.Price(s.State.Price),
 	}
@@ -192,10 +198,12 @@ func (d *Daemon) Restore(s Snapshot) error {
 	for i, v := range s.State.DataLengths {
 		st.DataLengths[i] = units.DataSize(v)
 	}
+	// The dense wire rows keep their positive entries as links.
 	for i, row := range s.State.Channels {
-		st.Channels[i] = make([]units.SpectralEfficiency, len(row))
 		for k, v := range row {
-			st.Channels[i][k] = units.SpectralEfficiency(v)
+			if v > 0 {
+				st.Channels[i] = append(st.Channels[i], trace.Link{Station: k, SE: units.SpectralEfficiency(v)})
+			}
 		}
 	}
 	for k, v := range s.State.FronthaulSE {

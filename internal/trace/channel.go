@@ -47,6 +47,9 @@ type ChannelProcess struct {
 	positions []topology.Point
 	waypoints []topology.Point
 
+	// cells lists each device's candidate stations by its grid cell.
+	cells cellTable
+
 	// fading holds last slot's AR(1) deviation (bps/Hz) of every covered
 	// pair, device by device in ascending station order: device i's pairs
 	// are fading[fadeOff[i]:fadeOff[i+1]]. Every other pair's deviation
@@ -54,6 +57,11 @@ type ChannelProcess struct {
 	// slot's memory in before swapping.
 	fading, spare     []fade
 	fadeOff, spareOff []int
+
+	// links and rowEnd are the scratch Next builds a slot's rows in:
+	// device i's links end at links[rowEnd[i]].
+	links  []Link
+	rowEnd []int
 }
 
 // fade is one covered pair's AR(1) deviation toward station k.
@@ -83,8 +91,10 @@ func NewChannelProcess(cfg ChannelConfig, net *topology.Network, src *rng.Source
 		area:      area,
 		positions: make([]topology.Point, devices),
 		waypoints: make([]topology.Point, devices),
+		cells:     newCellTable(net.BaseStations, area),
 		fadeOff:   make([]int, devices+1),
 		spareOff:  make([]int, devices+1),
+		rowEnd:    make([]int, devices),
 	}
 	for i := range p.positions {
 		p.positions[i] = net.Devices[i].Pos
@@ -125,22 +135,24 @@ func (p *ChannelProcess) step() {
 	}
 }
 
-// Next advances the mobility model one slot and returns the channel matrix
-// h[i][k]; zero entries mark out-of-coverage pairs. The rows share one
-// backing array and are sliced at full capacity, so an append to one row
-// reallocates instead of writing into the next.
-func (p *ChannelProcess) Next() [][]units.SpectralEfficiency {
+// Next advances the mobility model one slot and returns the channel rows:
+// device i's row lists its covered stations in ascending order (see
+// State.Channels). Candidate stations come from the device's grid cell
+// and are visited in ascending order, so the pairs drawn, their draw
+// order and their float operations are those of a scan over every
+// station. The rows share one backing array sized to the slot's links
+// and are sliced at full capacity, so an append to one row reallocates
+// instead of writing into the next.
+func (p *ChannelProcess) Next() [][]Link {
 	p.step()
-	stations := len(p.net.BaseStations)
-	flat := make([]units.SpectralEfficiency, len(p.positions)*stations)
-	out := make([][]units.SpectralEfficiency, len(p.positions))
 	span := float64(p.cfg.SEMax - p.cfg.SEMin)
 	next := p.spare[:0]
+	links := p.links[:0]
 	for i, pos := range p.positions {
 		prev := p.fading[p.fadeOff[i]:p.fadeOff[i+1]]
 		p.spareOff[i] = len(next)
-		row := flat[i*stations : (i+1)*stations : (i+1)*stations]
-		for k := range p.net.BaseStations {
+		for _, k32 := range p.cells.candidates(pos) {
+			k := int(k32)
 			bs := &p.net.BaseStations[k]
 			r := bs.CoverageRadius
 			// Exact prefilter: Hypot(dx, dy) >= max(|dx|, |dy|) in IEEE
@@ -166,13 +178,26 @@ func (p *ChannelProcess) Next() [][]units.SpectralEfficiency {
 			}
 			dev = p.cfg.ARCoeff*dev + p.src.Normal(0, p.cfg.NoiseSigma)
 			next = append(next, fade{k: k, dev: dev})
-			se := rng.Clamp(level+dev, float64(p.cfg.SEMin), float64(p.cfg.SEMax))
-			row[k] = units.SpectralEfficiency(se)
+			// A clamp to a zero SEMin leaves the pair unusable: it keeps
+			// its fading memory but stores no link.
+			if se := rng.Clamp(level+dev, float64(p.cfg.SEMin), float64(p.cfg.SEMax)); se > 0 {
+				links = append(links, Link{Station: k, SE: units.SpectralEfficiency(se)})
+			}
 		}
-		out[i] = row
+		p.rowEnd[i] = len(links)
 	}
 	p.spareOff[len(p.positions)] = len(next)
 	p.fading, p.spare = next, p.fading
 	p.fadeOff, p.spareOff = p.spareOff, p.fadeOff
+	p.links = links
+
+	flat := make([]Link, len(links))
+	copy(flat, links)
+	out := make([][]Link, len(p.positions))
+	start := 0
+	for i, end := range p.rowEnd {
+		out[i] = flat[start:end:end]
+		start = end
+	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"eotora/internal/rng"
 	"eotora/internal/topology"
-	"eotora/internal/units"
 )
 
 // ChurnKind enumerates the population events a ChurnSchedule can apply.
@@ -18,7 +17,7 @@ const (
 	// DeviceLeave deactivates an active device.
 	DeviceLeave
 	// Handover forces an active device off its strongest station by
-	// zeroing that channel entry (the device re-associates elsewhere).
+	// removing that channel link (the device re-associates elsewhere).
 	Handover
 	// ServerAdd activates a previously removed server.
 	ServerAdd
@@ -233,7 +232,7 @@ func (c *ChurnSchedule) Next() *State {
 				active--
 				events = append(events, ChurnEvent{Kind: DeviceLeave, Device: i, Server: -1, Station: -1})
 			}
-		} else if c.cfg.DeviceJoinProb > 0 && r.Bernoulli(c.cfg.DeviceJoinProb) && c.covered(st, i) {
+		} else if c.cfg.DeviceJoinProb > 0 && r.Bernoulli(c.cfg.DeviceJoinProb) && len(st.Channels[i]) > 0 {
 			c.deviceActive[i] = true
 			active++
 			events = append(events, ChurnEvent{Kind: DeviceJoin, Device: i, Server: -1, Station: -1})
@@ -241,19 +240,18 @@ func (c *ChurnSchedule) Next() *State {
 	}
 
 	// Forced handovers: drop the strongest covered station of devices
-	// with an alternative. The channel row is copied before editing so
-	// replayed or recorded states are never mutated in place.
+	// with an alternative. The edited row is a fresh copy, so replayed or
+	// recorded states are never mutated in place.
 	if c.cfg.HandoverProb > 0 {
 		for i := range c.deviceActive {
 			if !c.deviceActive[i] || !r.Bernoulli(c.cfg.HandoverProb) {
 				continue
 			}
-			if k := c.strongestWithAlternative(st, i); k >= 0 {
-				row := make([]units.SpectralEfficiency, len(st.Channels[i]))
-				copy(row, st.Channels[i])
-				row[k] = 0
-				st.Channels[i] = row
-				events = append(events, ChurnEvent{Kind: Handover, Device: i, Server: -1, Station: k})
+			if j := strongestWithAlternative(st.Channels[i]); j >= 0 {
+				old := st.Channels[i]
+				row := make([]Link, 0, len(old)-1)
+				st.Channels[i] = append(append(row, old[:j]...), old[j+1:]...)
+				events = append(events, ChurnEvent{Kind: Handover, Device: i, Server: -1, Station: old[j].Station})
 			}
 		}
 	}
@@ -289,31 +287,18 @@ func (c *ChurnSchedule) Next() *State {
 	return st
 }
 
-// covered reports whether device i is inside any station's coverage.
-func (c *ChurnSchedule) covered(st *State, i int) bool {
-	for k := range st.Channels[i] {
-		if st.Channels[i][k] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// strongestWithAlternative returns the strongest covered station of
-// device i when at least one other covered station exists, -1 otherwise.
-func (c *ChurnSchedule) strongestWithAlternative(st *State, i int) int {
-	best, count := -1, 0
-	for k, h := range st.Channels[i] {
-		if h <= 0 {
-			continue
-		}
-		count++
-		if best < 0 || h > st.Channels[i][best] {
-			best = k
-		}
-	}
-	if count < 2 {
+// strongestWithAlternative returns the position in a channel row of its
+// strongest link (the lowest station on a tie) when the row holds at
+// least one other link, -1 otherwise.
+func strongestWithAlternative(row []Link) int {
+	if len(row) < 2 {
 		return -1
+	}
+	best := 0
+	for j, l := range row {
+		if l.SE > row[best].SE {
+			best = j
+		}
 	}
 	return best
 }

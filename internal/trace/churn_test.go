@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"eotora/internal/topology"
@@ -163,16 +164,10 @@ func TestChurnInvariants(t *testing.T) {
 				}
 			}
 			if ev.Kind == Handover {
-				if st.Channels[ev.Device][ev.Station] != 0 {
-					t.Fatalf("slot %d: handover left channel (%d, %d) nonzero", slot, ev.Device, ev.Station)
+				if st.Covered(ev.Device, ev.Station) {
+					t.Fatalf("slot %d: handover left channel (%d, %d) covered", slot, ev.Device, ev.Station)
 				}
-				covered := false
-				for _, h := range st.Channels[ev.Device] {
-					if h > 0 {
-						covered = true
-					}
-				}
-				if !covered {
+				if len(st.Channels[ev.Device]) == 0 {
 					t.Fatalf("slot %d: handover stranded device %d", slot, ev.Device)
 				}
 			}
@@ -204,31 +199,43 @@ func TestChurnInvariants(t *testing.T) {
 }
 
 // TestChurnCopyOnWriteChannels: handover edits must not write through to
-// rows shared with a recorded or replayed state.
+// the rows of a recorded or replayed state, whose links share one
+// backing array.
 func TestChurnCopyOnWriteChannels(t *testing.T) {
-	net, genA, genB := churnHarness(t, 20)
-	cfg := ChurnConfig{Seed: 2, HandoverProb: 1, InitialActiveFraction: 1}
-	sched, err := NewChurnSchedule(cfg, net, genA)
+	net, _, genB := churnHarness(t, 20)
+	states := Record(genB, 10)
+	// The rows as recorded, before the schedule sees them, and deep
+	// copies to compare them with afterwards.
+	rows := make([][][]Link, len(states))
+	want := make([][][]Link, len(states))
+	for s, st := range states {
+		rows[s] = slices.Clone(st.Channels)
+		for _, row := range st.Channels {
+			want[s] = append(want[s], slices.Clone(row))
+		}
+	}
+	re, err := NewReplay(states, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot := 0; slot < 10; slot++ {
-		st, clean := sched.Next(), genB.Next()
-		handed := false
-		for _, ev := range st.Churn {
-			if ev.Kind != Handover {
-				continue
-			}
-			handed = true
-			if clean.Channels[ev.Device][ev.Station] == 0 {
-				t.Fatalf("slot %d: test premise broken — station %d was already zero", slot, ev.Station)
+	sched, err := NewChurnSchedule(ChurnConfig{Seed: 2, HandoverProb: 1, InitialActiveFraction: 1}, net, re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handovers := 0
+	for s := range states {
+		for _, ev := range sched.Next().Churn {
+			if ev.Kind == Handover {
+				handovers++
 			}
 		}
-		if handed {
-			return
+		if !reflect.DeepEqual(rows[s], want[s]) {
+			t.Fatalf("slot %d: a handover wrote through to the recorded rows", s)
 		}
 	}
-	t.Fatal("no handover fired in 10 slots with probability 1")
+	if handovers == 0 {
+		t.Fatal("no handover fired in 10 slots with probability 1")
+	}
 }
 
 // TestChurnMaskCopy: a full mask publishes nil (the exact legacy path), a

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"eotora/internal/topology"
 )
 
 // FuzzLoadColumnCSV checks the CSV loader never panics and never returns
@@ -69,6 +72,56 @@ func FuzzCoveragePrefilter(f *testing.F) {
 		}
 		if d := math.Hypot(dx, dy); !(d > r) {
 			t.Errorf("Hypot(%v, %v) = %v <= r = %v, but the prefilter skips the pair", dx, dy, d, r)
+		}
+	})
+}
+
+// FuzzCellTable checks the exactness of the channel process's cell
+// table: for finite positions and radii, a station left out of a
+// device's candidate list fails the coverage prefilter |dx| > r ||
+// |dy| > r at the device, whatever the grid (its cell size follows area
+// and r), wherever the device sits — on a cell edge, off the grid, or
+// where rounding px/size lands it in the neighbouring cell. A second
+// station, listed or not, checks the list's ascending order.
+func FuzzCellTable(f *testing.F) {
+	f.Add(770.0, 250.0, 520.0, 250.0, 250.0, 5000.0)                  // bx−r on a cell edge
+	f.Add(770.0, 250.0, 520.0, math.Nextafter(250, 0), 250.0, 5000.0) // just left of it
+	f.Add(math.Nextafter(770, 0), 250.0, 520.0, 250.0, 250.0, 5000.0) // bound an ulp inside
+	f.Add(0.8, 0.5, 0.5, 0.3, 0.5, 1.0)                               // 0.3/0.1 rounds below 3
+	f.Add(0.1+0.2, 0.7, 0.4, 0.7000000000000001, 0.7, 1.0)            // bx+r on a rounded edge
+	f.Add(-520.0, -1.0, 520.0, 0.0, -1e-300, 5000.0)                  // below the grid
+	f.Add(5600.0, 5600.0, 600.0, 5000.0, 5000.0, 5000.0)              // above the grid
+	f.Add(2500.0, 2500.0, 1e308, -1e308, 1e308, 5000.0)               // radius past the grid
+	f.Add(3.0, 3.0, -2.0, 3.0, 3.0, 10.0)                             // negative radius
+	f.Add(5e-324, 5e-324, 5e-324, 1e-323, 0.0, 1e-320)                // subnormal grid
+	f.Add(1e308, 1e308, 1e307, 9.5e307, 1e308, math.MaxFloat64)       // near overflow
+	f.Add(1e15+0.5, 7.0, 1e-3, 1e15+0.5009765625, 7.0, 2e15)          // r below an ulp of x
+	f.Fuzz(func(t *testing.T, bx, by, r, px, py, area float64) {
+		for _, v := range []float64{bx, by, r, px, py, area} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		stations := []topology.BaseStation{
+			{Pos: topology.Point{X: area / 2, Y: area / 2}, CoverageRadius: area / 3},
+			{Pos: topology.Point{X: bx, Y: by}, CoverageRadius: r},
+		}
+		table := newCellTable(stations, area)
+		list := table.candidates(topology.Point{X: px, Y: py})
+		for j := 1; j < len(list); j++ {
+			if list[j] <= list[j-1] {
+				t.Fatalf("candidates %v not strictly ascending", list)
+			}
+		}
+		for k, bs := range stations {
+			if slices.Contains(list, int32(k)) {
+				continue
+			}
+			dx, dy := bs.Pos.X-px, bs.Pos.Y-py
+			if !(math.Abs(dx) > bs.CoverageRadius || math.Abs(dy) > bs.CoverageRadius) {
+				t.Errorf("station %d at %+v (r %v) passes the prefilter at (%v, %v) but is not in its cell's list %v (side %d, size %v)",
+					k, bs.Pos, bs.CoverageRadius, px, py, list, table.side, table.size)
+			}
 		}
 	})
 }

@@ -14,9 +14,13 @@ import (
 // stateHasher folds every field of a State into an FNV-64a digest: float
 // fields by their IEEE bits, slices with their lengths and a nil marker,
 // so a reordered draw, a changed rounding or a nil/empty swap all show.
+// Channel rows are hashed as dense rows of stations entries read through
+// State.Channel (0 off coverage), the byte sequence the digests were
+// pinned on.
 type stateHasher struct {
-	h   hash.Hash64
-	buf [8]byte
+	h        hash.Hash64
+	buf      [8]byte
+	stations int
 }
 
 func (s *stateHasher) u64(v uint64) {
@@ -58,8 +62,11 @@ func (s *stateHasher) state(st *State) {
 	hashFloats(s, st.TaskSizes)
 	hashFloats(s, st.DataLengths)
 	s.length(st.Channels == nil, len(st.Channels))
-	for _, row := range st.Channels {
-		hashFloats(s, row)
+	for i := range st.Channels {
+		s.length(false, s.stations)
+		for k := 0; k < s.stations; k++ {
+			s.f64(float64(st.Channel(i, k)))
+		}
 	}
 	hashFloats(s, st.FronthaulSE)
 	s.f64(float64(st.Price))
@@ -118,7 +125,7 @@ func TestStateSourceGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s := stateHasher{h: fnv.New64a()}
+			s := stateHasher{h: fnv.New64a(), stations: len(net.BaseStations)}
 			flashes := 0
 			for slot := 0; slot < 50; slot++ {
 				s.state(src.Next())

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 
 	"eotora/internal/obs"
 	"eotora/internal/units"
@@ -13,12 +14,12 @@ const MetricRepairs = "trace.repairs"
 
 // Sanitizer wraps a Source and repairs invalid fields in every state
 // before it reaches the controller: NaN, infinite, or negative task sizes,
-// data lengths, channel gains, fronthaul efficiencies, and prices are
-// replaced with the last good value seen in the same position (or a safe
-// default before any good value exists), and a device whose entire channel
-// row was zeroed — which would strand it with no coverage — gets its last
-// good row restored. Out-of-range CapScale entries are clamped to the
-// nominal 1.
+// data lengths, fronthaul efficiencies, and prices are replaced with the
+// last good value seen in the same position (or a safe default before any
+// good value exists); a channel link whose efficiency is not a positive
+// finite number is dropped, and a device left with no link — which would
+// strand it with no coverage — gets its last good row restored. Out-of-
+// range CapScale entries are clamped to the nominal 1.
 //
 // The sanitizer is opt-in: sources not wrapped in one flow through
 // untouched, and a wrapped source emitting only valid states is returned
@@ -29,10 +30,14 @@ const MetricRepairs = "trace.repairs"
 type Sanitizer struct {
 	src Source
 
-	// Last-good copies, reused across slots.
+	// Last-good copies, reused across slots. Device i's last good row is
+	// goodLinks[goodOff[i]:goodOff[i+1]], taken from a state with
+	// goodStations stations.
 	goodTasks    []units.Cycles
 	goodData     []units.DataSize
-	goodChannels [][]units.SpectralEfficiency
+	goodLinks    []Link
+	goodOff      []int
+	goodStations int
 	goodFront    []units.SpectralEfficiency
 	goodPrice    units.Price
 
@@ -94,30 +99,21 @@ func (z *Sanitizer) Apply(st *State) int {
 			n++
 		}
 	}
+	stations := len(st.FronthaulSE)
 	for i := range st.Channels {
-		row := st.Channels[i]
-		if len(row) == 0 {
-			// A zero-station row is a shape defect, not a corrupted value;
-			// CheckState rejects it and there is nothing here to repair.
-			continue
-		}
-		covered := false
-		for k := range row {
-			if bad(row[k].BpsPerHz()) {
-				row[k] = 0 // repaired below if the whole row went dark
-				n++
-			}
-			if row[k] > 0 {
-				covered = true
-			}
-		}
-		if !covered {
-			// The device lost all coverage to corruption: restore its last
-			// good row, or pin it to station 0 before one exists.
-			if i < len(z.goodChannels) && len(z.goodChannels[i]) == len(row) {
-				copy(row, z.goodChannels[i])
+		// Drop every unusable link, compacting the row in place; a clean
+		// row is left untouched.
+		row := slices.DeleteFunc(st.Channels[i], unusable)
+		n += len(st.Channels[i]) - len(row)
+		st.Channels[i] = row
+		if len(row) == 0 && stations > 0 {
+			// The device lost all coverage: restore its last good row, or
+			// pin it to station 0 before one exists. A state without
+			// stations is a shape defect CheckState rejects.
+			if i+1 < len(z.goodOff) && z.goodStations == stations && z.goodOff[i] < z.goodOff[i+1] {
+				st.Channels[i] = append([]Link(nil), z.goodLinks[z.goodOff[i]:z.goodOff[i+1]]...)
 			} else {
-				row[0] = fallbackChannel
+				st.Channels[i] = []Link{{Station: 0, SE: fallbackChannel}}
 			}
 			n++
 		}
@@ -147,16 +143,22 @@ func (z *Sanitizer) Apply(st *State) int {
 	z.goodTasks = append(z.goodTasks[:0], st.TaskSizes...)
 	z.goodData = append(z.goodData[:0], st.DataLengths...)
 	z.goodFront = append(z.goodFront[:0], st.FronthaulSE...)
-	if cap(z.goodChannels) < len(st.Channels) {
-		z.goodChannels = make([][]units.SpectralEfficiency, len(st.Channels))
-	} else {
-		z.goodChannels = z.goodChannels[:len(st.Channels)]
+	z.goodLinks = z.goodLinks[:0]
+	z.goodOff = append(z.goodOff[:0], 0)
+	for _, row := range st.Channels {
+		z.goodLinks = append(z.goodLinks, row...)
+		z.goodOff = append(z.goodOff, len(z.goodLinks))
 	}
-	for i := range st.Channels {
-		z.goodChannels[i] = append(z.goodChannels[i][:0], st.Channels[i]...)
-	}
+	z.goodStations = stations
 	z.goodPrice = st.Price
 	return n
+}
+
+// unusable reports a channel link whose efficiency is not a positive
+// finite number.
+func unusable(l Link) bool {
+	v := l.SE.BpsPerHz()
+	return bad(v) || v == 0
 }
 
 // bad reports a value unusable as a non-negative finite quantity.

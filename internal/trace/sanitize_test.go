@@ -15,9 +15,9 @@ func sampleState() *State {
 		Slot:        1,
 		TaskSizes:   []units.Cycles{60e6, 80e6},
 		DataLengths: []units.DataSize{4e6, 5e6},
-		Channels: [][]units.SpectralEfficiency{
-			{18, 0},
-			{0, 20},
+		Channels: [][]Link{
+			{{Station: 0, SE: 18}},
+			{{Station: 1, SE: 20}},
 		},
 		FronthaulSE: []units.SpectralEfficiency{30, 28},
 		Price:       40,
@@ -25,8 +25,8 @@ func sampleState() *State {
 }
 
 // checkFinite asserts the invariant Apply guarantees: every numeric field
-// finite and usable (prices and fronthaul strictly positive, every device
-// covered by at least one station).
+// finite and usable (prices, fronthaul and stored links strictly
+// positive, every device covered by at least one station).
 func checkFinite(t *testing.T, st *State) {
 	t.Helper()
 	for i, v := range st.TaskSizes {
@@ -40,17 +40,12 @@ func checkFinite(t *testing.T, st *State) {
 		}
 	}
 	for i, row := range st.Channels {
-		covered := false
-		for k, v := range row {
-			f := v.BpsPerHz()
-			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-				t.Fatalf("channel [%d][%d] = %v after sanitize", i, k, f)
-			}
-			if f > 0 {
-				covered = true
+		for _, l := range row {
+			if f := l.SE.BpsPerHz(); math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 {
+				t.Fatalf("channel [%d][%d] = %v after sanitize", i, l.Station, f)
 			}
 		}
-		if len(row) > 0 && !covered {
+		if len(row) == 0 && len(st.FronthaulSE) > 0 {
 			t.Fatalf("device %d left with no coverage after sanitize", i)
 		}
 	}
@@ -93,7 +88,7 @@ func TestSanitizerRepairsCorruption(t *testing.T) {
 	st := sampleState()
 	st.TaskSizes[0] = units.Cycles(math.NaN())
 	st.DataLengths[1] = -5
-	st.Channels[0][0] = units.SpectralEfficiency(math.Inf(1))
+	st.Channels[0][0].SE = units.SpectralEfficiency(math.Inf(1))
 	st.FronthaulSE[1] = 0
 	st.Price = units.Price(math.NaN())
 	st.CapScale = []float64{math.NaN(), 2}
@@ -111,26 +106,32 @@ func TestSanitizerRepairsCorruption(t *testing.T) {
 	}
 }
 
-// TestSanitizerDarkRow: zeroing a device's whole channel row restores its
-// last good row (or pins station 0 before any good row exists).
+// TestSanitizerDarkRow: a device whose channel row lost every link, by
+// emptying or by corrupting them all, gets its last good row back (or
+// station 0 pinned before any good row exists).
 func TestSanitizerDarkRow(t *testing.T) {
 	z := NewSanitizer(nil)
 	z.Apply(sampleState())
-	st := sampleState()
-	st.Channels[1][0], st.Channels[1][1] = 0, 0
-	if n := z.Apply(st); n == 0 {
-		t.Fatal("dark row not repaired")
-	}
-	if st.Channels[1][1] != 20 {
-		t.Errorf("dark row restored to %v, want last good {0, 20}", st.Channels[1])
+	for name, dark := range map[string][]Link{
+		"empty":   nil,
+		"corrupt": {{Station: 0, SE: units.SpectralEfficiency(math.NaN())}, {Station: 1, SE: 0}},
+	} {
+		st := sampleState()
+		st.Channels[1] = dark
+		if n := z.Apply(st); n == 0 {
+			t.Fatalf("%s: dark row not repaired", name)
+		}
+		if !reflect.DeepEqual(st.Channels[1], []Link{{Station: 1, SE: 20}}) {
+			t.Errorf("%s: dark row restored to %v, want last good [{1 20}]", name, st.Channels[1])
+		}
 	}
 
 	// Before any good row exists, the fallback pins station 0.
 	fresh := NewSanitizer(nil)
 	st2 := sampleState()
-	st2.Channels[0][0], st2.Channels[0][1] = 0, 0
+	st2.Channels[0] = nil
 	fresh.Apply(st2)
-	if st2.Channels[0][0] <= 0 {
+	if st2.Channel(0, 0) <= 0 {
 		t.Errorf("first-slot dark row not pinned: %v", st2.Channels[0])
 	}
 }
@@ -205,9 +206,9 @@ func FuzzSanitizeState(f *testing.F) {
 			Slot:        1,
 			TaskSizes:   []units.Cycles{units.Cycles(task), 70e6},
 			DataLengths: []units.DataSize{5e6, units.DataSize(data)},
-			Channels: [][]units.SpectralEfficiency{
-				{units.SpectralEfficiency(channel), 0},
-				{units.SpectralEfficiency(channel), units.SpectralEfficiency(front)},
+			Channels: [][]Link{
+				{{Station: 0, SE: units.SpectralEfficiency(channel)}},
+				{{Station: 0, SE: units.SpectralEfficiency(channel)}, {Station: 1, SE: units.SpectralEfficiency(front)}},
 			},
 			FronthaulSE: []units.SpectralEfficiency{units.SpectralEfficiency(front), 25},
 			Price:       units.Price(price),
@@ -221,7 +222,7 @@ func FuzzSanitizeState(f *testing.F) {
 			st.CapScale = nil
 		}
 		if shape&4 != 0 {
-			st.Channels[0] = st.Channels[0][:0] // a device with no stations
+			st.Channels[0] = st.Channels[0][:0] // a device with no covering station
 		}
 		z.Apply(st)
 		checkFinite(t, st)

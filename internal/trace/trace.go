@@ -13,12 +13,14 @@
 // Channel conditions h_{i,k,t} are driven by a random-waypoint mobility
 // model: each device walks the deployment area, and the spectral
 // efficiency toward a covering base station mean-reverts around a
-// distance-dependent level inside the paper's 15–50 bps/Hz range. A zero
-// efficiency marks an out-of-coverage pair.
+// distance-dependent level inside the paper's 15–50 bps/Hz range. A state
+// stores only the covered pairs: a station absent from a device's channel
+// row is out of its coverage.
 package trace
 
 import (
 	"math"
+	"slices"
 
 	"eotora/internal/rng"
 	"eotora/internal/units"
@@ -35,10 +37,11 @@ type State struct {
 	// DataLengths holds d_{i,t} for every device.
 	DataLengths []units.DataSize
 
-	// Channels holds h_{i,k,t}: Channels[i][k] is the access-link spectral
-	// efficiency between device i and station k, and zero when the device
-	// is outside the station's coverage.
-	Channels [][]units.SpectralEfficiency
+	// Channels holds h_{i,k,t} by device: Channels[i] lists the links of
+	// the stations covering device i, strictly ascending by station, each
+	// with a positive spectral efficiency. A station absent from the row
+	// is outside coverage (h = 0). Read single entries through Channel.
+	Channels [][]Link
 
 	// FronthaulSE holds h_k^F per station. The paper treats fronthaul
 	// efficiency as time-invariant; the generator can optionally vary it
@@ -84,9 +87,49 @@ type State struct {
 	Churn []ChurnEvent
 }
 
+// Link is one covered access link of a device: the station and the
+// link's spectral efficiency h_{i,k,t} > 0.
+type Link struct {
+	// Station is the covering station's index k.
+	Station int
+	// SE is the link's spectral efficiency h_{i,k,t} in bps/Hz.
+	SE units.SpectralEfficiency
+}
+
+// Channel returns h_{i,k,t}: the spectral efficiency of device i's link
+// to station k, or 0 when k does not cover the device.
+func (s *State) Channel(i, k int) units.SpectralEfficiency {
+	for _, l := range s.Channels[i] {
+		if l.Station >= k {
+			if l.Station == k {
+				return l.SE
+			}
+			break
+		}
+	}
+	return 0
+}
+
 // Covered reports whether device i can currently use station k.
 func (s *State) Covered(i, k int) bool {
-	return s.Channels[i][k] > 0
+	return s.Channel(i, k) > 0
+}
+
+// SetChannel sets h_{i,k,t} in place: a positive se inserts or updates
+// device i's link to station k, and se = 0 removes it. A removal shifts
+// the row's tail down inside the row; an insertion into a row sliced at
+// full capacity reallocates it, so it never writes into another row.
+func (s *State) SetChannel(i, k int, se units.SpectralEfficiency) {
+	row := s.Channels[i]
+	j, found := slices.BinarySearchFunc(row, k, func(l Link, k int) int { return l.Station - k })
+	switch {
+	case se > 0 && found:
+		row[j].SE = se
+	case se > 0:
+		s.Channels[i] = slices.Insert(row, j, Link{Station: k, SE: se})
+	case found:
+		s.Channels[i] = slices.Delete(row, j, j+1)
+	}
 }
 
 // Down reports whether server n is advisorily drained this slot. Out-of-

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -190,25 +191,19 @@ func TestChannelProcessCoverageAndRange(t *testing.T) {
 			t.Fatalf("matrix has %d rows", len(h))
 		}
 		for i := range h {
-			covered := 0
-			for k := range h[i] {
-				se := float64(h[i][k])
-				if se == 0 {
-					continue
-				}
-				covered++
-				if se < float64(cfg.SEMin) || se > float64(cfg.SEMax) {
-					t.Fatalf("h[%d][%d] = %v outside [%v, %v]", i, k, se, cfg.SEMin, cfg.SEMax)
+			for _, l := range h[i] {
+				if se := float64(l.SE); se < float64(cfg.SEMin) || se > float64(cfg.SEMax) {
+					t.Fatalf("h[%d][%d] = %v outside [%v, %v]", i, l.Station, se, cfg.SEMin, cfg.SEMax)
 				}
 			}
-			if covered == 0 {
+			if len(h[i]) == 0 {
 				t.Fatalf("device %d uncovered at slot %d despite umbrella stations", i, slot)
 			}
 		}
 	}
 }
 
-// TestChannelRowsFullCapacity: the channel matrix's rows share one
+// TestChannelRowsFullCapacity: the channel rows share one
 // backing array, so each must be sliced at full capacity — an append to
 // one row has to reallocate rather than write into the next.
 func TestChannelRowsFullCapacity(t *testing.T) {
@@ -222,7 +217,7 @@ func TestChannelRowsFullCapacity(t *testing.T) {
 	}
 	for i := 0; i+1 < len(h); i++ {
 		next := slices.Clone(h[i+1])
-		h[i] = append(h[i], 99)
+		h[i] = append(h[i], Link{Station: 99, SE: 99})
 		if !slices.Equal(h[i+1], next) {
 			t.Fatalf("append to row %d wrote into row %d: %v, was %v", i, i+1, h[i+1], next)
 		}
@@ -254,8 +249,8 @@ func TestChannelDistanceDependence(t *testing.T) {
 	const slots = 400
 	for s := 0; s < slots; s++ {
 		h := p.Next()
-		nearSum += float64(h[0][0])
-		farSum += float64(h[1][0])
+		nearSum += float64(h[0][0].SE)
+		farSum += float64(h[1][0].SE)
 	}
 	if nearSum <= farSum {
 		t.Errorf("near device mean SE %v ≤ far device %v", nearSum/slots, farSum/slots)
@@ -309,11 +304,23 @@ func TestGeneratorFullState(t *testing.T) {
 		if st.Price <= 0 {
 			t.Fatal("non-positive price")
 		}
-		// Covered helper consistency.
-		for i := range st.Channels {
-			for k := range st.Channels[i] {
-				if st.Covered(i, k) != (st.Channels[i][k] > 0) {
-					t.Fatal("Covered inconsistent with channel matrix")
+		// Rows are strictly ascending with positive links, and the
+		// accessors read them.
+		for i, row := range st.Channels {
+			for j, l := range row {
+				if l.SE <= 0 || (j > 0 && l.Station <= row[j-1].Station) {
+					t.Fatalf("device %d row %v malformed", i, row)
+				}
+			}
+			for k := 0; k < 6; k++ {
+				var want units.SpectralEfficiency
+				for _, l := range row {
+					if l.Station == k {
+						want = l.SE
+					}
+				}
+				if st.Channel(i, k) != want || st.Covered(i, k) != (want > 0) {
+					t.Fatalf("Channel(%d, %d) = %v, row %v", i, k, st.Channel(i, k), row)
 				}
 			}
 		}
@@ -343,12 +350,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 				t.Fatalf("task sizes diverged at slot %d device %d", s, i)
 			}
 		}
-		for i := range a.Channels {
-			for k := range a.Channels[i] {
-				if a.Channels[i][k] != b.Channels[i][k] {
-					t.Fatalf("channels diverged at slot %d", s)
-				}
-			}
+		if !reflect.DeepEqual(a.Channels, b.Channels) {
+			t.Fatalf("channels diverged at slot %d", s)
 		}
 	}
 }
