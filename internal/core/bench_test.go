@@ -62,8 +62,10 @@ func benchMetroSystem(b *testing.B, devices int) (*System, *trace.Generator) {
 // slots on the metro topology with the per-cluster sharded solve
 // (shards=auto) against the unsharded path on the identical system and
 // trace. z=2 and λ=0.05 are the metro operating point (OPERATIONS.md).
-// The unsharded 100k solve is far too slow to time, so the off mode
-// stops at 10k. The name matches the bench-gate regexp (ControllerStep).
+// The off mode stops at 10k only to keep the run short: an unsharded
+// 100k slot measured 185–195 ms on a 2-vCPU host, faster than the
+// sharded one there. The name matches the bench-gate regexp
+// (ControllerStep).
 func BenchmarkControllerStepSharded(b *testing.B) {
 	for _, devices := range []int{1000, 10000, 100000} {
 		for _, mode := range []struct {
@@ -208,6 +210,38 @@ func BenchmarkNewP2A(b *testing.B) {
 		if _, err := sys.NewP2A(st, freq); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildP2A times the per-slot P2-A rebuild: one reused P2A
+// rebuilt over 8 recorded states at Ω^L, as every BDMA round 0 and every
+// greedy rule does. DefaultSpec(1000) is the roster and paper size,
+// MetroSpec(10000) the metro one. BenchmarkNewP2A times a fresh build of
+// one small state instead.
+func BenchmarkBuildP2A(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		setup func(*testing.B, int) (*System, *trace.Generator)
+		size  int
+	}{
+		{"default/devices=1000", benchSystem, 1000},
+		{"metro/devices=10000", benchMetroSystem, 10000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sys, gen := tc.setup(b, tc.size)
+			states := trace.Record(gen, 8)
+			freq := sys.LowestFrequencies()
+			var p P2A
+			if err := sys.BuildP2A(&p, states[len(states)-1], freq); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sys.BuildP2A(&p, states[i%len(states)], freq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -119,6 +119,11 @@ type Controller struct {
 	rule     *selectionRule
 	ruleFreq Frequencies
 
+	// pricing is the scratch of the one-pass pricing of the selections
+	// that are not priced from the P2-A arena: a rule's and a fallback
+	// rung's (price).
+	pricing selectionPricing
+
 	// pool is the intra-slot worker pool attached with SetPool (nil =
 	// serial); it parallelizes the per-slot solve without changing any
 	// decision bit.
@@ -345,15 +350,22 @@ func (c *Controller) StepWithObservation(observed, realized *trace.State) (*Slot
 	// of the decision) and experience it under the realized state. A BDMA
 	// decision is a profile of the slot's P2-A game, which prices its
 	// shares from the arena; the fallback rungs' and the rules' selections
-	// are not, and are priced from the state.
-	var alloc Allocation
+	// are not, and price computed their roots and links on the observed
+	// state, which serve the latency too when it is the realized one.
+	var (
+		alloc Allocation
+		links []units.SpectralEfficiency
+	)
 	if c.rule == nil && rung <= RungAnytime {
 		alloc = c.p2a.bestAllocation()
 	} else {
-		alloc = c.sys.OptimalAllocation(res.Selection, observed)
+		alloc = c.sys.shares(&c.pricing, res.Selection)
+		if observed == realized {
+			links = c.pricing.se
+		}
 	}
 	decision := Decision{Selection: res.Selection, Allocation: alloc, Freq: res.Freq}
-	total, perDevice := c.sys.LatencyOf(decision, realized)
+	total, perDevice := c.sys.latencyOf(decision, realized, links)
 
 	cost := c.sys.EnergyCostActive(res.Freq, realized.Price, realized.ServerActive)
 	out := &SlotResult{
@@ -517,12 +529,11 @@ func (c *Controller) repriceDecision(st *trace.State) (BDMAResult, error) {
 		}
 		sel.Station[i], sel.Server[i] = k, n
 	}
-	res := BDMAResult{
+	return c.price(BDMAResult{
 		Selection: sel,
 		Freq:      c.prevFreq.Clone(),
 		Degraded:  true,
-	}
-	return c.priceDecision(res, st), nil
+	}, st)
 }
 
 // prevPairFeasible reports whether device i's previous (station, server)
@@ -595,20 +606,24 @@ func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
 	if !ok {
 		return BDMAResult{}, errors.New("core: no P2-A game for the greedy fallback")
 	}
-	res := BDMAResult{
+	return c.price(BDMAResult{
 		Selection: sel,
 		Freq:      c.sys.LowestFrequencies(),
 		Degraded:  true,
-	}
-	return c.priceDecision(res, st), nil
+	}, st)
 }
 
-// priceDecision fills the reduced latency and objective of a fallback or
-// rule decision, as bdmaScratch reports them for a full solve.
-func (c *Controller) priceDecision(res BDMAResult, st *trace.State) BDMAResult {
-	res.Latency = c.sys.ReducedLatency(res.Selection, res.Freq, st).Value()
+// price validates a rule's or fallback rung's selection against st and
+// fills its reduced latency and objective, as bdmaScratch reports them
+// for a full solve, in one pass (priceSelection) whose roots and links
+// the slot's allocation and latency then reuse.
+func (c *Controller) price(res BDMAResult, st *trace.State) (BDMAResult, error) {
+	if err := c.sys.priceSelection(&c.pricing, res.Selection, st); err != nil {
+		return BDMAResult{}, err
+	}
+	res.Latency = c.sys.lemma1Latency(c.pricing.sums, res.Freq, st)
 	res.Objective = c.budget.Objective(res.Latency, res.Freq, st, c.cfg.V)
-	return res
+	return res, nil
 }
 
 // NewBDMAController returns the paper's BDMA-based DPP with CGBA(λ) and z

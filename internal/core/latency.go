@@ -67,9 +67,105 @@ func (s *System) lemma1Sums(sums []float64, sel Selection, st *trace.State) []fl
 	return sums
 }
 
+// selectionPricing is a controller's scratch for the one-pass pricing of
+// a selection that is not a profile of the slot's P2-A game: a rule's, or
+// a fallback rung's (priceSelection). se keeps each device's chosen link
+// h_{i,k}, and sums the resource-ordered Lemma-1 sums (see lemma1Sums).
+// roots holds each device's Lemma-1 roots √(d_i/h_{i,k}), √(d_i/h^F_k)
+// and √(f_i/σ_{i,n}) in the slices the slot's allocation will use, and
+// shares divides them in place. Entries of inactive devices are stale in
+// se and zero in roots.
+type selectionPricing struct {
+	roots Allocation
+	se    []units.SpectralEfficiency
+	sums  []float64
+}
+
+// priceSelection validates sel against st and prices it in one pass over
+// the devices. Each device's pick runs Validate's checks, in its order
+// and with its error text, which find the chosen link once; the pass
+// then takes the pick's three square roots once, keeps them and the
+// link's h_{i,k} in pr, and adds the roots to pr.sums in device order.
+// The sums are lemma1Sums', the shares OptimalAllocation's and a latency
+// evaluated on pr.se LatencyOf's on st, bit for bit.
+func (s *System) priceSelection(pr *selectionPricing, sel Selection, st *trace.State) error {
+	if err := s.checkSelectionSize(sel); err != nil {
+		return err
+	}
+	devices := len(sel.Station)
+	pr.roots = Allocation{
+		AccessShare:    make([]float64, devices),
+		FronthaulShare: make([]float64, devices),
+		ComputeShare:   make([]float64, devices),
+	}
+	pr.se = resized(pr.se, devices)
+	pr.sums = resized(pr.sums, len(s.Net.Servers)+2*len(s.Net.BaseStations))
+	clear(pr.sums)
+	compute, access, fronthaul := s.splitSums(pr.sums)
+	for i := 0; i < devices; i++ {
+		k, n := sel.Station[i], sel.Server[i]
+		se, err := s.checkPick(i, k, n, st)
+		if err != nil {
+			return err
+		}
+		if k < 0 {
+			// Inactive device: no resource demand.
+			continue
+		}
+		bits := st.DataLengths[i].Bits()
+		a := math.Sqrt(bits / se.BpsPerHz())
+		f := math.Sqrt(bits / st.FronthaulSE[k].BpsPerHz())
+		c := math.Sqrt(st.TaskSizes[i].Count() / s.Net.Suitability[i][n])
+		pr.roots.AccessShare[i], pr.roots.FronthaulShare[i], pr.roots.ComputeShare[i] = a, f, c
+		pr.se[i] = se
+		access[k] += a
+		fronthaul[k] += f
+		compute[n] += c
+	}
+	return nil
+}
+
+// shares turns the roots priceSelection kept for sel into the Lemma-1
+// shares (15)–(17), each root over its resource's sum as
+// OptimalAllocation divides them, and hands the allocation over: pr
+// keeps no reference to it.
+func (s *System) shares(pr *selectionPricing, sel Selection) Allocation {
+	a := pr.roots
+	pr.roots = Allocation{}
+	computeDen, accessDen, fronthaulDen := s.splitSums(pr.sums)
+	for i, k := range sel.Station {
+		if k < 0 {
+			continue
+		}
+		n := sel.Server[i]
+		a.AccessShare[i] = lemma1Share(a.AccessShare[i], accessDen[k])
+		a.FronthaulShare[i] = lemma1Share(a.FronthaulShare[i], fronthaulDen[k])
+		a.ComputeShare[i] = lemma1Share(a.ComputeShare[i], computeDen[n])
+	}
+	return a
+}
+
+// lemma1Share is a Lemma-1 share: root/den, or 0 when the resource
+// carries no load.
+func lemma1Share(root, den float64) float64 {
+	if den > 0 {
+		return root / den
+	}
+	return 0
+}
+
+// resized returns s with length n, reusing its capacity when it suffices.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // sumsScratch is a pooled buffer for the sums of the state-priced entry
 // points (ReducedLatency, OptimalAllocation, SolveP2B), which the
-// baselines call every slot; pooling keeps those calls allocation-free.
+// benchmark's layer probes call every slot; pooling keeps those calls
+// allocation-free.
 type sumsScratch struct{ sums []float64 }
 
 var sumsPool = sync.Pool{New: func() any { return new(sumsScratch) }}
@@ -116,6 +212,13 @@ func (l LatencyBreakdown) Total() units.Seconds {
 // share yields an infinite component, matching the formulation's implicit
 // requirement that selected devices receive positive shares.
 func (s *System) LatencyOf(d Decision, st *trace.State) (total units.Seconds, perDevice []LatencyBreakdown) {
+	return s.latencyOf(d, st, nil)
+}
+
+// latencyOf is LatencyOf with each selected link's h_{i,k} read from se
+// when it is non-nil (priceSelection's kept values for st), and looked up
+// in the device's channel row otherwise.
+func (s *System) latencyOf(d Decision, st *trace.State, se []units.SpectralEfficiency) (total units.Seconds, perDevice []LatencyBreakdown) {
 	devices := len(d.Station)
 	perDevice = make([]LatencyBreakdown, devices)
 	for i := 0; i < devices; i++ {
@@ -127,7 +230,13 @@ func (s *System) LatencyOf(d Decision, st *trace.State) (total units.Seconds, pe
 		bs := &s.Net.BaseStations[k]
 		srv := &s.Net.Servers[n]
 
-		accessRate := st.Channel(i, k).Rate(units.Frequency(float64(bs.AccessBandwidth) * d.AccessShare[i]))
+		var h units.SpectralEfficiency
+		if se != nil {
+			h = se[i]
+		} else {
+			h = st.Channel(i, k)
+		}
+		accessRate := h.Rate(units.Frequency(float64(bs.AccessBandwidth) * d.AccessShare[i]))
 		fronthaulRate := st.FronthaulSE[k].Rate(units.Frequency(float64(bs.FronthaulBandwidth) * d.FronthaulShare[i]))
 		capacity := srv.Capacity(d.Freq[n])
 		effective := units.Frequency(float64(capacity) * st.Cap(n) * s.Net.Suitability[i][n] * d.ComputeShare[i])

@@ -61,10 +61,7 @@ func (c *Controller) ruleDecision(st *trace.State) (BDMAResult, error) {
 	if err != nil {
 		return BDMAResult{}, err
 	}
-	if err := c.sys.Validate(sel, st); err != nil {
-		return BDMAResult{}, err
-	}
-	return c.priceDecision(BDMAResult{Selection: sel, Freq: c.ruleFreq}, st), nil
+	return c.price(BDMAResult{Selection: sel, Freq: c.ruleFreq}, st)
 }
 
 // greedySelection is the deterministic one-pass congestion-greedy

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"eotora/internal/energy"
 	"eotora/internal/topology"
@@ -168,43 +169,53 @@ func (s Selection) Clone() Selection {
 // picks one covered station and one server reachable over that station's
 // fronthaul — constraints (1), (2), and (3).
 func (s *System) Validate(sel Selection, st *trace.State) error {
-	_, _, servers, devices := s.Net.Counts()
-	if len(sel.Station) != devices || len(sel.Server) != devices {
-		return fmt.Errorf("core: selection sized %d/%d, want %d devices", len(sel.Station), len(sel.Server), devices)
+	if err := s.checkSelectionSize(sel); err != nil {
+		return err
 	}
-	for i := 0; i < devices; i++ {
-		k := sel.Station[i]
-		if !st.ActiveDevice(i) {
-			if k != -1 || sel.Server[i] != -1 {
-				return fmt.Errorf("core: inactive device %d selects (%d, %d), want (-1, -1)", i, k, sel.Server[i])
-			}
-			continue
-		}
-		if k < 0 || k >= len(s.Net.BaseStations) {
-			return fmt.Errorf("core: device %d selects station %d of %d", i, k, len(s.Net.BaseStations))
-		}
-		if !st.Covered(i, k) {
-			return fmt.Errorf("core: device %d selects station %d outside coverage", i, k)
-		}
-		n := sel.Server[i]
-		if n < 0 || n >= servers {
-			return fmt.Errorf("core: device %d selects server %d of %d", i, n, servers)
-		}
-		if !st.ActiveServer(n) {
-			return fmt.Errorf("core: device %d selects removed server %d", i, n)
-		}
-		reachable := false
-		for _, idx := range s.Net.ReachableServers(k) {
-			if idx == n {
-				reachable = true
-				break
-			}
-		}
-		if !reachable {
-			return fmt.Errorf("core: device %d selects server %d unreachable from station %d (constraint 3)", i, n, k)
+	for i := range sel.Station {
+		if _, err := s.checkPick(i, sel.Station[i], sel.Server[i], st); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkSelectionSize is Validate's first check: one pick per device.
+func (s *System) checkSelectionSize(sel Selection) error {
+	_, _, _, devices := s.Net.Counts()
+	if len(sel.Station) != devices || len(sel.Server) != devices {
+		return fmt.Errorf("core: selection sized %d/%d, want %d devices", len(sel.Station), len(sel.Server), devices)
+	}
+	return nil
+}
+
+// checkPick is Validate's check of device i's pick (k, n). It returns the
+// spectral efficiency h_{i,k} of the chosen link, found with one scan of
+// the device's channel row, or 0 for an inactive device.
+func (s *System) checkPick(i, k, n int, st *trace.State) (units.SpectralEfficiency, error) {
+	if !st.ActiveDevice(i) {
+		if k != -1 || n != -1 {
+			return 0, fmt.Errorf("core: inactive device %d selects (%d, %d), want (-1, -1)", i, k, n)
+		}
+		return 0, nil
+	}
+	if k < 0 || k >= len(s.Net.BaseStations) {
+		return 0, fmt.Errorf("core: device %d selects station %d of %d", i, k, len(s.Net.BaseStations))
+	}
+	se := st.Channel(i, k)
+	if !(se > 0) {
+		return 0, fmt.Errorf("core: device %d selects station %d outside coverage", i, k)
+	}
+	if n < 0 || n >= len(s.Net.Servers) {
+		return 0, fmt.Errorf("core: device %d selects server %d of %d", i, n, len(s.Net.Servers))
+	}
+	if !st.ActiveServer(n) {
+		return 0, fmt.Errorf("core: device %d selects removed server %d", i, n)
+	}
+	if !slices.Contains(s.Net.ReachableServers(k), n) {
+		return 0, fmt.Errorf("core: device %d selects server %d unreachable from station %d (constraint 3)", i, n, k)
+	}
+	return se, nil
 }
 
 // Frequencies is Ω_t: the per-core clock frequency of every server.

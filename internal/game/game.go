@@ -131,7 +131,10 @@ func (g *Game) totalStrategies() int { return len(g.useOff) - 1 }
 
 // Builder assembles a Game into reusable flat arrays. A zero-allocation
 // rebuild path for hot callers (the per-slot P2-A construction): Reset,
-// fill Weights, stream players/strategies/uses, then Build.
+// fill Weights, stream players/strategies/uses, then Build. The weights
+// must be filled before streaming: NextStation and AddPair check their
+// uses and write the premultiplied factors as they stream, so Build
+// walks again only the players streamed with NextStrategy.
 //
 // Build returns a *Game that aliases the Builder's memory; calling Reset
 // again invalidates every Game previously returned by this Builder. The
@@ -156,6 +159,15 @@ type Builder struct {
 	fronthaul  use
 	stStart    []int32
 	srv        []srvMark
+
+	// Stream-time validation (see NextStation and AddPair): stationOK
+	// reports that the open station's uses passed the checks, bad that
+	// some streamed pair, station or player failed them, and generic
+	// lists the players streamed with NextStrategy, the only ones Build
+	// walks when nothing is bad.
+	stationOK bool
+	bad       bool
+	generic   []int32
 }
 
 // srvMark records that server r is distinct server slot of player, with
@@ -194,6 +206,8 @@ func (b *Builder) Reset(resources int) {
 	for r := range b.srv {
 		b.srv[r].player = -1
 	}
+	b.bad = false
+	b.generic = b.generic[:0]
 }
 
 // Weights returns the mutable resource-weight slice (length = resources).
@@ -207,7 +221,7 @@ func (b *Builder) NextPlayer() {
 	b.g.strOff = append(b.g.strOff, int32(len(b.g.useOff)-1))
 	// A pair streamed before the player's first NextStation gets
 	// zero-weight uses, which Build rejects.
-	b.factored, b.newStation = true, false
+	b.factored, b.newStation, b.stationOK = true, false, false
 	b.access, b.fronthaul = use{}, use{}
 	b.stStart = b.stStart[:0]
 }
@@ -229,20 +243,35 @@ func (b *Builder) AddUse(resource int, weight float64) {
 
 // NextStation opens a station of the current player: the strategies
 // AddPair streams until the next NextStation or NextPlayer share its
-// access use (resource access, weight accessW) and fronthaul use.
+// access use (resource access, weight accessW) and fronthaul use. Both
+// uses are checked as Build checks a use, and distinct, here.
 func (b *Builder) NextStation(access int, accessW float64, fronthaul int, fronthaulW float64) {
 	b.access = use{res: access, w: accessW}
 	b.fronthaul = use{res: fronthaul, w: fronthaulW}
 	b.newStation = true
+	weights := b.g.weights
+	b.stationOK = uint(access) < uint(len(weights)) && uint(fronthaul) < uint(len(weights)) &&
+		access != fronthaul && validUseWeight(accessW) && validUseWeight(fronthaulW)
+	if !b.stationOK {
+		b.bad = true
+		return
+	}
+	b.access.wm = weights[access] * accessW
+	b.fronthaul.wm = weights[fronthaul] * fronthaulW
 }
+
+// validUseWeight reports whether w is a valid player-resource weight:
+// positive and finite (NaN fails both comparisons).
+func validUseWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
 
 // AddPair appends the strategy {server, access, fronthaul} of the open
 // station, in that use order: the P2-A strategy (k, n) of paper §V-B,
 // whose cost splits as T_i(k, n) = (C_n + A_k) + F_k. A player streamed
 // only through AddPair can get a factor description (see endPlayer):
 // its best-response scan then reads each distinct server's term once and
-// each station's two terms once (scan.cheapest). Validation is deferred
-// to Build, as for AddUse.
+// each station's two terms once (scan.cheapest). The server use is
+// checked as Build checks a use, and against the station's two, as it
+// streams; Build reports a failure with the error its walk would give.
 func (b *Builder) AddPair(server int, serverW float64) {
 	g := &b.g
 	s := int32(len(g.useOff) - 1)
@@ -250,9 +279,16 @@ func (b *Builder) AddPair(server int, serverW float64) {
 		b.newStation = false
 		b.stStart = append(b.stStart, s)
 	}
+	u := use{res: server, w: serverW}
+	if b.stationOK && uint(server) < uint(len(g.weights)) && validUseWeight(serverW) &&
+		server != b.access.res && server != b.fronthaul.res {
+		u.wm = g.weights[server] * serverW
+	} else {
+		b.bad = true
+	}
 	g.useOff = append(g.useOff, int32(len(g.uses)+3))
 	g.strOff[len(g.strOff)-1] = s + 1
-	g.uses = append(g.uses, use{res: server, w: serverW}, b.access, b.fronthaul)
+	g.uses = append(g.uses, u, b.access, b.fronthaul)
 }
 
 // minFactorPairs is the fewest pairs a factored player has. Below it
@@ -275,6 +311,15 @@ func (b *Builder) endPlayer() {
 	g := &b.g
 	player := int32(len(g.strOff) - 2)
 	first, last := g.playerStrategies(int(player))
+	if first == last {
+		b.bad = true
+	}
+	if !b.factored {
+		b.generic = append(b.generic, player)
+	}
+	if len(b.stStart) > 0 {
+		g.maxUses = max(g.maxUses, 3) // the player's pairs
+	}
 	stBase, distBase := len(g.facSt), len(g.facDist)
 	if b.factored && last-first >= minFactorPairs && len(b.stStart) > 0 && b.stStart[0] == first && b.describe(player, first, last) {
 		g.maxDist = max(g.maxDist, len(g.facDist)-distBase)
@@ -330,7 +375,11 @@ func (b *Builder) describe(player, first, last int32) bool {
 }
 
 // Build validates the streamed game and returns it. The validation rules
-// and error messages match New exactly.
+// and error messages match New exactly: the resource weights, then each
+// player's strategies in order. When a streamed pair, station or player
+// failed its check, every player is walked for the first error;
+// otherwise only the players streamed with NextStrategy are, since the
+// others were checked, and their factors written, as they streamed.
 func (b *Builder) Build() (*Game, error) {
 	g := &b.g
 	if len(g.weights) == 0 {
@@ -348,42 +397,57 @@ func (b *Builder) Build() (*Game, error) {
 	if len(g.facStOff) == players {
 		b.endPlayer()
 	}
+	if b.bad {
+		for i := 0; i < players; i++ {
+			if err := b.walk(i); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		for _, i := range b.generic {
+			if err := b.walk(int(i)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	g.structGen++
+	return g, nil
+}
+
+// walk validates player i's strategies and writes their uses' factors
+// wm = m_r·p_{i,r}: Build's check of a player, with its error messages.
+func (b *Builder) walk(i int) error {
+	g := &b.g
 	// The arena, weights and marker slices are read through locals: the
 	// loop's stores would otherwise make the compiler reload their
 	// headers on every use.
 	uses, useOff, weights, seen := g.uses, g.useOff, g.weights, b.seenStrategy
-	maxUses := g.maxUses
-	for i := 0; i < players; i++ {
-		first, last := g.playerStrategies(i)
-		if first == last {
-			return nil, fmt.Errorf("game: player %d has no strategies", i)
+	first, last := g.playerStrategies(i)
+	if first == last {
+		return fmt.Errorf("game: player %d has no strategies", i)
+	}
+	for su := first; su < last; su++ {
+		lo, hi := int(useOff[su]), int(useOff[su+1])
+		if lo == hi {
+			return fmt.Errorf("game: player %d strategy %d uses no resources", i, int(su-first))
 		}
-		for su := first; su < last; su++ {
-			lo, hi := int(useOff[su]), int(useOff[su+1])
-			if lo == hi {
-				return nil, fmt.Errorf("game: player %d strategy %d uses no resources", i, int(su-first))
+		g.maxUses = max(g.maxUses, hi-lo)
+		for k := lo; k < hi; k++ {
+			u := &uses[k]
+			if uint(u.res) >= uint(len(weights)) {
+				return fmt.Errorf("game: player %d strategy %d references resource %d of %d", i, int(su-first), u.res, len(weights))
 			}
-			maxUses = max(maxUses, hi-lo)
-			for k := lo; k < hi; k++ {
-				u := &uses[k]
-				if uint(u.res) >= uint(len(weights)) {
-					return nil, fmt.Errorf("game: player %d strategy %d references resource %d of %d", i, int(su-first), u.res, len(weights))
-				}
-				// w > 0 and finite (NaN fails both comparisons).
-				if !(u.w > 0 && u.w <= math.MaxFloat64) {
-					return nil, fmt.Errorf("game: player %d strategy %d has invalid weight %v", i, int(su-first), u.w)
-				}
-				if seen[u.res] == su {
-					return nil, fmt.Errorf("game: player %d strategy %d uses resource %d twice", i, int(su-first), u.res)
-				}
-				seen[u.res] = su
-				u.wm = weights[u.res] * u.w
+			if !validUseWeight(u.w) {
+				return fmt.Errorf("game: player %d strategy %d has invalid weight %v", i, int(su-first), u.w)
 			}
+			if seen[u.res] == su {
+				return fmt.Errorf("game: player %d strategy %d uses resource %d twice", i, int(su-first), u.res)
+			}
+			seen[u.res] = su
+			u.wm = weights[u.res] * u.w
 		}
 	}
-	g.maxUses = maxUses
-	g.structGen++
-	return g, nil
+	return nil
 }
 
 // playerStrategies returns the [first, last) global strategy serials of

@@ -87,6 +87,116 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestBuilderStreamValidation streams invalid pairs, stations and
+// players through NextStation/AddPair and requires Build's error text,
+// the first error of its player-order walk, as the fully deferred
+// validation reported it. Resources: servers 0 and 1, access 2,
+// fronthaul 3.
+func TestBuilderStreamValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	valid := func(b *Builder) {
+		b.NextPlayer()
+		b.NextStation(2, 1, 3, 1)
+		b.AddPair(0, 1)
+		b.AddPair(1, 1)
+	}
+	pair := func(server int, w float64) func(*Builder) {
+		return func(b *Builder) {
+			b.NextPlayer()
+			b.NextStation(2, 1, 3, 1)
+			b.AddPair(server, w)
+		}
+	}
+	station := func(access int, accessW float64, fronthaul int, fronthaulW float64) func(*Builder) {
+		return func(b *Builder) {
+			b.NextPlayer()
+			b.NextStation(access, accessW, fronthaul, fronthaulW)
+			b.AddPair(0, 1)
+		}
+	}
+	tests := []struct {
+		name    string
+		weights []float64 // nil = all 1
+		stream  []func(*Builder)
+		want    string
+	}{
+		{"zero pair weight", nil, []func(*Builder){pair(0, 0)}, "game: player 0 strategy 0 has invalid weight 0"},
+		{"negative pair weight", nil, []func(*Builder){pair(0, -1)}, "game: player 0 strategy 0 has invalid weight -1"},
+		{"NaN pair weight", nil, []func(*Builder){pair(0, nan)}, "game: player 0 strategy 0 has invalid weight NaN"},
+		{"+Inf pair weight", nil, []func(*Builder){pair(0, inf)}, "game: player 0 strategy 0 has invalid weight +Inf"},
+		{"zero access weight", nil, []func(*Builder){station(2, 0, 3, 1)}, "game: player 0 strategy 0 has invalid weight 0"},
+		{"negative fronthaul weight", nil, []func(*Builder){station(2, 1, 3, -1)}, "game: player 0 strategy 0 has invalid weight -1"},
+		{"NaN fronthaul weight", nil, []func(*Builder){station(2, 1, 3, nan)}, "game: player 0 strategy 0 has invalid weight NaN"},
+		{"+Inf access weight", nil, []func(*Builder){station(2, inf, 3, 1)}, "game: player 0 strategy 0 has invalid weight +Inf"},
+		{"server out of range", nil, []func(*Builder){pair(4, 1)}, "game: player 0 strategy 0 references resource 4 of 4"},
+		{"negative server", nil, []func(*Builder){pair(-1, 1)}, "game: player 0 strategy 0 references resource -1 of 4"},
+		{"station out of range", nil, []func(*Builder){station(5, 1, 3, 1)}, "game: player 0 strategy 0 references resource 5 of 4"},
+		{"server equals access", nil, []func(*Builder){pair(2, 1)}, "game: player 0 strategy 0 uses resource 2 twice"},
+		{"server equals fronthaul", nil, []func(*Builder){pair(3, 1)}, "game: player 0 strategy 0 uses resource 3 twice"},
+		{"access equals fronthaul", nil, []func(*Builder){station(2, 1, 2, 1)}, "game: player 0 strategy 0 uses resource 2 twice"},
+		{"pair before any station", nil, []func(*Builder){func(b *Builder) {
+			b.NextPlayer()
+			b.AddPair(0, 1)
+		}}, "game: player 0 strategy 0 has invalid weight 0"},
+		{"player with no pairs", nil, []func(*Builder){valid, func(b *Builder) { b.NextPlayer() }, valid}, "game: player 1 has no strategies"},
+		{"player with a station but no pairs", nil, []func(*Builder){func(b *Builder) {
+			b.NextPlayer()
+			b.NextStation(2, 1, 3, 1)
+		}, valid}, "game: player 0 has no strategies"},
+		{"last player with no pairs", nil, []func(*Builder){valid, func(b *Builder) { b.NextPlayer() }}, "game: player 1 has no strategies"},
+		{"resource weight before bad pair", []float64{1, 0, 1, 1}, []func(*Builder){pair(4, nan)}, "game: resource 1 has invalid weight 0"},
+		{"bad second pair of a player", nil, []func(*Builder){valid, func(b *Builder) {
+			b.NextPlayer()
+			b.NextStation(2, 1, 3, 1)
+			b.AddPair(0, 1)
+			b.NextStation(2, 1, 3, 1)
+			b.AddPair(1, -3)
+		}}, "game: player 1 strategy 1 has invalid weight -3"},
+		{"generic use before bad pair", nil, []func(*Builder){func(b *Builder) {
+			b.NextPlayer()
+			b.NextStrategy()
+			b.AddUse(0, -2)
+		}, pair(0, nan)}, "game: player 0 strategy 0 has invalid weight -2"},
+		{"bad pair before generic use", nil, []func(*Builder){pair(0, nan), func(b *Builder) {
+			b.NextPlayer()
+			b.NextStrategy()
+			b.AddUse(0, -2)
+		}}, "game: player 0 strategy 0 has invalid weight NaN"},
+		{"generic duplicate after valid pairs", nil, []func(*Builder){valid, func(b *Builder) {
+			b.NextPlayer()
+			b.NextStrategy()
+			b.AddUse(1, 1)
+			b.AddUse(1, 2)
+		}}, "game: player 1 strategy 0 uses resource 1 twice"},
+	}
+	b := NewBuilder()
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			// One recycled builder: a failed build must not leak into the
+			// next, so each case also rebuilds a valid game after it.
+			weights := tt.weights
+			if weights == nil {
+				weights = []float64{1, 1, 1, 1}
+			}
+			b.Reset(len(weights))
+			copy(b.Weights(), weights)
+			for _, stream := range tt.stream {
+				stream(b)
+			}
+			_, err := b.Build()
+			if err == nil || err.Error() != tt.want {
+				t.Fatalf("Build error %v, want %q", err, tt.want)
+			}
+			b.Reset(4)
+			copy(b.Weights(), []float64{1, 1, 1, 1})
+			valid(b)
+			if _, err := b.Build(); err != nil {
+				t.Fatalf("valid rebuild after the failure: %v", err)
+			}
+		})
+	}
+}
+
 func TestSocialCostTelescopes(t *testing.T) {
 	// Σ_i T_i(z) must equal Σ_r m_r p_r(z)².
 	src := rng.New(1)
