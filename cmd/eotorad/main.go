@@ -74,8 +74,8 @@ func run(args []string) error {
 		escChecks  = fs.Int("escalate-checks", 0, "counted slot budget while escalated (deterministic alternative)")
 		slotDL     = fs.Duration("slot-deadline", 0, "steady-state wall-clock slot budget (0 = none; see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "steady-state counted slot budget (0 = none)")
-		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial)")
-		shards     = fs.Int("shards", 0, "shard the slot solve (0/1 = off, -1 = one per cluster, ≥2 = at most that many)")
+		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers for the sharded solve (0 = all cores, 1 = serial); matters only with -shards -1")
+		shards     = fs.Int("shards", 0, "shard the slot solve (0/1 = off, -1 = one shard per topology cluster)")
 		snapshotTo = fs.String("snapshot", "", "snapshot file written every -snapshot-every and on shutdown")
 		snapEvery  = fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot cadence (with -snapshot)")
 		restore    = fs.String("restore", "", "snapshot file to restore before serving (resume without warmup)")

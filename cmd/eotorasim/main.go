@@ -56,14 +56,14 @@ func run(args []string) error {
 		saveTo     = fs.String("checkpoint", "", "write a checkpoint file after the run")
 		metrics    = fs.String("metrics", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address during the run, e.g. :6060")
 		obsOut     = fs.String("obs-out", "", "write the observability snapshot here after the run (.csv → CSV, else JSON)")
-		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers (0 = all cores, 1 = serial); results are bit-identical at any setting")
+		slotWork   = fs.Int("slot-workers", 0, "intra-slot solver workers for the sharded solve's interior sweeps (0 = all cores, 1 = serial); matters only with -shards -1, and results are bit-identical at any setting")
 		slotDL     = fs.Duration("slot-deadline", 0, "per-slot wall-clock budget for the solver (0 = none); expired slots fall down the degradation ladder (see OPERATIONS.md)")
 		slotChecks = fs.Int("slot-checks", 0, "per-slot solver checkpoint budget (0 = none); deterministic alternative to -slot-deadline")
 		faultsOn   = fs.Bool("faults", false, "inject seeded faults (trace corruption, outages, capacity loss, solver stalls) with the soak profile; repairs via trace.Sanitizer stay on")
 		churn      = fs.Float64("churn", 0, "population churn intensity: scales the default join/leave/handover/server-event probabilities (0 = fixed population, 1 = default regime)")
 		failDegrad = fs.Bool("fail-degraded", false, "exit non-zero if any slot was decided below RungFull (degradation ladder engaged); the scale-smoke CI gate")
 		topoName   = fs.String("topology", "default", "topology preset: default, urban, rural, campus, or metro")
-		shards     = fs.Int("shards", 0, "shard the slot solve into per-cluster games (0 or 1 = off, -1 = one shard per topology cluster, ≥2 = at most that many; see OPERATIONS.md)")
+		shards     = fs.Int("shards", 0, "shard the slot solve into per-cluster games (0 or 1 = off, -1 = one shard per topology cluster; see OPERATIONS.md)")
 		shardAudit = fs.Int("shard-audit", 0, "audit the sharded solve's optimality gap every N full-rung slots (0 = off; requires -shards)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -245,12 +245,8 @@ func run(args []string) error {
 	} else {
 		fmt.Printf("policy:   %s, V=%g\n", pol.Name(), *v)
 	}
-	if *shards != 0 {
-		if *shards == core.ShardsAuto {
-			fmt.Printf("sharding: one shard per topology cluster (-shards -1)\n")
-		} else {
-			fmt.Printf("sharding: up to %d shards\n", *shards)
-		}
+	if *shards == core.ShardsAuto {
+		fmt.Printf("sharding: one shard per topology cluster (-shards -1)\n")
 	}
 	fmt.Printf("budget:   $%.4f per slot\n", sc.Sys.Budget.Dollars())
 	fmt.Printf("slots:    %d (%d warmup)\n\n", *slots, *warmup)
@@ -332,9 +328,9 @@ func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration
 
 // attachPool gives the policy an intra-slot worker pool of the requested
 // size (0 = GOMAXPROCS, ≤1 = stay serial) and returns the cleanup that
-// releases the workers. Parallel slot solves are bit-identical to serial,
-// so the flag only changes wall-clock time; policies without the
-// capability simply stay serial.
+// releases the workers. Only the sharded solve runs on the pool, and
+// pooled solves are bit-identical to serial, so the flag only changes
+// wall-clock time; policies without the capability simply stay serial.
 func attachPool(pol policy.Policy, workers int) func() {
 	ps, ok := pol.(policy.PoolSetter)
 	if !ok || workers == 1 {

@@ -26,6 +26,17 @@ func TestRunShardedMetro(t *testing.T) {
 	}
 }
 
+// -shards takes only 0 or 1 (off) and -1 (one shard per cluster); the
+// error for any other count names -1.
+func TestRunRejectsShardCounts(t *testing.T) {
+	for _, n := range []string{"2", "8", "-2", "-3"} {
+		err := run([]string{"-devices", "5", "-slots", "4", "-shards", n})
+		if err == nil || !strings.Contains(err.Error(), "-1") {
+			t.Errorf("-shards %s: %v, want an error naming -1", n, err)
+		}
+	}
+}
+
 func TestRunValidationErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -37,7 +48,7 @@ func TestRunValidationErrors(t *testing.T) {
 		{"missing config", []string{"-config", "/nonexistent.json"}},
 		{"unknown topology", []string{"-devices", "5", "-slots", "4", "-topology", "ocean"}},
 		{"bad shards", []string{"-devices", "5", "-slots", "4", "-shards", "-2"}},
-		{"shards on mcba", []string{"-devices", "5", "-slots", "4", "-solver", "mcba", "-shards", "2"}},
+		{"shards on mcba", []string{"-devices", "5", "-slots", "4", "-solver", "mcba", "-shards", "-1"}},
 		{"audit without shards", []string{"-devices", "5", "-slots", "4", "-shard-audit", "3"}},
 	}
 	for _, tt := range tests {

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"eotora/internal/game"
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 	"eotora/internal/trace"
@@ -70,10 +69,7 @@ type BDMAResult struct {
 // round 0 rebuilds it for the slot state and later rounds only reweight
 // the N compute resources (the sole Ω-dependent part of the game),
 // skipping the structural rebuild entirely. in records the alternation's
-// round statistics, executed and skipped (zero value records nothing);
-// pool is the intra-slot worker pool handed to the P2-A engine (the
-// sharded solve's interior sweeps) and to P2-B (nil = serial; results
-// are bit-identical either way).
+// round statistics, executed and skipped (zero value records nothing).
 //
 // Each round is priced from its profile on the game, not from the state:
 // the round's loads p_r(z) are the Lemma-1 sums of its selection (the
@@ -94,7 +90,7 @@ type BDMAResult struct {
 // complete round, i.e. there is no decision to degrade to. A replay exit
 // precedes the next round's checkpoint, so a budget that would have run
 // out only inside skipped rounds leaves the decision undegraded.
-func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, pool *par.Pool, dl *solver.Deadline) (BDMAResult, error) {
+func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConfig, src *rng.Source, scratch *P2A, in solveInstr, dl *solver.Deadline) (BDMAResult, error) {
 	if err := b.checkWeights(); err != nil {
 		return BDMAResult{}, err
 	}
@@ -112,7 +108,6 @@ func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConf
 	if scratch == nil {
 		scratch = new(P2A)
 	}
-	scratch.SetPool(pool)
 	scratch.SetDeadline(dl)
 
 	freq := s.LowestFrequencies()
@@ -169,7 +164,7 @@ func (s *System) bdmaScratch(st *trace.State, v float64, b *Budget, cfg BDMAConf
 			sdl = nil
 		}
 		built := freq
-		freq, err = s.solveP2B(compute, st, v, b, in, pool, sdl)
+		freq, err = s.solveP2B(compute, st, v, b, in, sdl)
 		if err != nil {
 			if errors.Is(err, ErrSlotDeadline) {
 				best.Degraded = true

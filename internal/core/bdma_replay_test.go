@@ -128,18 +128,19 @@ func TestReplayExitMatchesPlainLoop(t *testing.T) {
 					bdmaSkipped: reg.Counter(MetricBDMARoundsSkipped),
 				}
 				scratch := new(P2A)
+				scratch.SetPool(pool)
 				for slot, st := range states {
 					src := func() *rng.Source { return rng.New(41).Derive(fmt.Sprintf("slot-%d", slot)) }
 					q := float64(slot%5) * 30
 					var got, want BDMAResult
 					if tc.rooms {
 						b := roomBudget(t, sys, q, q/2)
-						got, err = sys.bdmaScratch(st, v, b, cfg, src(), scratch, in, pool, nil)
+						got, err = sys.bdmaScratch(st, v, b, cfg, src(), scratch, in, nil)
 						want = plainBDMA(t, sys, st, tc.z, tc.solver, src(),
 							func(sel Selection) (Frequencies, error) { return b.stateP2B(sel, st, v) },
 							func(sel Selection, freq Frequencies) float64 { return b.stateObjective(sel, freq, st, v) })
 					} else {
-						got, err = sys.bdmaScratch(st, v, sys.globalBudget(q), cfg, src(), scratch, in, pool, nil)
+						got, err = sys.bdmaScratch(st, v, sys.globalBudget(q), cfg, src(), scratch, in, nil)
 						want = plainBDMA(t, sys, st, tc.z, tc.solver, src(),
 							func(sel Selection) (Frequencies, error) { return sys.SolveP2B(sel, st, v, q) },
 							func(sel Selection, freq Frequencies) float64 { return sys.P2Objective(sel, freq, st, v, q) })

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eotora/internal/obs"
-	"eotora/internal/par"
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
@@ -138,33 +137,6 @@ func warmStep(b *testing.B, ctrl *Controller, st *trace.State) {
 	}
 }
 
-// BenchmarkControllerStepPar is BenchmarkControllerStep with a
-// GOMAXPROCS-sized worker pool attached — the benchstat pair for the
-// serial-vs-parallel speedup table in README.md. Decisions are
-// bit-identical to the serial run (TestControllerPoolMatrix), so the
-// pair isolates pure scheduling cost/benefit.
-func BenchmarkControllerStepPar(b *testing.B) {
-	for _, devices := range []int{25, 50, 100, 300} {
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			sys, gen := benchSystem(b, devices)
-			ctrl, err := NewBDMAController(sys, 100, 5, 0, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := par.New(0)
-			defer pool.Close()
-			ctrl.SetPool(pool)
-			states := trace.Record(gen, 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ctrl.Step(states[i%len(states)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkControllerStepObs is BenchmarkControllerStep with a live obs
 // registry attached — the -benchmem pair for the observability overhead
 // budget: within ~5% of the uninstrumented run and zero additional
@@ -252,23 +224,6 @@ func BenchmarkSolveP2B(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.SolveP2B(sel, st, 100, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveP2BPar shards the per-server golden-section solves over
-// a GOMAXPROCS-sized pool.
-func BenchmarkSolveP2BPar(b *testing.B) {
-	sys, gen := benchSystem(b, 100)
-	st := gen.Next()
-	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(b, sys, st, 1), st)
-	pool := par.New(0)
-	defer pool.Close()
-	budget := sys.globalBudget(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.solveP2B(compute, st, 100, budget, solveInstr{}, pool, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func roomBudget(t testing.TB, sys *System, q ...float64) *Budget {
 // per-group weights, with the compute sums recomputed from the selection.
 func (b *Budget) stateP2B(sel Selection, st *trace.State, v float64) (Frequencies, error) {
 	s := b.sys
-	return s.solveP2B(s.computeSums(make([]float64, len(s.Net.Servers)), sel, st), st, v, b, solveInstr{}, nil, nil)
+	return s.solveP2B(s.computeSums(make([]float64, len(s.Net.Servers)), sel, st), st, v, b, solveInstr{}, nil)
 }
 
 // stateObjective is the state-priced P2 objective under the budget: the
@@ -117,7 +117,7 @@ func TestBudgetRejectsNegativeWeights(t *testing.T) {
 	}
 	withRoomBudgets(t, sys, map[int]float64{0: 0.5, 1: 0.5})
 	for _, q := range []float64{-1, math.NaN()} {
-		if _, err := sys.bdmaScratch(st, 50, roomBudget(t, sys, 1, q), BDMAConfig{}, nil, nil, solveInstr{}, nil, nil); err == nil {
+		if _, err := sys.bdmaScratch(st, 50, roomBudget(t, sys, 1, q), BDMAConfig{}, nil, nil, solveInstr{}, nil); err == nil {
 			t.Errorf("room backlog %v accepted", q)
 		}
 	}

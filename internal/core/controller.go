@@ -11,6 +11,7 @@ import (
 	"eotora/internal/rng"
 	"eotora/internal/solver"
 	"eotora/internal/stats"
+	"eotora/internal/topology"
 	"eotora/internal/trace"
 	"eotora/internal/units"
 )
@@ -124,9 +125,13 @@ type Controller struct {
 	// rung's (price).
 	pricing selectionPricing
 
+	// randPairs is the random rule's scratch: one device's feasible pairs
+	// (pickRandom).
+	randPairs []topology.Pair
+
 	// pool is the intra-slot worker pool attached with SetPool (nil =
-	// serial); it parallelizes the per-slot solve without changing any
-	// decision bit.
+	// serial); it runs the sharded solve's interior sweeps without
+	// changing any decision bit.
 	pool *par.Pool
 
 	// Slot-deadline state. dl is the controller-owned deadline re-armed
@@ -240,12 +245,12 @@ func (c *Controller) SetLambda(lambda float64) error {
 }
 
 // SetPool attaches a worker pool to the controller's per-slot solve:
-// P2-B's per-server minimizations and the sharded CGBA's interior sweeps
-// run across the pool's workers. Decisions, objectives, iteration
-// counts, and the RNG draw sequence are bit-identical to the serial path
-// for every pool size (DESIGN.md §9); nil detaches the pool. The pool
-// must not be shared by controllers stepping concurrently — give each
-// concurrent controller its own (as sim.Sweep does).
+// the sharded CGBA's interior sweeps (SetShards) run across the pool's
+// workers, and an unsharded controller never uses it. Decisions,
+// objectives, iteration counts, and the RNG draw sequence are
+// bit-identical to the serial path for every pool size (DESIGN.md §9);
+// nil detaches the pool. The pool must not be shared by controllers
+// stepping concurrently — give each concurrent controller its own.
 func (c *Controller) SetPool(p *par.Pool) {
 	c.pool = p
 	c.p2a.SetPool(p)
@@ -257,13 +262,12 @@ func (c *Controller) SetPool(p *par.Pool) {
 // clusters solved concurrently over the attached pool, with boundary
 // players reconciled serially until the global λ-equilibrium certifies.
 // n = 0 or 1 disables sharding (bit-identical to the unsharded path at
-// every pool size), n ≥ 2 uses at most n shards (clamped to the
-// topology's cluster count), and ShardsAuto uses one shard per cluster.
-// It errors when the controller's P2-A solver is not CGBA — the
-// MCBA/ROPT/OPT baselines have no sharded path.
+// every pool size), and ShardsAuto uses one shard per cluster; any other
+// n is an error. It also errors when the controller's P2-A solver is not
+// CGBA — the MCBA/ROPT/OPT baselines have no sharded path.
 func (c *Controller) SetShards(n int) error {
-	if n < ShardsAuto {
-		return fmt.Errorf("core: invalid shard count %d", n)
+	if err := checkShards(n); err != nil {
+		return err
 	}
 	s, err := c.cgbaSolver("sharding")
 	if err != nil {
@@ -407,7 +411,7 @@ func (c *Controller) solve(st *trace.State) (BDMAResult, int, error) {
 		dl = &c.dl
 	}
 
-	res, err := c.sys.bdmaScratch(st, c.cfg.V, c.budget, c.cfg.BDMA, src, &c.p2a, c.instr.solve, c.pool, dl)
+	res, err := c.sys.bdmaScratch(st, c.cfg.V, c.budget, c.cfg.BDMA, src, &c.p2a, c.instr.solve, dl)
 	rung := RungFull
 	if err == nil && res.Degraded {
 		rung = RungAnytime
@@ -446,7 +450,7 @@ func (c *Controller) solve(st *trace.State) (BDMAResult, int, error) {
 // audit can stay armed across heterogeneous sweeps.
 func (c *Controller) auditShardGap(out *SlotResult) {
 	s, ok := c.cfg.BDMA.Solver.(CGBASolver)
-	if !ok || s.Shards == 0 || s.Shards == 1 {
+	if !ok || s.Shards != ShardsAuto {
 		return
 	}
 	p := &c.p2a

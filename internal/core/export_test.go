@@ -10,7 +10,7 @@ import (
 // BDMA runs Algorithm 2 (bdmaScratch) once, without scratch, instruments,
 // pool or deadline, under the paper's single global budget with backlog q.
 func (s *System) BDMA(st *trace.State, v, q float64, cfg BDMAConfig, src *rng.Source) (BDMAResult, error) {
-	return s.bdmaScratch(st, v, s.globalBudget(q), cfg, src, nil, solveInstr{}, nil, nil)
+	return s.bdmaScratch(st, v, s.globalBudget(q), cfg, src, nil, solveInstr{}, nil)
 }
 
 // ApproxRatio returns the R of Theorem 3 for this system and λ:

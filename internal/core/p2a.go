@@ -62,12 +62,11 @@ type P2A struct {
 	devPlayer []int32
 
 	// Shard-plan memo (see shardPlanFor). shardPlan is the compiled
-	// player → shard assignment for planTarget, rebuilt lazily because
-	// BuildP2A can change the active population (and thus the player
-	// indexing); planAssign is its reused scratch row.
+	// player → shard assignment, rebuilt lazily because BuildP2A can
+	// change the active population (and thus the player indexing);
+	// planAssign is its reused scratch row.
 	shardPlan  *game.ShardPlan
 	planAssign []int32
-	planTarget int
 	planValid  bool
 
 	// Round pricing scratch (see bdmaLoop and priceLoads): loads holds
@@ -450,36 +449,37 @@ func (p *P2A) Profile(sel Selection) (game.Profile, error) {
 // resource-disjoint topology cluster (see CGBASolver.Shards).
 const ShardsAuto = -1
 
+// checkShards rejects a shard setting other than 0 or 1 (off) and
+// ShardsAuto.
+func checkShards(n int) error {
+	if n != 0 && n != 1 && n != ShardsAuto {
+		return fmt.Errorf("core: invalid shard count %d (want 0 or 1 for off, %d for one shard per topology cluster)", n, ShardsAuto)
+	}
+	return nil
+}
+
 // shardPlanFor returns the slot's player → shard assignment for the
-// requested shard count: the topology is partitioned into
-// resource-disjoint clusters (internal/shard), each active player is
-// assigned to the shard owning every station and server its feasible
-// pairs touch, and players whose pairs span shards become boundary
-// players the sharded solve reconciles serially. A nil plan (with nil
-// error) means sharding is off or degenerate (target ≤ 1, or the whole
-// topology is one cluster) and the caller should run the unsharded
-// path. The compiled plan is memoized per target and invalidated by
-// BuildP2A, so each slot pays one O(players) scan and the BDMA rounds
-// after the first reuse it.
-func (p *P2A) shardPlanFor(target int) (*game.ShardPlan, error) {
-	if target == 0 || target == 1 {
-		return nil, nil
+// shard setting n: the topology is partitioned into resource-disjoint
+// clusters (internal/shard), each active player is assigned to the
+// shard owning every station and server its feasible pairs touch, and
+// players whose pairs span shards become boundary players the sharded
+// solve reconciles serially. A nil plan (with nil error) means sharding
+// is off (n is 0 or 1) or degenerate (the whole topology is one
+// cluster) and the caller should run the unsharded path. The compiled
+// plan is memoized and invalidated by BuildP2A, so each slot pays one
+// O(players) scan and the BDMA rounds after the first reuse it.
+func (p *P2A) shardPlanFor(n int) (*game.ShardPlan, error) {
+	if err := checkShards(n); err != nil || n != ShardsAuto {
+		return nil, err
 	}
-	if target < 0 && target != ShardsAuto {
-		return nil, fmt.Errorf("core: invalid shard count %d", target)
-	}
-	if p.planValid && p.planTarget == target {
+	if p.planValid {
 		return p.shardPlan, nil
 	}
-	want := target
-	if want == ShardsAuto {
-		want = math.MaxInt // shard.New clamps to the cluster count
-	}
-	part := shard.New(p.sys.Net, want)
+	part := shard.New(p.sys.Net)
 	if part.Shards <= 1 {
 		// Single cluster: every player would land in shard 0, and a
 		// one-shard plan is the unsharded solve — skip the plan entirely.
-		p.shardPlan, p.planTarget, p.planValid = nil, target, true
+		p.shardPlan, p.planValid = nil, true
 		return nil, nil
 	}
 	assign := p.planAssign[:0]
@@ -504,7 +504,7 @@ func (p *P2A) shardPlanFor(target int) (*game.ShardPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: shard plan: %w", err)
 	}
-	p.planTarget, p.planValid = target, true
+	p.planValid = true
 	return p.shardPlan, nil
 }
 
@@ -549,9 +549,8 @@ type CGBASolver struct {
 	// Shards splits the slot game into resource-disjoint topology
 	// clusters solved concurrently and reconciled at the boundary until
 	// the global λ-equilibrium certifies (DESIGN.md §13): 0 or 1 =
-	// unsharded (bit-identical to the seed path), ≥ 2 = at most that
-	// many shards (clamped to the cluster count), ShardsAuto = one shard
-	// per cluster.
+	// unsharded (bit-identical to the seed path), ShardsAuto = one shard
+	// per cluster. Solve rejects any other value.
 	Shards int
 }
 

@@ -12,7 +12,6 @@ import (
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
-	"eotora/internal/units"
 )
 
 // corePoolSizes is the pool-size matrix the equivalence tests run:
@@ -26,6 +25,21 @@ func withPool(size int) *par.Pool {
 		return nil
 	}
 	return par.New(size)
+}
+
+// newShardedController is NewBDMAController with ShardsAuto set. The
+// pool runs only the sharded solve's interior sweeps, so the pool-matrix
+// tests step sharded controllers over clustered (metro) systems.
+func newShardedController(t testing.TB, sys *System, v float64, z int, lambda float64, seed int64) *Controller {
+	t.Helper()
+	ctrl, err := NewBDMAController(sys, v, z, lambda, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.SetShards(ShardsAuto); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
 }
 
 // stepTrace runs a controller over the given states and flattens every
@@ -88,18 +102,15 @@ func comparableSnapshot(reg *obs.Registry) obs.Snapshot {
 }
 
 // TestControllerPoolMatrix is the end-to-end determinism contract at the
-// controller level: a pooled controller's selections, frequencies,
-// objectives, queue trajectory, solver iteration counts, and non-timing
-// observability series are bit-identical to serial at every pool size.
+// controller level: a pooled sharded controller's selections,
+// frequencies, objectives, queue trajectory, solver iteration counts,
+// and non-timing observability series are bit-identical to serial at
+// every pool size.
 func TestControllerPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 70, 21, 6
 	build := func() (*Controller, []*trace.State) {
-		sys, gen := buildSystem(t, devices, seed)
-		ctrl, err := NewBDMAController(sys, 110, 3, 0.05, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctrl, trace.Record(gen, slots)
+		sys, gen := buildMetroSystem(t, devices, seed)
+		return newShardedController(t, sys, 110, 3, 0.05, 9), trace.Record(gen, slots)
 	}
 
 	serialCtrl, states := build()
@@ -123,22 +134,25 @@ func TestControllerPoolMatrix(t *testing.T) {
 			if snap := comparableSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
 				t.Errorf("obs snapshot diverged:\n got %+v\nwant %+v", snap, wantSnap)
 			}
+			if regions := reg.Counter(par.MetricRegions).Value(); size > 1 && regions == 0 {
+				t.Error("the pool ran no region: the matrix compared serial with serial")
+			}
 		})
 	}
 }
 
 // TestControllerRoomsPoolMatrix covers per-room budgets (per-group P2-B
-// queue weights and objective).
+// queue weights and objective) under the sharded solve.
 func TestControllerRoomsPoolMatrix(t *testing.T) {
 	const devices, seed, slots = 66, 13, 4
 	build := func() (*Controller, []*trace.State) {
-		sys, gen := buildSystem(t, devices, seed)
-		withRoomBudgets(t, sys, map[int]float64{0: 0.5, 1: 0.4})
-		ctrl, err := NewBDMAController(sys, 90, 2, 0, 5)
-		if err != nil {
-			t.Fatal(err)
+		sys, gen := buildMetroSystem(t, devices, seed)
+		fracs := make(map[int]float64, len(sys.Net.Rooms))
+		for m, room := range sys.Net.Rooms {
+			fracs[room.ID] = 0.5 - 0.1*float64(m%2)
 		}
-		return ctrl, trace.Record(gen, slots)
+		withRoomBudgets(t, sys, fracs)
+		return newShardedController(t, sys, 90, 2, 0, 5), trace.Record(gen, slots)
 	}
 	serialCtrl, states := build()
 	want := stepTrace(t, serialCtrl, states)
@@ -154,85 +168,17 @@ func TestControllerRoomsPoolMatrix(t *testing.T) {
 	}
 }
 
-// TestSolveP2BPoolMatrix checks the per-server fan-out in isolation,
-// including the solver-work instruments.
-func TestSolveP2BPoolMatrix(t *testing.T) {
-	sys, gen := buildSystem(t, 80, 17)
-	st := gen.Next()
-	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(t, sys, st, 3), st)
-
-	serialReg := obs.New()
-	serialIn := solveInstr{
-		p2bSolves: serialReg.Counter(MetricP2BSolves),
-		p2bIters:  serialReg.Histogram(MetricP2BIterations),
-	}
-	want, err := sys.solveP2B(compute, st, 120, sys.globalBudget(7), serialIn, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		reg := obs.New()
-		in := solveInstr{
-			p2bSolves: reg.Counter(MetricP2BSolves),
-			p2bIters:  reg.Histogram(MetricP2BIterations),
-		}
-		got, err := sys.solveP2B(compute, st, 120, sys.globalBudget(7), in, pool, nil)
-		pool.Close()
-		if err != nil {
-			t.Fatalf("pool %d: %v", size, err)
-		}
-		for n := range want {
-			if math.Float64bits(float64(got[n])) != math.Float64bits(float64(want[n])) {
-				t.Errorf("pool %d: server %d frequency %v, want %v", size, n, got[n], want[n])
-			}
-		}
-		if !reflect.DeepEqual(reg.Snapshot(), serialReg.Snapshot()) {
-			t.Errorf("pool %d: P2-B instruments diverged", size)
-		}
-	}
-}
-
-// TestSolveP2BPoolError checks that the parallel path reports the same
-// error as serial: the lowest failing server wins, regardless of which
-// shard hit its failure first.
-func TestSolveP2BPoolError(t *testing.T) {
-	sys, gen := buildSystem(t, 80, 41)
-	st := gen.Next()
-	compute := sys.computeSums(make([]float64, len(sys.Net.Servers)), feasibleSelection(t, sys, st, 3), st)
-	// Corrupt every server's frequency range so each per-server solve
-	// fails; serial reports server 0.
-	for n := range sys.Net.Servers {
-		sys.Net.Servers[n].MinFreq = 4 * units.GHz
-		sys.Net.Servers[n].MaxFreq = 1 * units.GHz
-	}
-	_, serialErr := sys.solveP2B(compute, st, 100, sys.globalBudget(1), solveInstr{}, nil, nil)
-	if serialErr == nil {
-		t.Fatal("expected serial error")
-	}
-	for _, size := range corePoolSizes()[1:] {
-		pool := par.New(size)
-		_, err := sys.solveP2B(compute, st, 100, sys.globalBudget(1), solveInstr{}, pool, nil)
-		pool.Close()
-		if err == nil || err.Error() != serialErr.Error() {
-			t.Errorf("pool %d: error %v, want %v", size, err, serialErr)
-		}
-	}
-}
-
 // TestControllerPoolSteadyStateAllocs guards the "zero additional
 // steady-state allocations per slot" acceptance bar: after warmup, a
-// pooled controller step must not allocate more than the serial step.
+// pooled sharded controller step must not allocate more than the serial
+// step.
 func TestControllerPoolSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement in -short mode")
 	}
 	measure := func(pool *par.Pool) float64 {
-		sys, gen := buildSystem(t, 70, 21)
-		ctrl, err := NewBDMAController(sys, 110, 3, 0, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, gen := buildMetroSystem(t, 70, 21)
+		ctrl := newShardedController(t, sys, 110, 3, 0, 9)
 		if pool != nil {
 			ctrl.SetPool(pool)
 		}
@@ -260,10 +206,9 @@ func TestControllerPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzParallelEquivalence drives random topologies, traces, and pool
-// sizes through the controller and requires the pooled run to be
-// bit-identical to serial. Device counts straddle the parallel gates so
-// both the gated-off and sharded paths are exercised.
+// FuzzParallelEquivalence drives random metro topologies, traces, pool
+// sizes and device counts through a sharded controller and requires the
+// pooled run to be bit-identical to serial.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(2), uint8(40))
 	f.Add(int64(3), int64(4), uint8(5), uint8(70))
@@ -272,7 +217,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		devices := 6 + int(deviceByte)%90
 		size := 2 + int(poolSize)%6
 		src := rng.New(topoSeed)
-		net, err := topology.Generate(smallSpec(devices), src.Derive("net"))
+		net, err := topology.Generate(topology.MetroSpec(devices), src.Derive("net"))
 		if err != nil {
 			t.Skip() // infeasible random topology
 		}
@@ -291,10 +236,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		states := trace.Record(gen, 2)
 
 		run := func(pool *par.Pool) []slotTrace {
-			ctrl, err := NewBDMAController(sys, 100, 2, 0.05, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctrl := newShardedController(t, sys, 100, 2, 0.05, 7)
 			ctrl.SetPool(pool)
 			return stepTrace(t, ctrl, states)
 		}

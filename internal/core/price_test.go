@@ -238,6 +238,7 @@ func checkBDMAPricing(t *testing.T, sys *System, states []*trace.State, cfg BDMA
 	reg := obs.New()
 	in := solveInstr{bdmaRounds: reg.Counter(MetricBDMARounds)}
 	scratch := new(P2A)
+	scratch.SetPool(pool)
 	degraded := 0
 	for slot, st := range states {
 		src := rng.New(67).Derive(fmt.Sprintf("slot-%d", slot))
@@ -252,7 +253,7 @@ func checkBDMAPricing(t *testing.T, sys *System, states []*trace.State, cfg BDMA
 			rq = []float64{q, q / 3}
 			b = roomBudget(t, sys, rq...)
 		}
-		res, err := sys.bdmaScratch(st, v, b, cfg, src, scratch, in, pool, dl)
+		res, err := sys.bdmaScratch(st, v, b, cfg, src, scratch, in, dl)
 		if errors.Is(err, ErrSlotDeadline) {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 
 	"eotora/internal/game"
 	"eotora/internal/rng"
+	"eotora/internal/topology"
 	"eotora/internal/trace"
 )
 
@@ -94,6 +95,8 @@ func pickGreedy(c *Controller, st *trace.State) (Selection, error) {
 // one Intn over its feasible-pair count: the draws game.RandomProfile
 // makes on the slot's P2-A game, whose players are the active devices in
 // that order with those pairs as strategies, without building the game.
+// The device's pairs are recorded in one walk into c.randPairs and the
+// draw indexes them.
 func pickRandom(c *Controller, st *trace.State) (Selection, error) {
 	if err := c.sys.CheckState(st); err != nil {
 		return Selection{}, err
@@ -101,24 +104,23 @@ func pickRandom(c *Controller, st *trace.State) (Selection, error) {
 	src := rng.New(c.cfg.Seed).Derive(fmt.Sprintf("policy-random-slot-%d", c.slot))
 	_, _, _, devices := c.sys.Net.Counts()
 	sel := emptySelection(devices)
+	pairs := c.randPairs
 	for i := 0; i < devices; i++ {
 		if !st.ActiveDevice(i) {
 			continue
 		}
-		count := c.sys.feasiblePairs(i, st, func(int, int) bool { return true })
-		if count == 0 {
+		pairs = pairs[:0]
+		c.sys.feasiblePairs(i, st, func(k, n int) bool {
+			pairs = append(pairs, topology.Pair{Station: k, Server: n})
+			return true
+		})
+		if len(pairs) == 0 {
 			return Selection{}, fmt.Errorf("core: device %d has no feasible (station, server) pair this slot", i)
 		}
-		pick := src.Intn(count)
-		c.sys.feasiblePairs(i, st, func(k, n int) bool {
-			if pick > 0 {
-				pick--
-				return true
-			}
-			sel.Station[i], sel.Server[i] = k, n
-			return false
-		})
+		pick := pairs[src.Intn(len(pairs))]
+		sel.Station[i], sel.Server[i] = pick.Station, pick.Server
 	}
+	c.randPairs = pairs
 	return sel, nil
 }
 

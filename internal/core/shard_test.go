@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eotora/internal/game"
@@ -32,14 +33,16 @@ func TestShardPlanFor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Off switches return no plan and no error.
+	// Off switches return no plan and no error; other counts error.
 	for _, off := range []int{0, 1} {
 		if plan, err := p.shardPlanFor(off); err != nil || plan != nil {
 			t.Fatalf("shardPlanFor(%d) = (%v, %v), want (nil, nil)", off, plan, err)
 		}
 	}
-	if _, err := p.shardPlanFor(-3); err == nil {
-		t.Fatal("invalid shard count accepted")
+	for _, bad := range invalidShards {
+		if _, err := p.shardPlanFor(bad); err == nil {
+			t.Fatalf("shardPlanFor(%d) accepted", bad)
+		}
 	}
 
 	plan, err := p.shardPlanFor(ShardsAuto)
@@ -63,23 +66,13 @@ func TestShardPlanFor(t *testing.T) {
 			boundary, len(p.planAssign))
 	}
 
-	// Memoized: the same target returns the identical compiled plan.
+	// Memoized: a second call returns the identical compiled plan.
 	again, err := p.shardPlanFor(ShardsAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != plan {
 		t.Error("memoized plan not reused for an unchanged population")
-	}
-
-	// A different target recompiles (reusing the allocation) with the
-	// requested shard count.
-	two, err := p.shardPlanFor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two.Shards() != 2 {
-		t.Fatalf("shardPlanFor(2) produced %d shards", two.Shards())
 	}
 
 	// Rebuilding the instance invalidates the memo.
@@ -97,13 +90,17 @@ func TestShardPlanFor(t *testing.T) {
 	}
 }
 
+// invalidShards are shard settings other than off (0, 1) and ShardsAuto:
+// counts the retired bin packing took, and negatives below ShardsAuto.
+var invalidShards = []int{2, 8, -2, -3}
+
 func TestSetShardsValidation(t *testing.T) {
 	sys, _ := buildSystem(t, 8, 3)
 	mcba, err := NewMCBAController(sys, 110, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mcba.SetShards(2); err == nil {
+	if err := mcba.SetShards(ShardsAuto); err == nil {
 		t.Error("SetShards accepted on an MCBA controller")
 	}
 
@@ -111,13 +108,16 @@ func TestSetShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, 2, 8, ShardsAuto} {
+	for _, n := range []int{0, 1, ShardsAuto} {
 		if err := cgba.SetShards(n); err != nil {
 			t.Errorf("SetShards(%d) = %v", n, err)
 		}
 	}
-	if err := cgba.SetShards(-2); err == nil {
-		t.Error("SetShards(-2) accepted")
+	for _, n := range invalidShards {
+		err := cgba.SetShards(n)
+		if err == nil || !strings.Contains(err.Error(), "-1") {
+			t.Errorf("SetShards(%d) = %v, want an error naming -1", n, err)
+		}
 	}
 
 	// A controller with the implicit default solver materializes CGBA.
@@ -125,11 +125,27 @@ func TestSetShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := def.SetShards(2); err != nil {
+	if err := def.SetShards(ShardsAuto); err != nil {
 		t.Errorf("SetShards on the default solver: %v", err)
 	}
 	if def.SolverName() != "CGBA" {
 		t.Errorf("default solver is %s", def.SolverName())
+	}
+}
+
+// A CGBASolver configured with a shard count SetShards rejects fails its
+// solve with the same error instead of running unsharded.
+func TestCGBASolverRejectsShards(t *testing.T) {
+	sys, gen := buildMetroSystem(t, 30, 5)
+	p, err := sys.NewP2A(gen.Next(), sys.LowestFrequencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range invalidShards {
+		_, err := CGBASolver{Lambda: 0.05, Shards: n}.Solve(p, rng.New(1))
+		if err == nil || !strings.Contains(err.Error(), "-1") {
+			t.Errorf("Shards %d: solve = %v, want an error naming -1", n, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"eotora/internal/core"
 	"eotora/internal/game"
 	"eotora/internal/obs"
+	"eotora/internal/policy"
 	"eotora/internal/rng"
 	"eotora/internal/sim"
 	"eotora/internal/solver"
@@ -365,7 +366,7 @@ func AblationSeeds(cfg AblationConfig, seeds []int64) (*Figure, error) {
 	}
 	build := func(seed int64) (sim.Job, error) {
 		return sim.Job{
-			Controller: func() (*core.Controller, error) {
+			Policy: func() (policy.Policy, error) {
 				sc, err := NewScenario(ScenarioOptions{Devices: cfg.Devices}, seed)
 				if err != nil {
 					return nil, err

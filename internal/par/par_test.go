@@ -9,19 +9,11 @@ import (
 	"eotora/internal/obs"
 )
 
-// fillTask writes shard indices into disjoint spans of out — the shape
-// every real region has: per-shard work, preallocated slots.
-type fillTask struct {
-	out    []int
-	shards int
-}
+// fillTask writes each shard's index into its own slot of out — the
+// shape every real region has: per-shard work, preallocated slots.
+type fillTask struct{ out []int }
 
-func (t *fillTask) Run(shard int) {
-	lo, hi := Span(len(t.out), t.shards, shard)
-	for i := lo; i < hi; i++ {
-		t.out[i] = shard
-	}
-}
+func (t *fillTask) Run(shard int) { t.out[shard] = shard }
 
 // countTask counts Run invocations (atomically: shards run concurrently).
 type countTask struct{ n atomic.Int64 }
@@ -32,43 +24,17 @@ func poolSizes() []int {
 	return []int{1, 2, 3, runtime.NumCPU(), runtime.NumCPU() + 2}
 }
 
-func TestSpanPartition(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 16, 100, 1023} {
-		for shards := 1; shards <= 9; shards++ {
-			prev := 0
-			for s := 0; s < shards; s++ {
-				lo, hi := Span(n, shards, s)
-				if lo != prev {
-					t.Fatalf("Span(%d, %d, %d): lo = %d, want %d (contiguous)", n, shards, s, lo, prev)
-				}
-				if hi < lo {
-					t.Fatalf("Span(%d, %d, %d): hi %d < lo %d", n, shards, s, hi, lo)
-				}
-				if d := hi - lo; d > n/shards+1 {
-					t.Fatalf("Span(%d, %d, %d): span length %d unbalanced", n, shards, s, d)
-				}
-				prev = hi
-			}
-			if prev != n {
-				t.Fatalf("Span(%d, %d, ·): covers %d items", n, shards, prev)
-			}
-		}
-	}
-}
-
 func TestRunCoversAllShards(t *testing.T) {
 	for _, size := range poolSizes() {
 		p := New(size)
 		for _, shards := range []int{1, 2, size, 3 * size, 17} {
-			task := &fillTask{out: make([]int, 101), shards: shards}
+			task := &fillTask{out: make([]int, shards)}
 			for i := range task.out {
 				task.out[i] = -1
 			}
 			p.Run(shards, task)
 			for i, got := range task.out {
-				lo, _ := Span(len(task.out), shards, got)
-				_, hi := Span(len(task.out), shards, got)
-				if got < 0 || got >= shards || i < lo || i >= hi {
+				if got != i {
 					t.Fatalf("size %d shards %d: out[%d] = %d", size, shards, i, got)
 				}
 			}
@@ -79,9 +45,6 @@ func TestRunCoversAllShards(t *testing.T) {
 
 func TestRunNilPool(t *testing.T) {
 	var p *Pool
-	if got := p.Size(); got != 1 {
-		t.Fatalf("nil pool Size() = %d, want 1", got)
-	}
 	task := &countTask{}
 	p.Run(5, task)
 	if got := task.n.Load(); got != 5 {
@@ -118,8 +81,8 @@ func TestPoolReuse(t *testing.T) {
 func TestCloseDegradesToSerial(t *testing.T) {
 	p := New(4)
 	p.Close()
-	if got := p.Size(); got != 1 {
-		t.Fatalf("Size after Close = %d, want 1", got)
+	if p.size != 1 {
+		t.Fatalf("size after Close = %d, want 1", p.size)
 	}
 	task := &countTask{}
 	p.Run(6, task) // must run on the caller, no helpers left
@@ -132,8 +95,8 @@ func TestCloseDegradesToSerial(t *testing.T) {
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	p := New(0)
 	defer p.Close()
-	if got, want := p.Size(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(0).Size() = %d, want %d", got, want)
+	if got, want := p.size, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("New(0).size = %d, want %d", got, want)
 	}
 }
 
@@ -147,7 +110,7 @@ type sumTask struct {
 }
 
 func (t *sumTask) Run(shard int) {
-	lo, hi := Span(len(t.in), t.shards, shard)
+	lo, hi := shard*len(t.in)/t.shards, (shard+1)*len(t.in)/t.shards
 	s := 0.0
 	for i := lo; i < hi; i++ {
 		s += t.in[i]

@@ -13,46 +13,35 @@
 // solve factorizes into per-cluster games plus a boundary set of devices
 // covered by stations of more than one cluster.
 //
-// Partition computes the components with a union-find over stations and
-// rooms, then bins them into at most `target` shards by greedy
-// weight-balancing (heaviest component first onto the lightest bin). The
-// result is a pure function of the network's wiring and the target — no
-// RNG, no map iteration — so the same topology always yields the same
-// partition, on every machine and at every pool size. The shard-package
-// tests and the core shard×pool matrix tests enforce this.
+// New computes the components with a union-find over stations and rooms
+// and makes each component one shard, numbered in order of its lowest
+// member (stations before rooms). The result is a pure function of the
+// network's wiring — no RNG, no map iteration — so the same topology
+// always yields the same partition, on every machine and at every pool
+// size. The shard-package tests and the core shard×pool matrix tests
+// enforce this.
 package shard
 
-import (
-	"sort"
-
-	"eotora/internal/topology"
-)
+import "eotora/internal/topology"
 
 // Partition is a deterministic decomposition of a network's stations,
-// rooms, and servers into resource-disjoint shards.
+// rooms, and servers into resource-disjoint shards, one per connected
+// component of the station–room graph.
 type Partition struct {
-	// Shards is the number of bins actually used: min(target, Clusters),
-	// and at least 1.
+	// Shards is the number of connected components, at least 1 for a
+	// network with a station or a room.
 	Shards int
-	// Clusters is the number of connected components of the station–room
-	// graph — the finest decomposition available; requesting more shards
-	// than clusters cannot help.
-	Clusters int
 	// StationShard maps station index → shard.
 	StationShard []int32
 	// ServerShard maps server index → shard (via the server's room).
 	ServerShard []int32
 }
 
-// New computes the partition of net into at most target shards. target
-// values below 1 are treated as 1 (everything in one shard). The network
-// must be finalized (topology.Network.Finalize).
-func New(net *topology.Network, target int) Partition {
+// New computes the partition of net into its connected components. The
+// network must be finalized (topology.Network.Finalize).
+func New(net *topology.Network) Partition {
 	stations := len(net.BaseStations)
 	rooms := len(net.Rooms)
-	if target < 1 {
-		target = 1
-	}
 
 	// Union-find over stations [0, K) and rooms [K, K+M). Room IDs are
 	// arbitrary ints; index them by position with a dense remap.
@@ -64,101 +53,47 @@ func New(net *topology.Network, target int) Partition {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		// Deterministic orientation: the smaller root wins, so component
-		// roots are the lowest member index regardless of union order.
-		if ra < rb {
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
 	for k := range net.BaseStations {
 		for _, room := range net.BaseStations[k].Rooms {
-			union(int32(k), int32(stations+roomIdx[room]))
-		}
-	}
-
-	// Enumerate components in first-appearance order over stations then
-	// rooms (roots are minimal member indices, so this order is stable).
-	comp := make([]int32, stations+rooms)
-	compOf := make(map[int32]int32)
-	for i := range parent {
-		root := find(int32(i))
-		c, ok := compOf[root]
-		if !ok {
-			c = int32(len(compOf))
-			compOf[root] = c
-		}
-		comp[i] = c
-	}
-	clusters := len(compOf)
-
-	// Component weight: a proxy for solve cost. Servers dominate strategy
-	// counts (each covered station contributes its reachable servers), so
-	// weight by servers with stations as tie-mass.
-	weight := make([]int, clusters)
-	for k := 0; k < stations; k++ {
-		weight[comp[k]]++
-	}
-	for n := range net.Servers {
-		weight[comp[stations+roomIdx[net.Servers[n].Room]]] += 4
-	}
-
-	shards := target
-	if shards > clusters {
-		shards = clusters
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	// Greedy balanced binning: components sorted by weight descending
-	// (ties: lower component index first), each assigned to the lightest
-	// bin (ties: lowest bin index). Deterministic by construction.
-	order := make([]int, clusters)
-	for c := range order {
-		order[c] = c
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weight[order[a]] > weight[order[b]]
-	})
-	binOf := make([]int32, clusters)
-	binWeight := make([]int, shards)
-	for _, c := range order {
-		lightest := 0
-		for s := 1; s < shards; s++ {
-			if binWeight[s] < binWeight[lightest] {
-				lightest = s
+			ra, rb := find(int32(k)), find(int32(stations+roomIdx[room]))
+			// Deterministic orientation: the smaller root wins, so every
+			// component's root is its lowest member index.
+			if ra < rb {
+				parent[rb] = ra
+			} else if rb < ra {
+				parent[ra] = rb
 			}
 		}
-		binOf[c] = int32(lightest)
-		binWeight[lightest] += weight[c]
+	}
+
+	// Number the components by first appearance over stations then rooms:
+	// a member is its component's first exactly when it is the root, and
+	// every other member comes after the root.
+	comp := make([]int32, stations+rooms)
+	shards := 0
+	for i := range parent {
+		if root := find(int32(i)); root != int32(i) {
+			comp[i] = comp[root]
+			continue
+		}
+		comp[i] = int32(shards)
+		shards++
 	}
 
 	p := Partition{
 		Shards:       shards,
-		Clusters:     clusters,
-		StationShard: make([]int32, stations),
+		StationShard: comp[:stations:stations],
 		ServerShard:  make([]int32, len(net.Servers)),
 	}
-	for k := 0; k < stations; k++ {
-		p.StationShard[k] = binOf[comp[k]]
-	}
 	for n := range net.Servers {
-		p.ServerShard[n] = binOf[comp[stations+roomIdx[net.Servers[n].Room]]]
+		p.ServerShard[n] = comp[stations+roomIdx[net.Servers[n].Room]]
 	}
 	return p
 }

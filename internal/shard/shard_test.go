@@ -17,18 +17,18 @@ func metroNet(t *testing.T, devices int) *topology.Network {
 	return net
 }
 
-// Same topology, same target → identical partition, call after call.
+// Same topology → identical partition, call after call.
 func TestPartitionDeterministic(t *testing.T) {
 	net := metroNet(t, 50)
-	a := New(net, 8)
+	a := New(net)
 	for i := 0; i < 5; i++ {
-		b := New(net, 8)
+		b := New(net)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("partition %d differs:\n%+v\n%+v", i, b, a)
 		}
 	}
 	// And the same spec regenerated from the same seed partitions the same.
-	c := New(metroNet(t, 50), 8)
+	c := New(metroNet(t, 50))
 	if !reflect.DeepEqual(a, c) {
 		t.Fatalf("regenerated topology partitions differently:\n%+v\n%+v", c, a)
 	}
@@ -38,7 +38,7 @@ func TestPartitionDeterministic(t *testing.T) {
 // same shard; servers follow their room's shard.
 func TestPartitionRespectsAdjacency(t *testing.T) {
 	net := metroNet(t, 50)
-	p := New(net, 6)
+	p := New(net)
 	roomShard := map[int]int32{}
 	for k, bs := range net.BaseStations {
 		for _, room := range bs.Rooms {
@@ -60,50 +60,95 @@ func TestPartitionRespectsAdjacency(t *testing.T) {
 	}
 }
 
-// The metro spec is built to decompose: many clusters, and a target below
-// the cluster count bins them with every shard non-empty.
-func TestPartitionBinning(t *testing.T) {
+// On the metro spec every connected component of the station–room
+// graph, found here by a breadth-first search independent of New's
+// union-find, is its own shard: all of a component's stations and
+// servers share one shard, and no two components share a shard. An
+// umbrella topology (campus) is a single cluster.
+func TestPartitionOneShardPerComponent(t *testing.T) {
 	net := metroNet(t, 50)
-	p := New(net, 4)
-	if p.Clusters < 8 {
-		t.Fatalf("metro spec yields %d clusters, want a decomposable topology (≥ 8)", p.Clusters)
-	}
-	if p.Shards != 4 {
-		t.Fatalf("Shards = %d, want 4", p.Shards)
-	}
-	seen := make([]bool, p.Shards)
-	for _, s := range p.StationShard {
-		if s < 0 || int(s) >= p.Shards {
-			t.Fatalf("station shard %d outside [0, %d)", s, p.Shards)
-		}
-		seen[s] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			t.Fatalf("shard %d has no stations", s)
-		}
-	}
-}
+	p := New(net)
 
-// A target beyond the cluster count clamps; a target below 1 means one
-// shard; an umbrella topology (DefaultSpec) is a single cluster.
-func TestPartitionClamping(t *testing.T) {
-	net := metroNet(t, 50)
-	p := New(net, 1<<20)
-	if p.Shards != p.Clusters {
-		t.Fatalf("Shards = %d, want clamp to Clusters = %d", p.Shards, p.Clusters)
+	// Component labels over stations [0, K) and room positions [K, K+M).
+	stations := len(net.BaseStations)
+	roomPos := map[int]int{}
+	for m, room := range net.Rooms {
+		roomPos[room.ID] = stations + m
 	}
-	if one := New(net, 0); one.Shards != 1 {
-		t.Fatalf("target 0: Shards = %d, want 1", one.Shards)
+	adj := make([][]int, stations+len(net.Rooms))
+	for k, bs := range net.BaseStations {
+		for _, room := range bs.Rooms {
+			r := roomPos[room]
+			adj[k] = append(adj[k], r)
+			adj[r] = append(adj[r], k)
+		}
+	}
+	label := make([]int, len(adj))
+	for i := range label {
+		label[i] = -1
+	}
+	components := 0
+	for start := range adj {
+		if label[start] >= 0 {
+			continue
+		}
+		label[start] = components
+		queue := []int{start}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range adj[v] {
+				if label[w] < 0 {
+					label[w] = components
+					queue = append(queue, w)
+				}
+			}
+		}
+		components++
+	}
+	if components < 8 {
+		t.Fatalf("metro spec yields %d components, want a decomposable topology (≥ 8)", components)
+	}
+	if p.Shards != components {
+		t.Fatalf("Shards = %d, want one per component (%d)", p.Shards, components)
+	}
+
+	shardOf := make([]int32, components)
+	for c := range shardOf {
+		shardOf[c] = -1
+	}
+	claim := func(what string, idx, c int, sh int32) {
+		if sh < 0 || int(sh) >= p.Shards {
+			t.Fatalf("%s %d in shard %d, outside [0, %d)", what, idx, sh, p.Shards)
+		}
+		if shardOf[c] < 0 {
+			shardOf[c] = sh
+		} else if shardOf[c] != sh {
+			t.Fatalf("%s %d in shard %d, its component %d in shard %d", what, idx, sh, c, shardOf[c])
+		}
+	}
+	for k := range net.BaseStations {
+		claim("station", k, label[k], p.StationShard[k])
+	}
+	for n, srv := range net.Servers {
+		claim("server", n, label[roomPos[srv.Room]], p.ServerShard[n])
+	}
+	owner := map[int32]int{}
+	for c, sh := range shardOf {
+		if sh < 0 {
+			continue // a room with no station and no server
+		}
+		if prev, ok := owner[sh]; ok {
+			t.Fatalf("components %d and %d share shard %d", prev, c, sh)
+		}
+		owner[sh] = c
 	}
 
 	campus, err := topology.Generate(topology.CampusSpec(20), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := New(campus, 8)
-	if pc.Clusters != 1 || pc.Shards != 1 {
-		t.Fatalf("campus topology: Clusters = %d, Shards = %d, want 1, 1 (wireless fronthaul couples every station)",
-			pc.Clusters, pc.Shards)
+	if pc := New(campus); pc.Shards != 1 {
+		t.Fatalf("campus topology: Shards = %d, want 1 (wireless fronthaul couples every station)", pc.Shards)
 	}
 }

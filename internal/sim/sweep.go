@@ -6,29 +6,23 @@ import (
 	"runtime"
 	"sync"
 
-	"eotora/internal/core"
 	"eotora/internal/faults"
 	"eotora/internal/obs"
-	"eotora/internal/par"
 	"eotora/internal/policy"
 	"eotora/internal/trace"
 )
 
 // Job is one point of a parameter sweep: factories produce the policy
 // and state source when (and on whichever goroutine) the job runs, so
-// jobs never share mutable state. Exactly one of Policy and Controller
-// must be set; mixing job kinds within one Sweep is fine, so a single
-// sweep can race the BDMA controller against the baseline policies over
-// the same recorded trace and emit side-by-side metrics.
+// jobs never share mutable state. Jobs of one Sweep may run different
+// policies, so a single sweep can race the BDMA controller (a
+// *core.Controller is a policy) against the baseline policies over the
+// same recorded trace and emit side-by-side metrics.
 type Job struct {
 	// Name labels the job in results and errors.
 	Name string
 	// Policy builds the job's decision policy (internal/policy).
 	Policy func() (policy.Policy, error)
-	// Controller builds the job's controller — the pre-policy-seam
-	// shorthand for bdma jobs, equivalent to a Policy factory returning
-	// the same *core.Controller.
-	Controller func() (*core.Controller, error)
 	// Source builds the job's state source.
 	Source func() (trace.Source, error)
 	// Config bounds the job's run.
@@ -67,10 +61,7 @@ type JobResult struct {
 //
 // The simulator itself is single-threaded per run — the determinism
 // guarantees hold per job — but independent sweep points (the V values of
-// Figure 8, the budgets of Figure 9) parallelize perfectly. Leftover
-// cores (GOMAXPROCS beyond the worker count) are handed to each worker as
-// an intra-slot pool (core.Controller.SetPool), so a 2-point sweep on an
-// 8-core box still uses all 8 cores without oversubscribing.
+// Figure 8, the budgets of Figure 9) parallelize perfectly.
 func Sweep(jobs []Job, workers int) ([]JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("sim: empty sweep")
@@ -86,24 +77,13 @@ func Sweep(jobs []Job, workers int) ([]JobResult, error) {
 	jobCh := make(chan int)
 	errCh := make(chan error, len(jobs))
 
-	// Split the machine between sweep-level and slot-level parallelism:
-	// workers × slotWorkers never exceeds GOMAXPROCS. The per-worker pools
-	// don't change any job's decisions — pooled slot solves are
-	// bit-identical to serial (core.Controller.SetPool).
-	slotWorkers := runtime.GOMAXPROCS(0) / workers
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var pool *par.Pool
-			if slotWorkers > 1 {
-				pool = par.New(slotWorkers)
-				defer pool.Close()
-			}
 			for idx := range jobCh {
-				if err := runJob(jobs[idx], &results[idx], pool); err != nil {
+				if err := runJob(jobs[idx], &results[idx]); err != nil {
 					errCh <- fmt.Errorf("sim: job %q: %w", jobs[idx].Name, err)
 					return
 				}
@@ -132,36 +112,19 @@ feed:
 	return results, nil
 }
 
-func runJob(job Job, out *JobResult, pool *par.Pool) error {
+func runJob(job Job, out *JobResult) error {
 	if job.Source == nil {
 		return errors.New("nil source factory")
 	}
-	var pol policy.Policy
-	switch {
-	case job.Policy != nil && job.Controller != nil:
-		return errors.New("both Policy and Controller factories set")
-	case job.Policy != nil:
-		p, err := job.Policy()
-		if err != nil {
-			return err
-		}
-		if p == nil {
-			return errors.New("policy factory returned nil")
-		}
-		pol = p
-	case job.Controller != nil:
-		ctrl, err := job.Controller()
-		if err != nil {
-			return err
-		}
-		pol = ctrl
-	default:
-		return errors.New("nil factory")
+	if job.Policy == nil {
+		return errors.New("nil policy factory")
 	}
-	if pool != nil {
-		if ps, ok := pol.(policy.PoolSetter); ok {
-			ps.SetPool(pool)
-		}
+	pol, err := job.Policy()
+	if err != nil {
+		return err
+	}
+	if pol == nil {
+		return errors.New("policy factory returned nil")
 	}
 	src, err := job.Source()
 	if err != nil {

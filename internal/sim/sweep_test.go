@@ -21,7 +21,7 @@ func sweepJobs(t *testing.T, vs []float64) []Job {
 		v := v
 		jobs = append(jobs, Job{
 			Name: fmt.Sprintf("V=%g", v),
-			Controller: func() (*core.Controller, error) {
+			Policy: func() (policy.Policy, error) {
 				sys, _ := buildFixture(t, 6, 9)
 				return core.NewBDMAController(sys, v, 1, 0, 1)
 			},
@@ -79,7 +79,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := sweepJobs(t, []float64{10, 50, 100})
-	jobs[1].Controller = func() (*core.Controller, error) { return nil, boom }
+	jobs[1].Policy = func() (policy.Policy, error) { return nil, boom }
 	_, err := Sweep(jobs, 2)
 	if err == nil || !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
@@ -95,20 +95,20 @@ func TestSweepFirstErrorCancelsRemaining(t *testing.T) {
 	jobs := sweepJobs(t, []float64{10, 50, 100})
 
 	reg0 := obs.New()
-	inner := jobs[0].Controller
+	inner := jobs[0].Policy
 	jobs[0].Obs = reg0
-	jobs[0].Controller = func() (*core.Controller, error) {
-		ctrl, err := inner()
+	jobs[0].Policy = func() (policy.Policy, error) {
+		pol, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		ctrl.SetObs(reg0)
-		return ctrl, nil
+		pol.SetObs(reg0)
+		return pol, nil
 	}
-	jobs[1].Controller = func() (*core.Controller, error) { return nil, boom }
+	jobs[1].Policy = func() (policy.Policy, error) { return nil, boom }
 	var ranLast atomic.Bool
-	inner2 := jobs[2].Controller
-	jobs[2].Controller = func() (*core.Controller, error) {
+	inner2 := jobs[2].Policy
+	jobs[2].Policy = func() (policy.Policy, error) {
 		ranLast.Store(true)
 		return inner2()
 	}
@@ -136,15 +136,15 @@ func TestSweepInFlightJobFinishes(t *testing.T) {
 	started0 := make(chan struct{})
 	release0 := make(chan struct{})
 	reg0 := obs.New()
-	innerCtrl := jobs[0].Controller
+	innerCtrl := jobs[0].Policy
 	jobs[0].Obs = reg0
-	jobs[0].Controller = func() (*core.Controller, error) {
-		ctrl, err := innerCtrl()
+	jobs[0].Policy = func() (policy.Policy, error) {
+		pol, err := innerCtrl()
 		if err != nil {
 			return nil, err
 		}
-		ctrl.SetObs(reg0)
-		return ctrl, nil
+		pol.SetObs(reg0)
+		return pol, nil
 	}
 	innerSrc := jobs[0].Source
 	jobs[0].Source = func() (trace.Source, error) {
@@ -152,7 +152,7 @@ func TestSweepInFlightJobFinishes(t *testing.T) {
 		<-release0
 		return innerSrc()
 	}
-	jobs[1].Controller = func() (*core.Controller, error) {
+	jobs[1].Policy = func() (policy.Policy, error) {
 		<-started0       // wait until job 0 is provably in flight
 		close(release0)  // let it proceed...
 		return nil, boom // ...and fail while it runs
@@ -191,7 +191,7 @@ func TestSweepDefaultWorkers(t *testing.T) {
 func TestReplicate(t *testing.T) {
 	build := func(seed int64) (Job, error) {
 		return Job{
-			Controller: func() (*core.Controller, error) {
+			Policy: func() (policy.Policy, error) {
 				sys, _ := buildFixture(t, 6, seed)
 				return core.NewBDMAController(sys, 50, 1, 0, seed)
 			},
@@ -239,15 +239,15 @@ func TestSweepPerJobObs(t *testing.T) {
 	jobs := sweepJobs(t, vs)
 	for i := range jobs {
 		reg := obs.New()
-		inner := jobs[i].Controller
+		inner := jobs[i].Policy
 		jobs[i].Obs = reg
-		jobs[i].Controller = func() (*core.Controller, error) {
-			ctrl, err := inner()
+		jobs[i].Policy = func() (policy.Policy, error) {
+			pol, err := inner()
 			if err != nil {
 				return nil, err
 			}
-			ctrl.SetObs(reg)
-			return ctrl, nil
+			pol.SetObs(reg)
+			return pol, nil
 		}
 	}
 	// Leave one job uninstrumented: Sweep must leave it without one.
@@ -294,10 +294,10 @@ func TestSweepCountsRepairs(t *testing.T) {
 	}
 }
 
-// TestSweepMixedPolicyJobs races a bdma Controller job, a bdma Policy
-// job, and a baseline Policy job in one sweep: mixing job kinds works,
-// and the two bdma jobs — identical configuration through either
-// factory — agree bit-for-bit.
+// TestSweepMixedPolicyJobs races a bdma job built as a *core.Controller,
+// a bdma job built through policy.New, and a baseline job in one sweep:
+// mixing policies works, and the two bdma jobs — identical configuration
+// through either constructor — agree bit-for-bit.
 func TestSweepMixedPolicyJobs(t *testing.T) {
 	src := func() (trace.Source, error) {
 		_, gen := buildFixture(t, 6, 9)
@@ -307,7 +307,7 @@ func TestSweepMixedPolicyJobs(t *testing.T) {
 	jobs := []Job{
 		{
 			Name: "bdma-controller",
-			Controller: func() (*core.Controller, error) {
+			Policy: func() (policy.Policy, error) {
 				sys, _ := buildFixture(t, 6, 9)
 				return core.NewBDMAController(sys, 50, 1, 0, 1)
 			},
@@ -345,26 +345,14 @@ func TestSweepMixedPolicyJobs(t *testing.T) {
 	}
 }
 
-// TestSweepJobFactoryValidation: a job with both factories, with
-// neither, or whose policy factory returns nil fails cleanly.
+// TestSweepJobFactoryValidation: a job without a policy factory, or whose
+// policy factory returns nil, fails cleanly.
 func TestSweepJobFactoryValidation(t *testing.T) {
 	src := func() (trace.Source, error) {
 		_, gen := buildFixture(t, 6, 9)
 		return gen, nil
 	}
 	cases := map[string]Job{
-		"both": {
-			Name: "both",
-			Controller: func() (*core.Controller, error) {
-				sys, _ := buildFixture(t, 6, 9)
-				return core.NewBDMAController(sys, 50, 1, 0, 1)
-			},
-			Policy: func() (policy.Policy, error) {
-				sys, _ := buildFixture(t, 6, 9)
-				return policy.New(policy.BDMA, sys, policy.Config{V: 50, Seed: 1})
-			},
-			Source: src, Config: Config{Slots: 2},
-		},
 		"neither": {Name: "neither", Source: src, Config: Config{Slots: 2}},
 		"nil policy": {
 			Name:   "nil policy",
