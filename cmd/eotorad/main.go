@@ -36,13 +36,10 @@ import (
 	"syscall"
 	"time"
 
-	"eotora/internal/core"
 	"eotora/internal/experiments"
 	"eotora/internal/obs"
-	"eotora/internal/par"
 	"eotora/internal/policy"
 	"eotora/internal/serve"
-	"eotora/internal/topology"
 	"eotora/internal/trace"
 )
 
@@ -84,66 +81,20 @@ func run(args []string) error {
 		return err
 	}
 
-	spec, err := topology.SpecByName(*topoName, *devices)
+	// The initial state β_1 is derived from the shared seed through the
+	// same stream the load source builds, churn included, so the initial
+	// population agrees too.
+	sc, src, err := experiments.PresetStream(*topoName, *devices, *budgetFrac, *seed, *churn, trace.DefaultGeneratorConfig())
 	if err != nil {
 		return err
-	}
-	sc, err := experiments.NewScenario(experiments.ScenarioOptions{
-		Devices:        *devices,
-		Spec:           &spec,
-		BudgetFraction: *budgetFrac,
-	}, *seed)
-	if err != nil {
-		return err
-	}
-	gen, err := sc.Generator(trace.DefaultGeneratorConfig())
-	if err != nil {
-		return err
-	}
-	// The initial state β_1 is derived from the shared seed, exactly as
-	// the load source derives it — with churn armed, through an identical
-	// churn schedule so the initial population agrees too.
-	var src trace.Source = gen
-	if *churn > 0 {
-		src, err = trace.NewChurnSchedule(scaledChurn(*churn, *seed), sc.Net, gen)
-		if err != nil {
-			return err
-		}
 	}
 	initial := src.Next()
 
-	var pol policy.Policy
-	if *polName == policy.BDMA {
-		ctrl, err := core.NewBDMAController(sc.Sys, *v, *z, *lambda, *seed)
-		if err != nil {
-			return err
-		}
-		if *shards != 0 {
-			if err := ctrl.SetShards(*shards); err != nil {
-				return err
-			}
-		}
-		pol = ctrl
-	} else {
-		// The controller-only knobs stay with -policy bdma: the tuner owns
-		// its own λ schedule, and the baselines run no solver.
-		if *shards != 0 {
-			return fmt.Errorf("-shards applies only to -policy bdma (got -policy %s)", *polName)
-		}
-		pol, err = policy.New(*polName, sc.Sys, policy.Config{
-			V: *v, Rounds: *z, Lambda: *lambda, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
+	pol, err := experiments.NewPolicy(sc.Sys, *polName, "cgba", *v, *z, *lambda, *seed, *shards, 0)
+	if err != nil {
+		return err
 	}
-	if *slotWork != 1 {
-		if ps, ok := pol.(policy.PoolSetter); ok {
-			pool := par.New(*slotWork)
-			defer pool.Close()
-			ps.SetPool(pool)
-		}
-	}
+	defer policy.AttachPool(pol, *slotWork)()
 
 	_, canDeadline := pol.(policy.DeadlineSetter)
 	if *degradeAt > 0 && *escDL == 0 && *escChecks == 0 && *tick > 0 && canDeadline {
@@ -286,24 +237,4 @@ func writeSnapshotFile(d *serve.Daemon, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// scaledChurn returns the default churn regime with every event
-// probability multiplied by intensity (clamped to 1) — identical to
-// cmd/eotorasim and cmd/loadgen so shared-seed populations agree.
-func scaledChurn(intensity float64, seed int64) trace.ChurnConfig {
-	cfg := trace.DefaultChurnConfig(seed)
-	clamp := func(p float64) float64 {
-		p *= intensity
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	cfg.DeviceJoinProb = clamp(cfg.DeviceJoinProb)
-	cfg.DeviceLeaveProb = clamp(cfg.DeviceLeaveProb)
-	cfg.HandoverProb = clamp(cfg.HandoverProb)
-	cfg.ServerRemoveProb = clamp(cfg.ServerRemoveProb)
-	cfg.ServerAddProb = clamp(cfg.ServerAddProb)
-	return cfg
 }

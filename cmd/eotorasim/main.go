@@ -21,11 +21,10 @@ import (
 	"eotora/internal/experiments"
 	"eotora/internal/faults"
 	"eotora/internal/obs"
-	"eotora/internal/par"
 	"eotora/internal/policy"
 	"eotora/internal/sim"
-	"eotora/internal/topology"
 	"eotora/internal/trace"
+	"eotora/internal/units"
 )
 
 func main() {
@@ -52,7 +51,7 @@ func run(args []string) error {
 		priceCSV   = fs.String("price-csv", "", "CSV file with real electricity prices (replaces the synthetic process)")
 		priceCol   = fs.String("price-column", "LBMP ($/MWHr)", "price column name in -price-csv")
 		resumeFrom = fs.String("resume", "", "checkpoint file to resume from (see -checkpoint)")
-		configFile = fs.String("config", "", "JSON run-spec file; flags for scenario/controller are ignored when set")
+		configFile = fs.String("config", "", "JSON run-spec file; it sets the scenario, controller and horizon, so -devices -topology -budget-frac -seed -price-csv -churn -policy -solver -v -z -lambda -shards -shard-audit -slots -warmup are ignored, and every other flag applies")
 		saveTo     = fs.String("checkpoint", "", "write a checkpoint file after the run")
 		metrics    = fs.String("metrics", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address during the run, e.g. :6060")
 		obsOut     = fs.String("obs-out", "", "write the observability snapshot here after the run (.csv → CSV, else JSON)")
@@ -70,93 +69,51 @@ func run(args []string) error {
 		return err
 	}
 
+	var r simRun
 	if *configFile != "" {
-		return runFromConfig(*configFile, *csv, *saveTo, *resumeFrom, *metrics, *obsOut, *slotWork)
-	}
-
-	spec, err := topology.SpecByName(*topoName, *devices)
-	if err != nil {
-		return err
-	}
-	sc, err := experiments.NewScenario(experiments.ScenarioOptions{
-		Devices:        *devices,
-		Spec:           &spec,
-		BudgetFraction: *budgetFrac,
-	}, *seed)
-	if err != nil {
-		return err
-	}
-	genCfg := trace.DefaultGeneratorConfig()
-	if *priceCSV != "" {
-		f, err := os.Open(*priceCSV)
-		if err != nil {
+		var err error
+		if r, err = configRun(*configFile); err != nil {
 			return err
 		}
-		prices, err := trace.LoadPriceCSV(f, *priceCol)
-		closeErr := f.Close()
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", *priceCSV, err)
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		genCfg.PriceSeries = prices
-	}
-	gen, err := sc.Generator(genCfg)
-	if err != nil {
-		return err
-	}
-
-	var pol policy.Policy
-	if *polName == policy.BDMA {
-		var ctrl *core.Controller
-		switch *solverName {
-		case "cgba":
-			ctrl, err = core.NewBDMAController(sc.Sys, *v, *z, *lambda, *seed)
-		case "mcba":
-			ctrl, err = core.NewMCBAController(sc.Sys, *v, *z, *seed)
-		case "ropt":
-			ctrl, err = core.NewROPTController(sc.Sys, *v, *z, *seed)
-		default:
-			return fmt.Errorf("unknown solver %q (want cgba, mcba, or ropt)", *solverName)
-		}
-		if err != nil {
-			return err
-		}
-		if *shards != 0 {
-			if err := ctrl.SetShards(*shards); err != nil {
+	} else {
+		genCfg := trace.DefaultGeneratorConfig()
+		if *priceCSV != "" {
+			prices, err := loadPrices(*priceCSV, *priceCol)
+			if err != nil {
 				return err
 			}
+			genCfg.PriceSeries = prices
 		}
-		if *shardAudit > 0 {
-			if *shards == 0 {
-				return fmt.Errorf("-shard-audit requires -shards")
-			}
-			ctrl.SetShardAudit(*shardAudit)
-		}
-		pol = ctrl
-	} else {
-		// The controller-only knobs stay with -policy bdma: the tuner owns
-		// its own λ schedule, and the baselines run no solver.
-		if *solverName != "cgba" {
-			return fmt.Errorf("-solver applies only to -policy bdma (got -policy %s)", *polName)
-		}
-		if *shards != 0 || *shardAudit > 0 {
-			return fmt.Errorf("-shards/-shard-audit apply only to -policy bdma (got -policy %s)", *polName)
-		}
-		pol, err = policy.New(*polName, sc.Sys, policy.Config{
-			V: *v, Rounds: *z, Lambda: *lambda, Seed: *seed,
-		})
+		sc, src, err := experiments.PresetStream(*topoName, *devices, *budgetFrac, *seed, *churn, genCfg)
 		if err != nil {
 			return err
 		}
+		pol, err := experiments.NewPolicy(sc.Sys, *polName, *solverName, *v, *z, *lambda, *seed, *shards, *shardAudit)
+		if err != nil {
+			return err
+		}
+		r = simRun{sc: sc, src: src, pol: pol, cfg: sim.Config{Slots: *slots, Warmup: *warmup}, churn: *churn}
+		r.header = scenarioLine(*topoName+" topology", sc)
+		if sn, ok := pol.(policy.SolverNamer); ok {
+			r.header += fmt.Sprintf("policy:   %s (%s-based DPP), V=%g, z=%d, λ=%g\n", pol.Name(), sn.SolverName(), *v, *z, *lambda)
+		} else {
+			r.header += fmt.Sprintf("policy:   %s, V=%g\n", pol.Name(), *v)
+		}
+		if *shards == core.ShardsAuto {
+			r.header += "sharding: one shard per topology cluster (-shards -1)\n"
+		}
 	}
+	pol, cfg := r.pol, r.cfg
 
 	reg, err := attachObs(pol, *metrics, *obsOut)
 	if err != nil {
 		return err
 	}
-	defer attachPool(pol, *slotWork)()
+	defer policy.AttachPool(pol, *slotWork)()
+	src, inj, err := applyRobustness(pol, r.src, *slotDL, *slotChecks, *faultsOn, r.sc.Seed, reg)
+	if err != nil {
+		return err
+	}
 
 	if *resumeFrom != "" {
 		f, err := os.Open(*resumeFrom)
@@ -174,27 +131,15 @@ func run(args []string) error {
 		if err := pol.Restore(cp); err != nil {
 			return err
 		}
-		// Fast-forward the state source past the slots already simulated:
-		// the generator is deterministic, so skipping cp.Slot states
-		// resumes the exact trace.
+		// Fast-forward the composed source (generator, churn, faults,
+		// sanitizer) past the slots already simulated: every layer is
+		// deterministic, so skipping cp.Slot states resumes the exact trace.
 		for s := 0; s < cp.Slot; s++ {
-			gen.Next()
+			src.Next()
 		}
 	}
 
-	var base trace.Source = gen
-	if *churn > 0 {
-		base, err = trace.NewChurnSchedule(scaledChurn(*churn, *seed), sc.Net, gen)
-		if err != nil {
-			return err
-		}
-	}
-	src, inj, err := applyRobustness(pol, base, *slotDL, *slotChecks, *faultsOn, *seed, reg)
-	if err != nil {
-		return err
-	}
-
-	res, err := sim.Run(pol, src, sim.Config{Slots: *slots, Warmup: *warmup})
+	res, err := sim.Run(pol, src, cfg)
 	if err != nil {
 		return err
 	}
@@ -226,7 +171,7 @@ func run(args []string) error {
 			return nil
 		}
 		if d := res.DegradedSlots(); d > 0 {
-			return fmt.Errorf("%d of %d slots decided below RungFull (-fail-degraded)", d, *slots)
+			return fmt.Errorf("%d of %d slots decided below RungFull (-fail-degraded)", d, cfg.Slots)
 		}
 		return nil
 	}
@@ -238,18 +183,9 @@ func run(args []string) error {
 		return degradedGate()
 	}
 
-	k, m, n, i := sc.Net.Counts()
-	fmt.Printf("scenario: %s topology, %d base stations, %d rooms, %d servers, %d devices (seed %d)\n", *topoName, k, m, n, i, *seed)
-	if sn, ok := pol.(policy.SolverNamer); ok {
-		fmt.Printf("policy:   %s (%s-based DPP), V=%g, z=%d, λ=%g\n", pol.Name(), sn.SolverName(), *v, *z, *lambda)
-	} else {
-		fmt.Printf("policy:   %s, V=%g\n", pol.Name(), *v)
-	}
-	if *shards == core.ShardsAuto {
-		fmt.Printf("sharding: one shard per topology cluster (-shards -1)\n")
-	}
-	fmt.Printf("budget:   $%.4f per slot\n", sc.Sys.Budget.Dollars())
-	fmt.Printf("slots:    %d (%d warmup)\n\n", *slots, *warmup)
+	fmt.Print(r.header)
+	fmt.Printf("budget:   $%.4f per slot\n", r.sc.Sys.Budget.Dollars())
+	fmt.Printf("slots:    %d (%d warmup)\n\n", cfg.Slots, cfg.Warmup)
 	fmt.Printf("avg latency:       %.4f s (sum over devices per slot)\n", res.AvgLatency())
 	fmt.Printf("avg energy cost:   $%.4f per slot\n", res.AvgCost())
 	fmt.Printf("budget satisfied:  %v (realized/budget = %.3f)\n",
@@ -260,46 +196,84 @@ func run(args []string) error {
 		fmt.Printf("avg shard gap:     %+.4f%% over %d audited slots\n", res.AvgShardGap()*100, a)
 	}
 	if d := res.DegradedSlots(); d > 0 {
-		fmt.Printf("degraded slots:    %d of %d (fallback ladder; see OPERATIONS.md)\n", d, *slots)
+		fmt.Printf("degraded slots:    %d of %d (fallback ladder; see OPERATIONS.md)\n", d, cfg.Slots)
 	}
 	if inj != nil {
 		fmt.Printf("faults injected:   %d\n", inj.Injections())
 	}
-	if *churn > 0 {
+	if r.churn > 0 {
 		events := 0
 		for _, c := range res.ChurnEvents {
 			events += c
 		}
 		fmt.Printf("churn events:      %d across %d slots (final population %d devices, %d servers)\n",
-			events, *slots, res.ActiveDevices[len(res.ActiveDevices)-1], res.ActiveServers[len(res.ActiveServers)-1])
+			events, cfg.Slots, res.ActiveDevices[len(res.ActiveDevices)-1], res.ActiveServers[len(res.ActiveServers)-1])
 	}
 	return degradedGate()
 }
 
-// scaledChurn returns the default churn regime with every event
-// probability multiplied by intensity (clamped to 1).
-func scaledChurn(intensity float64, seed int64) trace.ChurnConfig {
-	cfg := trace.DefaultChurnConfig(seed)
-	clamp := func(p float64) float64 {
-		p *= intensity
-		if p > 1 {
-			return 1
-		}
-		return p
+// simRun is one assembled run: the scenario, its state stream before
+// fault injection, the policy, and the horizon, built from -config or
+// from the scenario and controller flags. Everything after the build
+// (observability, worker pool, faults, resume, outputs) is shared.
+type simRun struct {
+	sc     *experiments.Scenario
+	src    trace.Source
+	pol    policy.Policy
+	cfg    sim.Config
+	churn  float64 // churn intensity, for the summary
+	header string  // the summary's scenario and policy lines
+}
+
+// configRun builds the run a JSON run spec describes (experiments.RunSpec).
+func configRun(path string) (simRun, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return simRun{}, err
 	}
-	cfg.DeviceJoinProb = clamp(cfg.DeviceJoinProb)
-	cfg.DeviceLeaveProb = clamp(cfg.DeviceLeaveProb)
-	cfg.HandoverProb = clamp(cfg.HandoverProb)
-	cfg.ServerRemoveProb = clamp(cfg.ServerRemoveProb)
-	cfg.ServerAddProb = clamp(cfg.ServerAddProb)
-	return cfg
+	spec, err := experiments.LoadRunSpec(f)
+	closeErr := f.Close()
+	if err != nil {
+		return simRun{}, fmt.Errorf("loading %s: %w", path, err)
+	}
+	if closeErr != nil {
+		return simRun{}, closeErr
+	}
+	sc, gen, ctrl, cfg, err := spec.Build()
+	if err != nil {
+		return simRun{}, err
+	}
+	header := scenarioLine("config "+path, sc) +
+		fmt.Sprintf("policy:   %s (%s-based DPP), V=%g\n", ctrl.Name(), ctrl.SolverName(), ctrl.V())
+	return simRun{sc: sc, src: gen, pol: ctrl, cfg: cfg, header: header}, nil
+}
+
+// scenarioLine is the summary's first line: where the scenario came from
+// and its size.
+func scenarioLine(origin string, sc *experiments.Scenario) string {
+	k, m, n, i := sc.Net.Counts()
+	return fmt.Sprintf("scenario: %s, %d base stations, %d rooms, %d servers, %d devices (seed %d)\n", origin, k, m, n, i, sc.Seed)
+}
+
+// loadPrices reads the price series of -price-csv.
+func loadPrices(path, column string) ([]units.Price, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	prices, err := trace.LoadPriceCSV(f, column)
+	closeErr := f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("loading %s: %w", path, err)
+	}
+	return prices, closeErr
 }
 
 // applyRobustness arms the policy's per-slot deadline (when either budget
 // is set; an error when the policy has no deadline capability) and, when
-// injectFaults is on, wraps src in a seeded fault injector with a
-// repairing trace.Sanitizer on top, whose repairs reg (nil = none) counts
-// under trace.repairs. The returned source is what the simulation should
+// injectFaults is on, wraps src in the standard fault stack
+// (faults.NewSanitized), whose repairs reg (nil = none) counts under
+// trace.repairs. The returned source is what the simulation should
 // consume; the injector is returned for post-run reporting (nil when
 // fault injection is off). Policies without a timed solve skip the stall
 // leg but still see the corrupted traces.
@@ -314,109 +288,10 @@ func applyRobustness(pol policy.Policy, src trace.Source, deadline time.Duration
 	if !injectFaults {
 		return src, nil, nil
 	}
-	inj, err := faults.NewInjector(faults.DefaultConfig(seed), len(pol.System().Net.Servers), src)
+	st, _ := pol.(faults.Staller)
+	san, inj, err := faults.NewSanitized(faults.DefaultConfig(seed), len(pol.System().Net.Servers), src, st, reg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st, ok := pol.(faults.Staller); ok {
-		inj.Attach(st)
-	}
-	san := trace.NewSanitizer(inj)
-	san.Instrument(reg)
 	return san, inj, nil
-}
-
-// attachPool gives the policy an intra-slot worker pool of the requested
-// size (0 = GOMAXPROCS, ≤1 = stay serial) and returns the cleanup that
-// releases the workers. Only the sharded solve runs on the pool, and
-// pooled solves are bit-identical to serial, so the flag only changes
-// wall-clock time; policies without the capability simply stay serial.
-func attachPool(pol policy.Policy, workers int) func() {
-	ps, ok := pol.(policy.PoolSetter)
-	if !ok || workers == 1 {
-		return func() {}
-	}
-	pool := par.New(workers)
-	ps.SetPool(pool)
-	return pool.Close
-}
-
-// runFromConfig executes a JSON run spec.
-func runFromConfig(path string, csv bool, saveTo, resumeFrom, metricsAddr, obsOut string, slotWork int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	spec, err := experiments.LoadRunSpec(f)
-	closeErr := f.Close()
-	if err != nil {
-		return fmt.Errorf("loading %s: %w", path, err)
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	sc, gen, ctrl, cfg, err := spec.Build()
-	if err != nil {
-		return err
-	}
-	reg, err := attachObs(ctrl, metricsAddr, obsOut)
-	if err != nil {
-		return err
-	}
-	defer attachPool(ctrl, slotWork)()
-	if resumeFrom != "" {
-		cf, err := os.Open(resumeFrom)
-		if err != nil {
-			return err
-		}
-		cp, err := core.ReadCheckpoint(cf)
-		closeErr := cf.Close()
-		if err != nil {
-			return fmt.Errorf("reading checkpoint %s: %w", resumeFrom, err)
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		if err := ctrl.Restore(cp); err != nil {
-			return err
-		}
-		for s := 0; s < cp.Slot; s++ {
-			gen.Next()
-		}
-	}
-	metrics, err := sim.Run(ctrl, gen, cfg)
-	if err != nil {
-		return err
-	}
-	if obsOut != "" {
-		if err := writeObsSnapshot(obsOut, reg); err != nil {
-			return err
-		}
-	}
-	if saveTo != "" {
-		cf, err := os.Create(saveTo)
-		if err != nil {
-			return err
-		}
-		if err := ctrl.WriteCheckpoint(cf); err != nil {
-			cf.Close()
-			return err
-		}
-		if err := cf.Close(); err != nil {
-			return err
-		}
-	}
-	if csv {
-		return metrics.WriteCSV(os.Stdout)
-	}
-	k, m, n, i := sc.Net.Counts()
-	fmt.Printf("config:   %s\n", path)
-	fmt.Printf("scenario: %d base stations, %d rooms, %d servers, %d devices\n", k, m, n, i)
-	fmt.Printf("controller: %s-based DPP, V=%g\n", ctrl.SolverName(), ctrl.V())
-	fmt.Printf("budget:   $%.4f per slot\n\n", sc.Sys.Budget.Dollars())
-	fmt.Printf("avg latency:       %.4f s\n", metrics.AvgLatency())
-	fmt.Printf("avg energy cost:   $%.4f per slot (within budget: %v)\n", metrics.AvgCost(), metrics.BudgetSatisfied(0.02))
-	fmt.Printf("avg queue backlog: %.3f\n", metrics.AvgBacklog())
-	fmt.Printf("avg decision time: %v per slot\n", metrics.AvgDecisionTime())
-	return nil
 }

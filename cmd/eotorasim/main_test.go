@@ -11,6 +11,7 @@ import (
 
 	"eotora/internal/core"
 	"eotora/internal/obs"
+	"eotora/internal/trace"
 )
 
 func TestRunSmallSimulation(t *testing.T) {
@@ -169,5 +170,127 @@ func TestMetricsServerSmoke(t *testing.T) {
 	// The full CLI path: -metrics with an ephemeral port must run clean.
 	if err := run([]string{"-devices", "5", "-slots", "4", "-warmup", "1", "-z", "1", "-metrics", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runStdout runs the command and returns what it printed to stdout.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// csvRows splits a -csv output into rows with the wall-clock decision_us
+// column (the eighth) blanked.
+func csvRows(t *testing.T, out string) []string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	for i, line := range lines {
+		cols := strings.Split(line, ",")
+		if len(cols) < 8 {
+			t.Fatalf("short CSV row %q", line)
+		}
+		cols[7] = ""
+		lines[i] = strings.Join(cols, ",")
+	}
+	return lines
+}
+
+// TestResumeContinuesRun: 12 straight slots equal 6 slots, a checkpoint,
+// and 6 resumed slots in every CSV column but decision_us, the slot
+// number included, with the churn and fault layers on and off. The
+// resumed run must replay every layer of the state stream, not only the
+// generator beneath them.
+func TestResumeContinuesRun(t *testing.T) {
+	base := []string{"-devices", "30", "-z", "2", "-warmup", "0", "-csv"}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"plain", nil},
+		{"churn", []string{"-churn", "1"}},
+		{"faults", []string{"-faults"}},
+		{"churn+faults", []string{"-churn", "1", "-faults"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append([]string{}, base...), tc.extra...)
+			straight := csvRows(t, runStdout(t, append(args, "-slots", "12")...))
+			cp := filepath.Join(t.TempDir(), "cp.json")
+			first := csvRows(t, runStdout(t, append(args, "-slots", "6", "-checkpoint", cp)...))
+			second := csvRows(t, runStdout(t, append(args, "-slots", "6", "-resume", cp)...))
+			resumed := append(first, second[1:]...) // second's header repeats first's
+			if len(resumed) != len(straight) {
+				t.Fatalf("resumed run has %d rows, straight run %d", len(resumed), len(straight))
+			}
+			for i := range straight {
+				if resumed[i] != straight[i] {
+					t.Errorf("row %d:\nresumed  %s\nstraight %s", i, resumed[i], straight[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFaultsCountRepairs: -faults with -obs-out records the sanitizer's
+// repairs under trace.repairs.
+func TestFaultsCountRepairs(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "obs.json")
+	if err := run([]string{"-devices", "30", "-slots", "24", "-warmup", "0", "-z", "1", "-faults", "-obs-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters[trace.MetricRepairs] == 0 {
+		t.Errorf("%s = 0 after a faulted run", trace.MetricRepairs)
+	}
+}
+
+// TestConfigAppliesRunFlags: -config replaces only the scenario,
+// controller and horizon; the fault, deadline and gate flags still act.
+func TestConfigAppliesRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "run.json")
+	if err := os.WriteFile(cfg, []byte(`{"devices": 30, "slots": 24, "warmup": 1, "z": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "obs.json")
+	if err := run([]string{"-config", cfg, "-faults", "-obs-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters[trace.MetricRepairs] == 0 {
+		t.Errorf("-config -faults: %s = 0", trace.MetricRepairs)
+	}
+	err = run([]string{"-config", cfg, "-slot-checks", "1", "-fail-degraded"})
+	if err == nil || !strings.Contains(err.Error(), "-fail-degraded") {
+		t.Errorf("-config -slot-checks 1 -fail-degraded: %v, want the degradation gate's error", err)
 	}
 }

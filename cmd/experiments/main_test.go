@@ -80,3 +80,29 @@ func TestWriteFigureFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureIDsDocumented: the -fig usage and the package doc name every
+// figure -fig all builds, and the table holds no ID twice.
+func TestFigureIDsDocumented(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src[:strings.Index(string(src), "package main")])
+	usage := figHelp()
+	seen := map[string]bool{}
+	for _, f := range figures {
+		if seen[f.id] {
+			t.Errorf("figure %s listed twice", f.id)
+		}
+		seen[f.id] = true
+		if !strings.Contains(usage, f.id+",") {
+			t.Errorf("-fig usage %q does not name %s", usage, f.id)
+		}
+		if f.id[0] < '0' || f.id[0] > '9' { // the doc gives the numbered figures as a range
+			if !strings.Contains(doc, f.id+",") && !strings.Contains(doc, f.id+" ") {
+				t.Errorf("package doc does not name %s", f.id)
+			}
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 
 	"eotora/internal/experiments"
 	"eotora/internal/serve"
-	"eotora/internal/topology"
 	"eotora/internal/trace"
 )
 
@@ -69,28 +68,9 @@ func run(args []string) error {
 		return fmt.Errorf("need at least 2 slots to stream a transition, got %d", *slots)
 	}
 
-	spec, err := topology.SpecByName(*topoName, *devices)
+	_, src, err := experiments.PresetStream(*topoName, *devices, *budgetFrac, *seed, *churn, trace.DefaultGeneratorConfig())
 	if err != nil {
 		return err
-	}
-	sc, err := experiments.NewScenario(experiments.ScenarioOptions{
-		Devices:        *devices,
-		Spec:           &spec,
-		BudgetFraction: *budgetFrac,
-	}, *seed)
-	if err != nil {
-		return err
-	}
-	gen, err := sc.Generator(trace.DefaultGeneratorConfig())
-	if err != nil {
-		return err
-	}
-	var src trace.Source = gen
-	if *churn > 0 {
-		src, err = trace.NewChurnSchedule(scaledChurn(*churn, *seed), sc.Net, gen)
-		if err != nil {
-			return err
-		}
 	}
 
 	cli := &client{base: *addr, hc: &http.Client{Timeout: 30 * time.Second}}
@@ -305,24 +285,4 @@ func (c *csvWriter) row(slot, events, accepted, shed int, dec *serve.Decision) {
 	}
 	fmt.Fprintf(c.w, "%d,%d,%d,%d,%d,%d,%g\n",
 		slot, events, accepted, shed, dec.Rung, dec.ElapsedMicros, dec.Backlog)
-}
-
-// scaledChurn returns the default churn regime with every probability
-// multiplied by intensity (clamped to 1) — identical to cmd/eotorad so
-// shared-seed populations agree.
-func scaledChurn(intensity float64, seed int64) trace.ChurnConfig {
-	cfg := trace.DefaultChurnConfig(seed)
-	clamp := func(p float64) float64 {
-		p *= intensity
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	cfg.DeviceJoinProb = clamp(cfg.DeviceJoinProb)
-	cfg.DeviceLeaveProb = clamp(cfg.DeviceLeaveProb)
-	cfg.HandoverProb = clamp(cfg.HandoverProb)
-	cfg.ServerRemoveProb = clamp(cfg.ServerRemoveProb)
-	cfg.ServerAddProb = clamp(cfg.ServerAddProb)
-	return cfg
 }

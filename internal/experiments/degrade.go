@@ -39,14 +39,9 @@ func FigDegrade(cfg AblationConfig, checks []int) (*Figure, error) {
 		}
 		var src trace.Source = gen
 		if fcfg != nil {
-			inj, err := faults.NewInjector(*fcfg, len(sc.Sys.Net.Servers), gen)
-			if err != nil {
+			if src, _, err = faults.NewSanitized(*fcfg, len(sc.Sys.Net.Servers), gen, ctrl, reg); err != nil {
 				return nil, err
 			}
-			inj.Attach(ctrl)
-			z := trace.NewSanitizer(inj)
-			z.Instrument(reg)
-			src = z
 		}
 		if checkBudget > 0 {
 			ctrl.SetSlotDeadline(0, checkBudget)

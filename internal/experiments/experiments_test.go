@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"eotora/internal/policy"
 	"eotora/internal/sim"
 	"eotora/internal/stats"
+	"eotora/internal/trace"
 )
 
 func TestFigureRenderAndCSV(t *testing.T) {
@@ -102,6 +104,43 @@ func TestScenarioGeneratorReplays(t *testing.T) {
 		a, b := g1.Next(), g2.Next()
 		if a.Price != b.Price {
 			t.Fatalf("generators diverged at slot %d", s)
+		}
+	}
+}
+
+// TestPresetStreamStates: the command-line stream on the default preset
+// yields, bit for bit, the bare generator's states at churn 0 and
+// NewChurnSchedule(DefaultChurnConfig(seed))'s states at churn 1, both
+// built on NewScenario's default topology. The second is the β_1 (and
+// the stream after it) that eotorad -churn 1 and a load source building
+// the default regime by hand must share.
+func TestPresetStreamStates(t *testing.T) {
+	const devices, seed = 30, 4
+	for _, churn := range []float64{0, 1} {
+		got, src, err := PresetStream("default", devices, 0.5, seed, churn, trace.DefaultGeneratorConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScenario(ScenarioOptions{Devices: devices, BudgetFraction: 0.5}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Sys.Budget != sc.Sys.Budget || !reflect.DeepEqual(got.Net, sc.Net) {
+			t.Fatalf("churn %g: the preset scenario differs from NewScenario's", churn)
+		}
+		var want trace.Source
+		if want, err = sc.DefaultGenerator(); err != nil {
+			t.Fatal(err)
+		}
+		if churn > 0 {
+			if want, err = trace.NewChurnSchedule(trace.DefaultChurnConfig(seed), sc.Net, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for slot := 1; slot <= 8; slot++ {
+			if a, b := src.Next(), want.Next(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("churn %g: state %d differs", churn, slot)
+			}
 		}
 	}
 }

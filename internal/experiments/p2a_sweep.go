@@ -170,6 +170,12 @@ func Fig4(cfg P2ASweepConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Fig4FromSweep(points), nil
+}
+
+// Fig4FromSweep draws Figure 4 from a P2ASweep's points, so Figures 4 and
+// 5 can share one sweep (Fig5FromSweep).
+func Fig4FromSweep(points []P2APoint) *Figure {
 	fig := &Figure{
 		ID:     "fig4",
 		Title:  "P2-A objective: CGBA(0) vs MCBA vs ROPT vs branch-and-bound optimum",
@@ -193,7 +199,7 @@ func Fig4(cfg P2ASweepConfig) (*Figure, error) {
 		}
 		fig.AddNote("I=%d: CGBA/OPT = %.4f (%s)", p.Devices, ratio, status)
 	}
-	return fig, nil
+	return fig
 }
 
 // Fig5 regenerates Figure 5: per-algorithm wall-clock solve time over the
@@ -203,6 +209,11 @@ func Fig5(cfg P2ASweepConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Fig5FromSweep(points), nil
+}
+
+// Fig5FromSweep draws Figure 5 from a non-empty P2ASweep's points.
+func Fig5FromSweep(points []P2APoint) *Figure {
 	fig := &Figure{
 		ID:     "fig5",
 		Title:  "P2-A solve time: CGBA vs MCBA vs ROPT vs branch-and-bound",
@@ -223,7 +234,7 @@ func Fig5(cfg P2ASweepConfig) (*Figure, error) {
 		fig.AddNote("at I=%d: OPT/CGBA time ratio = %.0f×", last.Devices,
 			float64(last.Elapsed["OPT"])/float64(cgba))
 	}
-	return fig, nil
+	return fig
 }
 
 // Fig6Config parameterizes the CGBA(λ) tradeoff figure.

@@ -137,20 +137,9 @@ func (r RunSpec) Build() (*Scenario, *trace.Generator, *core.Controller, sim.Con
 		return nil, nil, nil, sim.Config{}, err
 	}
 
-	var ctrl *core.Controller
-	switch r.Solver {
-	case "cgba":
-		ctrl, err = core.NewBDMAController(sc.Sys, r.V, r.Z, r.Lambda, r.Seed)
-	case "mcba":
-		ctrl, err = core.NewMCBAController(sc.Sys, r.V, r.Z, r.Seed)
-	case "ropt":
-		ctrl, err = core.NewROPTController(sc.Sys, r.V, r.Z, r.Seed)
-	default:
-		return nil, nil, nil, sim.Config{}, fmt.Errorf("experiments: unknown solver %q", r.Solver)
-	}
+	ctrl, err := NewController(sc.Sys, r.Solver, r.V, r.Z, r.Lambda, r.Seed)
 	if err != nil {
 		return nil, nil, nil, sim.Config{}, err
 	}
-
 	return sc, gen, ctrl, sim.Config{Slots: r.Slots, Warmup: r.Warmup}, nil
 }

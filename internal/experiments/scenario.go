@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eotora/internal/core"
+	"eotora/internal/policy"
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
@@ -79,4 +80,81 @@ func (s *Scenario) Generator(cfg trace.GeneratorConfig) (*trace.Generator, error
 // processes.
 func (s *Scenario) DefaultGenerator() (*trace.Generator, error) {
 	return s.Generator(trace.DefaultGeneratorConfig())
+}
+
+// PresetStream builds the state stream β_t that the command-line drivers
+// (eotorasim, eotorad, loadgen) share: the scenario on the named topology
+// preset (topology.SpecByName) and its generator under genCfg, wrapped in
+// trace.ScaledChurnConfig(churn, seed)'s population process when churn is
+// positive. Drivers given the same arguments see bit-identical states,
+// which is how eotorad and loadgen agree on β_1 without exchanging it.
+func PresetStream(preset string, devices int, budgetFrac float64, seed int64, churn float64, genCfg trace.GeneratorConfig) (*Scenario, trace.Source, error) {
+	spec, err := topology.SpecByName(preset, devices)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, err := NewScenario(ScenarioOptions{Devices: devices, Spec: &spec, BudgetFraction: budgetFrac}, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	gen, err := sc.Generator(genCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if churn <= 0 {
+		return sc, gen, nil
+	}
+	src, err := trace.NewChurnSchedule(trace.ScaledChurnConfig(churn, seed), sc.Net, gen)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, src, nil
+}
+
+// NewController builds the DPP controller for a P2-A solver name: cgba
+// (with CGBA slack lambda), mcba, or ropt.
+func NewController(sys *core.System, solver string, v float64, z int, lambda float64, seed int64) (*core.Controller, error) {
+	switch solver {
+	case "cgba":
+		return core.NewBDMAController(sys, v, z, lambda, seed)
+	case "mcba":
+		return core.NewMCBAController(sys, v, z, seed)
+	case "ropt":
+		return core.NewROPTController(sys, v, z, seed)
+	}
+	return nil, fmt.Errorf("experiments: unknown solver %q (want cgba, mcba, or ropt)", solver)
+}
+
+// NewPolicy builds the command-line drivers' decision policy by roster
+// name (policy.Names). The controller-only knobs stay with policy.BDMA,
+// whose controller runs the named P2-A solver (NewController), sharded
+// when shards is nonzero (core.Controller.SetShards) and gap-audited
+// every audit slots when audit is positive: the tuner owns its own λ
+// schedule, and the baselines run no solver.
+func NewPolicy(sys *core.System, name, solver string, v float64, z int, lambda float64, seed int64, shards, audit int) (policy.Policy, error) {
+	if name != policy.BDMA {
+		if solver != "cgba" {
+			return nil, fmt.Errorf("-solver applies only to -policy bdma (got -policy %s)", name)
+		}
+		if shards != 0 || audit > 0 {
+			return nil, fmt.Errorf("-shards/-shard-audit apply only to -policy bdma (got -policy %s)", name)
+		}
+		return policy.New(name, sys, policy.Config{V: v, Rounds: z, Lambda: lambda, Seed: seed})
+	}
+	ctrl, err := NewController(sys, solver, v, z, lambda, seed)
+	if err != nil {
+		return nil, err
+	}
+	if shards != 0 {
+		if err := ctrl.SetShards(shards); err != nil {
+			return nil, err
+		}
+	}
+	if audit > 0 {
+		if shards == 0 {
+			return nil, fmt.Errorf("-shard-audit requires -shards")
+		}
+		ctrl.SetShardAudit(audit)
+	}
+	return ctrl, nil
 }

@@ -8,7 +8,7 @@
 //
 // Injected trace garbage is meant to be caught downstream — by
 // core.System.CheckState (reject) or a trace.Sanitizer layered on top of
-// the injector (repair); see sim.Job.Faults for the standard wiring.
+// the injector (repair); NewSanitized builds that standard stack.
 package faults
 
 import (
@@ -16,6 +16,7 @@ import (
 	"math"
 	"time"
 
+	"eotora/internal/obs"
 	"eotora/internal/rng"
 	"eotora/internal/trace"
 	"eotora/internal/units"
@@ -58,16 +59,11 @@ type Config struct {
 	// Stall is the injected stall length; 0 selects one hour (certain to
 	// exhaust any realistic slot budget).
 	Stall time.Duration
-
-	// Sanitize, when set, tells sim.Sweep to layer a trace.Sanitizer on
-	// top of the injector so corrupted states are repaired instead of
-	// rejected (the soak-test wiring).
-	Sanitize bool
 }
 
 // DefaultConfig returns moderate rates exercising every fault class — the
 // soak-test profile: roughly one fault every few slots, outages lasting a
-// handful of slots, repairs on.
+// handful of slots.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:            seed,
@@ -79,7 +75,6 @@ func DefaultConfig(seed int64) Config {
 		CapLossProb:     0.05,
 		CapLossScale:    0.5,
 		StallProb:       0.05,
-		Sanitize:        true,
 	}
 }
 
@@ -150,6 +145,23 @@ func NewInjector(cfg Config, servers int, src trace.Source) (*Injector, error) {
 		downBuf:    make([]bool, servers),
 		capBuf:     make([]float64, servers),
 	}, nil
+}
+
+// NewSanitized builds the standard fault stack over src, for a system
+// with the given server count: a seeded Injector whose stalls reach st
+// (nil = none, as for policies without a timed solve), under a repairing
+// trace.Sanitizer whose repairs reg counts under trace.repairs (nil reg =
+// uncounted). It returns the sanitizer, which is the source to consume,
+// and the injector for post-run reporting.
+func NewSanitized(cfg Config, servers int, src trace.Source, st Staller, reg *obs.Registry) (*trace.Sanitizer, *Injector, error) {
+	inj, err := NewInjector(cfg, servers, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	inj.Attach(st)
+	san := trace.NewSanitizer(inj)
+	san.Instrument(reg)
+	return san, inj, nil
 }
 
 // Attach registers a stall receiver (typically the controller consuming

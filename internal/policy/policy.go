@@ -72,6 +72,20 @@ type PoolSetter interface {
 	SetPool(p *par.Pool)
 }
 
+// AttachPool gives p an intra-slot worker pool of the given size (0 =
+// GOMAXPROCS, 1 = stay serial) when p is a PoolSetter, and returns the
+// release that stops the workers. Pooled solves are bit-identical to
+// serial ones, so the pool changes only wall-clock time.
+func AttachPool(p Policy, workers int) (release func()) {
+	ps, ok := p.(PoolSetter)
+	if !ok || workers == 1 {
+		return func() {}
+	}
+	pool := par.New(workers)
+	ps.SetPool(pool)
+	return pool.Close
+}
+
 // SolverNamer is the optional capability of policies backed by a P2-A
 // solver ("CGBA", "MCBA", ...); baselines without a solver lack it.
 type SolverNamer interface {

@@ -77,6 +77,10 @@ type Metrics struct {
 	// Config.RecordPerDevice was set.
 	PerDevice [][]float64
 
+	// start is the policy's slot before the run's first decision, so a
+	// run resumed from a checkpoint numbers its rows after the slots
+	// already decided.
+	start           int
 	recordPerDevice bool
 }
 
@@ -159,7 +163,9 @@ func (m *Metrics) BudgetSatisfied(slack float64) bool {
 }
 
 // WriteCSV streams the per-slot series as CSV (the schema table in
-// OPERATIONS.md §1 documents every column). The trailing policy column
+// OPERATIONS.md §1 documents every column). The slot column is the
+// policy's own slot index, so a resumed run continues the numbering of
+// the run it resumes. The trailing policy column
 // makes comparison runs self-describing when their CSVs are
 // concatenated.
 func (m *Metrics) WriteCSV(w io.Writer) error {
@@ -171,7 +177,7 @@ func (m *Metrics) WriteCSV(w io.Writer) error {
 		if m.Rung[i] > 0 {
 			degraded = 1
 		}
-		row := strconv.Itoa(i+1) + "," +
+		row := strconv.Itoa(m.start+i+1) + "," +
 			strconv.FormatFloat(m.Latency[i], 'g', 10, 64) + "," +
 			strconv.FormatFloat(m.EnergyCost[i], 'g', 10, 64) + "," +
 			strconv.FormatFloat(m.Theta[i], 'g', 10, 64) + "," +
@@ -245,6 +251,7 @@ func newMetrics(p policy.Policy, cfg Config) *Metrics {
 		ActiveServers:    make([]int, 0, cfg.Slots),
 		ChurnEvents:      make([]int, 0, cfg.Slots),
 		ShardGap:         make([]float64, 0, cfg.Slots),
+		start:            p.Slot(),
 		recordPerDevice:  cfg.RecordPerDevice,
 	}
 }

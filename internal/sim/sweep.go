@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"eotora/internal/faults"
-	"eotora/internal/obs"
 	"eotora/internal/policy"
 	"eotora/internal/trace"
 )
@@ -27,32 +25,12 @@ type Job struct {
 	Source func() (trace.Source, error)
 	// Config bounds the job's run.
 	Config Config
-	// Obs, when non-nil, is the job's observability registry. Give each
-	// job its own registry and attach it to the job's policy inside the
-	// factory (policy.Policy.SetObs); the sweep carries it into the
-	// JobResult.
-	Obs *obs.Registry
-	// Faults, when non-nil, wraps the job's source in a seeded fault
-	// injector (and, when Faults.Sanitize is set, a repairing
-	// trace.Sanitizer on top) and attaches the injector's stall channel to
-	// the policy when it accepts stalls (faults.Staller); baselines
-	// without a timed solve simply skip the stall leg while still seeing
-	// the corrupted traces. See the faults package for the fault model.
-	Faults *faults.Config
-	// Churn, when non-nil, wraps the job's source in a deterministic
-	// population process (trace.ChurnSchedule): device joins and leaves,
-	// forced handovers, and server add/remove events. The churn layer sits
-	// between the raw source and the fault injector, so faults act on the
-	// churned states.
-	Churn *trace.ChurnConfig
 }
 
-// JobResult pairs a job's name with its metrics and, when the job was
-// instrumented, its observability registry.
+// JobResult pairs a job's name with its metrics.
 type JobResult struct {
 	Name    string
 	Metrics *Metrics
-	Obs     *obs.Registry
 }
 
 // Sweep runs the jobs concurrently on up to workers goroutines (0 selects
@@ -130,33 +108,11 @@ func runJob(job Job, out *JobResult) error {
 	if err != nil {
 		return err
 	}
-	if job.Churn != nil {
-		src, err = trace.NewChurnSchedule(*job.Churn, pol.System().Net, src)
-		if err != nil {
-			return err
-		}
-	}
-	if job.Faults != nil {
-		inj, err := faults.NewInjector(*job.Faults, len(pol.System().Net.Servers), src)
-		if err != nil {
-			return err
-		}
-		if st, ok := pol.(faults.Staller); ok {
-			inj.Attach(st)
-		}
-		src = inj
-		if job.Faults.Sanitize {
-			san := trace.NewSanitizer(src)
-			san.Instrument(job.Obs)
-			src = san
-		}
-	}
 	m, err := Run(pol, src, job.Config)
 	if err != nil {
 		return err
 	}
 	out.Name = job.Name
 	out.Metrics = m
-	out.Obs = job.Obs
 	return nil
 }

@@ -3,12 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"eotora/internal/core"
-	"eotora/internal/faults"
 	"eotora/internal/obs"
 	"eotora/internal/policy"
 	"eotora/internal/trace"
@@ -96,7 +94,6 @@ func TestSweepFirstErrorCancelsRemaining(t *testing.T) {
 
 	reg0 := obs.New()
 	inner := jobs[0].Policy
-	jobs[0].Obs = reg0
 	jobs[0].Policy = func() (policy.Policy, error) {
 		pol, err := inner()
 		if err != nil {
@@ -137,7 +134,6 @@ func TestSweepInFlightJobFinishes(t *testing.T) {
 	release0 := make(chan struct{})
 	reg0 := obs.New()
 	innerCtrl := jobs[0].Policy
-	jobs[0].Obs = reg0
 	jobs[0].Policy = func() (policy.Policy, error) {
 		pol, err := innerCtrl()
 		if err != nil {
@@ -229,68 +225,6 @@ func TestReplicate(t *testing.T) {
 	boom := errors.New("nope")
 	if _, err := Replicate([]int64{1}, func(int64) (Job, error) { return Job{}, boom }); !errors.Is(err, boom) {
 		t.Errorf("builder error not propagated: %v", err)
-	}
-}
-
-// TestSweepPerJobObs: each instrumented job keeps its own registry,
-// with exactly its own slots counted.
-func TestSweepPerJobObs(t *testing.T) {
-	vs := []float64{10, 100, 200}
-	jobs := sweepJobs(t, vs)
-	for i := range jobs {
-		reg := obs.New()
-		inner := jobs[i].Policy
-		jobs[i].Obs = reg
-		jobs[i].Policy = func() (policy.Policy, error) {
-			pol, err := inner()
-			if err != nil {
-				return nil, err
-			}
-			pol.SetObs(reg)
-			return pol, nil
-		}
-	}
-	// Leave one job uninstrumented: Sweep must leave it without one.
-	jobs[2].Obs = nil
-
-	results, err := Sweep(jobs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if results[i].Obs == nil {
-			t.Fatalf("result %d lost its registry", i)
-		}
-		if got := results[i].Obs.Counter(core.MetricSlots).Value(); got != 12 {
-			t.Errorf("job %d recorded %d slots, want 12", i, got)
-		}
-	}
-	if results[2].Obs != nil {
-		t.Error("uninstrumented job gained a registry")
-	}
-
-}
-
-// TestSweepCountsRepairs: a job whose faults are repaired counts the
-// repaired fields in its registry's trace.repairs, and decides exactly
-// as the same job without a registry.
-func TestSweepCountsRepairs(t *testing.T) {
-	jobs := sweepJobs(t, []float64{50, 50})
-	for i := range jobs {
-		jobs[i].Faults = &faults.Config{Seed: 3, NaNProb: 0.5, NegProb: 0.5, ZeroChannelProb: 0.5, Sanitize: true}
-	}
-	jobs[0].Obs = obs.New()
-	results, err := Sweep(jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := results[0].Obs.Counter(trace.MetricRepairs).Value(); got == 0 {
-		t.Error("trace.repairs recorded no repair")
-	}
-	got, want := results[0].Metrics, results[1].Metrics
-	if !reflect.DeepEqual(got.Latency, want.Latency) || !reflect.DeepEqual(got.EnergyCost, want.EnergyCost) ||
-		!reflect.DeepEqual(got.Backlog, want.Backlog) || !reflect.DeepEqual(got.SolverIterations, want.SolverIterations) {
-		t.Error("the instrumented job decided differently")
 	}
 }
 

@@ -103,6 +103,18 @@ func DefaultChurnConfig(seed int64) ChurnConfig {
 	}
 }
 
+// ScaledChurnConfig returns DefaultChurnConfig(seed) with every event
+// probability multiplied by intensity and clamped to 1: intensity 1 is the
+// default regime, 0 fires no event. Every driver that takes a churn
+// intensity builds its regime here, so shared-seed populations agree.
+func ScaledChurnConfig(intensity float64, seed int64) ChurnConfig {
+	cfg := DefaultChurnConfig(seed)
+	for _, p := range []*float64{&cfg.DeviceJoinProb, &cfg.DeviceLeaveProb, &cfg.HandoverProb, &cfg.ServerRemoveProb, &cfg.ServerAddProb} {
+		*p = min(*p*intensity, 1)
+	}
+	return cfg
+}
+
 // Validate checks the configuration's ranges.
 func (c ChurnConfig) Validate() error {
 	probs := []struct {

@@ -46,6 +46,38 @@ func TestChurnConfigValidate(t *testing.T) {
 	}
 }
 
+// TestScaledChurnConfig: intensity 1 is the default regime field for
+// field, 4 scales every probability fourfold (the defaults are all at or
+// below 0.05, so nothing clamps yet), 100 clamps every one to 1, and 0
+// zeroes them; the seed and the non-probability fields always pass
+// through.
+func TestScaledChurnConfig(t *testing.T) {
+	if got, want := ScaledChurnConfig(1, 9), DefaultChurnConfig(9); got != want {
+		t.Errorf("intensity 1 = %+v, want the default %+v", got, want)
+	}
+	def := DefaultChurnConfig(9)
+	for _, tc := range []struct {
+		intensity float64
+		scale     func(p float64) float64
+	}{
+		{4, func(p float64) float64 { return 4 * p }},
+		{100, func(float64) float64 { return 1 }},
+		{0, func(float64) float64 { return 0 }},
+	} {
+		cfg := ScaledChurnConfig(tc.intensity, 9)
+		want := def
+		want.DeviceJoinProb, want.DeviceLeaveProb = tc.scale(def.DeviceJoinProb), tc.scale(def.DeviceLeaveProb)
+		want.HandoverProb = tc.scale(def.HandoverProb)
+		want.ServerRemoveProb, want.ServerAddProb = tc.scale(def.ServerRemoveProb), tc.scale(def.ServerAddProb)
+		if cfg != want {
+			t.Errorf("intensity %g = %+v, want %+v", tc.intensity, cfg, want)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("intensity %g: %v", tc.intensity, err)
+		}
+	}
+}
+
 func TestChurnScheduleNeedsDevices(t *testing.T) {
 	net := testNetwork(t, 10)
 	gen, err := NewGenerator(net, DefaultGeneratorConfig(), 1)
