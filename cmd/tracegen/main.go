@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"os"
 
+	"eotora/internal/experiments"
 	"eotora/internal/plot"
 	"eotora/internal/rng"
 	"eotora/internal/stats"
-	"eotora/internal/topology"
 	"eotora/internal/trace"
 )
 
@@ -57,12 +57,7 @@ func run(args []string) error {
 // emitSummary prints descriptive statistics plus sparklines of the first
 // week of each generated series.
 func emitSummary(days, devices int, seed int64) error {
-	src := rng.New(seed)
-	net, err := topology.Generate(topology.DefaultSpec(devices), src.Derive("net"))
-	if err != nil {
-		return err
-	}
-	gen, err := trace.NewGenerator(net, trace.DefaultGeneratorConfig(), seed)
+	_, gen, err := experiments.PresetStream("default", devices, 0, seed, 0, trace.DefaultGeneratorConfig())
 	if err != nil {
 		return err
 	}
@@ -119,12 +114,7 @@ func emitInputs(days, devices int, seed int64) error {
 }
 
 func emitChannels(days, devices int, seed int64) error {
-	src := rng.New(seed)
-	net, err := topology.Generate(topology.DefaultSpec(devices), src.Derive("net"))
-	if err != nil {
-		return err
-	}
-	gen, err := trace.NewGenerator(net, trace.DefaultGeneratorConfig(), seed)
+	_, gen, err := experiments.PresetStream("default", devices, 0, seed, 0, trace.DefaultGeneratorConfig())
 	if err != nil {
 		return err
 	}
