@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParallelEquivalence -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzChurnEquivalence -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzRulePricingEquivalence -fuzztime=15s ./internal/core/
+	$(GO) test -fuzz=FuzzGreedyStreamEquivalence -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzEngineEquivalence -fuzztime=15s ./internal/game/
 	$(GO) test -fuzz=FuzzIncrementalBestResponseEquivalence -fuzztime=15s ./internal/game/
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=15s ./internal/game/

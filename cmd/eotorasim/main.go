@@ -244,7 +244,7 @@ func configRun(path string) (simRun, error) {
 		return simRun{}, err
 	}
 	header := scenarioLine("config "+path, sc) +
-		fmt.Sprintf("policy:   %s (%s-based DPP), V=%g\n", ctrl.Name(), ctrl.SolverName(), ctrl.V())
+		fmt.Sprintf("policy:   %s (%s-based DPP), V=%g, z=%d, λ=%g\n", ctrl.Name(), ctrl.SolverName(), ctrl.V(), ctrl.Z(), ctrl.Lambda())
 	return simRun{sc: sc, src: gen, pol: ctrl, cfg: cfg, header: header}, nil
 }
 

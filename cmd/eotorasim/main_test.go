@@ -93,6 +93,29 @@ func TestRunFromConfigFile(t *testing.T) {
 	}
 }
 
+// TestConfigSummaryNamesPolicyKnobs: the -config summary's policy line
+// names V, z and λ as the flag path's does, with the run spec's values
+// and its defaults.
+func TestConfigSummaryNamesPolicyKnobs(t *testing.T) {
+	dir := t.TempDir()
+	for body, want := range map[string]string{
+		`{"devices": 5, "slots": 6, "v": 40, "z": 2, "lambda": 0.05}`: "V=40, z=2, λ=0.05",
+		`{"devices": 5, "slots": 6}`:                                  "V=100, z=5, λ=0",
+	} {
+		cfg := filepath.Join(dir, "run.json")
+		if err := os.WriteFile(cfg, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := configRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(r.header, "policy:   bdma (CGBA-based DPP), "+want+"\n") {
+			t.Errorf("%s: summary %q, want a policy line with %q", body, r.header, want)
+		}
+	}
+}
+
 func TestRunWithObsOut(t *testing.T) {
 	dir := t.TempDir()
 	jsonOut := filepath.Join(dir, "obs.json")

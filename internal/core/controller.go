@@ -129,6 +129,14 @@ type Controller struct {
 	// (pickRandom).
 	randPairs []topology.Pair
 
+	// greedyWeights, greedyLoads and greedyCands are the greedy pick's
+	// scratch: the P2-A resource weights m_r at its frequency point, the
+	// running loads of the devices placed so far, and one device's priced
+	// pairs (greedy).
+	greedyWeights []float64
+	greedyLoads   []float64
+	greedyCands   []greedyCand
+
 	// pool is the intra-slot worker pool attached with SetPool (nil =
 	// serial); it runs the sharded solve's interior sweeps without
 	// changing any decision bit.
@@ -212,6 +220,17 @@ func (c *Controller) Backlog() float64 { return c.budget.Backlog() }
 
 // V returns the configured penalty weight.
 func (c *Controller) V() float64 { return c.cfg.V }
+
+// Z returns the configured BDMA round count z (BDMAConfig.Iterations;
+// 0 selects 1).
+func (c *Controller) Z() int { return c.cfg.BDMA.Iterations }
+
+// Lambda returns the CGBA approximation slack λ, or 0 when the P2-A
+// solver is not CGBA.
+func (c *Controller) Lambda() float64 {
+	s, _ := c.cfg.BDMA.Solver.(CGBASolver)
+	return s.Lambda
+}
 
 // SetV retunes the drift-plus-penalty weight V between slots — the
 // latency-vs-backlog dial the online auto-tuner (internal/policy) turns.
@@ -601,18 +620,18 @@ func (s *System) feasiblePairs(i int, st *trace.State, visit func(station, serve
 }
 
 // greedyDecision is RungGreedy, the ladder's last resort: greedy-energy's
-// decision, the one-pass greedy profile at the lowest frequencies Ω^L.
-// The game was built by BDMA round 0 for this slot's state at Ω^L (round
-// 0 never checkpoints before building), so the profile maps onto pairs
-// feasible under the current coverage.
+// decision, the one-pass greedy streamed from the slot's state at the
+// lowest frequencies Ω^L. It needs no P2-A game, so it decides even when
+// BDMA round 0 built none.
 func (c *Controller) greedyDecision(st *trace.State) (BDMAResult, error) {
-	sel, ok := c.greedySelection()
-	if !ok {
-		return BDMAResult{}, errors.New("core: no P2-A game for the greedy fallback")
+	freq := c.sys.LowestFrequencies()
+	sel, err := c.greedy(st, freq)
+	if err != nil {
+		return BDMAResult{}, err
 	}
 	return c.price(BDMAResult{
 		Selection: sel,
-		Freq:      c.sys.LowestFrequencies(),
+		Freq:      freq,
 		Degraded:  true,
 	}, st)
 }

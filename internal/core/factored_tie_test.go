@@ -20,7 +20,7 @@ import (
 // earlier one's at equal load, and (C + A) + F often rounds the
 // difference away: pairs of one station with distinct C terms and
 // equal costs.
-func nearTieSystem(t *testing.T, devices int, seed int64) (*System, *trace.Generator) {
+func nearTieSystem(t testing.TB, devices int, seed int64) (*System, *trace.Generator) {
 	t.Helper()
 	sys, gen := buildSpecSystem(t, topology.DefaultSpec(devices), seed)
 	net := sys.Net

@@ -217,9 +217,10 @@ func TestRepriceDecision(t *testing.T) {
 	}
 }
 
-// TestGreedyDecision exercises RungGreedy directly: once BDMA round 0 has
-// built the slot's game, the greedy profile is feasible at Ω^L with a
-// finite objective; before any step there is no game and it must fail.
+// TestGreedyDecision exercises RungGreedy directly: it streams from the
+// state, so on a fresh controller it is already greedy-energy's
+// selection, Ω^L and objective; after a step it stays feasible at Ω^L
+// with a finite objective.
 func TestGreedyDecision(t *testing.T) {
 	sys, gen := buildSystem(t, 40, 7)
 	states := trace.Record(gen, 1)
@@ -227,8 +228,23 @@ func TestGreedyDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.greedyDecision(states[0]); err == nil {
-		t.Fatal("greedyDecision succeeded before any P2-A game was built")
+	fresh, err := ctrl.greedyDecision(states[0])
+	if err != nil {
+		t.Fatalf("greedyDecision on a fresh controller: %v", err)
+	}
+	rule, err := NewRuleController(sys, "greedy-energy", 110, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := rule.Step(states[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Selection, wantRes.Decision.Selection) || !reflect.DeepEqual(fresh.Freq, wantRes.Decision.Freq) {
+		t.Error("fresh greedy rung's selection or Ω differs from greedy-energy's")
+	}
+	if math.Float64bits(fresh.Objective) != math.Float64bits(wantRes.Objective) {
+		t.Errorf("fresh greedy rung's objective %v, greedy-energy %v", fresh.Objective, wantRes.Objective)
 	}
 	if _, err := ctrl.Step(states[0]); err != nil {
 		t.Fatal(err)

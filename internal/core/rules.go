@@ -1,9 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
-	"eotora/internal/game"
 	"eotora/internal/rng"
 	"eotora/internal/topology"
 	"eotora/internal/trace"
@@ -14,9 +15,8 @@ import (
 // of the BDMA alternation. The controller runs it through its one slot
 // tail — Lemma-1 allocation, fallback-rung pricing and the queue commit —
 // so a baseline's latency, cost and backlog series are comparable with
-// BDMA's. A pick owns validating the slot state (System.CheckState)
-// before reading it: the greedy rules validate through BuildP2A, the
-// others call CheckState, so each state is checked once per slot.
+// BDMA's. A pick owns validating the slot state: each calls
+// System.CheckState once before reading it.
 type selectionRule struct {
 	name string
 	freq func(*System) Frequencies // the fixed frequency point
@@ -65,27 +65,164 @@ func (c *Controller) ruleDecision(st *trace.State) (BDMAResult, error) {
 	return c.price(BDMAResult{Selection: sel, Freq: c.ruleFreq}, st)
 }
 
-// greedySelection is the deterministic one-pass congestion-greedy
-// profile on the slot's P2-A game, as a selection: greedy-energy and
-// greedy-deadline on a game built at their frequency point, and the
-// ladder's RungGreedy on the game BDMA round 0 built at Ω^L. Energy cost
-// depends only on the frequencies of active servers, so the frequency
-// point alone separates the energy-first and deadline-first variants.
-func (c *Controller) greedySelection() (Selection, bool) {
-	g := c.p2a.Game()
-	if g == nil {
-		return Selection{}, false
-	}
-	return c.p2a.Selection(game.GreedyProfile(g).Profile), true
+// pickGreedy is greedy-energy/greedy-deadline: the one-pass greedy at
+// the rule's frequency point.
+func pickGreedy(c *Controller, st *trace.State) (Selection, error) {
+	return c.greedy(st, c.ruleFreq)
 }
 
-// pickGreedy is greedy-energy/greedy-deadline.
-func pickGreedy(c *Controller, st *trace.State) (Selection, error) {
-	if err := c.sys.BuildP2A(&c.p2a, st, c.ruleFreq); err != nil {
+// greedy is the deterministic one-pass congestion greedy of the slot's
+// P2-A game at freq, streamed from the state without building the game:
+// active devices commit in index order, each to the feasible pair of
+// least marginal cost against the loads of the devices placed before it.
+// greedy-energy and greedy-deadline run it at their frequency points, and
+// the ladder's RungGreedy at Ω^L. Energy cost depends only on the
+// frequencies of active servers, so the frequency point alone separates
+// the energy-first and deadline-first variants.
+//
+// Its selection is game.GreedyProfile's on the game BuildP2A builds, bit
+// for bit. A device's pairs are walked in BuildP2A's strategy order (see
+// feasiblePairs), with its weights √(f/σ), √(d/h) and √(d/h^F). A pair
+// (k, n) costs the terms m_r·p·(load_r + p) of the uses the game gives
+// it, each rounded on its own, summed in use order: (C_n + A_k) + F_k,
+// without the terms of zero weights when f = 0 or d = 0, and the no-op
+// pin's access term when every weight is zero. The first least cost wins,
+// or the first pair when no cost is finite, and the winner's uses are
+// added to the loads. It validates as BuildP2A does, with its errors:
+// CheckState, ValidateFrequencies, a device with no feasible pair, then
+// Build's checks of the resource weights, the players and the use
+// weights.
+func (c *Controller) greedy(st *trace.State, freq Frequencies) (Selection, error) {
+	s := c.sys
+	if err := s.CheckState(st); err != nil {
 		return Selection{}, err
 	}
-	sel, _ := c.greedySelection()
+	if err := s.ValidateFrequencies(freq); err != nil {
+		return Selection{}, err
+	}
+	servers, stations := len(s.Net.Servers), len(s.Net.BaseStations)
+	_, _, _, devices := s.Net.Counts()
+	weights := resized(c.greedyWeights, servers+2*stations)
+	s.fillResourceWeights(weights, freq, st.CapScale)
+	loads := resized(c.greedyLoads, len(weights))
+	clear(loads)
+	c.greedyWeights, c.greedyLoads = weights, loads
+
+	sel := emptySelection(devices)
+	players := 0
+	var useErr error
+	for i := 0; i < devices; i++ {
+		if !st.ActiveDevice(i) {
+			continue
+		}
+		cycles, bits, suitability := st.TaskSizes[i].Count(), st.DataLengths[i].Bits(), s.Net.Suitability[i]
+		// Every pair is priced before any is compared, so no branch waits
+		// on a pair's square roots.
+		cands := c.greedyCands[:0]
+		for pass := 0; pass < 2 && len(cands) == 0; pass++ {
+			honorDown := pass == 0
+			for j, l := range st.Channels[i] {
+				k := l.Station
+				a, f := servers+k, servers+stations+k
+				accessW := math.Sqrt(bits / l.SE.BpsPerHz())
+				fronthaulW := math.Sqrt(bits / st.FronthaulSE[k].BpsPerHz())
+				aTerm := float64(weights[a] * accessW * (loads[a] + accessW))
+				fTerm := float64(weights[f] * fronthaulW * (loads[f] + fronthaulW))
+				linkInf := accessW > math.MaxFloat64 || fronthaulW > math.MaxFloat64
+				for _, n := range s.Net.ReachableServers(k) {
+					if !st.ActiveServer(n) || (honorDown && st.Down(n)) {
+						continue
+					}
+					computeW := math.Sqrt(cycles / suitability[n])
+					if useErr == nil && (computeW > math.MaxFloat64 || linkInf) {
+						useErr = invalidUseWeight(players, len(cands), computeW, accessW, fronthaulW)
+					}
+					cost, used := 0.0, computeW > 0
+					if used {
+						cost = float64(weights[n] * computeW * (loads[n] + computeW))
+					}
+					if accessW > 0 {
+						cost, used = cost+aTerm, true
+					}
+					if fronthaulW > 0 {
+						cost, used = cost+fTerm, true
+					}
+					if !used {
+						cost = float64(weights[a] * noOpPin * (loads[a] + noOpPin))
+					}
+					cands = append(cands, greedyCand{link: int32(j), server: int32(n), cost: cost})
+				}
+			}
+		}
+		c.greedyCands = cands
+		if len(cands) == 0 {
+			return Selection{}, fmt.Errorf("core: device %d has no feasible (station, server) pair this slot", i)
+		}
+		best, bestCost := 0, math.Inf(1)
+		for j := range cands {
+			if cands[j].cost < bestCost {
+				best, bestCost = j, cands[j].cost
+			}
+		}
+		l, n := st.Channels[i][cands[best].link], int(cands[best].server)
+		k := l.Station
+		sel.Station[i], sel.Server[i] = k, n
+		addGreedyUses(loads, n, servers+k, servers+stations+k,
+			math.Sqrt(cycles/suitability[n]), math.Sqrt(bits/l.SE.BpsPerHz()), math.Sqrt(bits/st.FronthaulSE[k].BpsPerHz()))
+		players++
+	}
+	for r, m := range weights {
+		if !(m > 0) || math.IsInf(m, 0) {
+			return Selection{}, fmt.Errorf("core: building P2-A game: game: resource %d has invalid weight %v", r, m)
+		}
+	}
+	if players == 0 {
+		return Selection{}, errors.New("core: building P2-A game: game: no players")
+	}
+	if useErr != nil {
+		return Selection{}, useErr
+	}
 	return sel, nil
+}
+
+// greedyCand is a feasible pair of the device the greedy pick places:
+// its link's index in the device's channel row, its server, and its cost.
+type greedyCand struct {
+	link, server int32
+	cost         float64
+}
+
+// addGreedyUses adds the uses a pair has in the P2-A game to the loads:
+// its compute, access and fronthaul weights that are positive, or the
+// no-op pin on the access link when none is.
+func addGreedyUses(loads []float64, compute, access, fronthaul int, computeW, accessW, fronthaulW float64) {
+	used := false
+	if computeW > 0 {
+		loads[compute] += computeW
+		used = true
+	}
+	if accessW > 0 {
+		loads[access] += accessW
+		used = true
+	}
+	if fronthaulW > 0 {
+		loads[fronthaul] += fronthaulW
+		used = true
+	}
+	if !used {
+		loads[access] += noOpPin
+	}
+}
+
+// invalidUseWeight is Build's error for player pl's strategy s whose
+// uses, with weights ws in use order, include one that is not finite.
+func invalidUseWeight(pl, s int, ws ...float64) error {
+	for _, w := range ws {
+		if w > math.MaxFloat64 {
+			return fmt.Errorf("core: building P2-A game: game: player %d strategy %d has invalid weight %v", pl, s, w)
+		}
+	}
+	return nil
 }
 
 // pickRandom assigns every active device a uniformly random feasible

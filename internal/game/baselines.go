@@ -49,9 +49,10 @@ func RandomProfile(g *Game, src *rng.Source) Result {
 // in index order, each picking the strategy minimizing its marginal cost
 // Σ_u wm·(load+w) against the loads of the already-placed players (the
 // engine's best-response scan; strategy 0 when no cost is finite). It
-// draws no randomness and scans each player once, making it the
-// constant-time last rung of the controller's degradation ladder —
-// always feasible, never iterative.
+// draws no randomness and scans each player once. It is the arena form
+// of the controller's greedy pick (the greedy rules and the last rung of
+// its degradation ladder), which streams the same choices from the slot
+// state without building the game; tests hold the two equal.
 func GreedyProfile(g *Game) Result {
 	profile := make(Profile, g.Players())
 	loads := make([]float64, g.Resources())

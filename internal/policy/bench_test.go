@@ -40,8 +40,9 @@ func benchSystem(b *testing.B, devices int) (*core.System, *trace.Generator) {
 // 1000-device operating point — the policy-roster companion to core's
 // BenchmarkControllerStep, through the same seam every driver uses. The
 // bdma family carries the full BDMA/CGBA solve; the baselines bound the
-// floor a selection rule alone costs (greedy-* still builds the slot's
-// game, random draws per device, local-only/edge-only are pure scans).
+// floor a selection rule alone costs (none builds the slot's game:
+// greedy-* prices every feasible pair against running loads, random
+// draws per device, local-only/edge-only are pure scans).
 func BenchmarkPolicyStep(b *testing.B) {
 	const devices = 1000
 	for _, name := range Names() {
